@@ -329,11 +329,18 @@ class ResultStore:
         self._memory = self.path == ":memory:"
         self._lock = threading.Lock()
         self._shared: sqlite3.Connection | None = None
+
+        def initialise() -> None:
+            with self._connect() as conn:
+                self._initialise(conn)
+
         try:
             if self._memory:
                 self._shared = self._open()
-            with self._connect() as conn:
-                self._initialise(conn)
+            # Opening is a write (DDL, the WAL switch, the schema stamp),
+            # so it takes the same bounded retry as every other write: a
+            # writer racing this open may hold the file.
+            self._with_write_retry(initialise)
         except sqlite3.Error as exc:
             raise StoreError(
                 f"cannot open result store {self.path!r}: {exc}"
@@ -348,12 +355,6 @@ class ResultStore:
         )
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA foreign_keys = ON")
-        if not self._memory:
-            # WAL lets concurrent writers queue behind the busy timeout
-            # instead of failing immediately, and readers never block
-            # writers.  The mode is persistent, but setting it is cheap
-            # and idempotent, so every connection just asserts it.
-            conn.execute("PRAGMA journal_mode = WAL")
         return conn
 
     class _Session:
@@ -429,6 +430,12 @@ class ResultStore:
                 delay = min(1.0, delay * 2.0)
 
     def _initialise(self, conn: sqlite3.Connection) -> None:
+        if not self._memory:
+            # WAL lets concurrent writers queue behind the busy timeout
+            # instead of failing immediately, and readers never block
+            # writers.  The mode persists in the file, so setting it once
+            # per open is enough.
+            conn.execute("PRAGMA journal_mode = WAL")
         conn.executescript(DDL)
         row = conn.execute(
             "SELECT value FROM meta WHERE key = 'store_schema'"

@@ -368,8 +368,25 @@ class StandTarget:
                 f"stand {self.name!r} has no DUT adapter; "
                 f"use one of {sorted(adaptable_stand_names())}"
             )
-        # functools.partial of a module-level builder stays picklable.
-        return functools.partial(self.builder, tuple(pins))
+        return AdaptedStandFactory(self.builder, tuple(pins))
+
+
+@dataclass(frozen=True)
+class AdaptedStandFactory:
+    """Zero-argument stand factory: a module-level *builder* wired to *pins*.
+
+    Unlike a ``functools.partial`` (which hashes by identity) it is a value:
+    equal and hash-equal whenever builder and pins are, also after a pickle
+    round trip.  The executor's per-worker stand pools are keyed by stand
+    factory, so every campaign and every process-pool chunk asking for the
+    same adapted stand leases the one already built.
+    """
+
+    builder: Callable[..., TestStand]
+    pins: tuple[str, ...]
+
+    def __call__(self) -> TestStand:
+        return self.builder(self.pins)
 
 
 _DUTS: dict[str, DutTarget] = {}

@@ -47,8 +47,11 @@ serial backend scales linearly (benchmark A4).
 from __future__ import annotations
 
 import asyncio
+import atexit
 import contextvars
+import itertools
 import math
+import os
 import pickle
 import random
 import threading
@@ -61,7 +64,7 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .. import chaos as chaos_mod
 from ..core.errors import (
@@ -340,12 +343,20 @@ async def aexecute_job(job: Job) -> TestResult:
 # Resilience machinery: quarantine, deadlines, backoff, classified retries
 # ---------------------------------------------------------------------------
 
-#: Per-process stand quarantine book: {stand key -> consecutive infra
-#: failures}.  Cleared at the start of every ``run_jobs`` batch; process
-#: workers keep their own book (a worker that sees a stand fail repeatedly
-#: stops feeding it jobs, which is exactly the circuit-breaker intent).
+#: Per-process stand quarantine books: {batch id -> {stand key ->
+#: consecutive infra failures}}.  Every ``run_jobs`` batch keeps its own
+#: book, so batches running side by side (two threads sharing the warm
+#: process pool) never trip each other's breaker.  A process worker keeps
+#: one book per batch it serves (a worker that sees a stand fail repeatedly
+#: stops feeding it jobs, which is exactly the circuit-breaker intent); the
+#: least recent books are dropped, as the worker never learns a batch ended.
 _QUARANTINE_LOCK = threading.Lock()
-_QUARANTINE: dict[str, int] = {}
+_QUARANTINE: OrderedDict[int, dict[str, int]] = OrderedDict()
+
+#: How many batches' quarantine books one process keeps.
+_QUARANTINE_BATCHES = 16
+
+_BATCH_IDS = itertools.count(1)
 
 
 def _stand_key(job: Job) -> str:
@@ -356,13 +367,13 @@ def _stand_key(job: Job) -> str:
     return getattr(factory, "__qualname__", "") or repr(factory)
 
 
-def _quarantine_reason(job: Job, policy: ResiliencePolicy) -> str:
+def _quarantine_reason(job: Job, policy: ResiliencePolicy, batch: int) -> str:
     """Non-empty structured error when the job's stand is quarantined."""
     if policy.quarantine_after <= 0:
         return ""
     key = _stand_key(job)
     with _QUARANTINE_LOCK:
-        failures = _QUARANTINE.get(key, 0)
+        failures = _QUARANTINE.get(batch, {}).get(key, 0)
     if failures >= policy.quarantine_after:
         return (
             f"StandQuarantinedError: stand {key!r} quarantined after "
@@ -371,18 +382,26 @@ def _quarantine_reason(job: Job, policy: ResiliencePolicy) -> str:
     return ""
 
 
-def _note_stand_outcome(job: Job, policy: ResiliencePolicy, *, failed: bool) -> None:
+def _note_stand_outcome(job: Job, policy: ResiliencePolicy, batch: int, *,
+                        failed: bool) -> None:
     """Count a terminal infra failure against the stand; success resets it."""
     if policy.quarantine_after <= 0:
         return
     key = _stand_key(job)
     with _QUARANTINE_LOCK:
-        _QUARANTINE[key] = _QUARANTINE.get(key, 0) + 1 if failed else 0
+        book = _QUARANTINE.get(batch)
+        if book is None:
+            if not failed:
+                return
+            book = _QUARANTINE[batch] = {}
+            while len(_QUARANTINE) > _QUARANTINE_BATCHES:
+                _QUARANTINE.popitem(last=False)
+        book[key] = book.get(key, 0) + 1 if failed else 0
 
 
-def _clear_quarantine() -> None:
+def _forget_batch(batch: int) -> None:
     with _QUARANTINE_LOCK:
-        _QUARANTINE.clear()
+        _QUARANTINE.pop(batch, None)
 
 
 def _backoff_seconds(policy: ResiliencePolicy, job_id: str, attempt: int) -> float:
@@ -437,7 +456,8 @@ def _run_with_deadline(job: Job, remaining: float, deadline: float) -> TestResul
     return value  # type: ignore[return-value]
 
 
-def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2) -> JobResult:
+def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2,
+                          batch: int = 0) -> JobResult:
     """Run *job* under *policy*: classified retries, backoff, deadline, chaos.
 
     Verdicts — including FAIL and ERROR action results — are never retried;
@@ -445,10 +465,11 @@ def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2) -> Job
     exception counts, and only when :func:`is_transient` classifies it as
     worth another attempt; permanent errors (bad configuration, capability
     gaps, blown deadlines) fail fast and report their first error.
+    *batch* names the quarantine book the job's stand outcome counts in.
     """
     policy = _coerce_policy(policy)
     start = time.perf_counter()
-    reason = _quarantine_reason(job, policy)
+    reason = _quarantine_reason(job, policy, batch)
     if reason:
         return JobResult(job, None, attempts=0, error=reason,
                          wall_time=time.perf_counter() - start)
@@ -469,21 +490,21 @@ def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2) -> Job
             if is_transient(exc) and attempt < attempts:
                 time.sleep(_backoff_seconds(policy, job.job_id, attempt))
                 continue
-            _note_stand_outcome(job, policy, failed=True)
+            _note_stand_outcome(job, policy, batch, failed=True)
             return JobResult(job, None, attempts=attempt,
                              error=f"{type(exc).__name__}: {exc}",
                              wall_time=time.perf_counter() - start)
         finally:
             if token is not None:
                 chaos_mod.end_job(token)
-        _note_stand_outcome(job, policy, failed=False)
+        _note_stand_outcome(job, policy, batch, failed=False)
         return JobResult(job, result, attempts=attempt,
                          wall_time=time.perf_counter() - start)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
 async def _aexecute_with_retries(
-    job: Job, policy: "ResiliencePolicy | int" = 2
+    job: Job, policy: "ResiliencePolicy | int" = 2, batch: int = 0
 ) -> JobResult:
     """Awaitable twin of :func:`_execute_with_retries` (same retry policy).
 
@@ -494,7 +515,7 @@ async def _aexecute_with_retries(
     """
     policy = _coerce_policy(policy)
     start = time.perf_counter()
-    reason = _quarantine_reason(job, policy)
+    reason = _quarantine_reason(job, policy, batch)
     if reason:
         return JobResult(job, None, attempts=0, error=reason,
                          wall_time=time.perf_counter() - start)
@@ -522,14 +543,14 @@ async def _aexecute_with_retries(
             if is_transient(exc) and attempt < attempts:
                 await asyncio.sleep(_backoff_seconds(policy, job.job_id, attempt))
                 continue
-            _note_stand_outcome(job, policy, failed=True)
+            _note_stand_outcome(job, policy, batch, failed=True)
             return JobResult(job, None, attempts=attempt,
                              error=f"{type(exc).__name__}: {exc}",
                              wall_time=time.perf_counter() - start)
         finally:
             if token is not None:
                 chaos_mod.end_job(token)
-        _note_stand_outcome(job, policy, failed=False)
+        _note_stand_outcome(job, policy, batch, failed=False)
         return JobResult(job, result, attempts=attempt,
                          wall_time=time.perf_counter() - start)
     raise AssertionError("unreachable")  # pragma: no cover
@@ -600,14 +621,96 @@ class ThreadExecutor(Executor):
                 yield futures[future], future.result()
 
 
+class _Pool(NamedTuple):
+    pid: int
+    workers: int
+    executor: ProcessPoolExecutor
+
+
+#: The process backend's one pool per process, shared by every process
+#: batch and replaced only when a worker dies or the worker count changes.
+#: Its workers outlive campaigns, so their plan caches, VM bindings and
+#: stand pools stay warm.  The owner pid keeps a forked child off the pool
+#: it inherited, whose manager thread lives in the parent only.
+_POOL_LOCK = threading.Lock()
+_POOL: _Pool | None = None
+
+
+def _fresh_pool_lock() -> None:
+    # A child forked while a batch held the lock (pool workers fork inside
+    # ``submit``) must not inherit it held.
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_pool_lock)
+
+
+def _start_worker() -> None:
+    """Pool initializer: drop the chaos policy and profiler switch a worker
+    inherits from the batch its parent was running when it forked."""
+    chaos_mod.uninstall()
+    PROFILER.disable()
+
+
+def _warm_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of *workers* workers; the caller holds the lock."""
+    global _POOL
+    pid = os.getpid()
+    if _POOL is not None and _POOL.pid == pid:
+        if _POOL.workers == workers:
+            return _POOL.executor
+        # Chunks other batches already submitted still run to completion.
+        _POOL.executor.shutdown(wait=False)
+    _POOL = _Pool(pid, workers, ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker))
+    return _POOL.executor
+
+
+def _retire_pool(executor: ProcessPoolExecutor) -> None:
+    """Drop a broken pool: the next batch or redelivery gets a fresh one.
+
+    A broken pool has already terminated its workers, so waiting for its
+    manager thread is quick, and the fresh pool then forks from a process
+    without the old pool's threads.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL.executor is executor:
+            _POOL = None
+    executor.shutdown(wait=True)
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None and pool.pid == os.getpid():
+        pool.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _produced(position: int, job_result: JobResult) -> tuple:
+    """What a worker sends home for one job: ``(position, result, attempts,
+    error, wall_time)``.  The parent holds the job already, so neither the
+    job nor the result's script makes the return trip."""
+    result = job_result.result
+    if result is not None:
+        result.script = None
+    return (position, result, job_result.attempts, job_result.error,
+            job_result.wall_time)
+
+
 def _run_job_chunk(
     fn: Callable[..., JobResult],
     chunk: Sequence[tuple[int, Job]],
     extra: tuple,
     profile: bool = False,
     redelivered: bool = False,
-) -> tuple[list[tuple[int, JobResult]], dict | None, dict | None]:
+) -> tuple[list[tuple], dict | None, dict | None]:
     """Worker-side chunk runner: execute every job of *chunk* in order.
+
+    Returns the :func:`_produced` tuple of every job, in chunk order.
 
     With ``profile`` the worker's process-global profiler and plan-cache
     statistics are measured across the chunk and the *deltas* ship back
@@ -619,39 +722,60 @@ def _run_job_chunk(
     any chaos policy riding in *extra* has its worker kills stripped, so a
     deterministic kill schedule cannot starve the batch by killing the
     respawned worker at the same call forever.
+
+    The worker outlives the chunk and serves other batches next, so the
+    chunk leaves no process-global switch on: the chaos policy
+    :func:`~repro.chaos.begin_job` installed is uninstalled (a clean batch
+    keeps the zero-cost ``chaos.ACTIVE is None`` path) and the profiler is
+    set back to its state before the chunk.
     """
     if redelivered:
         extra = tuple(
             arg.without_worker_kill() if isinstance(arg, ResiliencePolicy) else arg
             for arg in extra
         )
+    was_profiling = PROFILER.enabled
+    if profile:
+        PROFILER.enable()
+        PROFILER.reset()
+        stats_before = GLOBAL_PLAN_CACHE.stats.snapshot()
+    try:
+        produced = [_produced(position, fn(job, *extra)) for position, job in chunk]
+    finally:
+        chaos_mod.uninstall()
+        PROFILER.enabled = was_profiling
     if not profile:
-        return [(position, fn(job, *extra)) for position, job in chunk], None, None
-    PROFILER.enable()
-    PROFILER.reset()
-    stats_before = GLOBAL_PLAN_CACHE.stats.snapshot()
-    results = [(position, fn(job, *extra)) for position, job in chunk]
+        return produced, None, None
     stats_after = GLOBAL_PLAN_CACHE.stats.snapshot()
     stats_delta = {
         name: stats_after[name] - stats_before.get(name, 0)
         for name in stats_after
         if name != "hit_rate"  # derived, not additive
     }
-    return results, PROFILER.snapshot(), stats_delta
+    return produced, PROFILER.snapshot(), stats_delta
 
 
 class ProcessExecutor(Executor):
-    """Runs jobs on a process pool (true parallelism, picklable jobs only).
+    """Runs jobs on a warm process pool (true parallelism, picklable jobs only).
+
+    The pool belongs to the process, not to the batch: it is created by the
+    first process batch and reused by every later one, so campaign after
+    campaign runs on workers whose plan caches, VM bindings and stand pools
+    are already warm (stand factories compare by value, so a new campaign's
+    factory finds the stand an earlier one pooled).  A batch whose worker
+    died replaces the pool and redelivers its unfinished chunks; a batch
+    with another worker count replaces it too.  A forked child builds its
+    own pool, and the pool shuts down at interpreter exit.
 
     Jobs are dispatched in *chunks* rather than one future per job: a whole
     chunk is pickled as one payload, and because campaign expansion shares
     the script / signal-set objects across its jobs, pickle's per-dump memo
     serialises each distinct script and signal set **once per chunk**
-    instead of once per job - the same dedup applies to the returned chunk
-    of results (whose ``TestResult``\\ s reference the scripts again).  On
-    campaign workloads this cuts IPC volume by roughly the chunk size.
-    Chunking also lets each worker's plan cache and stand pool serve every
-    job of the chunk after warming up on its first.
+    instead of once per job.  The return trip carries only what the worker
+    produced (each result without its script, plus attempts, error and wall
+    time); the parent re-attaches its own job and script.  Chunking also
+    lets each worker's plan cache and stand pool serve every job of the
+    chunk after warming up on its first.
 
     ``chunk_size=None`` (the default) picks ``ceil(n / (workers * 4))``
     capped at 32 - large enough to amortise the IPC, small enough to keep
@@ -685,34 +809,43 @@ class ProcessExecutor(Executor):
     MAX_RESPAWNS = 3
 
     def map_jobs(self, fn, jobs, *extra):
+        jobs = tuple(jobs)
         profile = PROFILER.enabled
-        remaining = list(enumerate(self._chunked(tuple(jobs))))
+        remaining = list(enumerate(self._chunked(jobs)))
         redelivery = False
         respawns = self.MAX_RESPAWNS
         while remaining:
             finished: set[int] = set()
+            futures = {}
             try:
-                with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                    futures = {
-                        pool.submit(_run_job_chunk, fn, chunk, extra,
-                                    profile, redelivery): chunk_id
-                        for chunk_id, chunk in remaining
-                    }
-                    for future in as_completed(futures):
-                        results, phases, stats_delta = future.result()
-                        # Fold the worker-side phase times and plan-cache
-                        # counters in so --profile sees through the pool.
-                        if phases:
-                            PROFILER.merge(phases)
-                        if stats_delta:
-                            GLOBAL_PLAN_CACHE.merge_stats(stats_delta)
-                        finished.add(futures[future])
-                        yield from results
+                # Submitting under the lock keeps another thread's batch
+                # from replacing the pool between lease and submit.
+                with _POOL_LOCK:
+                    pool = _warm_pool(self.max_workers)
+                    for chunk_id, chunk in remaining:
+                        futures[pool.submit(_run_job_chunk, fn, chunk, extra,
+                                            profile, redelivery)] = chunk_id
+                for future in as_completed(futures):
+                    produced, phases, stats_delta = future.result()
+                    # Fold the worker-side phase times and plan-cache
+                    # counters in so --profile sees through the pool.
+                    if phases:
+                        PROFILER.merge(phases)
+                    if stats_delta:
+                        GLOBAL_PLAN_CACHE.merge_stats(stats_delta)
+                    finished.add(futures[future])
+                    for position, result, attempts, error, wall_time in produced:
+                        job = jobs[position]
+                        if result is not None:
+                            result.script = job.script
+                        yield position, JobResult(job, result, attempts,
+                                                  error, wall_time)
                 remaining = []
             except BrokenExecutor as exc:
-                # A worker process died mid-batch.  Respawn the pool and
+                # A worker process died mid-batch.  Replace the pool and
                 # redeliver only the chunks that never completed; results
                 # already yielded stay yielded, so the aggregate is intact.
+                _retire_pool(pool)
                 respawns -= 1
                 if respawns < 0:
                     raise ReproError(
@@ -731,6 +864,11 @@ class ProcessExecutor(Executor):
                     "(module-level factories); use the thread backend for "
                     f"closures ({exc})"
                 ) from exc
+            finally:
+                # The pool outlives this batch: a caller that stopped early
+                # (or an error) leaves no chunk of it queued there.
+                for future in futures:
+                    future.cancel()
 
 
 class AsyncExecutor(Executor):
@@ -1036,10 +1174,14 @@ def run_jobs(
     slot straight into the report, and *on_result* is **not** called for
     them (they are already persisted).
 
-    When the policy carries a chaos policy it is installed for the
-    duration of the batch (and inside every pool worker) and uninstalled
-    afterwards, so store writes performed from *on_result* see injected
-    commit faults too.
+    When the policy carries a chaos policy it is installed in the calling
+    process for the duration of the batch and uninstalled afterwards, so
+    store writes performed from *on_result* see injected commit faults
+    too.  Process-pool workers install it per job attempt (through
+    :func:`~repro.chaos.begin_job`) and uninstall it after each chunk.
+
+    The batch has its own stand quarantine book, in the calling process
+    and in every process worker that serves it.
     """
     job_list = tuple(jobs)
     executor = executor or SerialExecutor()
@@ -1055,20 +1197,20 @@ def run_jobs(
             slots[position] = restored
         else:
             pending.append((position, job))
-    if policy.quarantine_after > 0:
-        _clear_quarantine()
+    batch = next(_BATCH_IDS)
     job_fn = _aexecute_with_retries if executor.is_async else _execute_with_retries
     installed = policy.chaos is not None
     if installed:
         chaos_mod.install(policy.chaos)
     try:
         for relative, job_result in executor.map_jobs(
-            job_fn, [job for _, job in pending], policy
+            job_fn, [job for _, job in pending], policy, batch
         ):
             slots[pending[relative][0]] = job_result
             if on_result is not None:
                 on_result(job_result)
     finally:
+        _forget_batch(batch)
         if installed:
             chaos_mod.uninstall()
     missing = [job_list[i].job_id for i, slot in enumerate(slots) if slot is None]

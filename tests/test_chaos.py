@@ -381,9 +381,13 @@ class TestStoreHardening:
         path = str(tmp_path / "shared.db")
         result = run_campaign(_small_spec())
         errors = []
+        # All four open the fresh file at once: the open (DDL, WAL switch)
+        # races the other writers, not just the recording transactions.
+        start = threading.Barrier(4)
 
         def write():
             try:
+                start.wait()
                 ResultStore(path).record_campaign(result, _small_spec())
             except Exception as exc:  # noqa: BLE001 - asserted below
                 errors.append(exc)

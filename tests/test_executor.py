@@ -7,17 +7,29 @@ carries must be picklable to cross a process boundary).
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import pytest
 
+from repro import chaos
 from repro.analysis import FaultCampaign, interior_light_faults
 from repro.core import Compiler
-from repro.core.errors import ReproError
+from repro.core.errors import InstrumentIOError, ReproError
 from repro.core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from repro.dut import InteriorLightEcu
 from repro.paper import interior_harness, paper_signal_set, paper_suite
+from repro.targets import CampaignSpec, run_campaign
 from repro.teststand import (
     EXECUTION_BACKENDS,
+    GLOBAL_PLAN_CACHE,
     Job,
+    ProcessExecutor,
+    ResiliencePolicy,
     SerialExecutor,
     TestStandInterpreter,
     ThreadExecutor,
@@ -30,10 +42,41 @@ from repro.teststand import (
     summary_line,
     text_report,
 )
+from repro.teststand import executor as executor_mod
+from repro.teststand.profiling import PROFILER
 
 
 def paper_scripts():
     return Compiler().compile_suite(paper_suite())
+
+
+# -- module-level factories (picklable; see module docstring) ---------------
+
+def flaky_io_ecu():
+    raise InstrumentIOError("bus dropped the frame")
+
+
+def logging_ecu(path: str):
+    """A healthy ECU that appends one line to *path* per build."""
+    with open(path, "a", encoding="utf-8") as log:
+        log.write("built\n")
+    return InteriorLightEcu()
+
+
+def clean_worker_ecu():
+    """A healthy ECU that refuses to run where an earlier batch left a
+    chaos policy installed or the profiler switched on."""
+    if chaos.ACTIVE is not None or PROFILER.enabled:
+        raise AssertionError(f"state leaked into a clean job: chaos "
+                             f"{chaos.ACTIVE}, profiler {PROFILER.enabled}")
+    return InteriorLightEcu()
+
+
+def _paper_jobs(ecu_factory, groups: int):
+    return expand_jobs(
+        paper_scripts(), paper_signal_set(), {"": build_paper_stand},
+        interior_harness, {f"g{i}": ecu_factory for i in range(groups)},
+    )
 
 
 def _action(signal: str, method: str, **params) -> SignalAction:
@@ -248,6 +291,184 @@ class TestSerialParallelEquivalence:
         assert execution.wall_time > 0.0
         assert execution.by_group().keys() >= {"baseline", "lamp_stuck_off"}
         assert "thread" in execution.summary()
+
+
+# ---------------------------------------------------------------------------
+# The warm process pool
+# ---------------------------------------------------------------------------
+
+def _current_pool():
+    return executor_mod._POOL
+
+
+def _run_in_forked_child(conn) -> None:
+    """Child side of the fork test: one process batch, then report."""
+    inherited = _current_pool()
+    jobs = _paper_jobs(InteriorLightEcu, 3)
+    table = run_jobs(jobs, ProcessExecutor(2)).verdict_table()
+    mine = _current_pool()
+    conn.send((mine is not inherited, mine.pid == os.getpid(), table))
+    executor_mod._shutdown_pool()
+
+
+class TestWarmProcessPool:
+    def test_consecutive_campaigns_share_one_warm_pool(self):
+        """The second campaign reuses the first one's workers, and their
+        plan caches: with the profiler on it merges no plan miss."""
+        spec = CampaignSpec(dut="wiper_ecu", backend="process", jobs=1)
+        executor_mod._shutdown_pool()
+        # Workers fork from this process: an empty cache here means only
+        # a warm worker can serve the second campaign without compiling.
+        GLOBAL_PLAN_CACHE.clear()
+        PROFILER.enable()
+        try:
+            first = run_campaign(spec)
+            pool = _current_pool()
+            assert pool is not None and pool.workers == 1
+            assert GLOBAL_PLAN_CACHE.stats.plan_misses > 0
+            before = GLOBAL_PLAN_CACHE.stats.snapshot()
+            second = run_campaign(spec)
+            after = GLOBAL_PLAN_CACHE.stats.snapshot()
+        finally:
+            PROFILER.disable()
+            PROFILER.reset()
+        assert _current_pool() is pool
+        assert after["plan_misses"] == before["plan_misses"]
+        assert after["plan_hits"] - before["plan_hits"] == len(second.execution)
+        assert first.table() == second.table()
+        # The profiled chunks switched the worker's profiler back off.
+        assert run_jobs(_paper_jobs(clean_worker_ecu, 2), ProcessExecutor(1)).ok
+        assert _current_pool() is pool
+
+    def test_chaos_batch_then_clean_batch(self):
+        """A worker death replaces the pool; the next clean batch runs on
+        the replacement with no chaos policy left in its workers."""
+        serial = run_jobs(_paper_jobs(InteriorLightEcu, 4)).verdict_table()
+        assert run_jobs(_paper_jobs(InteriorLightEcu, 4),
+                        ProcessExecutor(2)).verdict_table() == serial
+        warm = _current_pool()
+        policy = ResiliencePolicy(
+            max_attempts=3, backoff_base=0.0,
+            chaos=chaos.ChaosPolicy.from_profile("fragile-workers", seed=7),
+        )
+        chaotic = run_jobs(_paper_jobs(InteriorLightEcu, 4),
+                           ProcessExecutor(2), resilience=policy)
+        assert chaotic.ok and chaotic.verdict_table() == serial
+        replaced = _current_pool()
+        assert replaced is not warm  # a worker died: the pool was replaced
+        clean = run_jobs(_paper_jobs(clean_worker_ecu, 4), ProcessExecutor(2))
+        assert clean.ok, clean.failed_jobs
+        assert clean.verdict_table() == serial
+        assert _current_pool() is replaced
+
+    @pytest.mark.parametrize("executor", (SerialExecutor(), ProcessExecutor(1)),
+                             ids=("serial", "process"))
+    def test_quarantine_book_is_per_batch(self, executor):
+        policy = ResiliencePolicy(max_attempts=1, backoff_base=0.0,
+                                  quarantine_after=2)
+        for _ in range(2):
+            report = run_jobs(_paper_jobs(flaky_io_ecu, 4), executor,
+                              resilience=policy)
+            # Every batch starts with an empty book: two real failures
+            # trip the breaker, the rest are quarantined unexecuted.
+            assert [jr.attempts for jr in report.results] == [1, 1, 0, 0]
+
+    def test_concurrent_batches_keep_separate_books(self):
+        """Two threads' batches share one warm worker; the failing batch's
+        breaker must not quarantine the healthy batch's (same) stand."""
+        policy = ResiliencePolicy(max_attempts=1, backoff_base=0.0,
+                                  quarantine_after=1)
+        executor = ProcessExecutor(1, chunk_size=1)
+        tripped = threading.Event()
+        reports = {}
+
+        def failing():
+            reports["failing"] = run_jobs(
+                _paper_jobs(flaky_io_ecu, 6), executor, resilience=policy,
+                on_result=lambda job_result: tripped.set())
+
+        def healthy():
+            # Start once the worker has booked the other batch's failure.
+            assert tripped.wait(60)
+            reports["healthy"] = run_jobs(_paper_jobs(InteriorLightEcu, 6),
+                                          executor, resilience=policy)
+
+        threads = [threading.Thread(target=failing),
+                   threading.Thread(target=healthy)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert reports["healthy"].ok
+        assert [jr.attempts for jr in reports["failing"].results] == [1] + [0] * 5
+
+    def test_threads_resizing_the_pool_lose_no_chunk(self):
+        """More threads than cores, alternating worker counts: every batch
+        replaces the pool another thread's batch may still be using."""
+        serial = run_jobs(_paper_jobs(InteriorLightEcu, 4)).verdict_table()
+        tables, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def batches(workers):
+            try:
+                for _ in range(3):
+                    report = run_jobs(_paper_jobs(InteriorLightEcu, 4),
+                                      ProcessExecutor(workers, chunk_size=1))
+                    tables.append(report.verdict_table())
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=batches, args=(1 + i % 2,), daemon=True)
+                   for i in range(4)]
+        deadline = time.monotonic() + 60
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(max(0.0, deadline - time.monotonic()))
+                assert not thread.is_alive(), "a batch never finished"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert tables == [serial] * 12
+
+    def test_generator_closed_early_cancels_pending_chunks(self, tmp_path):
+        log = tmp_path / "built.log"
+        jobs = _paper_jobs(functools.partial(logging_ecu, str(log)), 12)
+        stream = ProcessExecutor(1, chunk_size=1).map_jobs(
+            executor_mod._execute_with_retries, jobs, ResiliencePolicy(), 0)
+        next(stream)
+        stream.close()
+        # The one worker serves chunks in submission order, so once a
+        # later batch is done every chunk the closed one left queued ran.
+        assert run_jobs(_paper_jobs(InteriorLightEcu, 1), ProcessExecutor(1)).ok
+        assert len(log.read_text().splitlines()) < len(jobs)
+
+    def test_forked_child_gets_its_own_pool(self):
+        table = run_jobs(_paper_jobs(InteriorLightEcu, 3),
+                         ProcessExecutor(2)).verdict_table()
+        parent_pool = _current_pool()
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_run_in_forked_child, args=(sender,))
+        child.start()
+        try:
+            assert receiver.poll(60), "the forked child's batch never finished"
+            replaced, owned, child_table = receiver.recv()
+            child.join(60)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+        assert replaced and owned
+        assert child_table == table
+        # The parent's pool is untouched and still serves its batches.
+        assert _current_pool() is parent_pool
+        assert run_jobs(_paper_jobs(InteriorLightEcu, 3),
+                        ProcessExecutor(2)).verdict_table() == table
+        assert _current_pool() is parent_pool
 
 
 # ---------------------------------------------------------------------------

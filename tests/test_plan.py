@@ -13,6 +13,7 @@ Covers the four guarantees the fast path rests on:
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.core.errors import ConfigurationError, InstrumentError, ReproError
 from repro.dut import InteriorLightEcu
 from repro.instruments import Dvm
 from repro.paper import interior_harness, paper_signal_set, paper_suite
-from repro.targets import CampaignSpec
+from repro.targets import CampaignSpec, build_campaign, get_stand
+from repro.teststand import executor as executor_mod
 from repro.teststand import (
     GLOBAL_PLAN_CACHE,
     PlanCache,
@@ -365,6 +367,26 @@ class TestStandReuse:
         assert run_jobs(jobs).ok
         assert builds["count"] == 2
 
+    def test_adapted_stand_factory_is_a_value(self):
+        """Equal and hash-equal across a pickle round trip, as a process
+        worker sees it in every chunk."""
+        factory = get_stand("big_rack").factory_for(("A", "B"))
+        clone = pickle.loads(pickle.dumps(factory))
+        assert clone == factory and hash(clone) == hash(factory)
+        assert clone == get_stand("big_rack").factory_for(["A", "B"])
+        assert clone != get_stand("big_rack").factory_for(("B", "A"))
+
+    def test_campaign_builds_lease_one_pooled_stand(self):
+        spec = CampaignSpec(dut="wiper_ecu", backend="serial")
+        factories, stands = [], []
+        for _ in range(2):
+            campaign, faults = build_campaign(spec)
+            campaign.run(faults)
+            factories.append(campaign.stand_factory)
+            stands.append(executor_mod._WORKER_STANDS.pools[campaign.stand_factory])
+        assert factories[0] is not factories[1]
+        assert stands[0] is stands[1] and len(stands[0]) == 1
+
     def test_execute_job_returns_stand_after_failure(self):
         """A crashing harness factory must not leak the leased stand."""
         def broken_harness(ecu):
@@ -419,6 +441,20 @@ class TestProcessChunking:
         serial = run_jobs(jobs)
         chunked = run_jobs(jobs, ProcessExecutor(max_workers=2, chunk_size=2))
         assert serial.verdict_table() == chunked.verdict_table()
+
+    def test_results_come_home_without_their_jobs(self):
+        """Workers send back results only; the parent re-attaches its own
+        job and that job's script to each."""
+        jobs = expand_jobs(
+            tuple(Compiler().compile_suite(paper_suite())), paper_signal_set(),
+            {"stand": build_paper_stand}, interior_harness,
+            {"baseline": InteriorLightEcu, "rerun": InteriorLightEcu},
+        )
+        report = run_jobs(jobs, ProcessExecutor(max_workers=2, chunk_size=1))
+        assert len(report) == len(jobs)
+        for job, job_result in zip(jobs, report):
+            assert job_result.job is job
+            assert job_result.result.script is job.script
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):

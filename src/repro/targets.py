@@ -103,7 +103,12 @@ from .paper.family import (
     wiper_suite,
 )
 from .sheets.workbook import load_suite
-from .teststand.executor import Executor, ResiliencePolicy, make_executor
+from .teststand.executor import (
+    Executor,
+    ResiliencePolicy,
+    make_executor,
+    registry_changed,
+)
 from .teststand.interpreter import TestStandInterpreter
 from .teststand.stands import (
     TestStand,
@@ -389,6 +394,9 @@ class AdaptedStandFactory:
         return self.builder(self.pins)
 
 
+# Every registration change below calls ``registry_changed()``: process-pool
+# workers keep the registry copy they forked with, so the next process batch
+# must run on workers forked after the change.
 _DUTS: dict[str, DutTarget] = {}
 _STANDS: dict[str, StandTarget] = {}
 
@@ -411,6 +419,7 @@ def register_dut(target: DutTarget | None = None, *, replace_existing: bool = Fa
         if target.key in _DUTS and not replace_existing:
             raise TargetError(f"DUT target {target.name!r} is already registered")
         _DUTS[target.key] = target
+        registry_changed()
         return target
 
     def _decorate(ecu_factory):
@@ -442,6 +451,7 @@ def register_stand(name: str, builder: Callable[..., TestStand] | None = None, *
         if target.key in _STANDS and not replace_existing:
             raise TargetError(f"stand target {name!r} is already registered")
         _STANDS[target.key] = target
+        registry_changed()
         return fn
 
     if builder is None:
@@ -452,17 +462,21 @@ def register_stand(name: str, builder: Callable[..., TestStand] | None = None, *
 def unregister_dut(name: str) -> DutTarget:
     """Remove a DUT target from the registry (mainly for tests/plugins)."""
     try:
-        return _DUTS.pop(str(name).lower())
+        target = _DUTS.pop(str(name).lower())
     except KeyError as exc:
         raise TargetError(f"no registered DUT target {name!r}") from exc
+    registry_changed()
+    return target
 
 
 def unregister_stand(name: str) -> StandTarget:
     """Remove a stand target from the registry (mainly for tests/plugins)."""
     try:
-        return _STANDS.pop(str(name).lower())
+        target = _STANDS.pop(str(name).lower())
     except KeyError as exc:
         raise TargetError(f"no registered stand target {name!r}") from exc
+    registry_changed()
+    return target
 
 
 def get_dut(name: str) -> DutTarget:
@@ -821,15 +835,18 @@ def register_composition(target: CompositionTarget, *,
             f"composition target {target.name!r} is already registered"
         )
     _COMPOSITIONS[target.key] = target
+    registry_changed()
     return target
 
 
 def unregister_composition(name: str) -> CompositionTarget:
     """Remove a composition target (mainly for tests/plugins)."""
     try:
-        return _COMPOSITIONS.pop(str(name).lower())
+        target = _COMPOSITIONS.pop(str(name).lower())
     except KeyError as exc:
         raise TargetError(f"no registered composition target {name!r}") from exc
+    registry_changed()
+    return target
 
 
 def get_composition(name: str) -> CompositionTarget:

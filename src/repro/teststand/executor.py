@@ -47,7 +47,6 @@ serial backend scales linearly (benchmark A4).
 from __future__ import annotations
 
 import asyncio
-import atexit
 import contextvars
 import itertools
 import math
@@ -624,16 +623,30 @@ class ThreadExecutor(Executor):
 class _Pool(NamedTuple):
     pid: int
     workers: int
+    generation: int
     executor: ProcessPoolExecutor
 
 
 #: The process backend's one pool per process, shared by every process
-#: batch and replaced only when a worker dies or the worker count changes.
-#: Its workers outlive campaigns, so their plan caches, VM bindings and
-#: stand pools stay warm.  The owner pid keeps a forked child off the pool
-#: it inherited, whose manager thread lives in the parent only.
+#: batch and replaced when a worker dies, the worker count changes or the
+#: target registry changes.  Its workers outlive campaigns, so their plan
+#: caches, VM bindings and stand pools stay warm.  The owner pid keeps a
+#: forked child off the pool it inherited, whose manager thread lives in
+#: the parent only.  The standard library shuts the pool down at exit.
 _POOL_LOCK = threading.Lock()
 _POOL: _Pool | None = None
+
+#: Bumped by every registration change in :mod:`repro.targets`.  Workers
+#: look composed targets up by name in the registry copy they forked with,
+#: so a pool forked at an older generation must not serve a batch.
+_registry_generation = 0
+
+
+def registry_changed() -> None:
+    """Make the next process batch replace a pool forked before this call."""
+    global _registry_generation
+    with _POOL_LOCK:
+        _registry_generation += 1
 
 
 def _fresh_pool_lock() -> None:
@@ -646,24 +659,17 @@ def _fresh_pool_lock() -> None:
 os.register_at_fork(after_in_child=_fresh_pool_lock)
 
 
-def _start_worker() -> None:
-    """Pool initializer: drop the chaos policy and profiler switch a worker
-    inherits from the batch its parent was running when it forked."""
-    chaos_mod.uninstall()
-    PROFILER.disable()
-
-
 def _warm_pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of *workers* workers; the caller holds the lock."""
     global _POOL
     pid = os.getpid()
     if _POOL is not None and _POOL.pid == pid:
-        if _POOL.workers == workers:
+        if (_POOL.workers, _POOL.generation) == (workers, _registry_generation):
             return _POOL.executor
         # Chunks other batches already submitted still run to completion.
         _POOL.executor.shutdown(wait=False)
-    _POOL = _Pool(pid, workers, ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker))
+    _POOL = _Pool(pid, workers, _registry_generation,
+                  ProcessPoolExecutor(max_workers=workers))
     return _POOL.executor
 
 
@@ -679,15 +685,6 @@ def _retire_pool(executor: ProcessPoolExecutor) -> None:
         if _POOL is not None and _POOL.executor is executor:
             _POOL = None
     executor.shutdown(wait=True)
-
-
-@atexit.register
-def _shutdown_pool() -> None:
-    global _POOL
-    with _POOL_LOCK:
-        pool, _POOL = _POOL, None
-    if pool is not None and pool.pid == os.getpid():
-        pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _produced(position: int, job_result: JobResult) -> tuple:
@@ -723,27 +720,23 @@ def _run_job_chunk(
     deterministic kill schedule cannot starve the batch by killing the
     respawned worker at the same call forever.
 
-    The worker outlives the chunk and serves other batches next, so the
-    chunk leaves no process-global switch on: the chaos policy
-    :func:`~repro.chaos.begin_job` installed is uninstalled (a clean batch
-    keeps the zero-cost ``chaos.ACTIVE is None`` path) and the profiler is
-    set back to its state before the chunk.
+    The worker serves other batches before and after this one, so the
+    chunk starts from a clean slate: a chaos policy that an earlier chunk's
+    :func:`~repro.chaos.begin_job` installed (or the worker inherited at
+    fork) is uninstalled, so a clean batch keeps the zero-cost
+    ``chaos.ACTIVE is None`` path, and the profiler follows ``profile``.
     """
     if redelivered:
         extra = tuple(
             arg.without_worker_kill() if isinstance(arg, ResiliencePolicy) else arg
             for arg in extra
         )
-    was_profiling = PROFILER.enabled
+    chaos_mod.uninstall()
+    PROFILER.enabled = profile
     if profile:
-        PROFILER.enable()
         PROFILER.reset()
         stats_before = GLOBAL_PLAN_CACHE.stats.snapshot()
-    try:
-        produced = [_produced(position, fn(job, *extra)) for position, job in chunk]
-    finally:
-        chaos_mod.uninstall()
-        PROFILER.enabled = was_profiling
+    produced = [_produced(position, fn(job, *extra)) for position, job in chunk]
     if not profile:
         return produced, None, None
     stats_after = GLOBAL_PLAN_CACHE.stats.snapshot()
@@ -764,8 +757,9 @@ class ProcessExecutor(Executor):
     are already warm (stand factories compare by value, so a new campaign's
     factory finds the stand an earlier one pooled).  A batch whose worker
     died replaces the pool and redelivers its unfinished chunks; a batch
-    with another worker count replaces it too.  A forked child builds its
-    own pool, and the pool shuts down at interpreter exit.
+    with another worker count, or the first batch after a target
+    registration changed, replaces it too.  A forked child builds its own
+    pool, and the standard library shuts the pool down at interpreter exit.
 
     Jobs are dispatched in *chunks* rather than one future per job: a whole
     chunk is pickled as one payload, and because campaign expansion shares

@@ -22,8 +22,18 @@ from repro.core import Compiler
 from repro.core.errors import InstrumentIOError, ReproError
 from repro.core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from repro.dut import InteriorLightEcu
-from repro.paper import interior_harness, paper_signal_set, paper_suite
-from repro.targets import CampaignSpec, run_campaign
+from repro.paper import (
+    COMPOSITION_NAME,
+    interior_harness,
+    paper_signal_set,
+    paper_suite,
+)
+from repro.targets import (
+    CampaignSpec,
+    register_composition,
+    run_campaign,
+    unregister_composition,
+)
 from repro.teststand import (
     EXECUTION_BACKENDS,
     GLOBAL_PLAN_CACHE,
@@ -301,6 +311,13 @@ def _current_pool():
     return executor_mod._POOL
 
 
+def _drop_pool() -> None:
+    """Shut the warm pool down, so the next batch forks fresh workers."""
+    pool = _current_pool()
+    if pool is not None:
+        executor_mod._retire_pool(pool.executor)
+
+
 def _run_in_forked_child(conn) -> None:
     """Child side of the fork test: one process batch, then report."""
     inherited = _current_pool()
@@ -308,7 +325,9 @@ def _run_in_forked_child(conn) -> None:
     table = run_jobs(jobs, ProcessExecutor(2)).verdict_table()
     mine = _current_pool()
     conn.send((mine is not inherited, mine.pid == os.getpid(), table))
-    executor_mod._shutdown_pool()
+    # A multiprocessing child joins its own children before the standard
+    # library shuts pools down, so it retires the pool itself.
+    executor_mod._retire_pool(mine.executor)
 
 
 class TestWarmProcessPool:
@@ -316,7 +335,7 @@ class TestWarmProcessPool:
         """The second campaign reuses the first one's workers, and their
         plan caches: with the profiler on it merges no plan miss."""
         spec = CampaignSpec(dut="wiper_ecu", backend="process", jobs=1)
-        executor_mod._shutdown_pool()
+        _drop_pool()
         # Workers fork from this process: an empty cache here means only
         # a warm worker can serve the second campaign without compiling.
         GLOBAL_PLAN_CACHE.clear()
@@ -469,6 +488,24 @@ class TestWarmProcessPool:
         assert run_jobs(_paper_jobs(InteriorLightEcu, 3),
                         ProcessExecutor(2)).verdict_table() == table
         assert _current_pool() is parent_pool
+
+    def test_registration_replaces_a_pool_forked_before_it(self):
+        """Composed jobs look their composition up by name in the worker's
+        registry, so workers forked before it was registered must not run
+        its campaign."""
+        bundled = unregister_composition(COMPOSITION_NAME)
+        try:
+            assert run_jobs(_paper_jobs(InteriorLightEcu, 1), ProcessExecutor(1)).ok
+            forked = _current_pool()
+        finally:
+            register_composition(bundled)
+        spec = dict(composition=COMPOSITION_NAME,
+                    faults=("cluster.speed_tx_truncated",))
+        serial = run_campaign(CampaignSpec(**spec))
+        process = run_campaign(CampaignSpec(backend="process", jobs=1, **spec))
+        assert _current_pool() is not forked
+        assert serial.baseline_clean
+        assert process.table() == serial.table()
 
 
 # ---------------------------------------------------------------------------

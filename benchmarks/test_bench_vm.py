@@ -1,119 +1,122 @@
-"""PR 8 - the script bytecode VM: compile the whole run, not just the allocations.
+"""A5 - the compiled path against the classic reference, on every target.
 
-PR 5's execution plans hoisted the resource *search* out of the campaign
-loop but still walked the script tree per run.  The VM compiles each
-(script x stand x registry x variables-shape) combination into a flat
-instruction stream - pre-resolved operands, merged settles, batched
-instrument I/O, pre-evaluated limit expressions - and executes that
-instead.
+The paper's interpreter searches a resource *"for each method to be carried
+out"*.  The compiled path does that search once per (script x stand x
+policy x variables) combination: an execution plan pre-resolves the
+allocations, the bytecode VM compiles plan and script into one flat
+instruction stream, and workers reuse pooled stands.  The classic
+reference walk - plans, VM and stand reuse all off - searches every action
+of every run on a freshly built stand.
 
-This benchmark runs the E4 family workload - the bundled suites of all
-five body-electronics ECUs against their full fault catalogues, serial
-backend - with plans and stand reuse ON both times; the knob under test
-is ``use_vm``.  It asserts
+This benchmark runs every campaignable target (each bundled DUT against
+its full fault catalogue, plus the ``lock+cluster`` composition) on the
+serial backend along both paths, and asserts
 
 * determinism before speed: campaign *and* executor verdict tables are
-  byte-identical with the VM on or off,
-* the VM actually served the timed passes (``vm_runs`` > 0, zero
-  pre-flight degrades),
-* the acceptance bar: the VM path beats the plan-replay path it rides
-  on by >= ``SPEEDUP_BAR``.
+  byte-identical on both paths,
+* the VM served every run of the timed compiled passes and degraded none,
+* the acceptance bar: the compiled path is >= ``SPEEDUP_BAR`` faster.
 
-Campaigns are built ONCE and reused across passes: rebuilding them would
+Campaigns are built once and reused across passes: rebuilding them would
 create fresh script/call objects every pass, defeating the identity-based
-memos both paths share, and measure an artifact instead of the VM.
-Timed passes interleave vm-off/vm-on so machine load hits both alike.
+memos both paths share, and measure an artifact instead of the paths.
+Timed passes interleave classic and compiled so machine load hits both
+alike.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.targets import CampaignSpec, build_campaign, campaignable_dut_names
+from repro.targets import (
+    CampaignSpec,
+    build_campaign,
+    campaignable_dut_names,
+    composition_names,
+)
 from repro.teststand import GLOBAL_PLAN_CACHE, format_table
 
-#: The acceptance bar for the VM over the plan-replay-only path on the
-#: family workload.  The PR 8 target is 1.3x; the enforced floor leaves
-#: headroom for loaded CI runners (the trajectory point in
-#: ``BENCH_executor.json`` records the real measured ratio).
-SPEEDUP_BAR = 1.2
+#: The acceptance bar for the compiled path over the classic reference.
+SPEEDUP_BAR = 2.0
 
-#: Interleaved measurement rounds per attempt (best ratio counts).
+#: Interleaved measurement rounds per attempt (best of each path counts).
 ROUNDS = 3
 
 
-def _family_campaigns(use_vm: bool):
-    return [
-        build_campaign(CampaignSpec(dut=dut, use_vm=use_vm))
-        for dut in campaignable_dut_names()
-    ]
+def _campaigns(compiled: bool):
+    knobs = dict(use_plans=compiled, reuse_stands=compiled, use_vm=compiled)
+    specs = [CampaignSpec(dut=dut, **knobs) for dut in campaignable_dut_names()]
+    specs += [CampaignSpec(composition=name, **knobs)
+              for name in composition_names()]
+    return [build_campaign(spec) for spec in specs]
 
 
-def _run_family(campaigns) -> list:
+def _run(campaigns) -> list:
     return [campaign.run(faults) for campaign, faults in campaigns]
 
 
-def _measure(plan_only_campaigns, vm_campaigns) -> tuple[float, float]:
-    plan_only = float("inf")
-    vm_wall = float("inf")
+def _measure(classic_campaigns, compiled_campaigns) -> tuple[float, float]:
+    classic = compiled = float("inf")
     for _ in range(ROUNDS):
         t0 = time.perf_counter()
-        _run_family(plan_only_campaigns)
-        plan_only = min(plan_only, time.perf_counter() - t0)
+        _run(classic_campaigns)
+        classic = min(classic, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        _run_family(vm_campaigns)
-        vm_wall = min(vm_wall, time.perf_counter() - t0)
-    return plan_only, vm_wall
+        _run(compiled_campaigns)
+        compiled = min(compiled, time.perf_counter() - t0)
+    return classic, compiled
 
 
-def test_vm_family_campaign(benchmark, print_block):
-    plan_only_campaigns = _family_campaigns(False)
-    vm_campaigns = _family_campaigns(True)
+def test_compiled_vs_classic_campaigns(benchmark, print_block):
+    classic_campaigns = _campaigns(False)
+    compiled_campaigns = _campaigns(True)
 
     GLOBAL_PLAN_CACHE.clear()
-    # Warm both paths: plan compiles, VM binds, prologue memos.
-    plan_results = _run_family(plan_only_campaigns)
-    vm_results = _run_family(vm_campaigns)
+    # Warm the compiled path (plan and VM compiles, binds, prologue memos).
+    classic_results = _run(classic_campaigns)
+    compiled_results = _run(compiled_campaigns)
+    runs_per_pass = sum(len(r.execution) for r in compiled_results)
 
-    # Determinism before speed: identical fault tables per DUT either way.
-    for plan_res, vm_res in zip(plan_results, vm_results):
-        assert plan_res.table() == vm_res.table()
-        assert plan_res.execution.verdict_table() == \
-            vm_res.execution.verdict_table()
+    # Determinism before speed: identical tables per target either way.
+    for classic, compiled in zip(classic_results, compiled_results):
+        assert classic.table() == compiled.table()
+        assert classic.execution.verdict_table() == \
+            compiled.execution.verdict_table()
 
-    plan_only, vm_wall = benchmark.pedantic(
-        _measure, args=(plan_only_campaigns, vm_campaigns),
+    before = GLOBAL_PLAN_CACHE.stats.snapshot()
+    classic, compiled = benchmark.pedantic(
+        _measure, args=(classic_campaigns, compiled_campaigns),
         rounds=1, iterations=1)
-
-    stats = GLOBAL_PLAN_CACHE.stats.snapshot()
-    assert stats["vm_runs"] > 0, stats
-    assert stats["vm_degraded"] == 0, stats
+    after = GLOBAL_PLAN_CACHE.stats.snapshot()
+    vm_runs = after["vm_runs"] - before["vm_runs"]
+    assert vm_runs == ROUNDS * runs_per_pass, (vm_runs, runs_per_pass)
+    assert after["vm_degraded"] == before["vm_degraded"], after
 
     # A loaded runner can distort one attempt; the bar gets two further
     # attempts (best ratio counts) before failing.
-    speedup = plan_only / vm_wall
+    speedup = classic / compiled
     for _ in range(2):
         if speedup >= SPEEDUP_BAR:
             break
-        plan_only, vm_wall = _measure(plan_only_campaigns, vm_campaigns)
-        speedup = max(speedup, plan_only / vm_wall)
+        classic, compiled = _measure(classic_campaigns, compiled_campaigns)
+        speedup = max(speedup, classic / compiled)
     assert speedup >= SPEEDUP_BAR, (
-        f"bytecode VM only {speedup:.2f}x faster than the plan-replay path "
-        f"(plan replay {plan_only:.3f} s, VM {vm_wall:.3f} s)"
+        f"compiled path only {speedup:.2f}x faster than the classic "
+        f"reference (classic {classic:.3f} s, compiled {compiled:.3f} s)"
     )
 
     print_block(
-        "PR 8: bytecode VM on the E4 family workload (serial)",
+        "A5: compiled path vs classic reference, every target (serial)",
         format_table(
             ("path", "wall", "speedup"),
             (
-                ("plan replay, classic walk", f"{plan_only * 1e3:.0f} ms",
+                ("classic walk, fresh stands", f"{classic * 1e3:.0f} ms",
                  "1.0x"),
-                ("bytecode VM", f"{vm_wall * 1e3:.0f} ms", f"{speedup:.2f}x"),
+                ("bytecode VM, pooled stands", f"{compiled * 1e3:.0f} ms",
+                 f"{speedup:.2f}x"),
             ),
         )
-        + f"\n\nvm: {stats['vm_runs']} full-VM run(s), "
-          f"{stats['alloc_only_runs']} alloc-replay-only, "
-          f"{stats['vm_degraded']} degraded pre-flight; verdict tables "
-          f"byte-identical.",
+        + f"\n\n{len(compiled_campaigns)} targets, {runs_per_pass} runs per "
+          f"pass, every timed compiled run on the VM (0 degraded); verdict "
+          f"tables byte-identical.",
     )

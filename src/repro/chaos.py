@@ -38,7 +38,6 @@ import multiprocessing
 import os
 import random
 import sqlite3
-import time
 from dataclasses import dataclass, replace
 
 from .core.errors import ConfigurationError, InstrumentIOError, TransientError
@@ -352,9 +351,3 @@ def glitched(outcome):
     """
     detail = f"{outcome.detail} [chaos: glitched reading]".strip()
     return replace(outcome, passed=not outcome.passed, detail=detail)
-
-
-def sleep_hang(seconds: float) -> None:
-    """Synchronous injected hang (the async paths await directly)."""
-    if seconds > 0.0:
-        time.sleep(seconds)

@@ -23,9 +23,9 @@ over the public target registry in :mod:`repro.targets`:
     multiplexes up to N stands on one worker by awaiting instrument I/O).
     ``--list-targets`` prints every registered DUT and stand.
     ``--profile`` adds a per-phase timing breakdown (job expansion /
-    allocation / instrument I/O / aggregation, plan-cache hit rate) on
-    stderr.  ``--store PATH`` records the finished campaign into the
-    persistent result store (see :mod:`repro.store`), ``--format json``
+    allocation / instrument I/O / VM / aggregation, plan-cache and VM run
+    counts) on stderr.  ``--store PATH`` records the finished campaign into
+    the persistent result store (see :mod:`repro.store`), ``--format json``
     emits a JSON document (rendered table + full execution report) instead
     of the text table.  The verdict tables on stdout are byte-identical
     for any ``--jobs`` / ``--backend`` / ``--concurrency`` combination;
@@ -46,13 +46,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .core.xmlgen import write_script
 from .core.xmlparse import read_script
 from .core.compiler import Compiler
-from .dut.harness import TestHarness
-from .analysis.faults import FaultCatalogue
 from .sheets.workbook import load_suite
 from .teststand.allocator import ALLOCATION_POLICIES
 from .teststand.executor import EXECUTION_BACKENDS
@@ -67,11 +65,6 @@ __all__ = [
     "main_run",
     "main_report",
     "main_campaign",
-    # deprecated shims, see below
-    "CampaignTarget",
-    "CAMPAIGN_TARGETS",
-    "STAND_BUILDERS",
-    "ADAPTABLE_STANDS",
 ]
 
 #: Exit code for infrastructure errors (vs. 1 for genuine DUT regressions).
@@ -259,11 +252,11 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
 
     Phases: *job expansion* (spec -> compiled scripts -> jobs), *execution*
     (the whole backend run) split into the interpreter-attributed
-    *allocation* (full searches only - plan replays cost next to nothing
-    and show up as the hit rate instead) and *instrument I/O* shares, and
-    *aggregation* (rendering exactly the table/summary this invocation
-    prints - the strings are returned so the caller prints rather than
-    re-renders them).  The plan-cache delta over the campaign is reported
+    *allocation* and *instrument I/O* shares of classic-walk runs and the
+    *VM* share of runs the bytecode VM served, and *aggregation*
+    (rendering exactly the table/summary this invocation prints - the
+    strings are returned so the caller prints rather than re-renders
+    them).  The plan-cache delta over the campaign is reported
     alongside.  Worker processes ship their phase timings and plan-cache
     counters back with each result chunk, so ``--backend process`` shows
     the worker-side phases too (summed across workers, so they can exceed
@@ -292,16 +285,7 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
         PROFILER.disable()
     phases = PROFILER.snapshot()
     cache_after = GLOBAL_PLAN_CACHE.stats.snapshot()
-    delta = {key: cache_after[key] - cache_before[key]
-             for key in ("plans_compiled", "plan_hits", "plan_misses",
-                         "action_replays", "action_fallbacks",
-                         "vm_runs", "vm_degraded", "alloc_only_runs")}
-    replays, fallbacks = delta["action_replays"], delta["action_fallbacks"]
-    visits = replays + fallbacks
-    # A campaign fully rejected pre-flight (or one served end-to-end by the
-    # VM) performs zero per-action allocator visits; a rate would divide by
-    # zero, and 0% would misread as "the cache did nothing useful".
-    hit_rate = f"{replays / visits:.0%} hit rate" if visits else "n/a hit rate"
+    delta = {key: cache_after[key] - cache_before[key] for key in cache_after}
 
     def _phase(name: str) -> str:
         seconds, calls = phases.get(name, (0.0, 0))
@@ -315,12 +299,9 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
         f"VM {_phase('vm_execute')})",
         f"profile: aggregation    {t3 - t2:.3f} s",
         f"profile: plan cache     {delta['plans_compiled']} compile(s), "
-        f"{delta['plan_hits']} plan hit(s) / {delta['plan_misses']} miss(es); "
-        f"{replays} action replay(s) / {fallbacks} fallback(s) "
-        f"({hit_rate})",
+        f"{delta['plan_hits']} plan hit(s) / {delta['plan_misses']} miss(es)",
         f"profile: vm             {delta['vm_runs']} run(s) on the bytecode "
-        f"VM, {delta['alloc_only_runs']} classic, "
-        f"{delta['vm_degraded']} degraded pre-flight",
+        f"VM, {delta['vm_degraded']} degraded pre-flight",
     ]
     return result, rendered, lines
 
@@ -423,9 +404,9 @@ def main_campaign(argv: Sequence[str] | None = None) -> int:
                              "(text format)")
     parser.add_argument("--profile", action="store_true",
                         help="print a per-phase timing breakdown (job "
-                             "expansion / allocation / instrument I/O / "
-                             "aggregation, plus the plan-cache hit rate and "
-                             "VM run counts) on stderr; the process backend "
+                             "expansion / allocation / instrument I/O / VM / "
+                             "aggregation, plus plan-cache and VM run "
+                             "counts) on stderr; the process backend "
                              "merges its workers' phase timings in")
     parser.add_argument("--list-targets", action="store_true",
                         help="list the registered DUTs and stands, then exit")
@@ -683,66 +664,6 @@ def main_report(argv: Sequence[str] | None = None) -> int:
     print(f"methods   : {', '.join(script.methods_used())}")
     print(f"variables : {', '.join(script.variables) or '-'}")
     return 0
-
-
-# -- deprecated shims -----------------------------------------------------------
-#
-# Before the repro.targets registry existed this module owned the wiring
-# tables.  The historical names below are kept as thin views of the registry
-# so pre-existing imports keep working; new code should use repro.targets.
-
-class CampaignTarget(NamedTuple):
-    """Deprecated: use :class:`repro.targets.DutTarget` instead."""
-
-    ecu_factory: Callable[[], object]
-    harness_factory: Callable[[object], TestHarness]
-    signals_factory: Callable[[], object]
-    faults_factory: Callable[[], FaultCatalogue]
-    pins: tuple[str, ...] | None = None
-
-
-def _campaign_targets() -> dict[str, CampaignTarget]:
-    return {
-        target.name: CampaignTarget(
-            target.ecu_factory, target.harness_factory,
-            target.signals_factory, target.faults_factory, target.pins,
-        )
-        for target in targets.iter_duts()
-        if target.campaignable
-    }
-
-
-def __getattr__(name: str):
-    # Live, read-only views of the registry (PEP 562): legacy readers of
-    # these names see registrations made after this module was imported,
-    # exactly like ``--list-targets`` does.  The views are mapping proxies
-    # so that old-style in-place registration (``STAND_BUILDERS["lab"] =
-    # ...``) fails loudly instead of mutating a throwaway snapshot - such
-    # code must move to repro.targets.register_stand / register_dut.
-    from types import MappingProxyType
-
-    if name == "CAMPAIGN_TARGETS":
-        return MappingProxyType(_campaign_targets())
-    if name == "STAND_BUILDERS":
-        return MappingProxyType(
-            {stand.name: stand.builder for stand in targets.iter_stands()}
-        )
-    if name == "ADAPTABLE_STANDS":
-        return targets.adaptable_stand_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _dut_registry() -> dict[str, Callable[[], TestHarness]]:
-    """Deprecated: harness factories per DUT (use :func:`repro.targets.get_dut`)."""
-    return {target.name: target.build_harness for target in targets.iter_duts()}
-
-
-def _campaign_stand_factory(stand: str, target: CampaignTarget):
-    """Deprecated: use :func:`repro.targets.stand_factory_for` instead."""
-    try:
-        return targets.get_stand(stand).factory_for(target.pins)
-    except TargetError:
-        return None
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

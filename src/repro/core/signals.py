@@ -169,8 +169,7 @@ class SignalSet:
                  composition: str | None = None):
         self.dut = dut
         #: Name of the multi-ECU composition this sheet belongs to, or
-        #: ``None`` for a classic single-DUT sheet.  Execution layers that
-        #: assume one ECU behind the harness (the bytecode VM) key off this.
+        #: ``None`` for a classic single-DUT sheet.
         self.composition = composition
         self._signals: dict[str, Signal] = {}
         for signal in signals:

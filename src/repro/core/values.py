@@ -30,7 +30,9 @@ import ast
 import functools
 import math
 import operator
+import os
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -285,6 +287,22 @@ _ALLOWED_UNARYOPS = {
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+#: Serialises ``ast.parse``.  CPython 3.11 keeps the AST constructor's
+#: recursion-depth counter per interpreter, not per thread: a GC pass inside
+#: one thread's parse can run a Python finaliser that switches to another
+#: parsing thread, and the counter check then raises ``SystemError``.
+_PARSE_LOCK = threading.Lock()
+
+
+def _reset_parse_lock() -> None:
+    # A process-pool worker forked while another thread held the lock would
+    # inherit it held, with no thread left to release it.
+    global _PARSE_LOCK
+    _PARSE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_parse_lock)
+
 
 class LimitExpression:
     """A tiny, safe arithmetic expression over named variables.
@@ -309,7 +327,8 @@ class LimitExpression:
             raise ExpressionError("empty limit expression")
         source = self._normalise(self._text)
         try:
-            tree = ast.parse(source, mode="eval")
+            with _PARSE_LOCK:
+                tree = ast.parse(source, mode="eval")
         except SyntaxError as exc:
             raise ExpressionError(f"malformed expression: {self._text!r}") from exc
         self._validate(tree.body)

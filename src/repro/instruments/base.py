@@ -23,9 +23,15 @@ SCPI on a physical stand).  It defaults to ``0`` so the purely virtual
 stands stay fast, but a latency-simulated stand sets it to a few
 milliseconds per call - which is exactly the workload the ``async``
 execution backend multiplexes: subclasses implement the pure computation in
-:meth:`Instrument._perform`, while the public entry points :meth:`execute`
-(blocking sleep) and :meth:`aexecute` (``await asyncio.sleep``) pay the
-latency in the way their caller can afford.
+:meth:`Instrument._perform`, and :meth:`Instrument.round_trip` wraps it as a
+*generator core* that yields every wall-clock wait instead of sleeping.
+
+This is the lowest layer that waits, so the two drivers of every generator
+core in the execution path live here: :func:`drive` sleeps through each
+yielded wait (serial / thread / process backends) and :func:`adrive` awaits
+it (the async backend).  The interpreter and the bytecode VM write their
+run loops once, as generator cores, and hand them to one driver or the
+other.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import asyncio
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Generator, Mapping, Sequence, TypeVar
 
 from .. import chaos as _chaos
 from ..core.errors import CapabilityError, InstrumentError
@@ -45,7 +51,46 @@ from ..core.values import Interval, format_number
 from ..dut.harness import TestHarness
 from ..methods import MethodOutcome
 
-__all__ = ["Capability", "Instrument"]
+__all__ = ["Capability", "Instrument", "drive", "adrive"]
+
+_T = TypeVar("_T")
+
+#: A generator core: yields wall-clock waits in seconds, returns its result.
+Core = Generator[float, None, _T]
+
+
+def drive(core: Core[_T]) -> _T:
+    """Run a generator *core* to completion, sleeping through each wait."""
+    try:
+        while True:
+            try:
+                seconds = next(core)
+            except StopIteration as done:
+                return done.value
+            time.sleep(seconds)
+    finally:
+        # Only does work when the sleep itself raised (an interrupt): the
+        # core then unwinds at its yield instead of whenever it is freed.
+        core.close()
+
+
+async def adrive(core: Core[_T]) -> _T:
+    """Run a generator *core* to completion, awaiting each wait.
+
+    ``await asyncio.sleep`` yields the event loop while the (simulated)
+    wait is in flight, which is what lets one async worker drive many slow
+    stands at once.  A cancelled task raises ``CancelledError`` here, at
+    the await, and the core unwinds at its yield.
+    """
+    try:
+        while True:
+            try:
+                seconds = next(core)
+            except StopIteration as done:
+                return done.value
+            await asyncio.sleep(seconds)
+    finally:
+        core.close()
 
 
 @dataclass(frozen=True)
@@ -110,11 +155,13 @@ class Instrument(abc.ABC):
 
     Subclasses declare their terminals (connection points, e.g. ``hi``/``lo``
     for a DVM) and capabilities, and implement :meth:`_perform` which carries
-    out one method call against the harness.  Callers never invoke
-    ``_perform`` directly: they go through :meth:`execute` (synchronous,
-    blocks for :attr:`io_delay`) or :meth:`aexecute` (awaitable, yields the
-    event loop for :attr:`io_delay`) so the instrument's I/O latency is paid
-    exactly once per call on either path.
+    out one method call against the harness.  Callers go through
+    :meth:`round_trip` (the generator core the interpreter's classic walk
+    yields from) or its driven forms :meth:`execute` (blocks for
+    :attr:`io_delay`) and :meth:`aexecute` (yields the event loop for
+    :attr:`io_delay`), so the instrument's I/O latency is paid exactly once
+    per call on every path.  The bytecode VM is the one caller that binds
+    ``_perform`` directly: it pays ``io_delay`` once per batch of calls.
     """
 
     #: Connection terminals of the instrument, in routing order.
@@ -178,19 +225,18 @@ class Instrument(abc.ABC):
 
     # -- execution ----------------------------------------------------------------
 
-    def execute(
+    def round_trip(
         self,
         call: MethodCall,
         signal: Signal,
         pins: Sequence[str],
         harness: TestHarness,
         variables: Mapping[str, float],
-    ) -> MethodOutcome:
-        """Perform one method call synchronously and return its outcome.
+    ) -> Core[MethodOutcome]:
+        """One method call as a generator core: yields its waits, returns its outcome.
 
-        Blocks the calling thread for :attr:`io_delay` seconds first - the
-        cost a serial or thread worker pays for the instrument round-trip -
-        then delegates to :meth:`_perform`.
+        The waits are an injected chaos hang (when a chaos policy is
+        active) plus :attr:`io_delay`; then :meth:`_perform` runs.
 
         Parameters
         ----------
@@ -207,18 +253,28 @@ class Instrument(abc.ABC):
         variables:
             Stand variables for evaluating relative limits (``ubatt``...).
         """
+        glitch = False
+        wait = self.io_delay
         if _chaos.ACTIVE is not None:
             # Chaos path: the active schedule may fault this round-trip
             # (raises InstrumentIOError), stretch it, or glitch its reading.
             hang, glitch = _chaos.on_instrument_call()
-            _chaos.sleep_hang(hang)
-            if self.io_delay > 0.0:
-                time.sleep(self.io_delay)
-            outcome = self._perform(call, signal, pins, harness, variables)
-            return _chaos.glitched(outcome) if glitch else outcome
-        if self.io_delay > 0.0:
-            time.sleep(self.io_delay)
-        return self._perform(call, signal, pins, harness, variables)
+            wait += hang
+        if wait > 0.0:
+            yield wait
+        outcome = self._perform(call, signal, pins, harness, variables)
+        return _chaos.glitched(outcome) if glitch else outcome
+
+    def execute(
+        self,
+        call: MethodCall,
+        signal: Signal,
+        pins: Sequence[str],
+        harness: TestHarness,
+        variables: Mapping[str, float],
+    ) -> MethodOutcome:
+        """Perform one method call, blocking the thread for its waits."""
+        return drive(self.round_trip(call, signal, pins, harness, variables))
 
     async def aexecute(
         self,
@@ -228,24 +284,8 @@ class Instrument(abc.ABC):
         harness: TestHarness,
         variables: Mapping[str, float],
     ) -> MethodOutcome:
-        """Perform one method call, awaiting the I/O latency.
-
-        The awaitable twin of :meth:`execute` (same parameters, same
-        outcome): ``await asyncio.sleep(io_delay)`` yields the event loop
-        while the (simulated) instrument round-trip is in flight, which is
-        what lets one async worker drive many slow stands concurrently.
-        """
-        if _chaos.ACTIVE is not None:
-            hang, glitch = _chaos.on_instrument_call()
-            if hang > 0.0:
-                await asyncio.sleep(hang)
-            if self.io_delay > 0.0:
-                await asyncio.sleep(self.io_delay)
-            outcome = self._perform(call, signal, pins, harness, variables)
-            return _chaos.glitched(outcome) if glitch else outcome
-        if self.io_delay > 0.0:
-            await asyncio.sleep(self.io_delay)
-        return self._perform(call, signal, pins, harness, variables)
+        """Perform one method call, awaiting its waits (same outcome)."""
+        return await adrive(self.round_trip(call, signal, pins, harness, variables))
 
     @abc.abstractmethod
     def _perform(
@@ -261,9 +301,9 @@ class Instrument(abc.ABC):
         """Carry out one method call against the harness (no latency).
 
         Implemented by each concrete instrument; parameters are those of
-        :meth:`execute`.  The computation must stay synchronous and free of
-        real-time waits - all wall-clock latency belongs to the
-        ``execute`` / ``aexecute`` wrappers, all *simulated* time to the
+        :meth:`round_trip`.  The computation must stay synchronous and free
+        of real-time waits - all wall-clock latency belongs to the
+        generator cores and their drivers, all *simulated* time to the
         harness clock.
 
         ``prepared`` is an optional ``(nominal, limits)`` pair of the

@@ -619,9 +619,8 @@ class CompositionTarget:
     the composition adds:
 
     ``suite_factory``
-        the interaction suite, whose signal sheet carries
-        ``SignalSet.composition`` so single-ECU execution layers (the
-        bytecode VM) can decline it and degrade gracefully,
+        the interaction suite, whose signal sheet names the composition in
+        ``SignalSet.composition``,
     ``faults_factory``
         the composed catalogue: every member fault - bundled and
         *interaction* faults (:func:`repro.analysis.faults.interaction_faults`)
@@ -1241,10 +1240,11 @@ class CampaignSpec:
 
     ``use_plans`` / ``reuse_stands`` / ``use_vm`` are the
     compile-once-run-many fast paths (cached execution plans, per-worker
-    stand pools, the bytecode VM over the plans).  All default on and
-    never change the verdict table; turning one off exists for A/B
-    wall-clock comparisons like ``tools/bench_trajectory.py`` and the
-    ``--no-vm`` CLI switch.
+    stand pools, the bytecode VM compiled from the plans).  All default on
+    and never change the verdict table.  The VM needs its plans, so
+    turning either ``use_plans`` or ``use_vm`` off runs every job on the
+    classic reference walk; that exists for A/B wall-clock comparisons
+    like ``tools/bench_trajectory.py`` and the ``--no-vm`` CLI switch.
 
     ``preflight`` selects the pre-flight depth (:data:`PREFLIGHT_MODES`):
     ``"lint"`` runs the static analyzer over the target before any job is

@@ -49,9 +49,6 @@ __all__ = ["Allocation", "Allocator", "ALLOCATION_POLICIES"]
 #: Names of the supported allocation policies.
 ALLOCATION_POLICIES = ("first_fit", "best_fit", "least_used")
 
-#: Sentinel: :meth:`Allocator.replay` should evaluate the window itself.
-_WINDOW_UNSET = object()
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -162,67 +159,6 @@ class Allocator:
             method=call.method,
         )
 
-    def replay(
-        self,
-        signal: Signal,
-        call: MethodCall,
-        planned: Allocation,
-        variables: Mapping[str, float] | None = None,
-        *,
-        window: tuple | None | object = _WINDOW_UNSET,
-    ) -> Allocation | None:
-        """Re-commit a pre-resolved allocation if it still fits, else ``None``.
-
-        This is the execution-plan fast path: the expensive parts of
-        :meth:`allocate` - filtering every resource's capabilities and
-        searching the connection matrix for free routes - were done once at
-        plan-compile time; here only the *variable-dependent* capability
-        window and the availability of the exact planned routes are
-        re-checked.  Any mismatch (the window moved, a terminal or mux
-        channel is held for another signal, the signal's pins changed)
-        returns ``None`` and the caller falls back to the full search, so a
-        replayed run can never produce a different allocation than a fresh
-        one.
-
-        *window* is the pre-evaluated :meth:`capability_window` the plan
-        stored for this entry (``None`` = nothing to range-check); when not
-        given it is evaluated from *variables* here.
-        """
-        try:
-            resource = self.resources.get(planned.resource)
-        except AllocationError:
-            return None
-        # The cheap variable-dependent re-check: does the requested nominal /
-        # acceptance window still fit this resource's capability range?
-        if window is _WINDOW_UNSET:
-            if not self._capability_fits(resource, call, dict(variables or {})):
-                return None
-        elif window is not None:
-            capability, nominal, acceptance = window
-            if not capability.can_serve(nominal, acceptance):
-                return None
-        if signal.is_bus:
-            if not resource.is_bus_interface or planned.routes:
-                return None
-        else:
-            planned_pins = tuple(route.pin.lower() for route in planned.routes)
-            if planned_pins != tuple(pin.lower() for pin in signal.pins):
-                return None
-            signal_key = signal.key
-            for route in planned.routes:
-                holder = self._held_terminals.get((resource.key, route.terminal))
-                if holder is not None and holder != signal_key:
-                    return None
-                if isinstance(route.connector, MuxChannel):
-                    selection = self._mux_selection.get(route.connector.mux)
-                    if selection is not None and selection != (
-                        route.connector.label, signal_key,
-                    ):
-                        return None
-        self.attempts += 1
-        self._register(signal.key, resource, planned.routes, planned.persistent)
-        return planned
-
     def release(self, signal: str) -> None:
         """Release every terminal and mux selection held for *signal*."""
         key = str(signal).lower()
@@ -267,8 +203,9 @@ class Allocator:
         acceptance interval - or ``None`` when there is nothing to
         range-check (e.g. ``put_can`` payloads: supporting the method is
         enough).  This is the *variable-dependent* half of a capability
-        check; execution plans store it per entry so replays only pay the
-        float comparisons of :meth:`Capability.can_serve`.
+        check; execution plans store it per entry, and the bytecode VM
+        re-evaluates it in its run prologue for windows that reference
+        stand variables.
         """
         capability = resource.capability_for(call.method)
         attribute = capability.attribute
@@ -347,23 +284,20 @@ class Allocator:
             return route
         return None
 
-    def register_planned(
+    def _register(
         self,
         signal_key: str,
         resource_key: str,
         routes: tuple[Route, ...],
         persistent: bool,
     ) -> None:
-        """Book one pre-validated planned allocation without any search.
+        """Book the holds and statistics of one allocation, without a search.
 
-        The VM fast path (:mod:`repro.teststand.vm`) validates a whole
-        run's allocations up front and then executes the compiled stream;
-        this keeps the allocator's hold/statistics bookkeeping in
-        lock-step per instruction - the same state transitions
-        :meth:`replay` applies, minus the per-action re-checks the run
-        prologue already performed.
+        Called for every allocation the search commits and, by the bytecode
+        VM (:mod:`repro.teststand.vm`), for every compiled allocation it
+        executes: the run prologue validated those up front, and booking
+        them here keeps the hold state in lock-step per instruction.
         """
-        self.attempts += 1
         if persistent:
             for route in routes:
                 self._held_terminals[(resource_key, route.terminal)] = signal_key
@@ -376,24 +310,6 @@ class Allocator:
             self._allocation_counts.get(resource_key, 0) + 1
         )
 
-    def _register(
-        self,
-        signal_key: str,
-        resource: Resource,
-        routes: tuple[Route, ...],
-        persistent: bool,
-    ) -> None:
-        """Book the holds and statistics of one successful allocation."""
-        if persistent:
-            for route in routes:
-                self._held_terminals[(resource.key, route.terminal)] = signal_key
-                if isinstance(route.connector, MuxChannel):
-                    self._mux_selection[route.connector.mux] = (
-                        route.connector.label,
-                        signal_key,
-                    )
-        self._allocation_counts[resource.key] = self._allocation_counts.get(resource.key, 0) + 1
-
     def _commit(
         self,
         signal: Signal,
@@ -402,7 +318,7 @@ class Allocator:
         routes: tuple[Route, ...],
         persistent: bool,
     ) -> Allocation:
-        self._register(signal.key, resource, routes, persistent)
+        self._register(signal.key, resource.key, routes, persistent)
         return Allocation(
             signal=signal.name,
             method=call.method,

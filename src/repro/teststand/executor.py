@@ -37,9 +37,9 @@ The ``process`` backend requires every factory in the jobs to be picklable
 (module-level callables); the ``thread``, ``serial`` and ``async`` backends
 accept any callable.  The ``async`` backend is the odd one out in worker
 economics: it runs every job on *one* worker, but each job's instrument I/O
-is awaitable (:meth:`~repro.instruments.Instrument.aexecute` /
-:meth:`~repro.teststand.interpreter.TestStandInterpreter.arun`), so one
-event loop multiplexes up to ``concurrency`` slow stands — wall clock on
+is awaitable (:meth:`~repro.teststand.interpreter.TestStandInterpreter.arun`
+awaits the run's generator core through
+:func:`~repro.instruments.base.adrive`), so one event loop multiplexes up to ``concurrency`` slow stands — wall clock on
 latency-simulated stands stays roughly flat with stand count while the
 serial backend scales linearly (benchmark A4).
 """
@@ -127,13 +127,12 @@ class Job:
     changes a verdict): ``reuse_stands`` lets the executing worker lease
     the stand from its per-worker pool (one stand per distinct
     ``stand_factory``, :meth:`~repro.teststand.stands.TestStand.reset`
-    between jobs) instead of rebuilding it, ``use_plans`` lets the
-    interpreter replay the cached
-    :class:`~repro.teststand.plan.ExecutionPlan` for the (script x stand x
-    policy) combination instead of searching resources per action, and
-    ``use_vm`` (requires ``use_plans``) executes the plan's compiled
-    bytecode program (:mod:`repro.teststand.vm`) instead of walking the
-    actions at all.
+    between jobs) instead of rebuilding it, and ``use_plans`` with
+    ``use_vm`` let the interpreter execute the bytecode program
+    (:mod:`repro.teststand.vm`) compiled from the cached
+    :class:`~repro.teststand.plan.ExecutionPlan` of the (script x stand x
+    policy) combination.  With either of the two off the job runs the
+    classic walk, a full resource search per action.
     """
 
     index: int
@@ -234,13 +233,6 @@ class ResiliencePolicy:
         if self.chaos is None:
             return self
         return _dc_replace(self, chaos=self.chaos.without_worker_kill())
-
-
-def _coerce_policy(policy: "ResiliencePolicy | int") -> ResiliencePolicy:
-    """Accept the legacy bare ``max_attempts`` int in the policy slot."""
-    if isinstance(policy, ResiliencePolicy):
-        return policy
-    return ResiliencePolicy(max_attempts=max(1, int(policy)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +447,7 @@ def _run_with_deadline(job: Job, remaining: float, deadline: float) -> TestResul
     return value  # type: ignore[return-value]
 
 
-def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2,
+def _execute_with_retries(job: Job, policy: ResiliencePolicy,
                           batch: int = 0) -> JobResult:
     """Run *job* under *policy*: classified retries, backoff, deadline, chaos.
 
@@ -466,7 +458,6 @@ def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2,
     gaps, blown deadlines) fail fast and report their first error.
     *batch* names the quarantine book the job's stand outcome counts in.
     """
-    policy = _coerce_policy(policy)
     start = time.perf_counter()
     reason = _quarantine_reason(job, policy, batch)
     if reason:
@@ -503,7 +494,7 @@ def _execute_with_retries(job: Job, policy: "ResiliencePolicy | int" = 2,
 
 
 async def _aexecute_with_retries(
-    job: Job, policy: "ResiliencePolicy | int" = 2, batch: int = 0
+    job: Job, policy: ResiliencePolicy, batch: int = 0
 ) -> JobResult:
     """Awaitable twin of :func:`_execute_with_retries` (same retry policy).
 
@@ -512,7 +503,6 @@ async def _aexecute_with_retries(
     as a transient error.  Deadlines use ``asyncio.wait_for``, which (unlike
     the sync path's abandoned helper thread) actually cancels the job.
     """
-    policy = _coerce_policy(policy)
     start = time.perf_counter()
     reason = _quarantine_reason(job, policy, batch)
     if reason:
@@ -743,7 +733,6 @@ def _run_job_chunk(
     stats_delta = {
         name: stats_after[name] - stats_before.get(name, 0)
         for name in stats_after
-        if name != "hit_rate"  # derived, not additive
     }
     return produced, PROFILER.snapshot(), stats_delta
 

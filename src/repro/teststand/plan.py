@@ -13,13 +13,13 @@ though the search result depends only on
 none of which change between the runs of a campaign.  An
 :class:`ExecutionPlan` therefore pre-resolves the whole allocation sequence
 of one (script x stand-topology x policy x variables) combination exactly
-once - the *variable-independent* part of allocation - and the interpreter
-replays it on every subsequent run, re-checking only the cheap
-variable-dependent capability window plus route availability per action
-(:meth:`~repro.teststand.allocator.Allocator.replay`).  Any discrepancy
-(topology drift, a route unexpectedly held, a capability window that no
-longer fits) falls back to the full search for that action, so the verdict
-table is byte-identical with plans on or off.
+once, and that sequence is the input the bytecode VM compiles
+(:func:`repro.teststand.vm.compile_program`) into the flat instruction
+stream every later run executes.  The entries also feed the lint rules
+that reason about allocation.  The VM re-checks what a run could change
+before it executes anything, and degrades the whole run to the classic
+interpreter on any mismatch, so the verdict table is byte-identical with
+plans on or off.
 
 Plans live in a :class:`PlanCache` keyed by content fingerprints, never by
 object identity: two stands built by the same factory share one plan, and a
@@ -53,7 +53,6 @@ from . import vm
 __all__ = [
     "PlanEntry",
     "ExecutionPlan",
-    "PlanCursor",
     "PlanCacheStats",
     "PlanCache",
     "GLOBAL_PLAN_CACHE",
@@ -77,7 +76,7 @@ def action_is_measurement(registry: MethodRegistry, method: str) -> bool:
     The registry decides where it can; unknown methods fall back to the
     ``get_*`` naming convention, mirroring what the interpreter has always
     done.  Plan compilation and the interpreter's step split must agree on
-    this, otherwise a replayed allocation sequence would drift.
+    this, otherwise a compiled allocation sequence would drift.
     """
     if method in registry:
         return registry.get(method).is_measurement
@@ -109,8 +108,8 @@ def open_circuit_requested(
 def open_circuit_outcome(action: SignalAction, signal: Signal) -> MethodOutcome:
     """The PASS outcome of an open-circuit realisation.
 
-    Single source for the plan compiler and the interpreter's slow path:
-    replayed and freshly-decided open circuits must render byte-identically
+    Single source for the plan compiler and the interpreter's classic walk:
+    compiled and freshly-decided open circuits must render byte-identically
     in reports, so the literal lives in exactly one place.
     """
     return MethodOutcome(
@@ -260,7 +259,7 @@ def stand_fingerprint(stand: TestStand) -> "_HashedKey":
     have executed a script, which every bundled builder guarantees.  The
     resource/route counts guard the memo anyway, so the common in-place
     mutations (adding a resource or wiring a new route between runs) are
-    caught rather than silently replaying a stale plan.
+    caught rather than silently running a stale plan.
     """
     guard = (len(stand.resources), len(stand.connections))
     cached = stand.__dict__.get("_topology_fingerprint")
@@ -348,19 +347,20 @@ class PlanEntry:
         routes, ``window`` the pre-evaluated capability window of the
         planned resource (``(capability, nominal, acceptance)`` as produced
         by :meth:`~repro.teststand.allocator.Allocator.capability_window`,
-        or ``None`` when the call carries nothing to range-check).  The
-        replay re-checks ``capability.can_serve`` against it per action;
-        the endpoint evaluation itself happened at compile time, which is
-        sound because the variables it depends on are part of the
-        plan-cache key.
+        or ``None`` when the call carries nothing to range-check).  The VM
+        re-checks ``capability.can_serve`` against it when it binds a
+        program to a stand; the endpoint evaluation itself happened at
+        compile time, which is sound because the variables it depends on
+        are part of the plan-cache key.
     ``"open"``
         a ``put_r r="INF"`` realised as an open circuit - ``outcome`` is
         the ready-made (immutable) PASS outcome, so the run skips the
         per-action limit evaluation entirely.
     ``"fail"``
-        the search failed at compile time; the run takes the full search
-        and reports the identical allocation ERROR.  The entry still
-        occupies its slot so the cursor stays aligned with the run.
+        the search failed at compile time.  The VM refuses to compile such
+        a plan, so every run takes the classic walk and reports the
+        allocation ERROR itself; the entry still occupies its slot so the
+        sequence stays aligned with the script.
     """
 
     signal_key: str
@@ -374,13 +374,12 @@ class PlanEntry:
 class ExecutionPlan:
     """The pre-resolved execution of one (script x stand x policy).
 
-    ``entries`` is the allocation sequence the classic interpreter replays
-    per action; ``program`` is the compiled VM instruction stream of the
-    whole measurement loop (see :mod:`repro.teststand.vm`), or ``None``
-    when the combination is not VM-expressible - ``vm_reason`` then names
-    the failing op and why (surfaced by the ``X-UNCOMPILABLE-SCRIPT`` lint
-    rule).  Both are compiled from the same inputs under the same cache
-    key, so a plan hit serves allocation *and* the full fast path.
+    ``entries`` is the allocation sequence, the VM compiler's input;
+    ``program`` is the compiled VM instruction stream of the whole
+    measurement loop (see :mod:`repro.teststand.vm`), or ``None`` when the
+    combination is not VM-expressible - ``vm_reason`` then names the
+    failing op and why (surfaced by the ``X-UNCOMPILABLE-SCRIPT`` lint
+    rule) and every run takes the classic walk.
     """
 
     __slots__ = ("entries", "key", "program", "vm_reason")
@@ -392,62 +391,12 @@ class ExecutionPlan:
         self.program = program
         self.vm_reason = vm_reason
 
-    def cursor(self) -> "PlanCursor":
-        """A fresh replay cursor for one run."""
-        return PlanCursor(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
     def __repr__(self) -> str:
         vm = "vm" if self.program is not None else "no-vm"
         return f"ExecutionPlan(entries={len(self.entries)}, {vm})"
-
-
-class PlanCursor:
-    """Walks one plan along one run, detecting divergence.
-
-    Every allocator visit of the run calls :meth:`take`; the cursor hands
-    out the next planned entry when the visit matches it and degrades to
-    full-search misses - for the rest of the run - as soon as the sequence
-    diverges.  ``hits`` / ``misses`` feed the plan-cache statistics.
-    """
-
-    __slots__ = ("_entries", "_index", "_diverged", "hits", "misses")
-
-    def __init__(self, entries: tuple[PlanEntry, ...]):
-        self._entries = entries
-        self._index = 0
-        self._diverged = False
-        self.hits = 0
-        self.misses = 0
-
-    def take(self, signal_key: str, method: str) -> PlanEntry | None:
-        """Next planned entry for this visit, or ``None`` for the slow path."""
-        if self._diverged or self._index >= len(self._entries):
-            self.misses += 1
-            return None
-        entry = self._entries[self._index]
-        if entry.signal_key != signal_key or entry.method_key != str(method).lower():
-            # The run visits its actions in a different order than the
-            # plan predicted - stop trusting the remaining entries.
-            self._diverged = True
-            self.misses += 1
-            return None
-        self._index += 1
-        if entry.kind == "fail":
-            self.misses += 1
-            return None
-        return entry
-
-    def reject(self) -> None:
-        """The taken entry could not be replayed: count the miss, diverge.
-
-        A failed replay means the live allocator state differs from the
-        compile-time simulation, so subsequent entries are unreliable too.
-        """
-        self._diverged = True
-        self.misses += 1
 
 
 def compile_plan(
@@ -466,7 +415,7 @@ def compile_plan(
     :class:`~repro.teststand.allocator.Allocator` (same policy, same
     registry, same variables) and records each resulting
     :class:`~repro.teststand.allocator.Allocation`.  Failed searches are
-    recorded as unplannable slots; open-circuit realisations apply the same
+    recorded as ``"fail"`` slots; open-circuit realisations apply the same
     release they apply at run time so the simulated hold state stays in
     lock-step.
 
@@ -528,66 +477,35 @@ def compile_plan(
 # ---------------------------------------------------------------------------
 
 class PlanCacheStats:
-    """Counters describing how well the plan cache is working.
+    """Counters describing how well the plan cache and the VM are working.
 
     ``plan_hits`` / ``plan_misses`` count run-level lookups (a miss
-    compiles); ``action_replays`` / ``action_fallbacks`` count individual
-    allocator visits served from a plan vs. falling back to full search.
-    ``vm_runs`` / ``alloc_only_runs`` split the runs a plan served into
-    full-VM executions and classic runs that replayed allocations only;
-    ``vm_degraded`` counts runs whose program existed but failed the
-    bind/prologue self-check and degraded to the classic path.
+    compiles); ``vm_runs`` counts runs the bytecode VM executed end to
+    end, ``vm_degraded`` runs whose program existed but failed the
+    bind/prologue self-check and degraded to the classic walk.
     """
 
     __slots__ = (
         "plans_compiled", "plan_hits", "plan_misses",
-        "action_replays", "action_fallbacks",
-        "vm_runs", "vm_degraded", "alloc_only_runs",
+        "vm_runs", "vm_degraded",
     )
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.plans_compiled = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.action_replays = 0
-        self.action_fallbacks = 0
-        self.vm_runs = 0
-        self.vm_degraded = 0
-        self.alloc_only_runs = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of allocator visits served by replay (1.0 when all)."""
-        total = self.action_replays + self.action_fallbacks
-        if total == 0:
-            return 0.0
-        return self.action_replays / total
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def merge(self, snapshot: Mapping[str, float]) -> None:
-        """Fold another stats snapshot (e.g. a worker process's) into this.
-
-        ``hit_rate`` is derived, so only the raw counters accumulate.
-        """
+        """Fold another stats snapshot (e.g. a worker process's) into this."""
         for name in self.__slots__:
             value = snapshot.get(name)
             if value is not None:
                 setattr(self, name, getattr(self, name) + int(value))
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "plans_compiled": self.plans_compiled,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "action_replays": self.action_replays,
-            "action_fallbacks": self.action_fallbacks,
-            "vm_runs": self.vm_runs,
-            "vm_degraded": self.vm_degraded,
-            "alloc_only_runs": self.alloc_only_runs,
-            "hit_rate": self.hit_rate,
-        }
+    def snapshot(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class PlanCache:
@@ -616,13 +534,6 @@ class PlanCache:
             self._plans.clear()
             self.stats.reset()
 
-    def note_run(self, hits: int, misses: int) -> None:
-        """Fold one finished classic run's cursor counters into the stats."""
-        with self._lock:
-            self.stats.alloc_only_runs += 1
-            self.stats.action_replays += int(hits)
-            self.stats.action_fallbacks += int(misses)
-
     def note_vm_run(self) -> None:
         """Count one run executed end-to-end by the VM fast path."""
         with self._lock:
@@ -650,9 +561,8 @@ class PlanCache:
     ) -> ExecutionPlan:
         """The cached plan for this combination, compiling it on first use.
 
-        A compile failure of any kind caches an *empty* plan: every visit
-        of such a run misses and takes the full search, which is exactly
-        the pre-plan behaviour.
+        A compile failure of any kind caches an *empty* plan: it carries no
+        program, so every run of the combination takes the classic walk.
         """
         key = (
             script_fingerprint(script, signals),

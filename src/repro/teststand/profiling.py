@@ -1,11 +1,12 @@
 """Lightweight phase profiling for campaign execution (``--profile``).
 
-When enabled, the interpreter attributes wall-clock time to the two
-interesting phases of the hot path - resource **allocation** (plan replay or
-full search) and **instrument I/O** (the virtual instrument call including
-its simulated latency) - and ``repro-campaign --profile`` combines them with
-the phases it times itself (job expansion, execution, aggregation) plus the
-plan-cache statistics into a per-phase breakdown on stderr.
+When enabled, the interpreter attributes wall-clock time to the
+interesting phases of the hot path - the classic walk's resource
+**allocation** searches and **instrument I/O** (the virtual instrument call
+including its simulated latency), and the runs the bytecode **VM** executes
+- and ``repro-campaign --profile`` combines them with the phases it times
+itself (job expansion, execution, aggregation) plus the plan-cache
+statistics into a per-phase breakdown on stderr.
 
 The profiler is a process-global accumulator guarded by a lock; the serial,
 thread and async backends all report into the parent process' instance.

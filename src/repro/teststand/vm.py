@@ -14,9 +14,9 @@ op                        meaning
                           signal, routes and instrument (``put_*``)
 ``GET``                   one measurement instrument call, same operands
                           (``get_*``)
-``WAIT``                  advance the harness clock (a ``wait`` action
-                          and/or a step's settle dt); emits one PASS
-                          result per merged ``wait`` action
+``WAIT``                  advance the harness clock by a step's settle dt,
+                          or by a ``wait`` action's duration and emit its
+                          PASS result
 ``CHECK_WINDOW``          guard: the pre-evaluated capability window of the
                           following call must still fit (pure float
                           comparisons, checked when the program is bound
@@ -35,27 +35,34 @@ followed by a peephole pass (:data:`PEEPHOLE_PASSES`):
 
 * **guard fusion** - a ``CHECK_WINDOW`` / ``EVAL_LIMIT`` immediately before
   its ``SET`` / ``GET`` folds into that op's operand slot,
-* **settle merge** - adjacent ``WAIT`` ops (a trailing ``wait`` action and
-  the step's settle, never across ``END_STEP``) merge into one clock
-  advance that still emits every original action's PASS result,
 * **I/O batching** - consecutive ``SET`` / ``GET`` ops on the *same
   resource* merge into one op carrying an item tuple, paying the
   instrument's ``io_delay`` once per batch (the round trip of one chained
   command list) instead of once per call.
 
-Execution is deliberately paranoid in the same way the allocation-plan
-cursor is: a program **binds** to a concrete stand instance (resolving
-resource keys to live instruments and re-checking every constant capability
-window against *that* stand's capability rows), and every run starts with a
-prologue that re-checks the live signal pinning and the
-variable-dependent ``EVAL_LIMIT`` guards.  Any mismatch at any of those
-points degrades **the whole run** to the classic interpreter before a
+Adjacent ``WAIT`` ops stay separate: one summed clock advance rounds
+differently from two, and fires ECU timers and CAN flushes at other
+instants than the classic walk does.
+
+Execution is deliberately paranoid: a program **binds** to a concrete
+stand instance (resolving resource keys to live instruments and re-checking
+every constant capability window against *that* stand's capability rows),
+and every run starts with a prologue that re-checks the live signal pinning
+and the variable-dependent ``EVAL_LIMIT`` guards.  Any mismatch at any of
+those points degrades **the whole run** to the classic interpreter before a
 single instruction has touched the harness - so verdict tables are
 byte-identical with the VM on or off.  Scripts the compiler cannot express
 (an allocation that fails at compile time, a non-numeric ``wait`` duration,
 an unknown signal) raise :class:`VmCompileError`; the plan then carries no
 program and every run of the combination takes the classic path, which the
-``X-UNCOMPILABLE-SCRIPT`` lint rule surfaces pre-flight.
+``X-UNCOMPILABLE-SCRIPT`` lint rule surfaces pre-flight.  Composed sheets
+compile like any other: a composed run is its members' runs on one bus, and
+the composition harness routes every instrument call the VM makes.
+
+The instruction loop is written once, as a generator core
+(:meth:`VmCursor.run`) that yields its wall-clock waits;
+:meth:`VmCursor.execute` drives it with blocking sleeps and the async
+interpreter path awaits it (see :func:`repro.instruments.base.drive`).
 
 One deliberate contract makes the fast path fast: the VM hands every
 ``_perform`` call one shared per-run variables dict instead of a fresh copy
@@ -65,9 +72,7 @@ per call.  Instruments must not mutate their ``variables`` argument - which
 
 from __future__ import annotations
 
-import asyncio
 import inspect
-import time as _time
 from collections import OrderedDict
 from typing import Mapping, Sequence
 
@@ -75,6 +80,7 @@ from .. import chaos as _chaos
 from ..core.errors import AllocationError, TransientError
 from ..core.script import ScriptStep, SignalAction, TestScript
 from ..core.signals import Signal, SignalSet
+from ..instruments.base import Core, drive
 from ..methods import MethodRegistry, evaluate_call_parameter, limits_for_call
 from .allocator import Allocator
 from .stands import TestStand
@@ -90,7 +96,6 @@ __all__ = [
     "compile_program",
     "peephole",
     "fuse_guards",
-    "merge_waits",
     "batch_io",
     "PEEPHOLE_PASSES",
 ]
@@ -150,7 +155,7 @@ class VmOp:
     """One instruction of a :class:`VmProgram` (operands vary by ``code``)."""
 
     __slots__ = (
-        "code", "items", "resource_key", "duration", "emits",
+        "code", "items", "resource_key", "duration",
         "action", "signal", "outcome", "window", "dynamic",
         "number", "remark",
     )
@@ -160,7 +165,6 @@ class VmOp:
         self.items: tuple[VmIoItem, ...] = operands.get("items", ())
         self.resource_key: str = operands.get("resource_key", "")
         self.duration: float = operands.get("duration", 0.0)
-        self.emits: tuple[SignalAction, ...] = operands.get("emits", ())
         self.action = operands.get("action")
         self.signal = operands.get("signal")
         self.outcome = operands.get("outcome")
@@ -174,7 +178,7 @@ class VmOp:
             calls = ",".join(f"{i.signal.key}:{i.action.method}" for i in self.items)
             return f"VmOp({self.code} {self.resource_key} [{calls}])"
         if self.code == "WAIT":
-            return f"VmOp(WAIT {self.duration:g}s emits={len(self.emits)})"
+            return f"VmOp(WAIT {self.duration:g}s)"
         if self.code == "END_STEP":
             return f"VmOp(END_STEP {self.number})"
         return f"VmOp({self.code})"
@@ -243,29 +247,6 @@ def fuse_guards(ops: list[VmOp]) -> list[VmOp]:
     return out
 
 
-def merge_waits(ops: list[VmOp]) -> list[VmOp]:
-    """Merge adjacent ``WAIT`` ops into one summed clock advance.
-
-    Fires when ``wait`` actions trail the stimuli of a step (they become
-    adjacent to the step's settle ``WAIT``) or follow each other directly.
-    The merged op advances once and still emits one PASS result per
-    original ``wait`` action, in order.  ``END_STEP`` is never crossed, so
-    step start times stay exact.
-    """
-    out: list[VmOp] = []
-    for op in ops:
-        if op.code == "WAIT" and out and out[-1].code == "WAIT":
-            previous = out[-1]
-            out[-1] = VmOp(
-                "WAIT",
-                duration=previous.duration + op.duration,
-                emits=previous.emits + op.emits,
-            )
-            continue
-        out.append(op)
-    return out
-
-
 def batch_io(ops: list[VmOp]) -> list[VmOp]:
     """Merge consecutive I/O ops on the same resource into one batch op.
 
@@ -291,7 +272,7 @@ def batch_io(ops: list[VmOp]) -> list[VmOp]:
 
 
 #: The peephole rewrites, applied per segment in this order.
-PEEPHOLE_PASSES = (fuse_guards, merge_waits, batch_io)
+PEEPHOLE_PASSES = (fuse_guards, batch_io)
 
 
 def peephole(ops: list[VmOp]) -> list[VmOp]:
@@ -347,18 +328,6 @@ def compile_program(
     # Imported lazily: plan.py imports this module at its top level.
     from .plan import PlanEntry, action_is_measurement  # noqa: F401
 
-    if getattr(signals, "composition", None):
-        # Multi-ECU compositions are VM-inexpressible by design: the VM's
-        # instruction set models exactly one ECU behind the harness, while a
-        # composed sheet's stimuli and checks fan out across members on a
-        # shared bus.  Declining here makes ``use_vm=True`` degrade to the
-        # classic plan path, keeping verdicts byte-identical with/without
-        # the VM (the parity matrix enforces that).
-        raise VmCompileError(
-            f"script {script.name!r}: signal sheet belongs to composition "
-            f"{signals.composition!r}; the VM models a single ECU"
-        )
-
     entry_iter = iter(entries)
 
     def compile_action(action: SignalAction) -> list[VmOp]:
@@ -379,7 +348,7 @@ def compile_program(
                     f"WAIT {signal.key}:wait",
                     f"duration t={raw!r} is not numeric",
                 )
-            return [VmOp("WAIT", duration=duration, emits=(action,))]
+            return [VmOp("WAIT", duration=duration, action=action)]
         entry = next(entry_iter, None)
         if (entry is None or entry.signal_key != signal.key
                 or entry.method_key != method_key):
@@ -463,10 +432,12 @@ def compile_program(
 # ---------------------------------------------------------------------------
 
 # Executable opcodes (tuple-based for dispatch speed in the run loop).
+# ``_X_STEPS`` marks where the setup segment ends and the steps begin.
 _X_IO = 0
 _X_WAIT = 1
 _X_OPEN = 2
 _X_END = 3
+_X_STEPS = 4
 
 
 class VmBinding:
@@ -474,7 +445,8 @@ class VmBinding:
 
     ``ops`` is the executable stream: plain tuples whose first element is
     an ``_X_*`` opcode, with live instrument references and pre-computed
-    bookkeeping operands.  ``signal_shapes`` holds the compiled pinning
+    bookkeeping operands; an ``_X_STEPS`` op separates the setup segment
+    from the steps.  ``signal_shapes`` holds the compiled pinning
     the run prologue re-checks against the live signal set;
     ``dynamic_guards`` the ``EVAL_LIMIT`` windows re-evaluated against the
     run's variables (``guard_memo`` caches the verdict per variables
@@ -482,12 +454,11 @@ class VmBinding:
     happens once, while a genuinely new shape re-evaluates).
     """
 
-    __slots__ = ("ops", "setup_size", "signal_shapes", "dynamic_guards",
+    __slots__ = ("ops", "signal_shapes", "dynamic_guards",
                  "guard_memo", "signals_ok", "prepared_memo")
 
-    def __init__(self, ops, setup_size, signal_shapes, dynamic_guards):
+    def __init__(self, ops, signal_shapes, dynamic_guards):
         self.ops = ops
-        self.setup_size = setup_size
         self.signal_shapes = signal_shapes
         self.dynamic_guards = dynamic_guards
         self.guard_memo: dict[tuple, bool] = {}
@@ -567,7 +538,6 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
     collected for the per-run prologue instead.
     """
     bound: list[tuple] = []
-    setup_size = 0
     signal_shapes: dict[str, tuple] = {}
     dynamic_guards: list[tuple] = []
 
@@ -589,6 +559,8 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
         return capability.can_serve(nominal, acceptance)
 
     for index, op in enumerate(program.ops):
+        if index == program.setup_size:
+            bound.append((_X_STEPS,))
         code = op.code
         if code in ("SET", "GET"):
             try:
@@ -621,7 +593,7 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
                           resource.key, tuple(items),
                           _accepts_prepared(type(instrument))))
         elif code == "WAIT":
-            bound.append((_X_WAIT, op.duration, op.emits))
+            bound.append((_X_WAIT, op.duration, op.action))
         elif code == "OPEN_CIRCUIT":
             note_signal(op.signal)
             bound.append((_X_OPEN, op.action, op.signal.key,
@@ -642,12 +614,7 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
             # No executable footprint.
         else:  # pragma: no cover - unknown op means a compiler bug
             return None
-        if index + 1 == program.setup_size:
-            setup_size = len(bound)
-    if program.setup_size == 0:
-        setup_size = 0
-    return VmBinding(tuple(bound), setup_size, signal_shapes,
-                     tuple(dynamic_guards))
+    return VmBinding(tuple(bound), signal_shapes, tuple(dynamic_guards))
 
 
 def binding_for(program: VmProgram, stand: TestStand) -> VmBinding | None:
@@ -680,14 +647,13 @@ def binding_for(program: VmProgram, stand: TestStand) -> VmBinding | None:
 class VmCursor:
     """Executes one bound program for one run, self-distrusting throughout.
 
-    Mirrors the allocation plan's :class:`~repro.teststand.plan.PlanCursor`
-    contract at run granularity: :meth:`validate` re-checks everything the
+    :meth:`validate` is the run prologue: it re-checks everything the
     compiled operands assume about *this* run (live signal pinning,
     variable-dependent capability windows) and returns ``False`` - before
     any instruction has executed - when the program cannot be trusted; the
-    interpreter then runs the classic path and the verdicts stay
-    byte-identical.  :meth:`execute` / :meth:`aexecute` are the sync/async
-    twins of the instruction loop.
+    interpreter then runs the classic walk and the verdicts stay
+    byte-identical.  :meth:`run` is the instruction loop as a generator
+    core, :meth:`execute` its blocking driver.
     """
 
     __slots__ = ("binding", "allocator", "harness", "signals",
@@ -775,212 +741,61 @@ class VmCursor:
                 return False
         return True
 
-    # The sync and async loops are hand-duplicated, like run()/arun(): this
-    # is the hot path, and routing every op through a shared coroutine
-    # would cost more than the duplication saves in maintenance.
-
     def execute(
         self, variables: Mapping[str, float]
     ) -> tuple[list[ActionResult], list[StepResult]]:
         """Execute the whole program; returns (setup results, step results)."""
-        binding = self.binding
-        ops = binding.ops
-        harness = self.harness
-        allocator = self.allocator
-        register = allocator.register_planned
-        stop = self.stop_on_error
-        run_vars = dict(variables)
-        # The VM binds instrument._perform directly, bypassing the
-        # execute/aexecute wrappers - so the chaos hooks live here too.
-        # One check per run keeps the clean path at a single bool test.
-        chaos_on = _chaos.ACTIVE is not None
-        error = Verdict.ERROR
-        passed = Verdict.PASS
-        failed = Verdict.FAIL
+        return drive(self.run(variables))
 
-        setup_results: list[ActionResult] = []
-        aborted = False
-        index = 0
-        pi = 0
-        prepared = self._prepared
-        setup_size = binding.setup_size
-        while index < setup_size:
-            op = ops[index]
-            index += 1
-            code = op[0]
-            if code == _X_IO:
-                _, instrument, perform, resource_key, items, _ = op
-                delay = instrument.io_delay
-                if delay > 0.0:
-                    _time.sleep(delay)
-                for (action, call, signal, pins, signal_key, routes,
-                     persistent, allocation, _attr) in items:
-                    pre = prepared[pi]
-                    pi += 1
-                    register(signal_key, resource_key, routes, persistent)
-                    if chaos_on:
-                        hang, glitch = _chaos.on_instrument_call()
-                        if hang > 0.0:
-                            _time.sleep(hang)
-                    else:
-                        glitch = False
-                    try:
-                        if pre is not None:
-                            outcome = perform(call, signal, pins, harness,
-                                              run_vars, prepared=pre)
-                        else:
-                            outcome = perform(call, signal, pins, harness,
-                                              run_vars)
-                    except TransientError:
-                        raise  # to the executor's retry layer, not a verdict
-                    except Exception as exc:
-                        setup_results.append(ActionResult(
-                            action, error, allocation=allocation,
-                            error=str(exc)))
-                        if stop:
-                            aborted = True
-                            break
-                        continue
-                    if glitch:
-                        outcome = _chaos.glitched(outcome)
-                    setup_results.append(ActionResult(
-                        action, passed if outcome.passed else failed,
-                        outcome=outcome, allocation=allocation))
-                if aborted:
-                    break
-            elif code == _X_WAIT:
-                harness.advance(op[1])
-                for action in op[2]:
-                    setup_results.append(ActionResult(action, passed))
-            elif code == _X_OPEN:
-                _, action, signal_key, pins, outcome = op
-                allocator.release(signal_key)
-                for pin in pins:
-                    harness.release_resistance(pin)
-                setup_results.append(ActionResult(action, passed,
-                                                  outcome=outcome))
-
-        steps: list[StepResult] = []
-        if not aborted:
-            n = len(ops)
-            step_results: list[ActionResult] = []
-            start_time = harness.now
-            while index < n:
-                op = ops[index]
-                index += 1
-                code = op[0]
-                if code == _X_IO:
-                    _, instrument, perform, resource_key, items, _ = op
-                    delay = instrument.io_delay
-                    if delay > 0.0:
-                        _time.sleep(delay)
-                    for (action, call, signal, pins, signal_key, routes,
-                         persistent, allocation, _attr) in items:
-                        pre = prepared[pi]
-                        pi += 1
-                        register(signal_key, resource_key, routes,
-                                 persistent)
-                        if chaos_on:
-                            hang, glitch = _chaos.on_instrument_call()
-                            if hang > 0.0:
-                                _time.sleep(hang)
-                        else:
-                            glitch = False
-                        try:
-                            if pre is not None:
-                                outcome = perform(call, signal, pins,
-                                                  harness, run_vars,
-                                                  prepared=pre)
-                            else:
-                                outcome = perform(call, signal, pins,
-                                                  harness, run_vars)
-                        except TransientError:
-                            raise  # to the executor's retry layer
-                        except Exception as exc:
-                            step_results.append(ActionResult(
-                                action, error, allocation=allocation,
-                                error=str(exc)))
-                            continue
-                        if glitch:
-                            outcome = _chaos.glitched(outcome)
-                        step_results.append(ActionResult(
-                            action, passed if outcome.passed else failed,
-                            outcome=outcome, allocation=allocation))
-                elif code == _X_WAIT:
-                    harness.advance(op[1])
-                    for action in op[2]:
-                        step_results.append(ActionResult(action, passed))
-                elif code == _X_END:
-                    result = StepResult(
-                        number=op[1], duration=op[2],
-                        actions=tuple(step_results), remark=op[3],
-                        start_time=start_time,
-                    )
-                    steps.append(result)
-                    if stop and result.verdict is error:
-                        break
-                    step_results = []
-                    start_time = harness.now
-                elif code == _X_OPEN:
-                    _, action, signal_key, pins, outcome = op
-                    allocator.release(signal_key)
-                    for pin in pins:
-                        harness.release_resistance(pin)
-                    step_results.append(ActionResult(action, passed,
-                                                     outcome=outcome))
-        return setup_results, steps
-
-    async def aexecute(
+    def run(
         self, variables: Mapping[str, float]
-    ) -> tuple[list[ActionResult], list[StepResult]]:
-        """Awaitable twin of :meth:`execute`: batch latency is awaited.
+    ) -> Core[tuple[list[ActionResult], list[StepResult]]]:
+        """The instruction loop as a generator core.
 
-        One ``await asyncio.sleep(io_delay)`` per I/O batch (not per call)
-        keeps the async backend's multiplexing semantics: the event loop
-        interleaves other jobs while this stand's chained command list is
-        in flight.
+        Yields each wall-clock wait - an I/O batch's ``io_delay``, once per
+        batch (the round trip of one chained command list), and an injected
+        chaos hang, once per call - and returns ``(setup results, step
+        results)``.  Setup and step segments share the loop: a setup action
+        that errors under ``stop_on_error`` ends the run, a step whose
+        verdict is ERROR ends it at ``END_STEP``.
         """
-        binding = self.binding
-        ops = binding.ops
         harness = self.harness
         allocator = self.allocator
-        register = allocator.register_planned
+        register = allocator._register
         stop = self.stop_on_error
         run_vars = dict(variables)
-        # The VM binds instrument._perform directly, bypassing the
-        # execute/aexecute wrappers - so the chaos hooks live here too.
-        # One check per run keeps the clean path at a single bool test.
+        # The VM binds instrument._perform directly, bypassing
+        # Instrument.round_trip - so the chaos hooks live here too.  One
+        # check per run keeps the clean path at a single bool test.
         chaos_on = _chaos.ACTIVE is not None
         error = Verdict.ERROR
         passed = Verdict.PASS
         failed = Verdict.FAIL
+        prepared = self._prepared
+        pi = 0
 
         setup_results: list[ActionResult] = []
-        aborted = False
-        index = 0
-        pi = 0
-        prepared = self._prepared
-        setup_size = binding.setup_size
-        while index < setup_size:
-            op = ops[index]
-            index += 1
+        steps: list[StepResult] = []
+        results = setup_results
+        in_setup = True
+        start_time = 0.0
+        for op in self.binding.ops:
             code = op[0]
             if code == _X_IO:
                 _, instrument, perform, resource_key, items, _ = op
                 delay = instrument.io_delay
                 if delay > 0.0:
-                    await asyncio.sleep(delay)
+                    yield delay
                 for (action, call, signal, pins, signal_key, routes,
                      persistent, allocation, _attr) in items:
                     pre = prepared[pi]
                     pi += 1
                     register(signal_key, resource_key, routes, persistent)
+                    glitch = False
                     if chaos_on:
                         hang, glitch = _chaos.on_instrument_call()
                         if hang > 0.0:
-                            await asyncio.sleep(hang)
-                    else:
-                        glitch = False
+                            yield hang
                     try:
                         if pre is not None:
                             outcome = perform(call, signal, pins, harness,
@@ -991,98 +806,41 @@ class VmCursor:
                     except TransientError:
                         raise  # to the executor's retry layer, not a verdict
                     except Exception as exc:
-                        setup_results.append(ActionResult(
+                        results.append(ActionResult(
                             action, error, allocation=allocation,
                             error=str(exc)))
-                        if stop:
-                            aborted = True
-                            break
+                        if stop and in_setup:
+                            # A broken setup invalidates every step.
+                            return setup_results, steps
                         continue
                     if glitch:
                         outcome = _chaos.glitched(outcome)
-                    setup_results.append(ActionResult(
+                    results.append(ActionResult(
                         action, passed if outcome.passed else failed,
                         outcome=outcome, allocation=allocation))
-                if aborted:
-                    break
             elif code == _X_WAIT:
                 harness.advance(op[1])
-                for action in op[2]:
-                    setup_results.append(ActionResult(action, passed))
+                if op[2] is not None:  # a ``wait`` action, not a settle
+                    results.append(ActionResult(op[2], passed))
+            elif code == _X_END:
+                result = StepResult(
+                    number=op[1], duration=op[2],
+                    actions=tuple(results), remark=op[3],
+                    start_time=start_time,
+                )
+                steps.append(result)
+                if stop and result.verdict is error:
+                    break
+                results = []
+                start_time = harness.now
             elif code == _X_OPEN:
                 _, action, signal_key, pins, outcome = op
                 allocator.release(signal_key)
                 for pin in pins:
                     harness.release_resistance(pin)
-                setup_results.append(ActionResult(action, passed,
-                                                  outcome=outcome))
-
-        steps: list[StepResult] = []
-        if not aborted:
-            n = len(ops)
-            step_results: list[ActionResult] = []
-            start_time = harness.now
-            while index < n:
-                op = ops[index]
-                index += 1
-                code = op[0]
-                if code == _X_IO:
-                    _, instrument, perform, resource_key, items, _ = op
-                    delay = instrument.io_delay
-                    if delay > 0.0:
-                        await asyncio.sleep(delay)
-                    for (action, call, signal, pins, signal_key, routes,
-                         persistent, allocation, _attr) in items:
-                        pre = prepared[pi]
-                        pi += 1
-                        register(signal_key, resource_key, routes,
-                                 persistent)
-                        if chaos_on:
-                            hang, glitch = _chaos.on_instrument_call()
-                            if hang > 0.0:
-                                await asyncio.sleep(hang)
-                        else:
-                            glitch = False
-                        try:
-                            if pre is not None:
-                                outcome = perform(call, signal, pins,
-                                                  harness, run_vars,
-                                                  prepared=pre)
-                            else:
-                                outcome = perform(call, signal, pins,
-                                                  harness, run_vars)
-                        except TransientError:
-                            raise  # to the executor's retry layer
-                        except Exception as exc:
-                            step_results.append(ActionResult(
-                                action, error, allocation=allocation,
-                                error=str(exc)))
-                            continue
-                        if glitch:
-                            outcome = _chaos.glitched(outcome)
-                        step_results.append(ActionResult(
-                            action, passed if outcome.passed else failed,
-                            outcome=outcome, allocation=allocation))
-                elif code == _X_WAIT:
-                    harness.advance(op[1])
-                    for action in op[2]:
-                        step_results.append(ActionResult(action, passed))
-                elif code == _X_END:
-                    result = StepResult(
-                        number=op[1], duration=op[2],
-                        actions=tuple(step_results), remark=op[3],
-                        start_time=start_time,
-                    )
-                    steps.append(result)
-                    if stop and result.verdict is error:
-                        break
-                    step_results = []
-                    start_time = harness.now
-                elif code == _X_OPEN:
-                    _, action, signal_key, pins, outcome = op
-                    allocator.release(signal_key)
-                    for pin in pins:
-                        harness.release_resistance(pin)
-                    step_results.append(ActionResult(action, passed,
-                                                     outcome=outcome))
+                results.append(ActionResult(action, passed, outcome=outcome))
+            else:  # _X_STEPS
+                in_setup = False
+                results = []
+                start_time = harness.now
         return setup_results, steps

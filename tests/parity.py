@@ -2,9 +2,8 @@
 
 The repository's central determinism contract: the campaign verdict table
 on stdout is byte-identical no matter which execution backend runs the
-jobs, whether allocation plans are replayed or searched from scratch, and
-whether the bytecode VM or the classic per-action interpreter serves the
-runs.  ``test_parity_matrix.py`` asserts that contract for every
+jobs, and whether the compiled path (plans, bytecode VM, pooled stands) or
+the classic per-action reference walk serves the runs.  ``test_parity_matrix.py`` asserts that contract for every
 registered campaignable target - each bundled DUT and each multi-ECU
 composition - in one place; the per-feature test modules
 (``test_executor``, ``test_async_executor``, ``test_plan``, ``test_vm``)
@@ -58,7 +57,7 @@ def parity_faults(catalogue) -> tuple[str, ...]:
 
     Parity is about execution infrastructure, not catalogue coverage, so
     two faults (plus the implicit healthy baseline) are enough signal per
-    cell - the full matrix is |targets| x 4 backends x 2 x 2 campaigns.
+    cell - the full matrix is |targets| x 4 backends x 2 modes campaigns.
     """
     names = catalogue.names
     if len(names) <= 2:
@@ -72,13 +71,12 @@ def spec_for(
     jobs: int = 1,
     concurrency: int = 0,
     *,
-    use_plans: bool = True,
-    use_vm: bool = True,
+    compiled: bool = True,
 ) -> CampaignSpec:
     """A bounded campaign spec for one cell of the parity matrix.
 
-    ``use_plans`` also toggles stand reuse - the two plan-era knobs travel
-    together, exactly as ``test_plan`` toggled them.
+    ``compiled`` picks the execution mode: plans, VM and stand reuse all
+    on (what ``repro-campaign`` runs), or all off - the classic reference.
     """
     if target in composition_names():
         catalogue = get_composition(target).faults_factory()
@@ -91,9 +89,9 @@ def spec_for(
         backend=backend,
         jobs=jobs,
         concurrency=concurrency,
-        use_plans=use_plans,
-        reuse_stands=use_plans,
-        use_vm=use_vm,
+        use_plans=compiled,
+        reuse_stands=compiled,
+        use_vm=compiled,
         **which,
     )
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -253,3 +256,48 @@ class TestLimitExpression:
         expr = LimitExpression.relative(factor, "ubatt")
         expected = parse_number(format_number(factor)) * ubatt
         assert expr.evaluate({"ubatt": ubatt}) == pytest.approx(expected, rel=1e-9)
+
+
+class _CyclicGarbage:
+    """A reference cycle with a finaliser that runs Python bytecode."""
+
+    def __init__(self) -> None:
+        self.me = self
+
+    def __del__(self) -> None:
+        sum(range(20))
+
+
+class TestLimitExpressionThreads:
+    def test_concurrent_parses_survive_gc_finalisers(self):
+        """Threads building expressions while the collector runs Python
+        finalisers must all succeed.  A GC pass can start inside one
+        thread's parse and switch to another thread from a finaliser;
+        without a lock around the parse, the interpreter-wide AST depth
+        counter of CPython 3.11 then raises ``SystemError``."""
+        errors: list[BaseException] = []
+
+        def build(worker: int) -> None:
+            try:
+                for i in range(500):
+                    _CyclicGarbage()
+                    LimitExpression(f"({worker}+{i}*ubatt-(1/{i + 1}))*2")
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threshold = gc.get_threshold()
+        interval = sys.getswitchinterval()
+        gc.set_threshold(50, 5, 5)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            gc.set_threshold(*threshold)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

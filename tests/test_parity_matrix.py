@@ -4,11 +4,13 @@ One test asserts the whole determinism contract: for every campaignable
 registered target (all bundled DUTs plus every multi-ECU composition) the
 campaign verdict table is byte-identical across
 
-    {serial, thread, process, async} x {plans on, off} x {vm on, off}.
+    {serial, thread, process, async} x {compiled, classic}.
 
-The reference cell is the serial backend with plans and VM on - the exact
-configuration ``repro-campaign`` defaults to - computed once per target
-and compared against every other cell.  This module consolidates the
+*compiled* runs plans, the bytecode VM and pooled stands; *classic* turns
+all three off, so every action takes the reference walk's full allocator
+search.  The reference cell is the serial backend on the compiled path -
+the exact configuration ``repro-campaign`` defaults to - computed once
+per target and compared against every other cell.  This module consolidates the
 byte-identity assertions that previously lived in ``test_executor``,
 ``test_async_executor``, ``test_plan`` and ``test_vm``.
 """
@@ -31,7 +33,7 @@ _REFERENCE: dict[str, tuple[str, str]] = {}
 
 
 def reference(target: str) -> tuple[str, str]:
-    """The target's serial / plans-on / vm-on tables, computed once."""
+    """The target's serial / compiled tables, computed once."""
     if target not in _REFERENCE:
         _REFERENCE[target] = verdict_tables(spec_for(target))
     return _REFERENCE[target]
@@ -59,16 +61,14 @@ class TestRegistry:
 
 
 class TestParityMatrix:
-    @pytest.mark.parametrize("use_vm", (True, False), ids=("vm", "novm"))
-    @pytest.mark.parametrize("use_plans", (True, False),
-                             ids=("plans", "noplans"))
+    @pytest.mark.parametrize("compiled", (True, False),
+                             ids=("compiled", "classic"))
     @pytest.mark.parametrize("backend,jobs,concurrency", BACKENDS,
                              ids=[b[0] for b in BACKENDS])
     @pytest.mark.parametrize("target", TARGETS)
     def test_verdict_tables_byte_identical(self, target, backend, jobs,
-                                           concurrency, use_plans, use_vm):
-        spec = spec_for(target, backend, jobs, concurrency,
-                        use_plans=use_plans, use_vm=use_vm)
+                                           concurrency, compiled):
+        spec = spec_for(target, backend, jobs, concurrency, compiled=compiled)
         assert verdict_tables(spec) == reference(target)
 
 

@@ -1,6 +1,6 @@
-"""Tests for the compiled-execution-plan fast path (PR 5).
+"""Tests for compiled execution plans, the bytecode VM's compile input.
 
-Covers the four guarantees the fast path rests on:
+Covers the four guarantees the compiled path rests on:
 
 * verdict tables are byte-identical with plans on or off, on every backend,
 * the plan cache is keyed by stand *topology*, so a changed stand never
@@ -45,18 +45,6 @@ def _paper_script():
     return Compiler().compile_test(paper_suite(), "interior_illumination")
 
 
-def _action_for(script, entry):
-    """The first script action matching a plan entry's (signal, method)."""
-    actions = list(script.setup)
-    for step in script.steps:
-        actions.extend(step.actions)
-    return next(
-        a.call for a in actions
-        if str(a.signal).lower() == entry.signal_key
-        and a.method.lower() == entry.method_key
-    )
-
-
 def _interpreter(stand=None, *, plan_cache=GLOBAL_PLAN_CACHE):
     return TestStandInterpreter(
         stand or build_paper_stand(),
@@ -84,93 +72,30 @@ class TestPlanDeterminism:
         a.pop("wall_time_s", None), b.pop("wall_time_s", None)
         assert a == b
 
-    def test_replays_are_counted(self):
+    def test_vm_runs_are_counted(self):
         cache = PlanCache()
         script = _paper_script()
         stand = build_paper_stand()
         for _ in range(3):
-            # use_vm=False: this test counts PlanCursor replays; the VM
-            # fast path would serve the runs without touching the cursor.
             TestStandInterpreter(
                 stand, interior_harness(InteriorLightEcu()), paper_signal_set(),
-                plan_cache=cache, use_vm=False,
+                plan_cache=cache,
             ).run(script)
         stats = cache.stats.snapshot()
         assert stats["plans_compiled"] == 1
         assert stats["plan_hits"] == 2
-        assert stats["action_fallbacks"] == 0
-        assert stats["action_replays"] > 0
+        assert stats["vm_runs"] == 3
 
 
 # ---------------------------------------------------------------------------
-# Divergence and fallback: the safety net the byte-identity rests on
+# Fallback: the safety net the byte-identity rests on
 # ---------------------------------------------------------------------------
 
 class TestPlanFallback:
-    def _plan_for(self, script, stand):
-        return compile_plan(
-            script, paper_signal_set(), stand,
-            policy="first_fit", registry=stand.registry,
-            variables={"ubatt": stand.supply_voltage, "t": 0.0},
-        )
-
-    def test_cursor_diverges_on_mismatch_and_stays_diverged(self):
-        stand = build_paper_stand()
-        plan = self._plan_for(_paper_script(), stand)
-        cursor = plan.cursor()
-        first = plan.entries[0]
-        assert cursor.take("definitely_not_a_signal", first.method_key) is None
-        assert cursor.misses == 1
-        # Even a now-matching visit must miss: the sequence is untrusted.
-        assert cursor.take(first.signal_key, first.method_key) is None
-        assert cursor.misses == 2 and cursor.hits == 0
-
-    def test_replay_rejects_held_terminal(self):
-        from repro.teststand import Allocator
-
-        stand = build_paper_stand()
-        script = _paper_script()
-        plan = self._plan_for(script, stand)
-        entry = next(e for e in plan.entries
-                     if e.kind == "alloc" and e.allocation.routes)
-        signals = paper_signal_set()
-        signal = signals.get(entry.signal_key)
-        call = _action_for(script, entry)
-        allocator = Allocator(stand.resources, stand.connections,
-                              registry=stand.registry)
-        # Occupy every planned terminal for a *different* signal.
-        resource = stand.resources.get(entry.allocation.resource)
-        for route in entry.allocation.routes:
-            allocator._held_terminals[(resource.key, route.terminal)] = "squatter"
-        assert allocator.replay(signal, call, entry.allocation,
-                                window=entry.window) is None
-        # Without the squatter the identical replay commits.
-        allocator.release("squatter")
-        replayed = allocator.replay(signal, call, entry.allocation,
-                                    window=entry.window)
-        assert replayed is entry.allocation
-
-    def test_replay_evaluates_window_itself_when_not_given(self):
-        from repro.teststand import Allocator
-
-        stand = build_paper_stand()
-        script = _paper_script()
-        plan = self._plan_for(script, stand)
-        entry = next(e for e in plan.entries
-                     if e.kind == "alloc" and e.allocation.routes)
-        signals = paper_signal_set()
-        signal = signals.get(entry.signal_key)
-        call = _action_for(script, entry)
-        allocator = Allocator(stand.resources, stand.connections,
-                              registry=stand.registry)
-        variables = {"ubatt": stand.supply_voltage, "t": 0.0}
-        assert allocator.replay(signal, call, entry.allocation,
-                                variables) is entry.allocation
-
     def test_wrong_plan_degrades_to_full_search_identically(self):
         """A cache handing out a plan for a *different* script must not
-        change the verdicts - the cursor mismatches and every action falls
-        back to the full search."""
+        change the verdicts: a plan without a VM program sends the run down
+        the classic walk, a full search per action."""
         from repro.teststand.plan import PlanCache
 
         class WrongPlanCache(PlanCache):
@@ -198,9 +123,8 @@ class TestPlanFallback:
         a, b = json.loads(json_report(poisoned)), json.loads(json_report(clean))
         a.pop("wall_time_s", None), b.pop("wall_time_s", None)
         assert a == b
-        # The divergence is visible: every allocator visit fell back.
-        assert cache.stats.action_replays == 0
-        assert cache.stats.action_fallbacks > 0
+        assert cache.stats.plan_hits == 1
+        assert cache.stats.vm_runs == 0
 
 
 # ---------------------------------------------------------------------------

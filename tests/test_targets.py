@@ -393,57 +393,8 @@ class TestRunCampaign:
         assert result.detected == ("motor_stuck_off",)
 
 
-class TestDeprecatedShims:
-    """Pre-registry public names must keep resolving (CAMPAIGN_TARGETS era)."""
-
-    def test_cli_campaign_targets_cover_all_bundled_duts(self):
-        from repro.cli import CAMPAIGN_TARGETS, CampaignTarget
-
-        assert sorted(CAMPAIGN_TARGETS) == list(ALL_DUTS)
-        target = CAMPAIGN_TARGETS["central_locking_ecu"]
-        assert isinstance(target, CampaignTarget)
-        assert target.pins == ("KEY_SW", "UNLOCK_SW", "LOCK_LED", "LOCK_ACT")
-        assert len(target.faults_factory()) == 4
-
-    def test_cli_stand_builders_and_adaptable_stands(self):
-        from repro.cli import ADAPTABLE_STANDS, STAND_BUILDERS
-
-        assert sorted(STAND_BUILDERS) == ["big_rack", "minimal", "paper"]
-        assert isinstance(STAND_BUILDERS["paper"](), TestStand)
-        assert sorted(ADAPTABLE_STANDS) == ["big_rack", "minimal"]
-
-    def test_cli_shims_are_live_registry_views(self):
-        import repro.cli as cli
-
-        register_stand("late_bench", build_minimal_bench)
-        try:
-            assert "late_bench" in cli.STAND_BUILDERS
-        finally:
-            unregister_stand("late_bench")
-        assert "late_bench" not in cli.STAND_BUILDERS
-
-    def test_cli_shims_reject_in_place_mutation(self):
-        import repro.cli as cli
-
-        # Old-style registration by dict assignment must fail loudly, not
-        # silently mutate a throwaway snapshot.
-        with pytest.raises(TypeError):
-            cli.STAND_BUILDERS["lab"] = build_minimal_bench
-        with pytest.raises(TypeError):
-            del cli.CAMPAIGN_TARGETS["wiper_ecu"]
-
-    def test_cli_private_helpers_still_work(self):
-        from repro.cli import CAMPAIGN_TARGETS, _campaign_stand_factory, _dut_registry
-
-        registry = _dut_registry()
-        assert sorted(registry) == list(ALL_DUTS)
-        harness = registry["wiper_ecu"]()
-        assert harness.ecu.name == "wiper_ecu"
-
-        locking = CAMPAIGN_TARGETS["central_locking_ecu"]
-        assert _campaign_stand_factory("paper", locking) is None
-        stand = _campaign_stand_factory("big_rack", locking)()
-        assert "KEY_SW" in {route.pin for route in stand.connections}
+class TestPublicExports:
+    """The public names of the package and its teststand layer resolve."""
 
     def test_teststand_exports_still_resolve(self):
         from repro.teststand import (  # noqa: F401

@@ -5,11 +5,11 @@ Covers the guarantees the VM fast path rests on:
 * property-style parity: every bundled DUT's full suite renders a
   byte-identical report with the VM on or off (wall time excluded), and
   campaign verdict tables agree on all four executor backends,
-* the peephole passes (guard fusing, wait merging, I/O batching) reduce
-  the op count without any verdict drift,
+* the peephole passes (guard fusing, I/O batching) reduce the op count
+  without any verdict drift,
 * self-distrust: a binding or prologue mismatch degrades the run to the
-  classic interpreter before anything executes, and the plan-cache stats
-  record the split (full-VM vs alloc-only vs degraded),
+  classic interpreter before anything executes,
+* either knob off (``use_plans`` or ``use_vm``) runs the classic walk,
 * prepared-operand safety: instruments without the ``prepared`` keyword
   never receive it.
 """
@@ -27,8 +27,9 @@ from repro.dut import InteriorLightEcu
 from repro.instruments import Dvm
 from repro.instruments.base import Instrument
 from repro.paper import interior_harness, paper_signal_set, paper_suite
-from repro.targets import get_dut, iter_duts
+from repro.targets import CampaignSpec, get_dut, iter_duts, run_campaign
 from repro.teststand import (
+    GLOBAL_PLAN_CACHE,
     Allocator,
     PlanCache,
     TestStandInterpreter,
@@ -44,7 +45,6 @@ from repro.teststand.vm import (
     VmOp,
     batch_io,
     fuse_guards,
-    merge_waits,
 )
 
 
@@ -117,21 +117,6 @@ class _StubAllocation:
 
 
 class TestPeephole:
-    def test_merge_waits_sums_and_keeps_emits(self):
-        emit = SignalAction("x", MethodCall("wait", {"t": "1"}))
-        ops = [
-            VmOp("WAIT", duration=1.0, emits=(emit,)),
-            VmOp("WAIT", duration=2.0, emits=(emit,)),
-            VmOp("END_STEP", number=0),
-            VmOp("WAIT", duration=0.5),
-        ]
-        merged = merge_waits(ops)
-        assert [op.code for op in merged] == ["WAIT", "END_STEP", "WAIT"]
-        assert merged[0].duration == pytest.approx(3.0)
-        assert merged[0].emits == (emit, emit)
-        # END_STEP is a barrier: the trailing settle stays separate.
-        assert merged[2].duration == pytest.approx(0.5)
-
     def test_batch_io_merges_same_resource_only(self):
         ops = [
             _io_op("SET", "r1", "A", "put_u"),
@@ -168,29 +153,26 @@ class TestPeephole:
         assert plan.program is not None, plan.vm_reason
         assert plan.program.raw_op_count > len(plan.program.ops)
 
-    def test_wait_merging_does_not_drift_verdicts(self):
-        """Two adjacent waits: merged by the VM, walked classically - the
-        reports (durations, per-action results) must still match."""
-        step = ScriptStep(0, 0.5, (
-            SignalAction("NIGHT", MethodCall("wait", {"t": "1"})),
-            SignalAction("NIGHT", MethodCall("wait", {"t": "2"})),
-        ))
-        script = TestScript("waits", "interior_light_ecu", [step])
+    def test_adjacent_waits_do_not_drift_verdicts(self):
+        """Two waits next to the step's settle: the VM's report (durations
+        to the last bit, per-action results) must match the classic walk's.
+        A summed clock advance would round 0.1 + (0.1 + 0.1 + 0.3)
+        differently from four advances."""
+        wait = SignalAction("NIGHT", MethodCall("wait", {"t": "0.1"}))
+        script = TestScript("waits", "interior_light_ecu", [
+            ScriptStep(0, 0.1), ScriptStep(1, 0.3, (wait, wait)),
+        ])
         reports = {}
         for use_vm in (True, False):
             cache = PlanCache()
-            interpreter = TestStandInterpreter(
-                build_paper_stand(), interior_harness(InteriorLightEcu()),
-                paper_signal_set(), plan_cache=cache, use_vm=use_vm,
-            )
-            interpreter.run(script)  # warm: first run compiles
             result = TestStandInterpreter(
                 build_paper_stand(), interior_harness(InteriorLightEcu()),
                 paper_signal_set(), plan_cache=cache, use_vm=use_vm,
             ).run(script)
-            reports[use_vm] = _strip_wall(text_report(result))
+            reports[use_vm] = json.loads(json_report(result))
+            reports[use_vm].pop("wall_time_s")
             if use_vm:
-                assert cache.stats.snapshot()["vm_runs"] >= 1
+                assert cache.stats.snapshot()["vm_runs"] == 1
         assert reports[True] == reports[False]
 
 
@@ -251,18 +233,16 @@ class TestVmDegrade:
         assert cursor.binding is None
         assert not cursor.validate({"ubatt": 12.0, "t": 0.0})
 
-    def test_stats_split_vm_vs_alloc_only(self):
-        script = _paper_script()
-        for use_vm, key in ((True, "vm_runs"), (False, "alloc_only_runs")):
-            cache = PlanCache()
-            for _ in range(2):
-                TestStandInterpreter(
-                    build_paper_stand(), interior_harness(InteriorLightEcu()),
-                    paper_signal_set(), plan_cache=cache, use_vm=use_vm,
-                ).run(script)
-            stats = cache.stats.snapshot()
-            assert stats[key] >= 1, stats
-            assert stats["vm_degraded"] == 0, stats
+    @pytest.mark.parametrize("knob", ("use_plans", "use_vm"))
+    def test_either_knob_off_runs_classic(self, knob):
+        """Each knob alone selects the classic walk, on a spec and thus on
+        every job and interpreter it builds."""
+        spec = CampaignSpec(dut="wiper_ecu", faults=("motor_stuck_off",),
+                            **{knob: False})
+        before = GLOBAL_PLAN_CACHE.stats.snapshot()["vm_runs"]
+        result = run_campaign(spec)
+        assert result.baseline_clean
+        assert GLOBAL_PLAN_CACHE.stats.snapshot()["vm_runs"] == before
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@
 """Perf trajectory harness: run the executor benchmarks, append to BENCH_executor.json.
 
 Every PR that touches the execution hot path should leave a data point
-behind.  This tool runs quick variants of the repository's six
+behind.  This tool runs quick variants of the repository's five
 executor-economics benchmarks -
 
-* **plan_cache** (the E4 family workload): the whole body-electronics
-  family campaigned serially, once with execution plans + stand reuse off
-  and once with them on - the compile-once-run-many headline number,
-* **vm** (PR 8): the same family workload, plan replay only vs. the
-  bytecode VM fast path riding on it,
+* **compiled** (A5): every campaignable target campaigned serially, once
+  on the classic reference walk (plans, VM and stand reuse off) and once
+  on the compiled path (bytecode VM over cached plans, pooled stands) -
+  the compile-once-run-many headline number,
 * **executor_scaling** (A3): one DUT campaign serial vs. a 4-worker
   thread pool,
 * **portability** (E1): the paper suite across all three bundled stands,
@@ -26,10 +25,9 @@ as one trajectory point - keyed by git SHA + measurement timestamp - to
 commits (schema 2: ``{"schema", "benchmark", "latest", "trajectory"}``,
 newest point last and mirrored under ``latest``; a legacy schema-1
 single-point file is migrated in place).  CI runs ``--quick`` on every
-push, uploads the file as an artifact and **fails when the plan-cached
-serial path is not faster than the uncached one, or the VM path not
-faster than plan replay alone** - the regressions this file exists to
-catch.
+push, uploads the file as an artifact and **fails when the compiled
+serial path is not faster than the classic reference** - the regression
+this file exists to catch.
 
 Usage::
 
@@ -60,6 +58,7 @@ from repro.targets import (                                       # noqa: E402
     CampaignSpec,
     build_campaign,
     campaignable_dut_names,
+    composition_names,
 )
 from repro.teststand import (                                     # noqa: E402
     GLOBAL_PLAN_CACHE,
@@ -113,92 +112,54 @@ def _best_of(fn, rounds: int) -> float:
     return best
 
 
-def bench_plan_cache(rounds: int) -> dict:
-    """E4 family workload: serial campaign execution, plans off vs. on."""
-    duts = campaignable_dut_names()
+def bench_compiled(rounds: int) -> dict:
+    """Every target, serial: the classic reference walk vs. the compiled path.
 
-    def _campaigns(use_plans: bool):
-        return [
-            build_campaign(CampaignSpec(
-                dut=dut, use_plans=use_plans, reuse_stands=use_plans,
-            ))
-            for dut in duts
-        ]
+    Campaigns are built once and reused across passes - rebuilding them
+    would create fresh script objects every pass and defeat the
+    identity-based caches both paths share, measuring an artifact instead
+    of the paths.  Passes interleave classic/compiled so a load spike on
+    the machine hits both alike.
+    """
+    def _campaigns(compiled: bool):
+        knobs = dict(use_plans=compiled, reuse_stands=compiled,
+                     use_vm=compiled)
+        specs = [CampaignSpec(dut=dut, **knobs)
+                 for dut in campaignable_dut_names()]
+        specs += [CampaignSpec(composition=name, **knobs)
+                  for name in composition_names()]
+        return [build_campaign(spec) for spec in specs]
 
     def _run(campaigns) -> None:
         for campaign, faults in campaigns:
             campaign.run(faults)
 
-    uncached_campaigns = _campaigns(False)
-    cached_campaigns = _campaigns(True)
+    classic_campaigns = _campaigns(False)
+    compiled_campaigns = _campaigns(True)
     jobs = sum(
         (1 + len(faults)) * len(campaign.scripts)
-        for campaign, faults in cached_campaigns
+        for campaign, faults in compiled_campaigns
     )
 
     GLOBAL_PLAN_CACHE.clear()
-    uncached = _best_of(lambda: _run(uncached_campaigns), rounds)
-    GLOBAL_PLAN_CACHE.clear()
-    _run(cached_campaigns)  # warm-up pass pays the plan compiles
-    cached = _best_of(lambda: _run(cached_campaigns), rounds)
-    stats = GLOBAL_PLAN_CACHE.stats.snapshot()
-
-    return {
-        "workload": f"{len(duts)} DUT family campaign, serial backend, {jobs} jobs/pass",
-        "uncached_s": round(uncached, 4),
-        "cached_s": round(cached, 4),
-        "speedup": round(uncached / cached, 2) if cached > 0 else None,
-        "plan_cache": stats,
-    }
-
-
-def bench_vm(rounds: int) -> dict:
-    """PR 8 workload: the family campaign, plan replay only vs. full VM.
-
-    Both paths run with plans and stand reuse on; the knob under test is
-    ``use_vm``.  Campaigns are built once and reused across passes -
-    rebuilding them would create fresh script objects every pass and
-    defeat the identity-based caches both paths share, measuring an
-    artifact instead of the VM.  Passes interleave vm-off/vm-on so a load
-    spike on the machine hits both paths alike.
-    """
-    duts = campaignable_dut_names()
-
-    def _campaigns(use_vm: bool):
-        return [
-            build_campaign(CampaignSpec(dut=dut, use_vm=use_vm))
-            for dut in duts
-        ]
-
-    def _run(campaigns) -> None:
-        for campaign, faults in campaigns:
-            campaign.run(faults)
-
-    plan_only_campaigns = _campaigns(False)
-    vm_campaigns = _campaigns(True)
-
-    GLOBAL_PLAN_CACHE.clear()
-    _run(plan_only_campaigns)  # warm: plan compiles
-    _run(vm_campaigns)         # warm: VM binds + prologue memos
-    plan_only = float("inf")
-    vm_wall = float("inf")
+    _run(compiled_campaigns)  # warm: plan and VM compiles, binds, memos
+    classic = float("inf")
+    compiled = float("inf")
     for _ in range(max(1, rounds)):
         start = time.perf_counter()
-        _run(plan_only_campaigns)
-        plan_only = min(plan_only, time.perf_counter() - start)
+        _run(classic_campaigns)
+        classic = min(classic, time.perf_counter() - start)
         start = time.perf_counter()
-        _run(vm_campaigns)
-        vm_wall = min(vm_wall, time.perf_counter() - start)
-    stats = GLOBAL_PLAN_CACHE.stats.snapshot()
+        _run(compiled_campaigns)
+        compiled = min(compiled, time.perf_counter() - start)
 
     return {
-        "workload": f"{len(duts)} DUT family campaign, serial backend, "
-                    f"plan replay vs bytecode VM",
-        "plan_only_s": round(plan_only, 4),
-        "vm_s": round(vm_wall, 4),
-        "speedup": round(plan_only / vm_wall, 2) if vm_wall > 0 else None,
-        "vm_runs": stats["vm_runs"],
-        "vm_degraded": stats["vm_degraded"],
+        "workload": f"{len(compiled_campaigns)} target campaigns, serial "
+                    f"backend, {jobs} jobs/pass",
+        "classic_s": round(classic, 4),
+        "compiled_s": round(compiled, 4),
+        "speedup": round(classic / compiled, 2) if compiled > 0 else None,
+        "plan_cache": GLOBAL_PLAN_CACHE.stats.snapshot(),
     }
 
 
@@ -324,8 +285,7 @@ def main(argv=None) -> int:
 
     try:
         workloads = {
-            "plan_cache": bench_plan_cache(rounds),
-            "vm": bench_vm(rounds),
+            "compiled": bench_compiled(rounds),
             "executor_scaling": bench_executor_scaling(rounds),
             "portability": bench_portability(rounds),
             "async_stands": bench_async_stands(
@@ -336,18 +296,14 @@ def main(argv=None) -> int:
         print(f"error: benchmark harness failed: {exc}", file=sys.stderr)
         return 2
 
-    plan = workloads["plan_cache"]
-    vm_point = workloads["vm"]
+    compiled = workloads["compiled"]
     gates = {
-        # The reason this file exists: the compiled-plan serial path must
-        # beat the uncached path, on every machine, on every commit.
+        # The reason this file exists: the compiled serial path must beat
+        # the classic reference walk, on every machine, on every commit.
         # Compared on the raw wall clocks - the rounded speedup can read
         # 1.0 for a path that is genuinely (barely) faster.
-        "plan_cache_faster_than_uncached": plan["cached_s"] < plan["uncached_s"],
-        # PR 8: the bytecode VM must beat the plan-replay-only path it
-        # rides on - a VM that is slower than what it replaced is a
-        # regression no matter what the parity tests say.
-        "vm_faster_than_plan_only": vm_point["vm_s"] < vm_point["plan_only_s"],
+        "compiled_faster_than_classic":
+            compiled["compiled_s"] < compiled["classic_s"],
         # Robustness PR: with no chaos policy installed, the resilience
         # hooks in the hot path must cost <= 2 % against the same campaign
         # running under an installed-but-inert policy.
@@ -384,10 +340,9 @@ def main(argv=None) -> int:
     print(f"wrote {output} ({len(trajectory)} trajectory point(s), "
           f"latest {point['git_sha'][:12] if point['git_sha'] else 'unknown'} "
           f"@ {point['measured_at_unix']})")
-    print(f"  plan cache      : {plan['uncached_s']:.3f} s uncached -> "
-          f"{plan['cached_s']:.3f} s cached ({plan['speedup']}x)")
-    print(f"  bytecode vm     : {vm_point['plan_only_s']:.3f} s plan replay -> "
-          f"{vm_point['vm_s']:.3f} s VM ({vm_point['speedup']}x)")
+    print(f"  compiled path   : {compiled['classic_s']:.3f} s classic -> "
+          f"{compiled['compiled_s']:.3f} s compiled "
+          f"({compiled['speedup']}x)")
     print(f"  executor scaling: {workloads['executor_scaling']['speedup']}x "
           f"with 4 threads")
     print(f"  portability     : {workloads['portability']['wall_s']:.3f} s "

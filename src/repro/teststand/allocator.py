@@ -93,7 +93,8 @@ class Allocator:
         self._held_terminals: dict[tuple[str, str], str] = {}
         # mux group -> (channel label, signal key) currently selected.
         self._mux_selection: dict[str, tuple[str, str]] = {}
-        # statistics
+        # statistics: ``attempts`` / ``failures`` count searches; the VM's
+        # compiled allocations skip the search and book through _register.
         self._allocation_counts: dict[str, int] = {}
         self.attempts = 0
         self.failures = 0

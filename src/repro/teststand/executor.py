@@ -39,9 +39,10 @@ accept any callable.  The ``async`` backend is the odd one out in worker
 economics: it runs every job on *one* worker, but each job's instrument I/O
 is awaitable (:meth:`~repro.teststand.interpreter.TestStandInterpreter.arun`
 awaits the run's generator core through
-:func:`~repro.instruments.base.adrive`), so one event loop multiplexes up to ``concurrency`` slow stands — wall clock on
-latency-simulated stands stays roughly flat with stand count while the
-serial backend scales linearly (benchmark A4).
+:func:`~repro.instruments.base.adrive`), so one event loop multiplexes up
+to ``concurrency`` slow stands — wall clock on latency-simulated stands
+stays roughly flat with stand count while the serial backend scales
+linearly (benchmark A4).
 """
 
 from __future__ import annotations

@@ -310,8 +310,8 @@ class TestStandInterpreter:
         # Transient infrastructure failures (flaky instrument I/O, chaos
         # injections) must reach the executor's retry layer, not become an
         # ERROR verdict: a retried job's verdicts then match a clean run.
-        # (asyncio.CancelledError derives from BaseException, so task
-        # cancellation propagates too.)
+        # (A cancelled task's driver closes this core: the GeneratorExit
+        # raised at the yield is no Exception, so it unwinds untouched.)
         except TransientError:
             raise
         except Exception as exc:  # instrument, harness and model errors

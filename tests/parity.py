@@ -3,9 +3,10 @@
 The repository's central determinism contract: the campaign verdict table
 on stdout is byte-identical no matter which execution backend runs the
 jobs, and whether the compiled path (plans, bytecode VM, pooled stands) or
-the classic per-action reference walk serves the runs.  ``test_parity_matrix.py`` asserts that contract for every
-registered campaignable target - each bundled DUT and each multi-ECU
-composition - in one place; the per-feature test modules
+the classic per-action reference walk serves the runs.
+``test_parity_matrix.py`` asserts that contract for every registered
+campaignable target - each bundled DUT and each multi-ECU composition - in
+one place; the per-feature test modules
 (``test_executor``, ``test_async_executor``, ``test_plan``, ``test_vm``)
 keep only their feature-specific assertions.
 """

@@ -442,8 +442,8 @@ def test_blocking_execute_scan_understands_function_scopes():
 
 
 def test_family_x_negative_on_bundled_tree():
-    # in particular: the interpreter's sync run() path uses execute() and
-    # its arun() path uses aexecute() - neither may be flagged
+    # in particular: the interpreter's arun() awaits its generator core
+    # through adrive() and never calls a blocking execute() - not flagged
     report = run_lint(rules=[r.id for r in ALL_RULES if r.id.startswith("X-")])
     assert report.findings == ()
 

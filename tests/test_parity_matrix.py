@@ -10,9 +10,9 @@ campaign verdict table is byte-identical across
 all three off, so every action takes the reference walk's full allocator
 search.  The reference cell is the serial backend on the compiled path -
 the exact configuration ``repro-campaign`` defaults to - computed once
-per target and compared against every other cell.  This module consolidates the
-byte-identity assertions that previously lived in ``test_executor``,
-``test_async_executor``, ``test_plan`` and ``test_vm``.
+per target and compared against every other cell.  This module
+consolidates the byte-identity assertions that previously lived in
+``test_executor``, ``test_async_executor``, ``test_plan`` and ``test_vm``.
 """
 
 from __future__ import annotations

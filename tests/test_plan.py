@@ -4,7 +4,7 @@ Covers the four guarantees the compiled path rests on:
 
 * verdict tables are byte-identical with plans on or off, on every backend,
 * the plan cache is keyed by stand *topology*, so a changed stand never
-  replays a stale plan,
+  runs a stale plan,
 * a pooled, :meth:`~repro.teststand.stands.TestStand.reset` stand behaves
   exactly like a fresh one (same job twice on one stand -> same results),
 * the new input validation rejects nonsense knobs loudly.

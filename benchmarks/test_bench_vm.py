@@ -67,7 +67,7 @@ def _measure(classic_campaigns, compiled_campaigns) -> tuple[float, float]:
     return classic, compiled
 
 
-def test_compiled_vs_classic_campaigns(benchmark, print_block):
+def test_vm_family_campaign(benchmark, print_block):
     classic_campaigns = _campaigns(False)
     compiled_campaigns = _campaigns(True)
 

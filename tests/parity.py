@@ -3,10 +3,10 @@
 The repository's central determinism contract: the campaign verdict table
 on stdout is byte-identical no matter which execution backend runs the
 jobs, and whether the compiled path (plans, bytecode VM, pooled stands) or
-the classic per-action reference walk serves the runs.
-``test_parity_matrix.py`` asserts that contract for every registered
-campaignable target - each bundled DUT and each multi-ECU composition - in
-one place; the per-feature test modules
+the classic per-action reference walk serves the runs - whichever knob, or
+both, turned the compiled path off.  ``test_parity_matrix.py`` asserts
+that contract for every registered campaignable target - each bundled DUT
+and each multi-ECU composition - in one place; the per-feature test modules
 (``test_executor``, ``test_async_executor``, ``test_plan``, ``test_vm``)
 keep only their feature-specific assertions.
 """
@@ -58,7 +58,7 @@ def parity_faults(catalogue) -> tuple[str, ...]:
 
     Parity is about execution infrastructure, not catalogue coverage, so
     two faults (plus the implicit healthy baseline) are enough signal per
-    cell - the full matrix is |targets| x 4 backends x 2 modes campaigns.
+    cell - the full matrix is |targets| x 4 backends x 2 x 2 campaigns.
     """
     names = catalogue.names
     if len(names) <= 2:
@@ -72,12 +72,15 @@ def spec_for(
     jobs: int = 1,
     concurrency: int = 0,
     *,
-    compiled: bool = True,
+    use_plans: bool = True,
+    use_vm: bool = True,
 ) -> CampaignSpec:
     """A bounded campaign spec for one cell of the parity matrix.
 
-    ``compiled`` picks the execution mode: plans, VM and stand reuse all
-    on (what ``repro-campaign`` runs), or all off - the classic reference.
+    Both knobs on is the compiled path (what ``repro-campaign`` runs);
+    either one off selects the classic reference walk.  ``use_plans`` also
+    toggles stand reuse, so the classic walk runs on pooled stands in one
+    cell and on fresh ones in the other two.
     """
     if target in composition_names():
         catalogue = get_composition(target).faults_factory()
@@ -90,9 +93,9 @@ def spec_for(
         backend=backend,
         jobs=jobs,
         concurrency=concurrency,
-        use_plans=compiled,
-        reuse_stands=compiled,
-        use_vm=compiled,
+        use_plans=use_plans,
+        reuse_stands=use_plans,
+        use_vm=use_vm,
         **which,
     )
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import asyncio
 import math
 
 import pytest
 
-from repro.core.errors import CapabilityError, InstrumentError
+from repro.core.errors import CapabilityError, InstrumentError, InstrumentIOError
 from repro.core.script import MethodCall
 from repro.core.signals import Signal, SignalDirection, SignalKind
 from repro.instruments import (
@@ -20,6 +21,8 @@ from repro.instruments import (
     ResistorDecade,
     SignalGenerator,
 )
+from repro.instruments import base as instruments_base
+from repro.instruments.base import adrive, drive
 
 INT_ILL = Signal("INT_ILL", SignalDirection.OUTPUT, SignalKind.ANALOG,
                  pins=("INT_ILL_F", "INT_ILL_R"))
@@ -210,3 +213,103 @@ class TestCanInterface:
     def test_is_bus_interface_flag(self):
         assert CanInterface("can").is_bus_interface
         assert not Dvm("dvm").is_bus_interface
+
+
+# ---------------------------------------------------------------------------
+# The two drivers of every generator core
+# ---------------------------------------------------------------------------
+
+def _core(log, waits=(0.25, 0.5), result="done", error=None):
+    """A generator core that logs each wait it yields and its own unwinding."""
+    try:
+        for seconds in waits:
+            log.append(seconds)
+            yield seconds
+        if error is not None:
+            raise error
+        return result
+    finally:
+        log.append("closed")
+
+
+class TestDrivers:
+    def test_drive_sleeps_through_each_wait(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(instruments_base.time, "sleep", slept.append)
+        log = []
+        assert drive(_core(log)) == "done"
+        assert slept == [0.25, 0.5]
+        assert log == [0.25, 0.5, "closed"]
+
+    def test_adrive_awaits_each_wait(self, monkeypatch):
+        real_sleep = asyncio.sleep
+        awaited = []
+
+        async def recording_sleep(seconds):
+            awaited.append(seconds)
+            await real_sleep(0)
+
+        monkeypatch.setattr(instruments_base.asyncio, "sleep", recording_sleep)
+        log = []
+        assert asyncio.run(adrive(_core(log))) == "done"
+        assert awaited == [0.25, 0.5]
+        assert log == [0.25, 0.5, "closed"]
+
+    def test_core_errors_reach_the_caller_of_either_driver(self):
+        """A transient instrument fault raised inside a core is what the
+        retry layer classifies, so both drivers must let it through as is."""
+        for run in (drive, lambda core: asyncio.run(adrive(core))):
+            log = []
+            with pytest.raises(InstrumentIOError, match="flaky"):
+                run(_core(log, waits=(0.0,), error=InstrumentIOError("flaky")))
+            assert log == [0.0, "closed"]
+
+    def test_interrupted_sleep_unwinds_the_core_at_its_yield(self, monkeypatch):
+        def interrupted(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(instruments_base.time, "sleep", interrupted)
+        log = []
+        with pytest.raises(KeyboardInterrupt) as interrupted:
+            drive(_core(log))
+        # The core stopped at its first wait and ran its cleanup at once,
+        # not when the traceback that still holds it is freed.
+        assert log == [0.25, "closed"]
+        assert interrupted.traceback
+
+    def test_cancelled_adrive_unwinds_the_core_at_its_yield(self):
+        log = []
+
+        async def cancel_mid_wait():
+            task = asyncio.ensure_future(adrive(_core(log, waits=(30.0,))))
+            while not log:
+                await asyncio.sleep(0)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError) as cancelled:
+                await task
+            # Unwound at the cancelled await, while the task and its
+            # traceback still hold the core.
+            assert log == [30.0, "closed"]
+            assert cancelled.traceback
+
+        asyncio.run(asyncio.wait_for(cancel_mid_wait(), timeout=5))
+
+    def test_execute_and_aexecute_pay_io_delay_once_per_call(
+            self, harness, monkeypatch):
+        real_sleep = asyncio.sleep
+        slept, awaited = [], []
+
+        async def recording_sleep(seconds):
+            awaited.append(seconds)
+            await real_sleep(0)
+
+        monkeypatch.setattr(instruments_base.time, "sleep", slept.append)
+        monkeypatch.setattr(instruments_base.asyncio, "sleep", recording_sleep)
+        dvm = Dvm("DVM1", io_delay=0.01)
+        args = (MethodCall("get_u", {"u_min": "0", "u_max": "1"}), INT_ILL,
+                ("INT_ILL_F", "INT_ILL_R"), harness, {"ubatt": 12})
+        blocking = dvm.execute(*args)
+        awaited_outcome = asyncio.run(dvm.aexecute(*args))
+        assert slept == awaited == [0.01]
+        assert blocking == awaited_outcome
+        assert blocking.passed

@@ -4,15 +4,19 @@ One test asserts the whole determinism contract: for every campaignable
 registered target (all bundled DUTs plus every multi-ECU composition) the
 campaign verdict table is byte-identical across
 
-    {serial, thread, process, async} x {compiled, classic}.
+    {serial, thread, process, async} x {plans on, off} x {vm on, off}.
 
-*compiled* runs plans, the bytecode VM and pooled stands; *classic* turns
-all three off, so every action takes the reference walk's full allocator
-search.  The reference cell is the serial backend on the compiled path -
-the exact configuration ``repro-campaign`` defaults to - computed once
-per target and compared against every other cell.  This module
-consolidates the byte-identity assertions that previously lived in
-``test_executor``, ``test_async_executor``, ``test_plan`` and ``test_vm``.
+Plans and VM both on is the compiled path (with pooled stands, which
+travel with plans); either knob off selects the classic reference walk,
+where every action takes the allocator's full search.  So each backend
+runs one compiled cell and three classic ones: reached through each knob
+alone and through both, on pooled stands and on fresh ones - the cells
+that carry each knob by itself through every backend's workers.  The
+reference cell is the serial backend on the compiled path - the exact
+configuration ``repro-campaign`` defaults to - computed once per target
+and compared against every other cell.  This module consolidates the
+byte-identity assertions that previously lived in ``test_executor``,
+``test_async_executor``, ``test_plan`` and ``test_vm``.
 """
 
 from __future__ import annotations
@@ -61,14 +65,16 @@ class TestRegistry:
 
 
 class TestParityMatrix:
-    @pytest.mark.parametrize("compiled", (True, False),
-                             ids=("compiled", "classic"))
+    @pytest.mark.parametrize("use_vm", (True, False), ids=("vm", "novm"))
+    @pytest.mark.parametrize("use_plans", (True, False),
+                             ids=("plans", "noplans"))
     @pytest.mark.parametrize("backend,jobs,concurrency", BACKENDS,
                              ids=[b[0] for b in BACKENDS])
     @pytest.mark.parametrize("target", TARGETS)
     def test_verdict_tables_byte_identical(self, target, backend, jobs,
-                                           concurrency, compiled):
-        spec = spec_for(target, backend, jobs, concurrency, compiled=compiled)
+                                           concurrency, use_plans, use_vm):
+        spec = spec_for(target, backend, jobs, concurrency,
+                        use_plans=use_plans, use_vm=use_vm)
         assert verdict_tables(spec) == reference(target)
 
 

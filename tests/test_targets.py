@@ -393,8 +393,11 @@ class TestRunCampaign:
         assert result.detected == ("motor_stuck_off",)
 
 
-class TestPublicExports:
-    """The public names of the package and its teststand layer resolve."""
+class TestDeprecatedShims:
+    """Pre-registry public names must keep resolving (CAMPAIGN_TARGETS era).
+
+    The CLI's registry-view shims of that era are gone; the package and
+    teststand exports that code of the time imported are not."""
 
     def test_teststand_exports_still_resolve(self):
         from repro.teststand import (  # noqa: F401

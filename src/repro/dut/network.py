@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.errors import HarnessError
 
 __all__ = ["Network", "GROUND"]
@@ -31,8 +29,10 @@ def _solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     """Gaussian elimination with partial pivoting, in place.
 
     Deterministic (fixed pivot choice) and exact enough for the DC
-    networks at hand; raises :class:`HarnessError` on a singular system,
-    mirroring the numpy fallback.
+    networks at hand; raises :class:`HarnessError` on a singular system.
+    At component-test scale (a dozen-ish unknowns) the interpreter solves
+    thousands of these per campaign, so plain lists beat any array
+    library's per-call overhead.
     """
     size = len(rhs)
     for column in range(size):
@@ -137,14 +137,6 @@ class Network:
 
     # -- solving --------------------------------------------------------------
 
-    #: Systems up to this size are solved by the pure-Python elimination:
-    #: at component-test scale (a dozen-ish nodes) the interpreter solves
-    #: thousands of these per campaign, and numpy's per-call overhead
-    #: (array allocation, dispatch, scalar indexing for the stamps) costs
-    #: more than the arithmetic it vectorises.  Larger systems fall back
-    #: to ``numpy.linalg.solve``.
-    _DENSE_FALLBACK_SIZE = 32
-
     def solve(self) -> dict[str, float]:
         """Solve the network; returns node name -> voltage (ground = 0)."""
         node_count = len(self._nodes)
@@ -193,17 +185,10 @@ class Network:
                 matrix[row][n] -= 1.0
             rhs[row] = source.volts
 
-        if size <= self._DENSE_FALLBACK_SIZE:
-            solution = _solve_dense(matrix, rhs)
-        else:
-            try:
-                solution = np.linalg.solve(np.asarray(matrix), np.asarray(rhs))
-            except np.linalg.LinAlgError as exc:
-                raise HarnessError(f"electrical network is singular: {exc}") from exc
-
+        solution = _solve_dense(matrix, rhs)
         voltages = {GROUND: 0.0}
         for name, position in self._nodes.items():
-            voltages[name] = float(solution[position])
+            voltages[name] = solution[position]
         return voltages
 
     def voltage_between(self, node_a: str, node_b: str = GROUND) -> float:

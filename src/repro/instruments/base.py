@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -168,6 +169,23 @@ class Instrument(abc.ABC):
     TERMINALS: tuple[str, ...] = ("a",)
     #: Whether the instrument attaches to the bus instead of discrete pins.
     IS_BUS_INTERFACE: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        """Reject a subclass whose own ``_perform`` cannot take ``prepared``.
+
+        The bytecode VM passes the keyword on every call; checking at class
+        definition makes a missing keyword fail loudly there instead of on
+        the first VM-served run.
+        """
+        super().__init_subclass__(**kwargs)
+        perform = cls.__dict__.get("_perform")
+        if perform is None:
+            return
+        if "prepared" not in inspect.signature(perform).parameters:
+            raise TypeError(
+                f"{cls.__qualname__}._perform must accept the keyword "
+                f"argument 'prepared' (see Instrument._perform)"
+            )
 
     def __init__(self, name: str, *, io_delay: float = 0.0):
         if not str(name).strip():
@@ -313,9 +331,10 @@ class Instrument(abc.ABC):
         place of their own :func:`~repro.methods.base.evaluate_call_parameter`
         / :func:`~repro.methods.base.limits_for_call` result - the values
         are computed by those same helpers, so verdicts are byte-identical
-        - and fall back to self-evaluation otherwise.  Subclasses without
-        the keyword keep working: the VM probes the signature and simply
-        never passes it.
+        - and fall back to self-evaluation otherwise.  Every subclass must
+        take the keyword: the VM passes it on each call, and a subclass
+        whose ``_perform`` lacks it raises :class:`TypeError` when the
+        class is defined.
         """
 
     def __repr__(self) -> str:

@@ -24,7 +24,9 @@ import pickle
 import textwrap
 
 from ..core.compiler import Compiler
-from ..teststand.plan import compile_plan, script_fingerprint, stand_fingerprint
+from ..core.errors import AllocationError
+from ..teststand import vm
+from ..teststand.plan import script_fingerprint, stand_fingerprint
 from .context import LintContext
 from .findings import ERROR, WARNING, LintRule
 
@@ -149,7 +151,7 @@ def blocking_execute_calls(source: str) -> tuple[tuple[int, str], ...]:
 def check_blocking_execute(context: LintContext, rule: LintRule):
     """Blocking instrument calls reachable from the async run path."""
     from ..instruments import base as instruments_base
-    from ..teststand import executor, interpreter, vm
+    from ..teststand import executor, interpreter
 
     for module in (interpreter, executor, vm, instruments_base):
         try:
@@ -307,12 +309,12 @@ def check_uncompilable_script(context: LintContext, rule: LintRule):
     """(sheet x stand) pairs the bytecode VM cannot compile.
 
     Compiles every registered combination pre-flight exactly the way the
-    plan cache would on first run.  A combination whose plan carries no
-    ``program`` silently takes the classic interpreter on every run - the
-    campaign still produces correct verdicts, but the ``--vm`` speedup the
-    operator asked for never materialises.  Only pairs the stand can
-    actually serve are judged: a stand missing the sheet's methods is
-    R-UNSERVABLE-STEP territory, not a VM gap.
+    plan cache would on first run.  A combination the VM cannot compile
+    silently takes the classic interpreter on every run - the campaign
+    still produces correct verdicts, but the ``--vm`` speedup the operator
+    asked for never materialises.  Only pairs the stand can actually serve
+    are judged: a stand missing the sheet's methods, or a step no resource
+    can be allocated for, is R-UNSERVABLE-STEP territory, not a VM gap.
     """
     for dut in context.duts:
         try:
@@ -328,22 +330,22 @@ def check_uncompilable_script(context: LintContext, rule: LintRule):
                 if instance is None:
                     continue
                 try:
-                    plan = compile_plan(
+                    vm.compile_program(
                         script, signals, instance,
                         policy="first_fit", registry=context.registry,
                         variables=context.stand_variables(instance),
                     )
-                except Exception as exc:
-                    reason = f"plan compilation raised {exc!r}"
-                else:
-                    if plan.program is not None:
-                        continue
-                    if any(entry.kind == "fail" for entry in plan.entries):
+                except vm.VmCompileError as exc:
+                    if isinstance(exc.__cause__, AllocationError):
                         # The combination errors identically on the classic
                         # path - that is R-UNSERVABLE-STEP territory, not a
                         # VM expressibility gap.
                         continue
-                    reason = plan.vm_reason or "no reason recorded"
+                    reason = f"{exc.op}: {exc.reason}"
+                except Exception as exc:
+                    reason = f"plan compilation raised {exc!r}"
+                else:
+                    continue
                 yield rule.finding(
                     f"sheet:{script.name} stand:{target.name}",
                     f"the bytecode VM cannot compile this sheet for stand "

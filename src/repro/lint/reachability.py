@@ -1,7 +1,7 @@
 """Rule family R: reachability and dead-step analysis.
 
 These rules replay the exact allocation walk that
-:func:`repro.teststand.plan.compile_plan` performs - setup actions first,
+:func:`repro.teststand.vm.compile_program` performs - setup actions first,
 then per step stimuli before expectations, open circuits released instead
 of allocated - against a *simulated* allocator for every stand that could
 physically carry the DUT.  An action that no registered stand can serve is
@@ -47,10 +47,10 @@ class _ActionFailure:
 
 
 def _walk_stand(script: TestScript, signals, stand, registry, variables):
-    """Replay the plan compiler's allocation walk on one stand.
+    """Replay the VM compiler's allocation walk on one stand.
 
     Returns the list of :class:`_ActionFailure` for actions the stand's
-    allocator rejects.  Mirrors :func:`repro.teststand.plan.compile_plan`
+    allocator rejects.  Mirrors :func:`repro.teststand.vm.compile_program`
     action for action: unknown signals and ``wait`` are skipped, open
     circuits release the signal's allocation instead of requesting one.
     *variables* is the interpreter environment the stand would provide

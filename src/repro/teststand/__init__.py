@@ -8,13 +8,12 @@ many latency-simulated stands from one worker by awaiting instrument I/O
 (:meth:`TestStandInterpreter.arun` / :func:`aexecute_job`).
 
 Execution is compile-once-run-many: :mod:`repro.teststand.plan` caches the
-pre-resolved allocation sequence per (script x stand-topology x policy x
-variables) in :data:`GLOBAL_PLAN_CACHE` - and, since the plan carries a
-compiled :class:`~repro.teststand.vm.VmProgram`, the whole measurement
-loop executes as a flat bytecode stream (:mod:`repro.teststand.vm`) -
-workers reuse pooled stands between jobs, and the process backend
-dispatches jobs in chunks - all verdict-neutral fast paths (see
-``docs/performance.md`` and ``docs/execution-vm.md``).
+compiled :class:`~repro.teststand.vm.VmProgram` per (script x
+stand-topology x policy x variables) in :data:`GLOBAL_PLAN_CACHE`, so the
+whole measurement loop executes as a flat bytecode stream
+(:mod:`repro.teststand.vm`) - workers reuse pooled stands between jobs,
+and the process backend dispatches jobs in chunks - all verdict-neutral
+fast paths (see ``docs/performance.md`` and ``docs/execution-vm.md``).
 """
 
 from .allocator import ALLOCATION_POLICIES, Allocation, Allocator

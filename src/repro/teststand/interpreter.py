@@ -206,7 +206,7 @@ class TestStandInterpreter:
     def _split_step(
         self, step: ScriptStep
     ) -> tuple[tuple[SignalAction, ...], tuple[SignalAction, ...]]:
-        """Stimuli before expectations, as the plan compiler splits them.
+        """Stimuli before expectations, as the VM compiler splits them.
 
         The split depends only on (step, registry), so it is memoised on
         the step object - campaign runs walk the same steps thousands of
@@ -284,7 +284,7 @@ class TestStandInterpreter:
             # door in its "Closed" status is an open contact; the cheapest
             # (and physically most faithful) realisation is to not connect
             # any resource at all, which also frees the resistor decade for
-            # other door signals.  The plan compiler makes the same
+            # other door signals.  The VM compiler makes the same
             # decision and applies the same release.
             self.allocator.release(signal.key)
             for pin in signal.pins:

@@ -11,12 +11,11 @@ though the search result depends only on
 * the stand variables the limit expressions reference (``ubatt`` ...),
 
 none of which change between the runs of a campaign.  An
-:class:`ExecutionPlan` therefore pre-resolves the whole allocation sequence
-of one (script x stand-topology x policy x variables) combination exactly
-once, and that sequence is the input the bytecode VM compiles
-(:func:`repro.teststand.vm.compile_program`) into the flat instruction
-stream every later run executes.  The entries also feed the lint rules
-that reason about allocation.  The VM re-checks what a run could change
+:class:`ExecutionPlan` therefore carries the compiled VM program of one
+(script x stand-topology x policy x variables) combination: the bytecode
+VM (:func:`repro.teststand.vm.compile_program`) runs the whole allocation
+sequence once, in the same walk that emits the flat instruction stream
+every later run executes.  The VM re-checks what a run could change
 before it executes anything, and degrades the whole run to the classic
 interpreter on any mismatch, so the verdict table is byte-identical with
 plans on or off.
@@ -34,10 +33,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from ..core.errors import AllocationError
 from ..core.script import SignalAction, TestScript
 from ..core.signals import Signal, SignalSet
 from ..methods import (
@@ -46,12 +43,10 @@ from ..methods import (
     evaluate_call_parameter,
     limits_for_call,
 )
-from .allocator import Allocation, Allocator
 from .stands import TestStand
 from . import vm
 
 __all__ = [
-    "PlanEntry",
     "ExecutionPlan",
     "PlanCacheStats",
     "PlanCache",
@@ -75,7 +70,7 @@ def action_is_measurement(registry: MethodRegistry, method: str) -> bool:
 
     The registry decides where it can; unknown methods fall back to the
     ``get_*`` naming convention, mirroring what the interpreter has always
-    done.  Plan compilation and the interpreter's step split must agree on
+    done.  The VM compiler and the interpreter's step split must agree on
     this, otherwise a compiled allocation sequence would drift.
     """
     if method in registry:
@@ -89,8 +84,8 @@ def open_circuit_requested(
     """Whether the interpreter will realise this action as an open circuit.
 
     ``put_r r="INF"`` with an unbounded acceptance window never reaches the
-    allocator - the pin is simply disconnected.  The plan compiler must make
-    the same call (and apply the same release) to keep its simulated
+    allocator - the pin is simply disconnected.  The VM compiler must make
+    the same call (and apply the same release) to keep its scratch
     allocator state in lock-step with the real run.
     """
     if action.method.lower() != "put_r" or signal.is_bus:
@@ -108,7 +103,7 @@ def open_circuit_requested(
 def open_circuit_outcome(action: SignalAction, signal: Signal) -> MethodOutcome:
     """The PASS outcome of an open-circuit realisation.
 
-    Single source for the plan compiler and the interpreter's classic walk:
+    Single source for the VM compiler and the interpreter's classic walk:
     compiled and freshly-decided open circuits must render byte-identically
     in reports, so the literal lives in exactly one place.
     """
@@ -119,27 +114,6 @@ def open_circuit_outcome(action: SignalAction, signal: Signal) -> MethodOutcome:
         unit="Ohm",
         detail=f"realised as open circuit at {'/'.join(signal.pins)}",
     )
-
-
-def allocation_sequence(
-    script: TestScript, registry: MethodRegistry
-) -> Iterator[SignalAction]:
-    """Actions in the exact order the interpreter performs them.
-
-    Setup actions first, then per step all stimuli followed by all
-    expectations - the paper's execution convention.  ``stop_on_error``
-    truncation only ever cuts a suffix off this sequence, so a plan compiled
-    over the full sequence stays aligned with any aborted run.
-    """
-    yield from script.setup
-    for step in script.steps:
-        expectations = []
-        for action in step.actions:
-            if action_is_measurement(registry, action.method):
-                expectations.append(action)
-            else:
-                yield action
-        yield from expectations
 
 
 # ---------------------------------------------------------------------------
@@ -336,67 +310,24 @@ def registry_fingerprint(registry: MethodRegistry) -> "_HashedKey":
 # The plan itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One pre-resolved action of the allocation sequence.
-
-    ``kind`` says how the action resolves:
-
-    ``"alloc"``
-        a successful allocation - ``allocation`` carries the resource and
-        routes, ``window`` the pre-evaluated capability window of the
-        planned resource (``(capability, nominal, acceptance)`` as produced
-        by :meth:`~repro.teststand.allocator.Allocator.capability_window`,
-        or ``None`` when the call carries nothing to range-check).  The VM
-        re-checks ``capability.can_serve`` against it when it binds a
-        program to a stand; the endpoint evaluation itself happened at
-        compile time, which is sound because the variables it depends on
-        are part of the plan-cache key.
-    ``"open"``
-        a ``put_r r="INF"`` realised as an open circuit - ``outcome`` is
-        the ready-made (immutable) PASS outcome, so the run skips the
-        per-action limit evaluation entirely.
-    ``"fail"``
-        the search failed at compile time.  The VM refuses to compile such
-        a plan, so every run takes the classic walk and reports the
-        allocation ERROR itself; the entry still occupies its slot so the
-        sequence stays aligned with the script.
-    """
-
-    signal_key: str
-    method_key: str
-    kind: str = "alloc"
-    allocation: Allocation | None = None
-    window: tuple | None = None
-    outcome: object | None = None
-
-
 class ExecutionPlan:
-    """The pre-resolved execution of one (script x stand x policy).
+    """The compiled execution of one (script x stand x policy x variables).
 
-    ``entries`` is the allocation sequence, the VM compiler's input;
     ``program`` is the compiled VM instruction stream of the whole
     measurement loop (see :mod:`repro.teststand.vm`), or ``None`` when the
     combination is not VM-expressible - ``vm_reason`` then names the
-    failing op and why (surfaced by the ``X-UNCOMPILABLE-SCRIPT`` lint
-    rule) and every run takes the classic walk.
+    failing op and why, and every run takes the classic walk.
     """
 
-    __slots__ = ("entries", "key", "program", "vm_reason")
+    __slots__ = ("key", "program", "vm_reason")
 
-    def __init__(self, entries: tuple[PlanEntry, ...], key: tuple = (), *,
-                 program=None, vm_reason: str = ""):
-        self.entries = tuple(entries)
+    def __init__(self, key: tuple = (), *, program=None, vm_reason: str = ""):
         self.key = key
         self.program = program
         self.vm_reason = vm_reason
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __repr__(self) -> str:
-        vm = "vm" if self.program is not None else "no-vm"
-        return f"ExecutionPlan(entries={len(self.entries)}, {vm})"
+        return f"ExecutionPlan({'vm' if self.program is not None else 'no-vm'})"
 
 
 def compile_plan(
@@ -409,67 +340,22 @@ def compile_plan(
     variables: Mapping[str, float],
     key: tuple = (),
 ) -> ExecutionPlan:
-    """Resolve the whole allocation sequence of *script* on *stand* once.
+    """Compile *script* on *stand* into a cacheable :class:`ExecutionPlan`.
 
-    Runs the interpreter's exact allocator visit order against a scratch
-    :class:`~repro.teststand.allocator.Allocator` (same policy, same
-    registry, same variables) and records each resulting
-    :class:`~repro.teststand.allocator.Allocation`.  Failed searches are
-    recorded as ``"fail"`` slots; open-circuit realisations apply the same
-    release they apply at run time so the simulated hold state stays in
-    lock-step.
-
-    The recorded entries then feed the VM compiler
-    (:func:`repro.teststand.vm.compile_program`): when the whole
-    measurement loop is expressible as a flat instruction stream, the plan
-    carries the compiled ``program``; otherwise ``vm_reason`` records the
-    failing op and every run of the combination takes the classic path.
+    The one compile pass is :func:`repro.teststand.vm.compile_program`:
+    when the whole measurement loop is expressible as a flat instruction
+    stream, the plan carries the compiled ``program``; otherwise
+    ``vm_reason`` records the failing op and every run of the combination
+    takes the classic path.
     """
-    allocator = Allocator(
-        stand.resources, stand.connections, policy=policy, registry=registry
-    )
-    entries: list[PlanEntry] = []
-    for action in allocation_sequence(script, registry):
-        try:
-            signal = signals.get(action.signal)
-        except Exception:
-            continue  # the run errors before reaching the allocator
-        method_key = action.method.lower()
-        if method_key == "wait":
-            continue  # served by the interpreter without a resource
-        if open_circuit_requested(action, signal, variables):
-            allocator.release(signal.key)
-            entries.append(PlanEntry(
-                signal.key, method_key, kind="open",
-                outcome=open_circuit_outcome(action, signal),
-            ))
-            continue
-        try:
-            allocation = allocator.allocate(signal, action.call, variables)
-        except AllocationError:
-            entries.append(PlanEntry(signal.key, method_key, kind="fail"))
-            continue
-        resource = stand.resources.get(allocation.resource)
-        window = allocator.capability_window(resource, action.call, variables)
-        entries.append(PlanEntry(
-            signal.key, method_key, kind="alloc",
-            allocation=allocation, window=window,
-        ))
-
-    program = None
-    vm_reason = ""
     try:
         program = vm.compile_program(
             script, signals, stand,
-            registry=registry, variables=variables,
-            entries=entries, key=key,
+            policy=policy, registry=registry, variables=variables, key=key,
         )
     except vm.VmCompileError as exc:
-        vm_reason = f"{exc.op}: {exc.reason}"
-    except Exception as exc:  # noqa: BLE001 - never fail the plan for the VM
-        vm_reason = f"compiler error: {exc}"
-    return ExecutionPlan(tuple(entries), key, program=program,
-                         vm_reason=vm_reason)
+        return ExecutionPlan(key, vm_reason=f"{exc.op}: {exc.reason}")
+    return ExecutionPlan(key, program=program)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +447,8 @@ class PlanCache:
     ) -> ExecutionPlan:
         """The cached plan for this combination, compiling it on first use.
 
-        A compile failure of any kind caches an *empty* plan: it carries no
-        program, so every run of the combination takes the classic walk.
+        A compile failure of any kind caches a plan without a program, so
+        every run of the combination takes the classic walk.
         """
         key = (
             script_fingerprint(script, signals),
@@ -591,7 +477,7 @@ class PlanCache:
             )
             compiled = True
         except Exception:
-            plan = ExecutionPlan((), key)
+            plan = ExecutionPlan(key)
             compiled = False
 
         with self._lock:

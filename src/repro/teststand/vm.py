@@ -1,44 +1,32 @@
 """Script bytecode VM: the whole run compiled to a flat instruction stream.
 
-The execution plans of :mod:`repro.teststand.plan` stop at resource
-allocation - every run still walks ``Action`` objects through the
-interpreter's prepare/perform dispatch.  This module extends the compiled
-path over the *measurement loop itself*: one (script x stand-topology x
-registry x variables) combination compiles - once - into a flat stream of
-instructions
+For each method it carries out, the paper's interpreter searches a
+resource that can be connected to the signal pin.  The VM does that search
+once per (script x stand-topology x registry x variables) combination:
+:func:`compile_program` walks the script in the interpreter's order against
+a scratch allocator and emits a flat stream of instructions
 
 ========================  ====================================================
 op                        meaning
 ========================  ====================================================
-``SET``                   one stimulus instrument call with pre-resolved
-                          signal, routes and instrument (``put_*``)
-``GET``                   one measurement instrument call, same operands
+``SET``                   stimulus instrument calls with pre-resolved
+                          signal, routes, instrument and capability window
+                          (``put_*``)
+``GET``                   measurement instrument calls, same operands
                           (``get_*``)
 ``WAIT``                  advance the harness clock by a step's settle dt,
                           or by a ``wait`` action's duration and emit its
                           PASS result
-``CHECK_WINDOW``          guard: the pre-evaluated capability window of the
-                          following call must still fit (pure float
-                          comparisons, checked when the program is bound
-                          to a stand)
-``EVAL_LIMIT``            guard: the window references stand variables, so
-                          its pre-compiled limit expressions are
-                          re-evaluated against the live run variables in
-                          the run prologue
 ``OPEN_CIRCUIT``          realise ``put_r r="INF"`` by disconnecting the
                           signal's pins (pre-decided PASS outcome)
 ``END_STEP``              close the current step: build its
                           :class:`~repro.teststand.verdict.StepResult`
 ========================  ====================================================
 
-followed by a peephole pass (:data:`PEEPHOLE_PASSES`):
-
-* **guard fusion** - a ``CHECK_WINDOW`` / ``EVAL_LIMIT`` immediately before
-  its ``SET`` / ``GET`` folds into that op's operand slot,
-* **I/O batching** - consecutive ``SET`` / ``GET`` ops on the *same
-  resource* merge into one op carrying an item tuple, paying the
-  instrument's ``io_delay`` once per batch (the round trip of one chained
-  command list) instead of once per call.
+Each segment (the setup, each step) then goes through :func:`batch_io`:
+consecutive ``SET`` / ``GET`` ops on the *same resource* merge into one op
+carrying an item tuple, paying the instrument's ``io_delay`` once per batch
+(the round trip of one chained command list) instead of once per call.
 
 Adjacent ``WAIT`` ops stay separate: one summed clock advance rounds
 differently from two, and fires ECU timers and CAN flushes at other
@@ -48,13 +36,13 @@ Execution is deliberately paranoid: a program **binds** to a concrete
 stand instance (resolving resource keys to live instruments and re-checking
 every constant capability window against *that* stand's capability rows),
 and every run starts with a prologue that re-checks the live signal pinning
-and the variable-dependent ``EVAL_LIMIT`` guards.  Any mismatch at any of
-those points degrades **the whole run** to the classic interpreter before a
-single instruction has touched the harness - so verdict tables are
-byte-identical with the VM on or off.  Scripts the compiler cannot express
-(an allocation that fails at compile time, a non-numeric ``wait`` duration,
-an unknown signal) raise :class:`VmCompileError`; the plan then carries no
-program and every run of the combination takes the classic path, which the
+and the variable-dependent windows.  Any mismatch at any of those points
+degrades **the whole run** to the classic interpreter before a single
+instruction has touched the harness - so verdict tables are byte-identical
+with the VM on or off.  Scripts the compiler cannot express (an allocation
+that fails at compile time, a non-numeric ``wait`` duration, an unknown
+signal) raise :class:`VmCompileError`; the plan then carries no program and
+every run of the combination takes the classic path, which the
 ``X-UNCOMPILABLE-SCRIPT`` lint rule surfaces pre-flight.  Composed sheets
 compile like any other: a composed run is its members' runs on one bus, and
 the composition harness routes every instrument call the VM makes.
@@ -72,9 +60,8 @@ per call.  Instruments must not mutate their ``variables`` argument - which
 
 from __future__ import annotations
 
-import inspect
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .. import chaos as _chaos
 from ..core.errors import AllocationError, TransientError
@@ -94,17 +81,11 @@ __all__ = [
     "VmCompileError",
     "VmCursor",
     "compile_program",
-    "peephole",
-    "fuse_guards",
     "batch_io",
-    "PEEPHOLE_PASSES",
 ]
 
 #: The instruction set, in documentation order.
-VM_OPS = (
-    "SET", "GET", "WAIT", "CHECK_WINDOW", "OPEN_CIRCUIT", "EVAL_LIMIT",
-    "END_STEP",
-)
+VM_OPS = ("SET", "GET", "WAIT", "OPEN_CIRCUIT", "END_STEP")
 
 #: How many (program x stand) bindings one stand instance memoises.
 _BINDING_CACHE_SIZE = 8
@@ -115,13 +96,28 @@ class VmCompileError(Exception):
 
     ``op`` names the instruction that could not be generated (e.g.
     ``"SET door_fl:put_r"``); ``reason`` says why.  Both feed the
-    ``X-UNCOMPILABLE-SCRIPT`` lint rule and the plan's ``vm_reason``.
+    ``X-UNCOMPILABLE-SCRIPT`` lint rule and the plan's ``vm_reason``.  A
+    failed allocation is raised ``from`` its
+    :class:`~repro.core.errors.AllocationError`.
     """
 
     def __init__(self, op: str, reason: str):
         self.op = op
         self.reason = reason
         super().__init__(f"{op}: {reason}")
+
+
+def _window_is_dynamic(action: SignalAction, attribute: str) -> bool:
+    """Whether the action's window parameters reference stand variables."""
+    for suffix in ("", "_min", "_max"):
+        raw = action.call.param(attribute + suffix)
+        if raw is None:
+            continue
+        try:
+            float(raw)
+        except (TypeError, ValueError):
+            return True
+    return False
 
 
 class VmIoItem:
@@ -131,16 +127,19 @@ class VmIoItem:
                  "attribute")
 
     def __init__(self, action: SignalAction, signal: Signal, allocation,
-                 attribute: str | None = None):
+                 attribute: str | None = None, window: tuple | None = None):
         self.action = action
         self.signal = signal
         self.allocation = allocation
         #: Pre-evaluated capability window (``(capability, nominal,
-        #: acceptance)``) fused from the preceding guard op, or ``None``.
-        self.window = None
+        #: acceptance)``) of the allocated resource, or ``None`` when the
+        #: call carries nothing to range-check.
+        self.window = window
         #: ``True`` when the window references stand variables and must be
-        #: re-evaluated per run (the ``EVAL_LIMIT`` guard).
-        self.dynamic = False
+        #: re-evaluated in each run's prologue; a constant window is
+        #: checked once, when the program binds to a stand.
+        self.dynamic = (window is not None
+                        and _window_is_dynamic(action, window[0].attribute))
         #: The method's principal attribute (``"u"``, ``"r"``, ...) from
         #: the registry, used to pre-evaluate the call's nominal value and
         #: acceptance limits per run; ``None`` when the registry does not
@@ -156,8 +155,7 @@ class VmOp:
 
     __slots__ = (
         "code", "items", "resource_key", "duration",
-        "action", "signal", "outcome", "window", "dynamic",
-        "number", "remark",
+        "action", "signal", "outcome", "number", "remark",
     )
 
     def __init__(self, code: str, **operands):
@@ -168,8 +166,6 @@ class VmOp:
         self.action = operands.get("action")
         self.signal = operands.get("signal")
         self.outcome = operands.get("outcome")
-        self.window = operands.get("window")
-        self.dynamic: bool = operands.get("dynamic", False)
         self.number: int = operands.get("number", 0)
         self.remark: str = operands.get("remark", "")
 
@@ -187,64 +183,26 @@ class VmOp:
 class VmProgram:
     """The compiled instruction stream of one plan, shared across stands.
 
-    ``ops`` is the (peephole-optimised) flat stream; ``setup_size`` many
-    leading instructions belong to the script's setup segment, the rest are
-    step segments each closed by an ``END_STEP``.  ``raw_op_count`` keeps
-    the pre-peephole instruction count for statistics and tests.  Programs
-    hold only content-safe operands (signals, calls, allocations, windows)
-    - live instruments are resolved per stand instance by the binding step.
+    ``ops`` is the flat stream; ``setup_size`` many leading instructions
+    belong to the script's setup segment, the rest are step segments each
+    closed by an ``END_STEP``.  Programs hold only content-safe operands
+    (signals, calls, allocations, windows) - live instruments are resolved
+    per stand instance by the binding step.
     """
 
-    __slots__ = ("ops", "setup_size", "key", "raw_op_count")
+    __slots__ = ("ops", "setup_size", "key")
 
     def __init__(self, ops: tuple[VmOp, ...], setup_size: int, *,
-                 key: tuple = (), raw_op_count: int = 0):
+                 key: tuple = ()):
         self.ops = tuple(ops)
         self.setup_size = int(setup_size)
         self.key = key
-        self.raw_op_count = int(raw_op_count) or len(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)
 
     def __repr__(self) -> str:
-        return (f"VmProgram({len(self.ops)} ops, "
-                f"{self.raw_op_count} before peephole)")
-
-
-# ---------------------------------------------------------------------------
-# Peephole pass
-# ---------------------------------------------------------------------------
-
-def fuse_guards(ops: list[VmOp]) -> list[VmOp]:
-    """Fold each ``CHECK_WINDOW`` / ``EVAL_LIMIT`` into the following I/O op.
-
-    The guard becomes the item's ``window`` / ``dynamic`` operand; the
-    binding (constant windows) and the run prologue (dynamic windows)
-    evaluate it from there.  A guard not followed by a single-item I/O op
-    is kept standalone - the executor then treats it as a pure prologue
-    check.
-    """
-    out: list[VmOp] = []
-    pending: VmOp | None = None
-    for op in ops:
-        if op.code in ("CHECK_WINDOW", "EVAL_LIMIT"):
-            if pending is not None:
-                out.append(pending)
-            pending = op
-            continue
-        if pending is not None:
-            if op.code in ("SET", "GET") and len(op.items) == 1:
-                item = op.items[0]
-                item.window = pending.window
-                item.dynamic = pending.code == "EVAL_LIMIT"
-            else:
-                out.append(pending)
-            pending = None
-        out.append(op)
-    if pending is not None:
-        out.append(pending)
-    return out
+        return f"VmProgram({len(self.ops)} ops)"
 
 
 def batch_io(ops: list[VmOp]) -> list[VmOp]:
@@ -271,69 +229,55 @@ def batch_io(ops: list[VmOp]) -> list[VmOp]:
     return out
 
 
-#: The peephole rewrites, applied per segment in this order.
-PEEPHOLE_PASSES = (fuse_guards, batch_io)
-
-
-def peephole(ops: list[VmOp]) -> list[VmOp]:
-    """Apply every peephole rewrite to one segment's op list."""
-    for rewrite in PEEPHOLE_PASSES:
-        ops = rewrite(ops)
-    return ops
-
-
 # ---------------------------------------------------------------------------
-# Compiler: plan entries + script structure -> instruction stream
+# Compiler: script x stand -> instruction stream, in one walk
 # ---------------------------------------------------------------------------
-
-def _window_is_dynamic(action: SignalAction, attribute: str) -> bool:
-    """Whether the action's window parameters reference stand variables."""
-    for suffix in ("", "_min", "_max"):
-        raw = action.call.param(attribute + suffix)
-        if raw is None:
-            continue
-        try:
-            float(raw)
-        except (TypeError, ValueError):
-            return True
-    return False
-
 
 def compile_program(
     script: TestScript,
     signals: SignalSet,
     stand: TestStand,
     *,
+    policy: str,
     registry: MethodRegistry,
     variables: Mapping[str, float],
-    entries: Sequence,
     key: tuple = (),
-    optimize: bool = True,
 ) -> VmProgram:
-    """Compile *script* into a :class:`VmProgram` over its plan *entries*.
+    """Compile *script* on *stand* into a :class:`VmProgram` in one walk.
 
     Walks the interpreter's exact execution order (setup, then per step all
-    stimuli, the settle, all expectations) and consumes the allocation
-    plan's entries in lock-step.  Raises :class:`VmCompileError` - with the
-    failing op and reason - for anything the VM cannot express: a ``fail``
-    plan entry (the run must reproduce the full search's error message), a
-    non-numeric ``wait`` duration (the run must raise exactly like the
-    classic path), an unknown signal (the run must produce the classic
-    per-action ERROR), or a plan/script divergence.
+    stimuli, the settle, all expectations) against a scratch
+    :class:`~repro.teststand.allocator.Allocator` with the runs' policy,
+    registry and variables, so each ``SET`` / ``GET`` item carries the
+    allocation, capability window and ``dynamic`` flag a run would see.
+    Open-circuit realisations apply the same release they apply at run
+    time, keeping the scratch hold state in lock-step.  The compiled
+    windows are sound across runs because the variables they depend on are
+    part of the plan-cache key, and the run prologue re-checks the
+    variable-dependent ones anyway.
 
-    Peephole optimisation is applied per segment (setup and each step
-    separately), so batches and merges never cross a segment boundary;
-    ``optimize=False`` returns the raw stream for tests and inspection.
+    Raises :class:`VmCompileError` - with the failing op and reason - for
+    anything the VM cannot express: an unknown signal (the run must produce
+    the classic per-action ERROR), a non-numeric ``wait`` duration (the run
+    must raise exactly like the classic path), or a failed allocation (the
+    run must reproduce the full search's error message; raised ``from``
+    the :class:`~repro.core.errors.AllocationError`).
+
+    :func:`batch_io` runs per segment (setup and each step separately), so
+    batches never cross a segment boundary.
     """
     # Imported lazily: plan.py imports this module at its top level.
-    from .plan import PlanEntry, action_is_measurement  # noqa: F401
+    from .plan import (
+        action_is_measurement, open_circuit_outcome, open_circuit_requested,
+    )
 
-    entry_iter = iter(entries)
+    allocator = Allocator(
+        stand.resources, stand.connections, policy=policy, registry=registry
+    )
 
-    def compile_action(action: SignalAction) -> list[VmOp]:
+    def compile_action(action: SignalAction) -> VmOp:
         method_key = action.method.lower()
-        is_measurement = action_is_measurement(registry, action.method)
-        opname = "GET" if is_measurement else "SET"
+        opname = "GET" if action_is_measurement(registry, action.method) else "SET"
         where = f"{opname} {str(action.signal).lower()}:{method_key}"
         try:
             signal = signals.get(action.signal)
@@ -348,40 +292,27 @@ def compile_program(
                     f"WAIT {signal.key}:wait",
                     f"duration t={raw!r} is not numeric",
                 )
-            return [VmOp("WAIT", duration=duration, action=action)]
-        entry = next(entry_iter, None)
-        if (entry is None or entry.signal_key != signal.key
-                or entry.method_key != method_key):
-            raise VmCompileError(
-                where, "allocation plan diverged from the script walk"
-            )
-        if entry.kind == "open":
-            return [VmOp("OPEN_CIRCUIT", action=action, signal=signal,
-                         outcome=entry.outcome)]
-        if entry.kind == "fail":
+            return VmOp("WAIT", duration=duration, action=action)
+        if open_circuit_requested(action, signal, variables):
+            allocator.release(signal.key)
+            return VmOp("OPEN_CIRCUIT", action=action, signal=signal,
+                        outcome=open_circuit_outcome(action, signal))
+        try:
+            allocation = allocator.allocate(signal, action.call, variables)
+        except AllocationError as exc:
             raise VmCompileError(
                 where,
                 "no resource allocatable at compile time (the run must "
                 "reproduce the full search's error)",
-            )
-        ops: list[VmOp] = []
-        if entry.window is not None:
-            capability = entry.window[0]
-            dynamic = _window_is_dynamic(action, capability.attribute)
-            ops.append(VmOp(
-                "EVAL_LIMIT" if dynamic else "CHECK_WINDOW",
-                window=entry.window, action=action, signal=signal,
-                dynamic=dynamic,
-            ))
+            ) from exc
+        window = allocator.capability_window(
+            stand.resources.get(allocation.resource), action.call, variables)
         try:
             attribute = registry.get(action.method).attribute
         except Exception:
             attribute = None
-        item = VmIoItem(action, signal, entry.allocation,
-                        attribute=attribute)
-        ops.append(VmOp(opname, resource_key=entry.allocation.resource,
-                        items=(item,)))
-        return ops
+        item = VmIoItem(action, signal, allocation, attribute, window)
+        return VmOp(opname, resource_key=allocation.resource, items=(item,))
 
     def compile_step(step: ScriptStep) -> list[VmOp]:
         stimuli: list[SignalAction] = []
@@ -391,40 +322,18 @@ def compile_program(
                 expectations.append(action)
             else:
                 stimuli.append(action)
-        ops: list[VmOp] = []
-        for action in stimuli:
-            ops.extend(compile_action(action))
+        ops = [compile_action(action) for action in stimuli]
         ops.append(VmOp("WAIT", duration=step.duration))
-        for action in expectations:
-            ops.extend(compile_action(action))
+        ops.extend(compile_action(action) for action in expectations)
         ops.append(VmOp("END_STEP", number=step.number,
                         duration=step.duration, remark=step.remark))
-        return ops
+        return batch_io(ops)
 
-    raw_count = 0
-
-    def finish(ops: list[VmOp]) -> list[VmOp]:
-        nonlocal raw_count
-        raw_count += len(ops)
-        return peephole(ops) if optimize else ops
-
-    setup_ops: list[VmOp] = []
-    for action in script.setup:
-        setup_ops.extend(compile_action(action))
-    setup_ops = finish(setup_ops)
-
-    ops = list(setup_ops)
+    ops = batch_io([compile_action(action) for action in script.setup])
+    setup_size = len(ops)
     for step in script.steps:
-        ops.extend(finish(compile_step(step)))
-
-    leftover = next(entry_iter, None)
-    if leftover is not None:
-        raise VmCompileError(
-            f"{leftover.signal_key}:{leftover.method_key}",
-            "allocation plan has entries the script walk never reached",
-        )
-    return VmProgram(tuple(ops), len(setup_ops), key=key,
-                     raw_op_count=raw_count)
+        ops.extend(compile_step(step))
+    return VmProgram(tuple(ops), setup_size, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +357,8 @@ class VmBinding:
     bookkeeping operands; an ``_X_STEPS`` op separates the setup segment
     from the steps.  ``signal_shapes`` holds the compiled pinning
     the run prologue re-checks against the live signal set;
-    ``dynamic_guards`` the ``EVAL_LIMIT`` windows re-evaluated against the
-    run's variables (``guard_memo`` caches the verdict per variables
+    ``dynamic_guards`` the variable-dependent windows re-evaluated against
+    the run's variables (``guard_memo`` caches the verdict per variables
     shape - campaign runs repeat the same variables, so the evaluation
     happens once, while a genuinely new shape re-evaluates).
     """
@@ -475,40 +384,21 @@ class VmBinding:
         self.signals_ok: list = []
 
 
-#: Per-instrument-class memo: does ``_perform`` take the ``prepared``
-#: keyword?  The bundled instruments all do; a third-party subclass with
-#: the five-argument signature simply never receives pre-evaluated
-#: operands and keeps working unchanged.
-_PREPARED_PROBE: dict[type, bool] = {}
-
-
-def _accepts_prepared(cls: type) -> bool:
-    accepts = _PREPARED_PROBE.get(cls)
-    if accepts is None:
-        try:
-            accepts = "prepared" in inspect.signature(cls._perform).parameters
-        except (TypeError, ValueError):
-            accepts = False
-        _PREPARED_PROBE[cls] = accepts
-    return accepts
-
-
 def _prepare_operands(binding: "VmBinding", variables: Mapping[str, float]) -> tuple:
     """Pre-evaluate every I/O item's ``(nominal, limits)`` pair.
 
-    One entry per item in flat stream order, ``None`` when the item's
-    instrument cannot take pre-evaluated operands or nothing evaluates.
-    Evaluation errors leave the slot ``None`` so the instrument re-runs
-    the evaluation itself and raises exactly like the classic path.
+    One entry per item in flat stream order, ``None`` when the registry
+    does not know the item's method or nothing evaluates.  Evaluation
+    errors leave the slot ``None`` so the instrument re-runs the
+    evaluation itself and raises exactly like the classic path.
     """
     out = []
     for op in binding.ops:
         if op[0] != _X_IO:
             continue
-        accepts = op[5]
         for item in op[4]:
             attribute = item[8]
-            if not accepts or attribute is None:
+            if attribute is None:
                 out.append(None)
                 continue
             call = item[1]
@@ -532,10 +422,9 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
 
     Re-checks, against this concrete stand instance, everything that is
     constant per (program x stand): every resource key resolves, every
-    instrument still supports its method, and every constant
-    (``CHECK_WINDOW``) capability window still fits the instrument's
-    capability row.  Variable-dependent (``EVAL_LIMIT``) windows are
-    collected for the per-run prologue instead.
+    instrument still supports its method, and every constant capability
+    window still fits the instrument's capability row.  Variable-dependent
+    (``dynamic``) windows are collected for the per-run prologue instead.
     """
     bound: list[tuple] = []
     signal_shapes: dict[str, tuple] = {}
@@ -590,8 +479,7 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
                     item.attribute,
                 ))
             bound.append((_X_IO, instrument, instrument._perform,
-                          resource.key, tuple(items),
-                          _accepts_prepared(type(instrument))))
+                          resource.key, tuple(items)))
         elif code == "WAIT":
             bound.append((_X_WAIT, op.duration, op.action))
         elif code == "OPEN_CIRCUIT":
@@ -600,18 +488,6 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
                           op.signal.pins, op.outcome))
         elif code == "END_STEP":
             bound.append((_X_END, op.number, op.duration, op.remark))
-        elif code in ("CHECK_WINDOW", "EVAL_LIMIT"):
-            # Standalone guard: only unoptimised programs carry these
-            # (``fuse_guards`` folds every guard into its I/O op).  A
-            # constant window is checked here against its compile-time
-            # capability; a dynamic one has no resolvable resource without
-            # its I/O op, so the bind conservatively refuses.
-            if op.dynamic:
-                return None
-            _, nominal, acceptance = op.window
-            if not op.window[0].can_serve(nominal, acceptance):
-                return None
-            # No executable footprint.
         else:  # pragma: no cover - unknown op means a compiler bug
             return None
     return VmBinding(tuple(bound), signal_shapes, tuple(dynamic_guards))
@@ -682,9 +558,9 @@ class VmCursor:
         Checks the live signal pinning against the compiled shapes (a
         re-pinned adapter must degrade); a :class:`SignalSet` *instance*
         that matched once is memoised by identity, which is sound because
-        signal sets are grow-only and signals immutable.  The ``EVAL_LIMIT``
-        guards once per distinct variables shape: their limit expressions
-        are re-evaluated through
+        signal sets are grow-only and signals immutable.  Checks the
+        variable-dependent windows once per distinct variables shape: their
+        limit expressions are re-evaluated through
         :meth:`~repro.teststand.allocator.Allocator.capability_window`
         with the live variables and the verdict memoised - all runs served
         by one cached plan share the variables that are part of its cache
@@ -730,7 +606,7 @@ class VmCursor:
         return True
 
     def _evaluate_guards(self, variables: Mapping[str, float]) -> bool:
-        """Re-evaluate every ``EVAL_LIMIT`` window with *variables*."""
+        """Re-evaluate every variable-dependent window with *variables*."""
         for resource, call, _window in self.binding.dynamic_guards:
             window = self.allocator.capability_window(
                 resource, call, variables)
@@ -782,7 +658,7 @@ class VmCursor:
         for op in self.binding.ops:
             code = op[0]
             if code == _X_IO:
-                _, instrument, perform, resource_key, items, _ = op
+                _, instrument, perform, resource_key, items = op
                 delay = instrument.io_delay
                 if delay > 0.0:
                     yield delay
@@ -797,12 +673,8 @@ class VmCursor:
                         if hang > 0.0:
                             yield hang
                     try:
-                        if pre is not None:
-                            outcome = perform(call, signal, pins, harness,
-                                              run_vars, prepared=pre)
-                        else:
-                            outcome = perform(call, signal, pins, harness,
-                                              run_vars)
+                        outcome = perform(call, signal, pins, harness,
+                                          run_vars, prepared=pre)
                     except TransientError:
                         raise  # to the executor's retry layer, not a verdict
                     except Exception as exc:

@@ -94,13 +94,16 @@ class TestDocsMatchCode:
         assert "execution-vm.md" in architecture
 
     def test_docs_describe_two_execution_modes(self):
-        """Plan replay and the VM's wait-merge pass are gone; the README
-        and the docs must not describe them as live code."""
+        """Plan replay, the VM's wait-merge pass, plan entries, the guard
+        opcodes and the prepared-keyword probe are gone; the README and the
+        docs must not describe them as live code."""
         pages = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         for page in pages:
             text = page.read_text()
             for name in ("PlanCursor", "Allocator.replay", "action_replays",
-                         "alloc_only_runs", "hit_rate", "merge_waits"):
+                         "alloc_only_runs", "hit_rate", "merge_waits",
+                         "PlanEntry", "fuse_guards", "CHECK_WINDOW",
+                         "EVAL_LIMIT", "raw_op_count", "_accepts_prepared"):
                 assert name not in text, f"{page.name} names {name}"
 
     def test_composition_doc_matches_registry_and_lint(self):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,3 +155,39 @@ class TestNetwork:
         network.add_resistor("mid", GROUND, r_bottom)
         expected = volts * r_bottom / (r_top + r_bottom)
         assert network.voltage_between("mid") == pytest.approx(expected, rel=1e-3, abs=1e-6)
+
+    def test_large_ladder_solves_without_an_array_library(self):
+        """41 unknowns (40 nodes, one source), solved by the same
+        pure-Python elimination as the dozen-unknown harness networks."""
+        network = Network(leakage=math.inf)
+        network.add_voltage_source("n0", GROUND, 12.0)
+        for k in range(40):
+            network.add_resistor(f"n{k}", f"n{k + 1}" if k < 39 else GROUND,
+                                 100.0)
+        voltages = network.solve()
+        assert len(network.node_names) - 1 + network.source_count == 41
+        for k in range(40):
+            assert voltages[f"n{k}"] == pytest.approx(12.0 * (40 - k) / 40)
+
+    def test_large_singular_system_raises(self):
+        """Two ideal sources on one node have no solution, at any size."""
+        network = Network()
+        network.add_voltage_source("top", GROUND, 12.0)
+        network.add_voltage_source("top", GROUND, 5.0)
+        for k in range(40):
+            network.add_resistor("top" if k == 0 else f"n{k}", f"n{k + 1}",
+                                 100.0)
+        assert len(network.node_names) - 1 + network.source_count > 32
+        with pytest.raises(HarnessError, match="singular"):
+            network.solve()
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    """The package declares no runtime dependency and imports none."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, repro.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,4 +1,4 @@
-"""Tests for compiled execution plans, the bytecode VM's compile input.
+"""Tests for compiled execution plans, the cached carriers of VM programs.
 
 Covers the four guarantees the compiled path rests on:
 
@@ -109,12 +109,9 @@ class TestPlanFallback:
 
         stand = build_paper_stand()
         script = _paper_script()
-        # A "plan" whose entries describe a nonsense sequence.
-        from repro.teststand.plan import ExecutionPlan, PlanEntry
-        bogus = ExecutionPlan((
-            PlanEntry("no_such_signal", "put_r", kind="open"),
-        ) * 5)
-        cache = WrongPlanCache(bogus)
+        # A "plan" for no combination at all: it carries no program.
+        from repro.teststand.plan import ExecutionPlan
+        cache = WrongPlanCache(ExecutionPlan())
         poisoned = TestStandInterpreter(
             stand, interior_harness(InteriorLightEcu()), paper_signal_set(),
             plan_cache=cache,
@@ -212,11 +209,11 @@ class TestPlanInvalidation:
             policy="first_fit", registry=stand.registry,
             variables={"ubatt": stand.supply_voltage, "t": 0.0},
         )
-        kinds = {entry.kind for entry in plan.entries}
-        assert len(plan) > 0
+        assert plan.program is not None, plan.vm_reason
+        codes = {op.code for op in plan.program.ops}
         # The paper script stimulates doors with put_r INF (open circuit)
-        # and measures with the DVM (allocations): both entry kinds appear.
-        assert kinds == {"alloc", "open"}
+        # and measures with the DVM (allocations): both ops appear.
+        assert {"OPEN_CIRCUIT", "GET"} <= codes
 
     def test_lru_eviction_is_bounded(self):
         cache = PlanCache(maxsize=1)

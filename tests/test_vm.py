@@ -5,13 +5,15 @@ Covers the guarantees the VM fast path rests on:
 * property-style parity: every bundled DUT's full suite renders a
   byte-identical report with the VM on or off (wall time excluded), and
   campaign verdict tables agree on all four executor backends,
-* the peephole passes (guard fusing, I/O batching) reduce the op count
-  without any verdict drift,
+* I/O batching merges calls on one resource without any verdict drift,
+* the one compile pass: every I/O item carries its allocation and window,
+  and each uncompilable sheet raises :class:`VmCompileError` with the
+  right cause,
 * self-distrust: a binding or prologue mismatch degrades the run to the
   classic interpreter before anything executes,
 * either knob off (``use_plans`` or ``use_vm``) runs the classic walk,
-* prepared-operand safety: instruments without the ``prepared`` keyword
-  never receive it.
+* the ``prepared`` contract: an instrument whose ``_perform`` lacks the
+  keyword is rejected when its class is defined.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import json
 import pytest
 
 from repro.core import Compiler
+from repro.core.errors import AllocationError
 from repro.core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from repro.core.signals import Signal, SignalDirection, SignalKind, SignalSet
 from repro.dut import InteriorLightEcu
 from repro.instruments import Dvm
-from repro.instruments.base import Instrument
 from repro.paper import interior_harness, paper_signal_set, paper_suite
 from repro.targets import CampaignSpec, get_dut, iter_duts, run_campaign
 from repro.teststand import (
@@ -41,10 +43,11 @@ from repro.teststand import (
 from repro.teststand import json_report
 from repro.teststand import vm
 from repro.teststand.vm import (
+    VmCompileError,
     VmIoItem,
     VmOp,
     batch_io,
-    fuse_guards,
+    compile_program,
 )
 
 
@@ -98,7 +101,7 @@ class TestVmParity:
 
 
 # ---------------------------------------------------------------------------
-# Peephole passes
+# Per-segment I/O batching
 # ---------------------------------------------------------------------------
 
 def _io_op(code: str, resource: str, signal_name: str, method: str) -> VmOp:
@@ -128,31 +131,6 @@ class TestPeephole:
         assert [i.signal.key for i in batched[0].items] == ["a", "b"]
         assert batched[1].resource_key == "r2"
 
-    def test_fuse_guards_folds_window_into_io(self):
-        io = _io_op("GET", "r1", "A", "get_u")
-        window = ("capability", 1.0, None)
-        fused = fuse_guards([
-            VmOp("CHECK_WINDOW", window=window),
-            io,
-            VmOp("EVAL_LIMIT", window=window),
-            _io_op("GET", "r1", "B", "get_u"),
-        ])
-        assert [op.code for op in fused] == ["GET", "GET"]
-        assert fused[0].items[0].window == window
-        assert fused[0].items[0].dynamic is False
-        assert fused[1].items[0].dynamic is True
-
-    def test_guard_without_io_stays_standalone(self):
-        guard = VmOp("CHECK_WINDOW", window=("cap", 1.0, None))
-        out = fuse_guards([guard, VmOp("WAIT", duration=1.0)])
-        assert [op.code for op in out] == ["CHECK_WINDOW", "WAIT"]
-
-    def test_compiled_paper_program_is_smaller_than_raw(self):
-        """The bundled paper script must actually profit from the peephole."""
-        plan = _paper_plan()
-        assert plan.program is not None, plan.vm_reason
-        assert plan.program.raw_op_count > len(plan.program.ops)
-
     def test_adjacent_waits_do_not_drift_verdicts(self):
         """Two waits next to the step's settle: the VM's report (durations
         to the last bit, per-action results) must match the classic walk's.
@@ -177,7 +155,7 @@ class TestPeephole:
 
 
 # ---------------------------------------------------------------------------
-# Self-distrust: degrade before executing anything
+# The one compile pass
 # ---------------------------------------------------------------------------
 
 def _paper_script() -> TestScript:
@@ -202,6 +180,52 @@ def _cursor(program, stand, signals) -> VmCursor:
     )
 
 
+def _compile_one_step(action: SignalAction):
+    stand = build_paper_stand()
+    script = TestScript("one_step", "interior_light_ecu",
+                        [ScriptStep(0, 0.5, (action,))])
+    return compile_program(
+        script, paper_signal_set(), stand,
+        policy="first_fit", registry=stand.registry,
+        variables={"ubatt": stand.supply_voltage, "t": 0.0},
+    )
+
+
+class TestOnePassCompiler:
+    def test_every_paper_get_item_carries_its_window(self):
+        """Windows live on the I/O items: each DVM reading of the paper
+        program is range-checked at bind time or in the run prologue."""
+        plan = _paper_plan()
+        assert plan.program is not None, plan.vm_reason
+        gets = [op for op in plan.program.ops if op.code == "GET"]
+        assert gets
+        for op in gets:
+            for item in op.items:
+                assert item.allocation.resource == op.resource_key
+                assert item.window is not None
+                assert item.window[0].method == "get_u"
+        # The paper's limits are relative to ``ubatt``: re-checked per run.
+        assert any(item.dynamic for op in gets for item in op.items)
+
+    def test_unservable_sheet_raises_from_its_allocation_error(self):
+        action = SignalAction("INT_ILL", MethodCall(
+            "get_u", {"u": "550", "u_min": "500", "u_max": "600"}))
+        with pytest.raises(VmCompileError) as raised:
+            _compile_one_step(action)
+        assert raised.value.op == "GET int_ill:get_u"
+        assert isinstance(raised.value.__cause__, AllocationError)
+
+    def test_unknown_signal_raises_without_an_allocation_cause(self):
+        action = SignalAction("NO_SUCH_SIGNAL", MethodCall("get_u", {"u": "1"}))
+        with pytest.raises(VmCompileError, match="unknown signal") as raised:
+            _compile_one_step(action)
+        assert not isinstance(raised.value.__cause__, AllocationError)
+
+
+# ---------------------------------------------------------------------------
+# Self-distrust: degrade before executing anything
+# ---------------------------------------------------------------------------
+
 class TestVmDegrade:
     def test_repinned_signal_fails_validation(self):
         plan = _paper_plan()
@@ -220,6 +244,15 @@ class TestVmDegrade:
         assert _cursor(plan.program, stand, paper_signal_set()) \
             .validate(variables)
         assert not _cursor(plan.program, stand, repinned).validate(variables)
+
+    def test_variable_window_that_no_longer_fits_fails_validation(self):
+        """The prologue re-evaluates ``ubatt``-relative windows: 0.7 x
+        1000 V is far outside the DVM's range, so the run must degrade."""
+        plan = _paper_plan()
+        stand = build_paper_stand()
+        cursor = _cursor(plan.program, stand, paper_signal_set())
+        assert cursor.validate({"ubatt": 12.0, "t": 0.0})
+        assert not cursor.validate({"ubatt": 1000.0, "t": 0.0})
 
     def test_unresolvable_resource_fails_binding(self):
         program = vm.VmProgram(
@@ -246,23 +279,15 @@ class TestVmDegrade:
 
 
 # ---------------------------------------------------------------------------
-# Prepared operands: signature probe keeps legacy instruments safe
+# Prepared operands: every instrument takes the keyword
 # ---------------------------------------------------------------------------
 
-class _LegacyDvm(Dvm):
-    """A third-party style subclass without the ``prepared`` keyword."""
-
-    def _perform(self, call, signal, pins, harness, variables):  # noqa: D102
-        return super()._perform(call, signal, pins, harness, variables)
-
-
-class TestPreparedProbe:
-    def test_bundled_instrument_accepts_prepared(self):
-        assert vm._accepts_prepared(Dvm) is True
-
-    def test_legacy_subclass_is_never_handed_prepared(self):
-        assert vm._accepts_prepared(_LegacyDvm) is False
-
-    def test_probe_is_memoised_per_class(self):
-        vm._accepts_prepared(_LegacyDvm)
-        assert vm._PREPARED_PROBE[_LegacyDvm] is False
+class TestPreparedKeyword:
+    def test_perform_without_prepared_is_rejected_at_definition(self):
+        """A third-party subclass with the five-argument signature would
+        otherwise fail on its first VM-served call."""
+        with pytest.raises(TypeError, match="prepared"):
+            class _LegacyDvm(Dvm):
+                def _perform(self, call, signal, pins, harness, variables):
+                    return super()._perform(call, signal, pins, harness,
+                                            variables)

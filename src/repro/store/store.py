@@ -10,18 +10,24 @@ the dict serialization it is built on: a recorded run re-renders
 campaigns (e.g. the same family campaign on the serial and async backends)
 is empty.
 
-Concurrency model: every public call opens its own connection (with a busy
-timeout) and commits one transaction, so many threads - or many processes -
-may record into the same store file.  ``":memory:"`` stores keep a single
-shared connection behind a lock instead (handy for tests and the service's
-default), at the price of dying with the process like any in-memory
-database.
+Concurrency model: a process keeps one connection per store file, opened on
+first use and shared by every :class:`ResultStore` on that file.  Each
+public call takes the connection's lock and commits one transaction, so
+many threads may record through it; the busy timeout and a bounded write
+retry let many processes share the file.  A forked child opens its own
+connection on first use, and the connection closes (merging the WAL into
+the file) at interpreter exit.  Never delete a store file while a live
+process has it open.  A ``":memory:"`` store has a connection of its own
+(handy for tests and the service's default), at the price of dying with
+the process like any in-memory database.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
+import os
 import sqlite3
 import subprocess
 import threading
@@ -85,6 +91,69 @@ def _canonical(document: object) -> str:
 
 def _fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class _Link:
+    """One sqlite connection and the lock its transactions take."""
+
+    __slots__ = ("lock", "conn", "inode")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.conn: sqlite3.Connection | None = None
+        #: ``(st_dev, st_ino)`` of the file the connection was opened on.
+        self.inode: tuple[int, int] | None = None
+
+    def close(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+        self.conn = None
+        self.inode = None
+
+
+#: This process's connection to each store file, keyed by real path.
+_LINKS: dict[str, _Link] = {}
+_LINKS_LOCK = threading.Lock()
+#: The parent's connections, in a forked child.  They stay referenced so
+#: that garbage collection never closes them there: closing one would
+#: checkpoint the parent's file and unlink its WAL.
+_INHERITED: list[_Link] = []
+
+
+def _file_link(key: str) -> _Link:
+    with _LINKS_LOCK:
+        link = _LINKS.get(key)
+        if link is None:
+            link = _LINKS[key] = _Link()
+        return link
+
+
+def _set_inherited_links_aside() -> None:
+    global _LINKS_LOCK
+    _INHERITED.extend(_LINKS.values())
+    _LINKS.clear()
+    _LINKS_LOCK = threading.Lock()
+
+
+def _close_links() -> None:
+    # Closing a file's last connection merges the WAL into the file and
+    # deletes the -wal and -shm files.
+    for link in list(_LINKS.values()):
+        with link.lock:
+            link.close()
+
+
+os.register_at_fork(after_in_child=_set_inherited_links_aside)
+atexit.register(_close_links)
+
+
+def _inode(path: str) -> tuple[int, int] | None:
+    """``(st_dev, st_ino)`` of the file at *path*, or None if there is none."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
 
 
 def _catalogue_content(faults: Sequence[FaultModel]) -> list[dict]:
@@ -318,25 +387,29 @@ class ResultStore:
     >>> store.get_run(run_id).render() == result.table() + "\\n" + result.summary()
     True
 
-    All methods are safe to call from multiple threads (and the file-backed
-    form from multiple processes): each call runs one transaction on its
-    own connection with a busy timeout.
+    All methods are safe to call from multiple threads, and the file-backed
+    form from multiple processes.  Every instance on one file in a process
+    shares that process's one connection to it; each call is one
+    transaction under the connection's lock, and the busy timeout queues
+    writers from other processes.  The connection follows the file: if
+    the file is deleted or replaced, the next call closes the connection
+    and opens the file now at the path.
     """
 
     def __init__(self, path: str, *, timeout: float = 30.0):
         self.path = str(path)
         self.timeout = float(timeout)
         self._memory = self.path == ":memory:"
-        self._lock = threading.Lock()
-        self._shared: sqlite3.Connection | None = None
+        # Keyed by real path, so every spelling of one file shares its
+        # connection, and a later chdir cannot point it at another file.
+        self._key = self.path if self._memory else os.path.realpath(self.path)
+        self._memory_link = _Link() if self._memory else None
 
         def initialise() -> None:
-            with self._connect() as conn:
-                self._initialise(conn)
+            with self._connect():
+                pass
 
         try:
-            if self._memory:
-                self._shared = self._open()
             # Opening is a write (DDL, the WAL switch, the schema stamp),
             # so it takes the same bounded retry as every other write: a
             # writer racing this open may hold the file.
@@ -349,27 +422,58 @@ class ResultStore:
     # -- connection plumbing ------------------------------------------------
 
     def _open(self) -> sqlite3.Connection:
+        """A new connection, with the schema in place and checked."""
         conn = sqlite3.connect(
-            self.path, timeout=self.timeout,
-            check_same_thread=not self._memory,
+            self._key, timeout=self.timeout, check_same_thread=False,
         )
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA foreign_keys = ON")
+        try:
+            conn.row_factory = sqlite3.Row
+            conn.execute("PRAGMA foreign_keys = ON")
+            self._initialise(conn)
+            conn.commit()
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
+    def _link(self) -> _Link:
+        return self._memory_link if self._memory else _file_link(self._key)
+
+    def _connection(self, link: _Link) -> sqlite3.Connection:
+        """*link*'s connection, opened if need be; the caller holds its lock.
+
+        A file store's connection is reopened when the file at the path is
+        missing or is not the file the connection was opened on.  An open
+        connection pins its file's inode, so a re-created file never
+        carries the same ``(st_dev, st_ino)``.
+        """
+        inode = None if self._memory else _inode(self._key)
+        if link.conn is None or link.inode != inode:
+            # Close the stale connection before opening the new one:
+            # closing unlinks the -wal and -shm files by name, which by
+            # then would be the new file's.
+            link.close()
+            link.conn = self._with_write_retry(self._open)
+            link.inode = None if self._memory else _inode(self._key)
+        return link.conn
+
     class _Session:
-        """Context manager: shared-locked connection or a fresh one."""
+        """Context manager: one transaction on the store's connection."""
 
         def __init__(self, store: "ResultStore"):
             self._store = store
+            self._link: _Link | None = None
             self._conn: sqlite3.Connection | None = None
 
         def __enter__(self) -> sqlite3.Connection:
-            if self._store._memory:
-                self._store._lock.acquire()
-                self._conn = self._store._shared
-            else:
-                self._conn = self._store._open()
+            link = self._store._link()
+            link.lock.acquire()
+            try:
+                self._conn = self._store._connection(link)
+            except BaseException:
+                link.lock.release()
+                raise
+            self._link = link
             return self._conn
 
         def __exit__(self, exc_type, exc, tb) -> None:
@@ -391,10 +495,7 @@ class ResultStore:
                     pass
                 raise
             finally:
-                if self._store._memory:
-                    self._store._lock.release()
-                else:
-                    conn.close()
+                self._link.lock.release()
 
     def _connect(self) -> "_Session":
         return self._Session(self)
@@ -452,11 +553,14 @@ class ResultStore:
             )
 
     def close(self) -> None:
-        """Close the shared connection of an in-memory store (no-op else)."""
-        if self._shared is not None:
-            with self._lock:
-                self._shared.close()
-                self._shared = None
+        """Close this process's connection to the store.
+
+        Other instances on the same file open a new connection on their
+        next call.  An in-memory store's data goes with its connection.
+        """
+        link = self._link()
+        with link.lock:
+            link.close()
 
     # -- recording ----------------------------------------------------------
 

@@ -14,9 +14,14 @@ carries must be picklable to cross a process boundary).
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -358,13 +363,45 @@ def _small_spec(**overrides):
     return CampaignSpec(**base)
 
 
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+}
+
+#: ``python -c`` body: run ``repro-campaign`` with the given arguments and
+#: SIGKILL this process as soon as its third checkpoint has committed.
+_SIGKILL_AFTER_THIRD_CHECKPOINT = """
+import os, signal, sys
+from repro.cli import main_campaign
+from repro.store import ResultStore
+
+save = ResultStore.save_checkpoint
+saved = []
+
+def save_then_die(self, campaign_key, job_result):
+    stored = save(self, campaign_key, job_result)
+    saved.append(stored)
+    if len(saved) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return stored
+
+ResultStore.save_checkpoint = save_then_die
+main_campaign(sys.argv[1:])
+"""
+
+
 class TestStoreHardening:
     def test_file_store_runs_in_wal_mode(self, tmp_path):
         path = str(tmp_path / "wal.db")
-        ResultStore(path).record_campaign(
-            run_campaign(_small_spec()), _small_spec())
+        store = ResultStore(path)
+        store.record_campaign(run_campaign(_small_spec()), _small_spec())
         with sqlite3.connect(path) as conn:
             assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        # The long-lived connection keeps FULL sync: every commit (each
+        # checkpoint) fsyncs the WAL.
+        with store._connect() as conn:
+            assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert conn.execute("PRAGMA synchronous").fetchone()[0] == 2
 
     def test_write_retry_absorbs_injected_lock_errors(self, tmp_path):
         store = ResultStore(str(tmp_path / "locked.db"))
@@ -380,25 +417,42 @@ class TestStoreHardening:
     def test_concurrent_writers_share_one_file(self, tmp_path):
         path = str(tmp_path / "shared.db")
         result = run_campaign(_small_spec())
+        job_ids = {jr.job.job_id for jr in result.execution.results}
+        writers = 8  # more threads than cores, on one shared connection
+        run_ids = []
         errors = []
-        # All four open the fresh file at once: the open (DDL, WAL switch)
+        # All open the fresh file at once: the open (DDL, WAL switch)
         # races the other writers, not just the recording transactions.
-        start = threading.Barrier(4)
+        start = threading.Barrier(writers)
 
-        def write():
+        def write(slot):
             try:
                 start.wait()
-                ResultStore(path).record_campaign(result, _small_spec())
+                store = ResultStore(path)
+                run_ids.append(store.record_campaign(result, _small_spec()))
+                for jr in result.execution.results:
+                    store.save_checkpoint(f"writer-{slot}", jr)
             except Exception as exc:  # noqa: BLE001 - asserted below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=write) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=write, args=(slot,))
+                   for slot in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert errors == []
-        assert len(ResultStore(path).list_runs()) == 4
+        assert len(set(run_ids)) == writers
+        store = ResultStore(path)
+        assert store.run_ids() == tuple(sorted(run_ids))
+        for slot in range(writers):
+            assert set(store.load_checkpoints(f"writer-{slot}")) == job_ids
 
     def test_checkpoint_round_trip(self, tmp_path):
         store = ResultStore(str(tmp_path / "ckpt.db"))
@@ -461,6 +515,47 @@ class TestResume:
         with sqlite3.connect(path) as conn:
             assert conn.execute(
                 "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 0
+
+    def test_sigkilled_campaign_resumes_byte_identically(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main_campaign
+
+        path = str(tmp_path / "killed.db")
+        argv = ["--dut", "wiper_ecu", "--store", path, "--resume"]
+        child = subprocess.run(
+            [sys.executable, "-c", _SIGKILL_AFTER_THIRD_CHECKPOINT, *argv],
+            capture_output=True, text=True, env=_CHILD_ENV, timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        # The checkpoints sit in the WAL nobody merged; a reader sees them.
+        with sqlite3.connect(f"file:{path}?mode=ro", uri=True) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 3
+
+        assert main_campaign(["--dut", "wiper_ecu"]) == 0
+        clean = capsys.readouterr().out
+        assert main_campaign(argv) == 0
+        assert capsys.readouterr().out == clean
+        (run_id,) = ResultStore(path).run_ids()
+        assert ResultStore(path).get_run(run_id).render() + "\n" == clean
+        with sqlite3.connect(path) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 0
+            assert conn.execute(
+                "PRAGMA integrity_check").fetchone()[0] == "ok"
+
+    def test_exited_campaign_leaves_only_the_database_file(self, tmp_path):
+        path = tmp_path / "exited.db"
+        code = ("import sys; from repro.cli import main_campaign; "
+                "sys.exit(main_campaign(sys.argv[1:]))")
+        subprocess.run(
+            [sys.executable, "-c", code, "--dut", "wiper_ecu",
+             "--store", str(path), "--resume"],
+            capture_output=True, env=_CHILD_ENV, timeout=120, check=True,
+        )
+        assert path.exists()
+        assert not Path(f"{path}-wal").exists()
+        assert not Path(f"{path}-shm").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ couple of content assertions pin the claims the docs make to the code
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -124,6 +125,16 @@ class TestDocsMatchCode:
         assert "repro-campaign --compose lock+cluster" in readme
         architecture = (REPO_ROOT / "docs" / "architecture.md").read_text()
         assert "composition.md" in architecture
+
+    def test_result_store_doc_matches_schema(self):
+        """The store doc names the schema version and every table."""
+        doc = (REPO_ROOT / "docs" / "result-store.md").read_text()
+        from repro.store import DDL, STORE_SCHEMA
+        assert f"Schema version {STORE_SCHEMA} " in doc
+        tables = re.findall(r"CREATE TABLE IF NOT EXISTS (\w+)", DDL)
+        assert "checkpoints" in tables
+        for table in tables:
+            assert re.search(rf"^{table}\s", doc, re.MULTILINE), table
 
     def test_writing_a_dut_cribs_from_real_apis(self):
         guide = (REPO_ROOT / "docs" / "writing-a-dut.md").read_text()

@@ -5,11 +5,16 @@ recorded into the store re-renders its verdict table **byte-identically**
 after a round trip (serial and async backends, which must agree with each
 other too), ``diff_runs`` of two identical campaigns is empty, queries
 slice the history by DUT / stand / verdict / time, and two writer threads
-sharing one sqlite file never corrupt or lose a run.
+sharing one sqlite file never corrupt or lose a run.  A process keeps one
+connection per store file: a resumed campaign plus its read-back opens it
+once, and it follows the file through deletion, fork and ``close()``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sqlite3
 import threading
 
 import pytest
@@ -174,8 +179,6 @@ def test_concurrent_writers_share_one_store(store_path):
 
 def test_content_keyed_dedup_of_scripts_and_catalogues(recorded):
     """Recording the same campaign twice interns scripts/catalogue once."""
-    import sqlite3
-
     path, serial, asynced = recorded
     with sqlite3.connect(path) as connection:
         scripts = connection.execute(
@@ -225,3 +228,84 @@ def test_composition_provenance_round_trips(store_path):
     single = run_campaign(CampaignSpec(
         dut="wiper_ecu", faults=("motor_stuck_off",), store=store_path))
     assert store.get_run(single.store_run_id).campaign["composition"] is None
+
+
+# ---------------------------------------------------------------------------
+# Connection lifetime: one connection per store file per process
+# ---------------------------------------------------------------------------
+
+def _integrity(path: str) -> str:
+    with sqlite3.connect(path) as connection:
+        return connection.execute("PRAGMA integrity_check").fetchone()[0]
+
+
+def test_resumed_campaign_and_readback_open_one_connection(store_path,
+                                                           monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+
+    def counting_connect(*args, **kwargs):
+        opened.append(args)
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    result = run_campaign(CampaignSpec(dut="wiper_ecu", store=store_path,
+                                       resume=True))
+    ResultStore(store_path).get_run(result.store_run_id).render()
+    assert len(opened) == 1
+
+
+def test_store_follows_its_file_when_deleted(store_path):
+    result = run_campaign(CampaignSpec(dut="wiper_ecu"))
+    before = ResultStore(store_path)
+    before.record_campaign(result)
+    for suffix in ("", "-wal", "-shm"):
+        if os.path.exists(store_path + suffix):
+            os.remove(store_path + suffix)
+    after = ResultStore(store_path)
+    assert after.run_ids() == ()
+    first = after.record_campaign(result)
+    second = before.record_campaign(result)
+    assert before.run_ids() == after.run_ids() == (first, second)
+    with sqlite3.connect(store_path) as connection:
+        assert connection.execute(
+            "SELECT id FROM runs ORDER BY id").fetchall() == [(first,),
+                                                              (second,)]
+    assert _integrity(store_path) == "ok"
+
+
+def _record_in_child(path, result):
+    ResultStore(path).record_campaign(result)
+
+
+def test_forked_child_records_on_its_own_connection(store_path):
+    result = run_campaign(CampaignSpec(dut="wiper_ecu"))
+    store = ResultStore(store_path)
+    store.record_campaign(result)
+    child = multiprocessing.get_context("fork").Process(
+        target=_record_in_child, args=(store_path, result))
+    # Fork mid-transaction, as when another thread forks pool workers
+    # while this one records: the child must not inherit the held lock.
+    with store._connect():
+        child.start()
+    child.join(timeout=30)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+    assert not alive
+    assert child.exitcode == 0
+    store.record_campaign(result)
+    assert len(store.run_ids()) == 3
+    assert _integrity(store_path) == "ok"
+
+
+def test_closed_store_leaves_other_instances_working(store_path):
+    result = run_campaign(CampaignSpec(dut="wiper_ecu"))
+    first = ResultStore(store_path)
+    second = ResultStore(store_path)
+    run_id = first.record_campaign(result)
+    first.close()
+    assert second.get_run(run_id).render() == \
+        f"{result.table()}\n{result.summary()}"
+    again = second.record_campaign(result)
+    assert second.run_ids() == (run_id, again)

@@ -2,7 +2,7 @@
 """Perf trajectory harness: run the executor benchmarks, append to BENCH_executor.json.
 
 Every PR that touches the execution hot path should leave a data point
-behind.  This tool runs quick variants of the repository's five
+behind.  This tool runs quick variants of the repository's six
 executor-economics benchmarks -
 
 * **compiled** (A5): every campaignable target campaigned serially, once
@@ -17,7 +17,10 @@ executor-economics benchmarks -
 * **chaos_overhead** (robustness PR): the wiper campaign with no chaos
   policy vs. an installed-but-inert one - the no-policy path must stay
   within 2 % (the hooks are a single ``ACTIVE is not None`` check when
-  off) -
+  off),
+* **store_overhead**: the wiper campaign with no store vs. checkpointed
+  into a result store (``store=..., resume=True``) - the checkpointed run
+  must stay within 3x of the bare one -
 
 and **appends** the wall clocks, speedup ratios and plan-cache statistics
 as one trajectory point - keyed by git SHA + measurement timestamp - to
@@ -25,9 +28,10 @@ as one trajectory point - keyed by git SHA + measurement timestamp - to
 commits (schema 2: ``{"schema", "benchmark", "latest", "trajectory"}``,
 newest point last and mirrored under ``latest``; a legacy schema-1
 single-point file is migrated in place).  CI runs ``--quick`` on every
-push, uploads the file as an artifact and **fails when the compiled
-serial path is not faster than the classic reference** - the regression
-this file exists to catch.
+push, uploads the file as an artifact and **fails when a gate fails**:
+the compiled serial path must beat the classic reference (the regression
+this file exists to catch), and the chaos and store overheads must stay
+within their bounds.
 
 Usage::
 
@@ -44,6 +48,7 @@ import functools
 import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,7 +56,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import Compiler                                   # noqa: E402
-from repro.store import current_git_sha                           # noqa: E402
+from repro.store import ResultStore, current_git_sha              # noqa: E402
 from repro.dut import InteriorLightEcu                            # noqa: E402
 from repro.paper import interior_harness, paper_signal_set, paper_suite  # noqa: E402
 from repro.targets import (                                       # noqa: E402
@@ -59,6 +64,7 @@ from repro.targets import (                                       # noqa: E402
     build_campaign,
     campaignable_dut_names,
     composition_names,
+    run_campaign,
 )
 from repro.teststand import (                                     # noqa: E402
     GLOBAL_PLAN_CACHE,
@@ -267,6 +273,42 @@ def bench_chaos_overhead(rounds: int) -> dict:
     }
 
 
+def bench_store_overhead(rounds: int) -> dict:
+    """The wiper campaign with no store vs. checkpointed into a store.
+
+    The checkpointed pass is ``run_campaign(store=..., resume=True)``: it
+    opens the store, commits one checkpoint per job, records the final
+    report and clears the checkpoints, all into one store file that
+    accumulates a run per pass.  Both passes build the campaign from its
+    spec, and they interleave, best-of, as in :func:`bench_chaos_overhead`.
+    """
+    plain = CampaignSpec(dut="wiper_ecu")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "o.db")
+        resume = CampaignSpec(dut="wiper_ecu", store=path, resume=True)
+        run_campaign(plain)  # warm-up: plan compiles + VM binds
+        run_campaign(resume)
+        no_store = float("inf")
+        resumed = float("inf")
+        for _ in range(max(7, rounds)):
+            start = time.perf_counter()
+            run_campaign(plain)
+            no_store = min(no_store, time.perf_counter() - start)
+            start = time.perf_counter()
+            run_campaign(resume)
+            resumed = min(resumed, time.perf_counter() - start)
+        # Close before the directory goes: a store file must not be
+        # deleted under its open connection.
+        ResultStore(path).close()
+    return {
+        "workload": "wiper_ecu campaign, no store vs --store --resume",
+        "no_store_s": round(no_store, 4),
+        "resume_s": round(resumed, 4),
+        "overhead_ratio": round(resumed / no_store, 2)
+        if no_store > 0 else None,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the executor perf benchmarks and write the "
@@ -291,6 +333,7 @@ def main(argv=None) -> int:
             "async_stands": bench_async_stands(
                 rounds, stands=async_stands, io_delay=io_delay),
             "chaos_overhead": bench_chaos_overhead(rounds),
+            "store_overhead": bench_store_overhead(rounds),
         }
     except Exception as exc:  # noqa: BLE001 - harness problem, not a gate
         print(f"error: benchmark harness failed: {exc}", file=sys.stderr)
@@ -309,6 +352,11 @@ def main(argv=None) -> int:
         # running under an installed-but-inert policy.
         "chaos_hooks_free_when_off": workloads["chaos_overhead"]["no_policy_s"]
         <= workloads["chaos_overhead"]["installed_s"] * 1.02,
+        # A checkpointed campaign (a durable commit per job, the final
+        # record and the clear) may take at most 3x the same campaign
+        # without a store.
+        "store_resume_overhead": workloads["store_overhead"]["resume_s"]
+        <= workloads["store_overhead"]["no_store_s"] * 3.0,
     }
 
     point = {
@@ -353,6 +401,10 @@ def main(argv=None) -> int:
     print(f"  chaos overhead  : {chaos_point['no_policy_s']:.3f} s off vs "
           f"{chaos_point['installed_s']:.3f} s inert "
           f"({chaos_point['overhead_ratio']}x)")
+    store_point = workloads["store_overhead"]
+    print(f"  store overhead  : {store_point['no_store_s']:.3f} s no store vs "
+          f"{store_point['resume_s']:.3f} s --store --resume "
+          f"({store_point['overhead_ratio']}x)")
     if not all(gates.values()):
         failed = [name for name, passed in gates.items() if not passed]
         print(f"error: perf gate(s) failed: {', '.join(failed)}", file=sys.stderr)

@@ -17,8 +17,9 @@ isolation.  This module provides the wiring level of compositional testing:
   member owning the pin; CAN primitives operate on the shared bus.
 
 The interpreter only ever talks to the harness duck-type, so composed runs
-reuse the classic interpreter unchanged; the bytecode VM declines composed
-signal sets and degrades to the plan path (see ``repro.teststand.vm``).
+take both execution modes unchanged: composed sheets compile to the
+bytecode VM like any other, and the classic walk stays the reference (see
+``repro.teststand.vm``).
 """
 
 from __future__ import annotations

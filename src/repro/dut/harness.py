@@ -16,11 +16,16 @@ like real instruments only ever see the connector:
 Voltages are computed with a small nodal-analysis network
 (:mod:`repro.dut.network`) combining the ECU's driver stages, the configured
 loads, the externally applied resistances/voltages and the meter impedance.
+Readings are cached per electrical state: :func:`node_voltages` builds and
+solves the network from plain values only, and keeps its results in a
+bounded per-process LRU, so each distinct state is solved once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ..can import CanBus, CanDatabase, CanFrame
@@ -28,7 +33,7 @@ from ..core.errors import HarnessError
 from .base import EcuModel
 from .network import GROUND, Network
 
-__all__ = ["LoadSpec", "TestHarness"]
+__all__ = ["LoadSpec", "TestHarness", "node_voltages"]
 
 
 class LoadSpec:
@@ -44,6 +49,52 @@ class LoadSpec:
 
     def __repr__(self) -> str:
         return f"LoadSpec({self.pin_a!r}, {self.pin_b!r}, {self.ohms} Ohm)"
+
+
+@functools.lru_cache(maxsize=1024)
+def node_voltages(
+    pins: tuple[tuple[str, float | None, float | None], ...],
+    ubatt: float,
+    loads: tuple[tuple[str, str, float], ...],
+    resistances: tuple[tuple[str, float], ...],
+    voltages: tuple[tuple[str, float], ...],
+    meter: tuple[str, ...],
+    dvm_impedance: float,
+) -> Mapping[str, float]:
+    """Solved node voltages of one electrical state (read-only mapping).
+
+    The arguments are everything that stamps the network, as plain values:
+    every ECU pin as ``(key, level, resistance)`` in pin order (level and
+    resistance ``None`` while the pin is not driven), the supply, the loads
+    as ``(pin_a, pin_b, ohms)``, the applied resistances and voltages in
+    insertion order, the meter's pin keys (none, one against ground, or
+    two) and its impedance.  Stamp order is kept because it changes the
+    float rounding.  A reading depends on nothing else, which is what makes
+    caching it safe; a singular network raises on every call, because
+    ``lru_cache`` does not keep exceptions.  Arguments compare with ``==``,
+    so ``0.0`` and ``-0.0`` share an entry: a zero reading may come back
+    with either sign.
+    """
+    network = Network()
+    network.add_voltage_source("vbat", GROUND, ubatt)
+    # ECU driver stages.
+    for key, level, resistance in pins:
+        network.node(key)
+        if level is not None:
+            network.add_thevenin(key, level * ubatt, resistance)
+    # External loads.
+    for pin_a, pin_b, ohms in loads:
+        network.add_resistor(pin_a, pin_b, ohms)
+    # Test-stand stimuli.
+    for pin, ohms in resistances:
+        network.add_resistor(pin, GROUND, ohms)
+    for pin, volts in voltages:
+        network.add_voltage_source(pin, GROUND, volts)
+    # Meter impedance.
+    if meter:
+        network.add_resistor(meter[0], meter[1] if len(meter) > 1 else GROUND,
+                             dvm_impedance)
+    return MappingProxyType(network.solve())
 
 
 class TestHarness:
@@ -65,7 +116,10 @@ class TestHarness:
         self.can_db = can_db
         self._ubatt = float(ubatt)
         self._loads = list(loads)
-        self._dvm_impedance = float(dvm_impedance or self.DVM_IMPEDANCE)
+        self._dvm_impedance = float(
+            self.DVM_IMPEDANCE if dvm_impedance is None else dvm_impedance)
+        if not self._dvm_impedance > 0:
+            raise HarnessError("DVM impedance must be positive")
         self._now = 0.0
         self._applied_resistances: dict[str, float] = {}
         self._applied_voltages: dict[str, float] = {}
@@ -173,31 +227,31 @@ class TestHarness:
 
     # -- electrical measurements ----------------------------------------------------
 
-    def _build_network(self, *, meter_pins: Sequence[str] = ()) -> Network:
-        network = Network()
-        network.add_voltage_source("vbat", GROUND, self._ubatt)
-        # ECU driver stages.
-        for pin in self.ecu.pins:
-            network.node(pin.key)
-            drive = self.ecu.output_drive(pin.name) if pin.is_output else None
+    def _node_voltages(self, meter: tuple[str, ...] = ()) -> Mapping[str, float]:
+        """Node voltages of the present state, with a meter across *meter*.
+
+        Gathers the arguments of :func:`node_voltages` afresh on every call:
+        the drives through ``ecu.output_drive`` (so a model whose readback
+        raises fails the reading, cached or not), and the loads, which
+        :meth:`add_load` extends and :class:`LoadSpec` lets callers mutate.
+        """
+        ecu = self.ecu
+        pins = []
+        for pin in ecu.pins:
+            drive = ecu.output_drive(pin.name) if pin.is_output else None
             if drive is not None and drive.driven:
-                network.add_thevenin(pin.key, drive.level * self._ubatt, drive.resistance)
-        # External loads.
-        for load in self._loads:
-            network.add_resistor(load.pin_a, load.pin_b, load.ohms)
-        # Test-stand stimuli.
-        for pin, ohms in self._applied_resistances.items():
-            network.add_resistor(pin, GROUND, ohms)
-        for pin, volts in self._applied_voltages.items():
-            network.add_voltage_source(pin, GROUND, volts)
-        # Meter impedance.
-        if len(meter_pins) == 1:
-            network.add_resistor(str(meter_pins[0]).lower(), GROUND, self._dvm_impedance)
-        elif len(meter_pins) >= 2:
-            network.add_resistor(
-                str(meter_pins[0]).lower(), str(meter_pins[1]).lower(), self._dvm_impedance
-            )
-        return network
+                pins.append((pin.key, drive.level, drive.resistance))
+            else:
+                pins.append((pin.key, None, None))
+        return node_voltages(
+            tuple(pins),
+            self._ubatt,
+            tuple((load.pin_a, load.pin_b, load.ohms) for load in self._loads),
+            tuple(self._applied_resistances.items()),
+            tuple(self._applied_voltages.items()),
+            meter,
+            self._dvm_impedance,
+        )
 
     def measure_voltage(self, pins: Sequence[str] | str) -> float:
         """Voltage a DVM connected to *pins* would read.
@@ -209,10 +263,13 @@ class TestHarness:
             pins = (pins,)
         if not pins:
             raise HarnessError("measure_voltage needs at least one pin")
-        keys = [self._pin_key(pin) for pin in pins]
-        network = self._build_network(meter_pins=keys)
+        if len(pins) > 2:
+            raise HarnessError(
+                f"measure_voltage takes one or two pins, got {len(pins)}")
+        keys = tuple(self._pin_key(pin) for pin in pins)
+        voltages = self._node_voltages(keys)
         reference = keys[1] if len(keys) > 1 else GROUND
-        return network.voltage_between(keys[0], reference)
+        return voltages[keys[0]] - voltages[reference]
 
     def measure_current(self, pin: str) -> float:
         """Current sourced by the ECU driver on *pin* in amperes."""
@@ -220,16 +277,15 @@ class TestHarness:
         drive = self.ecu.output_drive(key)
         if not drive.driven:
             return 0.0
-        network = self._build_network()
-        pin_voltage = network.voltage_between(key, GROUND)
+        pin_voltage = self._node_voltages()[key]
         return (drive.level * self._ubatt - pin_voltage) / drive.resistance
 
     def measure_resistance(self, pin: str) -> float:
         """Resistance to ground seen at *pin* from the outside.
 
-        Computed by probing the network with a 1 mA test current source
-        approximation (a 1 kOhm series probe from a 1 V source) while the
-        battery is replaced by a short - adequate for contact checks.
+        A contact check, not a network solve: the driver's source
+        resistance while the ECU drives *pin*, else the resistance the
+        stand applied to it, else infinity (open).
         """
         key = self._pin_key(pin)
         drive = self.ecu.output_drive(key) if self.ecu.pin(key).is_output else None

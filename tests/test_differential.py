@@ -16,8 +16,10 @@ suite (each DUT and the ``lock+cluster`` composition) and mutating them:
 Every script runs once on the VM and once on the classic reference walk,
 against the healthy ECU or a faulty one.  The two JSON reports must be
 identical apart from the wall time, and so must the results the report
-leaves out (setup actions, allocations, step start times).  The seed is
-fixed, so a failure reproduces exactly.
+leaves out (setup actions, allocations, step start times).  The classic
+walk then runs once more with the harness's reading cache bypassed
+(``node_voltages.__wrapped__``), and must again produce the same results.
+The seed is fixed, so a failure reproduces exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import random
 import pytest
 
 from repro.core.script import MethodCall, ScriptStep, SignalAction, TestScript
+from repro.dut import harness as harness_module
 from repro.targets import (
     CampaignSpec,
     build_campaign,
@@ -136,7 +139,7 @@ def _observed(campaign, script: TestScript, ecu_factory, *,
 
 
 @pytest.mark.parametrize("target", TARGETS)
-def test_vm_matches_classic_on_generated_scripts(target):
+def test_vm_matches_classic_on_generated_scripts(target, monkeypatch):
     rng = random.Random(f"{SEED}:{target}")
     campaign, faults = _campaign(target)
     ecus = [campaign.healthy_factory] + [fault.build for fault in faults]
@@ -150,6 +153,12 @@ def test_vm_matches_classic_on_generated_scripts(target):
         classic = _observed(campaign, script, ecu, stop_on_error=stop,
                             plan_cache=None)
         assert vm == classic, f"{target} seed {SEED} script {index}"
+        with monkeypatch.context() as patch:
+            patch.setattr(harness_module, "node_voltages",
+                          harness_module.node_voltages.__wrapped__)
+            uncached = _observed(campaign, script, ecu, stop_on_error=stop,
+                                 plan_cache=None)
+        assert uncached == classic, f"{target} seed {SEED} script {index}"
     # Guard against comparing classic with classic: the VM must have served
     # most scripts, and a script it compiled must never degrade.
     stats = cache.stats.snapshot()

@@ -8,7 +8,10 @@ import pytest
 
 from repro.core.errors import HarnessError
 from repro.dut import InteriorLightEcu, LoadSpec, TestHarness, body_can_database
+from repro.dut.harness import node_voltages
 from repro.paper import build_paper_harness
+
+LAMP = ("INT_ILL_F", "INT_ILL_R")
 
 
 class TestElectricalPath:
@@ -67,6 +70,13 @@ class TestElectricalPath:
             harness.advance(-0.1)
         with pytest.raises(HarnessError):
             harness.set_ubatt(-5.0)
+        for impedance in (0.0, -1.0e6):
+            with pytest.raises(HarnessError):
+                TestHarness(InteriorLightEcu(), dvm_impedance=impedance)
+
+    def test_measure_voltage_takes_at_most_two_pins(self, harness):
+        with pytest.raises(HarnessError):
+            harness.measure_voltage(("INT_ILL_F", "INT_ILL_R", "DS_FL"))
 
 
 class TestCanPath:
@@ -143,3 +153,80 @@ class TestTimeAndSupply:
     def test_loadspec_validation(self):
         with pytest.raises(HarnessError):
             LoadSpec("a", ohms=0.0)
+
+
+def _lit_circuit(*, night: int = 1, ubatt: float = 12.0,
+                 dvm_impedance: float | None = None) -> TestHarness:
+    """The paper's circuit with a door open and NIGHT set to *night*."""
+    harness = TestHarness(InteriorLightEcu(), body_can_database(), ubatt=ubatt,
+                          loads=(LoadSpec(*LAMP, ohms=6.0),),
+                          dvm_impedance=dvm_impedance)
+    harness.send_can_signal("NIGHT", night)
+    harness.apply_resistance("DS_FL", 0.5)
+    return harness
+
+
+def _lamp_voltage(harness: TestHarness) -> float:
+    return harness.measure_voltage(LAMP)
+
+
+def _key_pair(component: str):
+    """Two harnesses whose electrical states differ in *component* alone,
+    each with the reading to take from it."""
+    a, b = _lit_circuit(), _lit_circuit()
+    read = _lamp_voltage
+    if component == "drive":  # the lamp driver off, then on
+        a = _lit_circuit(night=0)
+    elif component == "ubatt":
+        b = _lit_circuit(ubatt=13.5)
+    elif component == "load":
+        b.add_load(LoadSpec("INT_ILL_F", ohms=100.0))
+    elif component == "resistance":  # on the lit output
+        a.apply_resistance("INT_ILL_F", 1000.0)
+        b.apply_resistance("INT_ILL_F", 10.0)
+    elif component == "voltage":
+        a.apply_voltage("DS_FR", 3.0)
+        b.apply_voltage("DS_FR", 5.0)
+        read = lambda harness: harness.measure_voltage("DS_FR")  # noqa: E731
+    elif component == "meter":
+        return ((a, lambda harness: harness.measure_voltage("INT_ILL_F")),
+                (b, lambda harness: harness.measure_current("INT_ILL_F")))
+    elif component == "dvm_impedance":
+        b = _lit_circuit(dvm_impedance=1.0e3)
+        for harness in (a, b):
+            harness.apply_voltage("DS_FR", 5.0)
+            harness.apply_resistance("DS_RL", 1000.0)
+        read = lambda harness: harness.measure_voltage(("DS_FR", "DS_RL"))  # noqa: E731
+    return (a, read), (b, read)
+
+
+class TestReadingCache:
+    """Readings are cached per electrical state (``node_voltages``)."""
+
+    @pytest.mark.parametrize("component", (
+        "drive", "ubatt", "load", "resistance", "voltage", "meter",
+        "dvm_impedance"))
+    def test_state_key_covers_component(self, component):
+        # A cache whose key dropped *component* would hand B the entry A
+        # left behind.
+        (harness_a, read_a), (harness_b, read_b) = _key_pair(component)
+        node_voltages.cache_clear()
+        cold = read_b(harness_b)
+        node_voltages.cache_clear()
+        read_a(harness_a)
+        assert read_b(harness_b) == cold
+
+    def test_repeated_state_is_solved_once(self, monkeypatch):
+        from repro.dut.network import Network
+
+        solves = []
+        solve = Network.solve
+        monkeypatch.setattr(Network, "solve",
+                            lambda network: solves.append(1) or solve(network))
+        node_voltages.cache_clear()
+        harness = _lit_circuit()
+        first = _lamp_voltage(harness)
+        # The same state, read again and read on a second harness.
+        assert _lamp_voltage(harness) == _lamp_voltage(_lit_circuit()) == first
+        assert len(solves) == 1
+        assert node_voltages.cache_info().hits == 2

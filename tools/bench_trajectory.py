@@ -2,7 +2,7 @@
 """Perf trajectory harness: run the executor benchmarks, append to BENCH_executor.json.
 
 Every PR that touches the execution hot path should leave a data point
-behind.  This tool runs quick variants of the repository's six
+behind.  This tool runs quick variants of the repository's seven
 executor-economics benchmarks -
 
 * **compiled** (A5): every campaignable target campaigned serially, once
@@ -20,18 +20,23 @@ executor-economics benchmarks -
   off),
 * **store_overhead**: the wiper campaign with no store vs. checkpointed
   into a result store (``store=..., resume=True``) - the checkpointed run
-  must stay within 3x of the bare one -
+  must stay within 3x of the bare one,
+* **dut_solves**: every campaignable target campaigned serially twice
+  after clearing the DUT harness's reading cache, counting
+  ``Network.solve`` calls per pass - the second pass must solve nothing,
+  because each electrical state was solved once in the first -
 
-and **appends** the wall clocks, speedup ratios and plan-cache statistics
-as one trajectory point - keyed by git SHA + measurement timestamp - to
-``BENCH_executor.json``.  The file accumulates the perf history across
-commits (schema 2: ``{"schema", "benchmark", "latest", "trajectory"}``,
-newest point last and mirrored under ``latest``; a legacy schema-1
-single-point file is migrated in place).  CI runs ``--quick`` on every
-push, uploads the file as an artifact and **fails when a gate fails**:
-the compiled serial path must beat the classic reference (the regression
-this file exists to catch), and the chaos and store overheads must stay
-within their bounds.
+and **appends** the wall clocks, speedup ratios, solve counts and
+plan-cache statistics as one trajectory point - keyed by git SHA +
+measurement timestamp - to ``BENCH_executor.json``.  The file
+accumulates the perf history across commits (schema 2: ``{"schema",
+"benchmark", "latest", "trajectory"}``, newest point last and mirrored
+under ``latest``; a legacy schema-1 single-point file is migrated in
+place).  CI runs ``--quick`` on every push, uploads the file as an
+artifact and **fails when a gate fails**: the compiled serial path must
+beat the classic reference (the regression this file exists to catch),
+the chaos and store overheads must stay within their bounds, and a
+repeated pass over the family must not re-solve any electrical state.
 
 Usage::
 
@@ -309,6 +314,52 @@ def bench_store_overhead(rounds: int) -> dict:
     }
 
 
+def bench_dut_solves() -> dict:
+    """Network solves per pass over every target, reading cache cleared first.
+
+    Every campaignable target is campaigned serially twice, with a counting
+    wrapper around ``Network.solve`` that this function installs and
+    removes.  The first pass solves each distinct electrical state once;
+    the second is served entirely from the harness's reading cache
+    (:func:`repro.dut.harness.node_voltages`).  Counts, not times: they
+    repeat exactly from run to run.
+    """
+    from repro.dut.harness import node_voltages
+    from repro.dut.network import Network
+
+    specs = [CampaignSpec(dut=dut, backend="serial")
+             for dut in campaignable_dut_names()]
+    specs += [CampaignSpec(composition=name, backend="serial")
+              for name in composition_names()]
+    campaigns = [build_campaign(spec) for spec in specs]
+    solve = Network.solve
+    solves = 0
+
+    def counting_solve(network):
+        nonlocal solves
+        solves += 1
+        return solve(network)
+
+    per_pass = []
+    node_voltages.cache_clear()
+    Network.solve = counting_solve
+    try:
+        for _ in range(2):
+            before = solves
+            for campaign, faults in campaigns:
+                campaign.run(faults)
+            per_pass.append(solves - before)
+    finally:
+        Network.solve = solve
+    return {
+        "workload": f"{len(campaigns)} target campaigns, serial backend, "
+                    "2 passes after clearing the reading cache",
+        "first_pass_solves": per_pass[0],
+        "second_pass_solves": per_pass[1],
+        "cached_states": node_voltages.cache_info().currsize,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the executor perf benchmarks and write the "
@@ -334,6 +385,7 @@ def main(argv=None) -> int:
                 rounds, stands=async_stands, io_delay=io_delay),
             "chaos_overhead": bench_chaos_overhead(rounds),
             "store_overhead": bench_store_overhead(rounds),
+            "dut_solves": bench_dut_solves(),
         }
     except Exception as exc:  # noqa: BLE001 - harness problem, not a gate
         print(f"error: benchmark harness failed: {exc}", file=sys.stderr)
@@ -357,6 +409,10 @@ def main(argv=None) -> int:
         # without a store.
         "store_resume_overhead": workloads["store_overhead"]["resume_s"]
         <= workloads["store_overhead"]["no_store_s"] * 3.0,
+        # Each electrical state is solved once per process: a second pass
+        # over the family reads every voltage from the reading cache.
+        "dut_state_solved_once":
+            workloads["dut_solves"]["second_pass_solves"] == 0,
     }
 
     point = {
@@ -405,6 +461,10 @@ def main(argv=None) -> int:
     print(f"  store overhead  : {store_point['no_store_s']:.3f} s no store vs "
           f"{store_point['resume_s']:.3f} s --store --resume "
           f"({store_point['overhead_ratio']}x)")
+    solves_point = workloads["dut_solves"]
+    print(f"  dut solves      : {solves_point['first_pass_solves']} first pass "
+          f"-> {solves_point['second_pass_solves']} second pass "
+          f"({solves_point['cached_states']} cached states)")
     if not all(gates.values()):
         failed = [name for name, passed in gates.items() if not passed]
         print(f"error: perf gate(s) failed: {', '.join(failed)}", file=sys.stderr)

@@ -8,7 +8,7 @@ over the public target registry in :mod:`repro.targets`:
     test script per test definition sheet,
 ``repro-run <script.xml> [--stand NAME] [--policy NAME]``
     execute an XML test script on one of the registered virtual test stands
-    against the matching registered DUT and print the report,
+    against the matching registered DUT or composition and print the report,
 ``repro-report <script.xml>``
     print a static summary of a script (signals, methods, duration) without
     executing it; with ``--store PATH`` it reads the persistent result
@@ -115,10 +115,10 @@ def main_run(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``repro-run``: execute one XML script on one stand.
 
     Expands a :class:`~repro.targets.RunSpec` through the registry (the
-    script's own DUT name picks the registered target; ``--stand`` defaults
-    to a stand carrying that DUT's adapter) and prints the step-by-step
-    report.  Returns 0 when the script passed, 1 on a FAIL verdict, 2 when
-    the script could not be executed at all.
+    script's own DUT name picks the registered DUT or composition;
+    ``--stand`` defaults to a stand carrying that target's adapter) and
+    prints the step-by-step report.  Returns 0 when the script passed, 1
+    on a FAIL verdict, 2 when the script could not be executed at all.
     """
     parser = argparse.ArgumentParser(
         prog="repro-run",
@@ -250,17 +250,19 @@ def _print_target_listing(*, lint: bool = False) -> None:
 def _run_profiled_campaign(spec, *, quiet: bool = False):
     """Run *spec* with per-phase timing; returns (result, rendered, lines).
 
-    Phases: *job expansion* (spec -> compiled scripts -> jobs), *execution*
-    (the whole backend run) split into the interpreter-attributed
-    *allocation* and *instrument I/O* shares of classic-walk runs and the
-    *VM* share of runs the bytecode VM served, and *aggregation*
-    (rendering exactly the table/summary this invocation prints - the
-    strings are returned so the caller prints rather than re-renders
-    them).  The plan-cache delta over the campaign is reported
-    alongside.  Worker processes ship their phase timings and plan-cache
-    counters back with each result chunk, so ``--backend process`` shows
-    the worker-side phases too (summed across workers, so they can exceed
-    the parent's execution wall clock).
+    The run goes through :func:`repro.targets.run_campaign` like any other,
+    so ``--store`` and ``--resume`` apply.  Phases: *job expansion* (spec
+    -> compiled scripts -> jobs, the profiler's ``job_expansion`` phase),
+    *execution* (the rest of the run: the backend run plus any store
+    writes) split into the interpreter-attributed *allocation* and
+    *instrument I/O* shares of classic-walk runs and the *VM* share of runs
+    the bytecode VM served, and *aggregation* (rendering exactly the
+    table/summary this invocation prints - the strings are returned so the
+    caller prints rather than re-renders them).  The plan-cache delta over
+    the campaign is reported alongside.  Worker processes ship their phase
+    timings and plan-cache counters back with each result chunk, so
+    ``--backend process`` shows the worker-side phases too (summed across
+    workers, so they can exceed the parent's execution wall clock).
     """
     import time as _time
 
@@ -272,18 +274,17 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
     PROFILER.enable()
     try:
         t0 = _time.perf_counter()
-        campaign, faults = targets.build_campaign(spec)
+        result = targets.run_campaign(spec)
         t1 = _time.perf_counter()
-        result = campaign.run(faults)
-        t2 = _time.perf_counter()
         rendered = {
             "table": None if quiet else result.table(),
             "summary": result.summary(),
         }
-        t3 = _time.perf_counter()
+        t2 = _time.perf_counter()
     finally:
         PROFILER.disable()
     phases = PROFILER.snapshot()
+    expansion = phases.get("job_expansion", (0.0, 0))[0]
     cache_after = GLOBAL_PLAN_CACHE.stats.snapshot()
     delta = {key: cache_after[key] - cache_before[key] for key in cache_after}
 
@@ -292,12 +293,12 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
         return f"{seconds:.3f} s across {calls} call(s)"
 
     lines = [
-        f"profile: job expansion  {t1 - t0:.3f} s",
-        f"profile: execution      {t2 - t1:.3f} s "
+        f"profile: job expansion  {expansion:.3f} s",
+        f"profile: execution      {t1 - t0 - expansion:.3f} s "
         f"(allocation {_phase('allocation')}; "
         f"instrument I/O {_phase('instrument_io')}; "
         f"VM {_phase('vm_execute')})",
-        f"profile: aggregation    {t3 - t2:.3f} s",
+        f"profile: aggregation    {t2 - t1:.3f} s",
         f"profile: plan cache     {delta['plans_compiled']} compile(s), "
         f"{delta['plan_hits']} plan hit(s) / {delta['plan_misses']} miss(es)",
         f"profile: vm             {delta['vm_runs']} run(s) on the bytecode "

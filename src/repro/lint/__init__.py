@@ -27,7 +27,6 @@ from .engine import (
     LintError,
     LintReport,
     preflight_lint,
-    preflight_lint_composition,
     rules_by_id,
     run_lint,
     select_rules,
@@ -64,7 +63,6 @@ __all__ = [
     "blocking_execute_calls",
     "exit_code_for",
     "preflight_lint",
-    "preflight_lint_composition",
     "rules_by_id",
     "run_lint",
     "select_rules",

@@ -189,11 +189,3 @@ class LintContext:
         })
         variables["ubatt"] = float(stand.supply_voltage)
         return variables
-
-    # -- method vocabulary ---------------------------------------------------
-
-    def is_measurement(self, method: str) -> bool:
-        """Registry verdict with the interpreter's ``get_*`` fallback."""
-        if method in self.registry:
-            return self.registry.get(method).is_measurement
-        return str(method).lower().startswith("get")

@@ -35,6 +35,7 @@ import ast
 import inspect
 import textwrap
 
+from ..teststand.plan import action_is_measurement
 from .context import LintContext
 from .findings import ERROR, NOTE, WARNING, LintRule
 
@@ -196,7 +197,8 @@ def _analyse_sheets(context: LintContext, dut):
                     definition = status_def(assignment.status)
                     if definition is None:
                         continue
-                    if not context.is_measurement(definition.method):
+                    if not action_is_measurement(context.registry,
+                                                 definition.method):
                         continue
                     key = assignment.signal.lower()
                     if non_initial(key, assignment.status):

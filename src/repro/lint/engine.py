@@ -8,12 +8,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from ..core.errors import ReproError
 from ..methods import MethodRegistry
-from ..targets import CompositionTarget, DutTarget, TargetError, get_composition
+from ..targets import CompositionTarget, DutTarget, TargetError, get_target
 from . import composition, coverage, executor_safety, expressions, reachability
 from .context import LintContext
 from .findings import (
@@ -31,7 +30,6 @@ __all__ = [
     "LintError",
     "LintReport",
     "preflight_lint",
-    "preflight_lint_composition",
     "rules_by_id",
     "run_lint",
     "select_rules",
@@ -182,7 +180,24 @@ class LintError(TargetError):
         self.findings = findings
 
 
-def _raise_on_errors(report: LintReport) -> LintReport:
+def preflight_lint(target: DutTarget | CompositionTarget | str) -> LintReport:
+    """Lint one target and raise :class:`LintError` on error findings.
+
+    This is the ``preflight="lint"`` hook of
+    :func:`repro.targets.run_single` and
+    :func:`repro.targets.build_campaign`: warnings and notes pass, errors
+    abort before any stand is built.  *target* is a DUT or a composition,
+    or the registered name of either.  A composition is linted with its
+    member DUTs plus the family-M composition rules: a composed campaign is
+    only as sound as its members, so their single-DUT findings gate it too.
+    """
+    if isinstance(target, str):
+        target = get_target(target)
+    if isinstance(target, CompositionTarget):
+        report = run_lint([member.dut for member in target.members],
+                          compositions=[target])
+    else:
+        report = run_lint([target])
     errors = report.errors
     if errors:
         listed = "; ".join(
@@ -195,31 +210,3 @@ def _raise_on_errors(report: LintReport) -> LintReport:
             findings=errors,
         )
     return report
-
-
-def preflight_lint(dut: DutTarget | str) -> LintReport:
-    """Lint one DUT and raise :class:`LintError` on error findings.
-
-    This is the ``preflight="lint"`` hook of
-    :func:`repro.targets.run_single` and
-    :func:`repro.targets.build_campaign`: warnings and notes pass, errors
-    abort before any stand is built.
-    """
-    return _raise_on_errors(run_lint([dut]))
-
-
-def preflight_lint_composition(
-    composition: CompositionTarget | str,
-) -> LintReport:
-    """Lint one composition - its member DUTs plus the family-M composition
-    rules - and raise :class:`LintError` on error findings.
-
-    The composed ``preflight="lint"`` hook: a composed campaign is only as
-    sound as its members, so their single-DUT findings gate it too.
-    """
-    comp = get_composition(composition) \
-        if isinstance(composition, str) else composition
-    return _raise_on_errors(
-        run_lint([member.dut for member in comp.members],
-                 compositions=[comp])
-    )

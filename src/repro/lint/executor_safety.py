@@ -386,9 +386,8 @@ class _UnclassifiedRaiseVisitor(ast.NodeVisitor):
 def unclassified_raises(source: str) -> tuple[tuple[int, str], ...]:
     """``(lineno, exception name)`` for unclassified raises in *source*.
 
-    Exposed for test fixtures; the rule applies it to the ``_perform`` /
-    ``_aperform`` cores of every instrument class found on a registered
-    stand.
+    Exposed for test fixtures; the rule applies it to the ``_perform``
+    core of every instrument class found on a registered stand.
     """
     visitor = _UnclassifiedRaiseVisitor()
     visitor.visit(ast.parse(textwrap.dedent(source)))
@@ -399,7 +398,7 @@ def check_unclassified_raise(context: LintContext, rule: LintRule):
     """Instrument cores whose failures the retry classifier cannot read.
 
     Walks the instruments of every registered stand and AST-scans the
-    ``_perform`` / ``_aperform`` methods each class defines itself.  A
+    ``_perform`` method each class defines itself.  A
     ``raise Exception(...)`` or ``raise RuntimeError(...)`` there is
     invisible to :func:`repro.core.errors.is_transient` - unknown types
     default to *transient*, so a permanent instrument defect gets retried
@@ -416,27 +415,25 @@ def check_unclassified_raise(context: LintContext, rule: LintRule):
             if cls in seen:
                 continue
             seen.add(cls)
-            for method_name in ("_perform", "_aperform"):
-                method = vars(cls).get(method_name)
-                if method is None:
-                    continue
-                try:
-                    source = inspect.getsource(method)
-                except Exception:
-                    continue
-                for lineno, name in unclassified_raises(source):
-                    yield rule.finding(
-                        f"instrument:{cls.__name__}.{method_name} "
-                        f"line:{lineno}",
-                        f"instrument core raises bare {name}; the retry "
-                        f"classifier treats unknown exception types as "
-                        f"transient, so this failure is retried with "
-                        f"backoff even when it is permanent",
-                        hint="raise InstrumentIOError for transient I/O "
-                             "faults, or a permanent classified error "
-                             "(InstrumentError, ConfigurationError) for "
-                             "real defects",
-                    )
+            method = vars(cls).get("_perform")
+            if method is None:
+                continue
+            try:
+                source = inspect.getsource(method)
+            except Exception:
+                continue
+            for lineno, name in unclassified_raises(source):
+                yield rule.finding(
+                    f"instrument:{cls.__name__}._perform line:{lineno}",
+                    f"instrument core raises bare {name}; the retry "
+                    f"classifier treats unknown exception types as "
+                    f"transient, so this failure is retried with "
+                    f"backoff even when it is permanent",
+                    hint="raise InstrumentIOError for transient I/O "
+                         "faults, or a permanent classified error "
+                         "(InstrumentError, ConfigurationError) for "
+                         "real defects",
+                )
 
 
 RULES = (

@@ -12,6 +12,9 @@ extensible registry instead of private CLI tables:
     process backend),
 :class:`StandTarget` / :func:`register_stand`
     a test-stand builder plus whether it accepts a DUT adapter pin list,
+:class:`CompositionTarget` / :func:`register_composition`
+    several registered DUTs on one shared CAN bus, served by the same run
+    and campaign paths as a DUT (:func:`get_target` finds either by name),
 :class:`RunSpec` / :func:`run_single`
     declarative single-script execution,
 :class:`CampaignSpec` / :func:`run_campaign`
@@ -49,6 +52,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -110,6 +114,8 @@ from .teststand.executor import (
     registry_changed,
 )
 from .teststand.interpreter import TestStandInterpreter
+from .teststand.plan import action_is_measurement
+from .teststand.profiling import PROFILER
 from .teststand.stands import (
     TestStand,
     build_big_rack,
@@ -135,6 +141,7 @@ __all__ = [
     "get_dut",
     "get_stand",
     "get_composition",
+    "get_target",
     "dut_names",
     "stand_names",
     "composition_names",
@@ -213,6 +220,29 @@ class CapabilityGapError(TargetError):
 # Registry model
 # ---------------------------------------------------------------------------
 
+def _required_methods(suite_factory: Callable[[], TestSuite] | None,
+                      declared: Iterable[str] | None) -> tuple[str, ...] | None:
+    """A target's half of the capability negotiation, lower-cased.
+
+    Declared methods win.  Otherwise every status the bundled suite's
+    sheets (or initial signal statuses) use binds a method, and that set is
+    exactly what the compiled scripts will ask a stand's allocator for.
+    ``None`` when no suite is bundled or its factory fails.
+    """
+    if declared is not None:
+        return tuple(str(m).lower() for m in declared)
+    if suite_factory is None:
+        return None
+    try:
+        suite = suite_factory()
+        return tuple(sorted({
+            suite.statuses.get(name).method.lower()
+            for name in suite.statuses_used()
+        }))
+    except Exception:
+        return None
+
+
 @dataclass(frozen=True)
 class DutTarget:
     """Everything execution needs to know about one DUT type.
@@ -265,28 +295,8 @@ class DutTarget:
             raise TargetError("DUT target needs a name")
         if self.pins is not None:
             object.__setattr__(self, "pins", tuple(self.pins))
-        if self.required_methods is None and self.suite_factory is not None:
-            # Registration-time half of the capability negotiation: every
-            # status a sheet (or an initial signal status) uses binds a
-            # method, and that set is exactly what the compiled scripts will
-            # ask a stand's allocator for.
-            try:
-                suite = self.suite_factory()
-                required = sorted({
-                    suite.statuses.get(name).method.lower()
-                    for name in suite.statuses_used()
-                })
-            except Exception:
-                required = None
-            object.__setattr__(
-                self, "required_methods",
-                tuple(required) if required is not None else None,
-            )
-        elif self.required_methods is not None:
-            object.__setattr__(
-                self, "required_methods",
-                tuple(str(m).lower() for m in self.required_methods),
-            )
+        object.__setattr__(self, "required_methods", _required_methods(
+            self.suite_factory, self.required_methods))
 
     @property
     def key(self) -> str:
@@ -418,6 +428,9 @@ def register_dut(target: DutTarget | None = None, *, replace_existing: bool = Fa
             raise TargetError(f"expected a DutTarget, got {type(target).__name__}")
         if target.key in _DUTS and not replace_existing:
             raise TargetError(f"DUT target {target.name!r} is already registered")
+        if target.key in _COMPOSITIONS:
+            raise TargetError(
+                f"DUT target {target.name!r} clashes with a composition")
         _DUTS[target.key] = target
         registry_changed()
         return target
@@ -530,25 +543,26 @@ def iter_stands() -> tuple[StandTarget, ...]:
 
 
 def stand_factory_for(stand: str | StandTarget,
-                      dut: str | DutTarget) -> Callable[[], TestStand]:
-    """A picklable stand factory wired to the DUT's adapter pins."""
+                      dut: str | Target) -> Callable[[], TestStand]:
+    """A picklable stand factory wired to the target's adapter pins."""
     stand_target = get_stand(stand) if isinstance(stand, str) else stand
-    dut_target = get_dut(dut) if isinstance(dut, str) else dut
+    dut_target = get_target(dut) if isinstance(dut, str) else dut
     try:
         return stand_target.factory_for(dut_target.pins)
     except TargetError as exc:
         raise TargetError(f"{exc} (DUT {dut_target.name!r})") from None
 
 
-def default_stand_for(dut: str | DutTarget) -> str:
-    """The default stand name for a DUT: paper pinning gets the paper stand,
-    adapter-bearing DUTs get the first *registered* adaptable stand.
+def default_stand_for(dut: str | Target) -> str:
+    """The default stand name for a target: paper pinning gets the paper
+    stand, adapter-bearing DUTs and every composition (whose adapter is the
+    union of its members') get the first *registered* adaptable stand.
 
     Registration order (not alphabetical order) decides, so registering an
     additional adaptable stand later does not silently shift the default
     for existing DUTs.
     """
-    dut_target = get_dut(dut) if isinstance(dut, str) else dut
+    dut_target = get_target(dut) if isinstance(dut, str) else dut
     if dut_target.pins is None and "paper" in _STANDS:
         return _STANDS["paper"].name
     for stand in _STANDS.values():
@@ -559,16 +573,16 @@ def default_stand_for(dut: str | DutTarget) -> str:
     )
 
 
-def stand_factories_for(dut: str | DutTarget,
+def stand_factories_for(dut: str | Target,
                         stands: Sequence[str] | None = None
                         ) -> dict[str, Callable[[], TestStand]]:
     """Label -> picklable stand factory for every stand usable with *dut*.
 
-    By default every registered stand that can carry the DUT's adapter is
-    included - the input for a portability batch
+    By default every registered stand that can carry the target's adapter
+    is included - the input for a portability batch
     (:func:`repro.teststand.run_across_stands`).
     """
-    dut_target = get_dut(dut) if isinstance(dut, str) else dut
+    dut_target = get_target(dut) if isinstance(dut, str) else dut
     wanted = (get_stand(name) for name in stands) if stands is not None \
         else iter_stands()
     factories: dict[str, Callable[[], TestStand]] = {}
@@ -613,7 +627,10 @@ class CompositionMember:
 class CompositionTarget:
     """Several registered DUTs campaigned together on one shared CAN bus.
 
-    A composition references its members by *registered DUT name*, so the
+    A composition is one more target: it carries the factories, adapter
+    pins, suite and catalogue a :class:`DutTarget` does, so
+    :func:`run_single` and :func:`build_campaign` serve both kinds with one
+    body.  It references its members by *registered DUT name*, so the
     member wiring knowledge (harness factory, adapter pins, fault
     catalogue) stays in one place - the :class:`DutTarget` registry.  What
     the composition adds:
@@ -633,8 +650,9 @@ class CompositionTarget:
         coverage differs from the member suite's (``(("cluster.gauge_stuck_zero",
         False),)`` - the interaction sheets never probe the gauge).
 
-    All factories stay module-level/partial-of-module-level, so composed
-    campaign jobs remain picklable for the process backend.
+    All factories stay module-level/partial-of-module-level over the
+    registry name, so composed campaign jobs remain picklable for the
+    process backend.
     """
 
     name: str
@@ -667,24 +685,8 @@ class CompositionTarget:
             tuple((str(key).lower(), bool(value))
                   for key, value in self.expected_overrides),
         )
-        if self.required_methods is None:
-            try:
-                suite = self.suite_factory()
-                required = sorted({
-                    suite.statuses.get(name).method.lower()
-                    for name in suite.statuses_used()
-                })
-            except Exception:
-                required = None
-            object.__setattr__(
-                self, "required_methods",
-                tuple(required) if required is not None else None,
-            )
-        else:
-            object.__setattr__(
-                self, "required_methods",
-                tuple(str(m).lower() for m in self.required_methods),
-            )
+        object.__setattr__(self, "required_methods", _required_methods(
+            self.suite_factory, self.required_methods))
 
     @property
     def key(self) -> str:
@@ -694,6 +696,20 @@ class CompositionTarget:
     def campaignable(self) -> bool:
         """Compositions always campaign: members bring their catalogues."""
         return True
+
+    @property
+    def ecu_factory(self) -> Callable[[], EcuAssembly]:
+        """Builds a healthy member assembly."""
+        return functools.partial(_build_assembly, self.name)
+
+    @property
+    def harness_factory(self) -> Callable[[EcuAssembly], CompositionHarness]:
+        """Wires an assembly's members onto one shared bus."""
+        return functools.partial(_build_composition_harness, self.name)
+
+    def signals_factory(self) -> SignalSet:
+        """The interaction sheet of the bundled suite."""
+        return self.suite_factory().signals
 
     def member_for(self, alias: str) -> CompositionMember:
         wanted = str(alias).lower()
@@ -719,7 +735,8 @@ class CompositionTarget:
         ``M-PIN-COLLISION`` lint finding); every member must declare an
         explicit adapter so the union is well defined.
         """
-        seen: dict[str, str] = {}
+        owners: dict[str, str] = {}
+        pins: list[str] = []
         for member, target in self.dut_targets():
             if target.pins is None:
                 raise TargetError(
@@ -727,38 +744,26 @@ class CompositionTarget:
                     f"(DUT {target.name!r}) declares no adapter pin list"
                 )
             for pin in target.pins:
-                owner = seen.get(pin.lower())
+                owner = owners.get(pin.lower())
                 if owner is not None:
                     raise TargetError(
                         f"composition {self.name!r}: adapter pin {pin!r} of "
                         f"member {member.alias!r} collides with member "
                         f"{owner!r}"
                     )
-                seen[pin.lower()] = member.alias
-        pins: dict[str, None] = {}
-        for _member, target in self.dut_targets():
-            for pin in target.pins:
-                pins.setdefault(pin, None)
+                owners[pin.lower()] = member.alias
+                pins.append(pin)
         return tuple(pins)
 
     def member_fault(self, alias: str, fault: str) -> FaultModel:
         """Resolve ``alias``'s fault *fault* - bundled catalogue first, then
         the member's interaction faults."""
         member = self.member_for(alias)
-        target = get_dut(member.dut)
-        catalogues = []
-        if target.faults_factory is not None:
-            catalogues.append(target.faults_factory())
-        catalogues.append(interaction_faults(target.name))
-        for catalogue in catalogues:
-            try:
-                return catalogue.get(fault)
-            except ReproError:
-                continue
-        known = [
-            f"{member.alias}.{name}"
-            for catalogue in catalogues for name in catalogue.names
-        ]
+        source = _member_faults(get_dut(member.dut))
+        for model in source:
+            if model.name.lower() == str(fault).lower():
+                return model
+        known = [f"{member.alias}.{model.name}" for model in source]
         raise TargetError(
             f"composition {self.name!r}: member {alias!r} has no fault "
             f"{fault!r}; known member faults: {', '.join(known) or '(none)'}"
@@ -802,11 +807,7 @@ class CompositionTarget:
         overrides = dict(self.expected_overrides)
         entries = []
         for member, target in self.dut_targets():
-            source: list[FaultModel] = []
-            if target.faults_factory is not None:
-                source.extend(target.faults_factory())
-            source.extend(interaction_faults(target.name))
-            for fault in source:
+            for fault in _member_faults(target):
                 key = f"{member.alias}.{fault.name}"
                 entries.append(FaultModel(
                     key,
@@ -818,6 +819,10 @@ class CompositionTarget:
                 ))
         return FaultCatalogue(self.name, entries)
 
+
+#: Either kind of target: both carry the factories, adapter pins, suite and
+#: catalogue that runs and campaigns read.
+Target = DutTarget | CompositionTarget
 
 _COMPOSITIONS: dict[str, CompositionTarget] = {}
 
@@ -833,6 +838,9 @@ def register_composition(target: CompositionTarget, *,
         raise TargetError(
             f"composition target {target.name!r} is already registered"
         )
+    if target.key in _DUTS:
+        raise TargetError(
+            f"composition target {target.name!r} clashes with a DUT")
     _COMPOSITIONS[target.key] = target
     registry_changed()
     return target
@@ -859,6 +867,16 @@ def get_composition(name: str) -> CompositionTarget:
         ) from exc
 
 
+def get_target(name: str) -> Target:
+    """The composition or DUT registered under *name* (case-insensitive).
+
+    A script or suite names its target in one ``dut`` field; registration
+    keeps the two namespaces disjoint, so the lookup is never ambiguous.
+    """
+    composition = _COMPOSITIONS.get(str(name).lower())
+    return composition if composition is not None else get_dut(name)
+
+
 def composition_names() -> tuple[str, ...]:
     """Registered composition names, sorted."""
     return tuple(sorted(target.name for target in _COMPOSITIONS.values()))
@@ -869,13 +887,10 @@ def iter_compositions() -> tuple[CompositionTarget, ...]:
     return tuple(_COMPOSITIONS.values())
 
 
-def _default_adaptable_stand() -> str:
-    """First registered adaptable stand: a composition's adapter is the
-    union of its members' pin lists, so only adaptable stands qualify."""
-    for stand in _STANDS.values():
-        if stand.adaptable:
-            return stand.name
-    raise TargetError("no registered stand carries a DUT adapter")
+def _member_faults(target: DutTarget) -> list[FaultModel]:
+    """A member's bundled faults, then its interaction faults."""
+    bundled = target.faults_factory() if target.faults_factory else ()
+    return [*bundled, *interaction_faults(target.name)]
 
 
 # Module-level assembly/harness builders: ``functools.partial`` over these
@@ -921,7 +936,7 @@ def _require_method_coverage(stand_target: StandTarget,
         )
 
 
-def method_coverage(dut: str | DutTarget) -> dict[str, tuple[str, ...] | None]:
+def method_coverage(dut: str | Target) -> dict[str, tuple[str, ...] | None]:
     """Per-stand method coverage for *dut*'s bundled suite.
 
     For every registered stand that can carry the DUT's adapter, the value
@@ -932,7 +947,7 @@ def method_coverage(dut: str | DutTarget) -> dict[str, tuple[str, ...] | None]:
     the DUT do not appear at all.  This is what ``repro-campaign
     --list-targets`` prints per DUT.
     """
-    dut_target = get_dut(dut) if isinstance(dut, str) else dut
+    dut_target = get_target(dut) if isinstance(dut, str) else dut
     coverage: dict[str, tuple[str, ...] | None] = {}
     for stand in iter_stands():
         if dut_target.pins is not None and not stand.adaptable:
@@ -997,10 +1012,7 @@ def _directions_from_usage(script: TestScript) -> dict[str, SignalDirection]:
         actions.extend(step.actions)
     for action in actions:
         key = str(action.signal).lower()
-        if action.method in registry:
-            is_measurement = registry.get(action.method).is_measurement
-        else:
-            is_measurement = str(action.method).lower().startswith("get")
+        is_measurement = action_is_measurement(registry, action.method)
         (measured if is_measurement else stimulated).add(key)
     directions = {}
     for key in measured | stimulated:
@@ -1069,8 +1081,8 @@ def derive_signal_set(
     return SignalSet(derived, dut=script.dut)
 
 
-def signal_set_for_script(script: TestScript, target: DutTarget,
-                          harness: TestHarness, *,
+def signal_set_for_script(script: TestScript, target: Target,
+                          harness: TestHarness | CompositionHarness, *,
                           warn: Callable[[str], None] | None = _warn_default
                           ) -> SignalSet:
     """The registered signal set when it covers the script, else a derived one."""
@@ -1100,16 +1112,17 @@ def _check_preflight(mode: str) -> None:
         )
 
 
-def _run_lint_preflight(dut: str) -> None:
+def _run_lint_preflight(target: Target) -> None:
     # Imported lazily: repro.lint imports this module for the registry.
     from .lint import preflight_lint
-    preflight_lint(dut)
+    preflight_lint(target)
 
 
-def _run_lint_preflight_composition(name: str) -> None:
-    # Imported lazily, same as _run_lint_preflight.
-    from .lint import preflight_lint_composition
-    preflight_lint_composition(name)
+def _spec_target(spec: RunSpec | CampaignSpec, name: str | None) -> Target:
+    """The target a spec names, else the one registered under *name*."""
+    if spec.composition is not None:
+        return get_composition(spec.composition)
+    return get_dut(spec.dut) if spec.dut is not None else get_target(name)
 
 
 @dataclass(frozen=True)
@@ -1117,13 +1130,14 @@ class RunSpec:
     """Declarative description of one script execution.
 
     ``script`` may be a parsed :class:`~repro.core.script.TestScript` or the
-    path of an XML script file.  ``dut`` defaults to the script's own DUT
-    name; ``signals`` overrides the registered signal set; ``stand=None``
-    picks a stand carrying the DUT's adapter (:func:`default_stand_for`).
-    ``composition`` targets a registered :class:`CompositionTarget` instead
-    of a single DUT: the script then runs against the composed assembly on
-    a shared-bus :class:`~repro.dut.CompositionHarness` (mutually exclusive
-    with ``dut``).
+    path of an XML script file.  ``dut`` names a registered DUT and
+    ``composition`` a registered :class:`CompositionTarget` (mutually
+    exclusive); with neither, the script's own DUT name picks the target
+    of either kind (:func:`get_target`).  A composed script runs against
+    the member assembly on a shared-bus
+    :class:`~repro.dut.CompositionHarness`.  ``signals`` overrides the
+    registered signal set; ``stand=None`` picks a stand carrying the
+    target's adapter (:func:`default_stand_for`).
     ``preflight`` selects the pre-flight depth (:data:`PREFLIGHT_MODES`):
     ``"lint"`` runs the static analyzer over the target first and raises
     :class:`~repro.lint.LintError` on error-severity findings.
@@ -1146,43 +1160,16 @@ class RunSpec:
             )
 
 
-def _run_single_composed(spec: RunSpec, script: TestScript) -> TestResult:
-    comp = get_composition(spec.composition)
-    if script.dut and script.dut.lower() != comp.key:
-        raise TargetError(
-            f"script {script.name!r} is for DUT {script.dut!r} but the run "
-            f"spec targets composition {comp.name!r}"
-        )
-    stand_target = get_stand(spec.stand or _default_adaptable_stand())
-    stand_factory = stand_target.factory_for(comp.pins)
-    _require_method_coverage(stand_target, script.methods_used(),
-                             dut=comp.name)
-    if spec.preflight == "lint":
-        _run_lint_preflight_composition(comp.name)
-    assembly = _build_assembly(comp.name)
-    harness = _build_composition_harness(comp.name, assembly)
-    signals = spec.signals if spec.signals is not None \
-        else comp.suite_factory().signals
-    interpreter = TestStandInterpreter(
-        stand_factory(), harness, signals, policy=spec.policy,
-        stop_on_error=spec.stop_on_error,
-    )
-    return interpreter.run(script)
-
-
 def run_single(spec: RunSpec) -> TestResult:
     """Expand a :class:`RunSpec` through the registry and execute it."""
     script = spec.script if isinstance(spec.script, TestScript) \
         else read_script(spec.script)
-    if spec.composition is not None:
-        return _run_single_composed(spec, script)
-    if spec.dut is not None and script.dut \
-            and spec.dut.lower() != script.dut.lower():
+    target = _spec_target(spec, script.dut)
+    if script.dut and script.dut.lower() != target.key:
         raise TargetError(
             f"script {script.name!r} is for DUT {script.dut!r} but the run "
-            f"spec targets {spec.dut!r}"
+            f"spec targets {target.name!r}"
         )
-    target = get_dut(spec.dut or script.dut)
     stand_target = get_stand(spec.stand or default_stand_for(target))
     stand_factory = stand_factory_for(stand_target, target)
     # Pre-flight capability negotiation: reject the run before anything is
@@ -1190,9 +1177,9 @@ def run_single(spec: RunSpec) -> TestResult:
     _require_method_coverage(stand_target, script.methods_used(),
                              dut=target.name)
     if spec.preflight == "lint":
-        _run_lint_preflight(target.name)
+        _run_lint_preflight(target)
     stand = stand_factory()
-    harness = target.build_harness()
+    harness = target.harness_factory(target.ecu_factory())
     signals = spec.signals if spec.signals is not None \
         else signal_set_for_script(script, target, harness)
     interpreter = TestStandInterpreter(
@@ -1219,12 +1206,13 @@ class CampaignSpec:
     the caller knowing its pinning.
 
     ``composition`` (mutually exclusive with ``dut``) campaigns a
-    registered :class:`CompositionTarget` instead: the interaction suite
-    runs against the composed assembly on a shared CAN bus, and ``faults``
-    selects per-member entries (``alias.fault_name``) from the composed
-    catalogue.  The executor machinery is untouched - a composed job's
-    ECU factory simply builds an assembly and its harness factory a
-    :class:`~repro.dut.CompositionHarness`.
+    registered :class:`CompositionTarget` instead; with neither, the
+    suite's own DUT name picks the target of either kind
+    (:func:`get_target`).  A composed suite runs against the member
+    assembly on a shared CAN bus, and ``faults`` selects per-member entries
+    (``alias.fault_name``) from the composed catalogue.  The executor
+    machinery is untouched - a composed job's ECU factory simply builds an
+    assembly and its harness factory a :class:`~repro.dut.CompositionHarness`.
 
     ``backend`` / ``jobs`` / ``concurrency`` describe execution:
     ``backend`` is one of
@@ -1343,9 +1331,9 @@ def _resolve_suite(spec: CampaignSpec) -> TestSuite:
             raise TargetError(
                 f"cannot load workbook {spec.workbook!r}: {exc}"
             ) from exc
-    if spec.dut is None:
+    if spec.dut is None and spec.composition is None:
         raise TargetError("campaign spec needs a dut, a suite or a workbook")
-    target = get_dut(spec.dut)
+    target = _spec_target(spec, None)
     if target.suite_factory is None:
         raise TargetError(
             f"DUT {target.name!r} has no bundled test suite; pass a workbook"
@@ -1384,47 +1372,6 @@ def _resilience_for(spec: CampaignSpec) -> ResiliencePolicy:
     )
 
 
-def _build_composed_campaign(spec: CampaignSpec, *,
-                             executor: Executor | None = None
-                             ) -> tuple[FaultCampaign, list[FaultModel]]:
-    comp = get_composition(spec.composition)
-    suite = spec.suite if spec.suite is not None else comp.suite_factory()
-    if suite.dut.lower() != comp.key:
-        raise TargetError(
-            f"suite is for DUT {suite.dut!r} but the campaign targets "
-            f"composition {comp.name!r}"
-        )
-    faults = select_faults(comp.faults_factory(), spec.faults)
-    scripts = Compiler().compile_suite(suite)
-    stand_target = get_stand(spec.stand or _default_adaptable_stand())
-    stand_factory = stand_target.factory_for(comp.pins)
-    _require_method_coverage(
-        stand_target,
-        sorted({method for script in scripts for method in script.methods_used()}),
-        dut=comp.name,
-    )
-    if spec.preflight == "lint":
-        _run_lint_preflight_composition(comp.name)
-    if executor is None:
-        executor = make_executor(spec.backend, spec.jobs,
-                                 concurrency=spec.concurrency)
-    campaign = FaultCampaign(
-        scripts,
-        suite.signals,
-        stand_factory,
-        functools.partial(_build_composition_harness, comp.name),
-        functools.partial(_build_assembly, comp.name),
-        policy=spec.policy,
-        executor=executor,
-        max_attempts=1 + max(0, spec.retries),
-        resilience=_resilience_for(spec),
-        use_plans=spec.use_plans,
-        reuse_stands=spec.reuse_stands,
-        use_vm=spec.use_vm,
-    )
-    return campaign, faults
-
-
 def build_campaign(spec: CampaignSpec, *,
                    executor: Executor | None = None
                    ) -> tuple[FaultCampaign, list[FaultModel]]:
@@ -1435,12 +1382,12 @@ def build_campaign(spec: CampaignSpec, *,
     wrapper.  Exposed separately so callers can reuse the expansion with a
     custom executor or fault subset.  An explicit *executor* takes
     precedence over the spec's ``backend`` / ``jobs`` / ``concurrency``
-    fields, which are then not consulted at all.
+    fields, which are then not consulted at all.  While the profiler is on,
+    the expansion's wall time is its ``job_expansion`` phase.
     """
-    if spec.composition is not None:
-        return _build_composed_campaign(spec, executor=executor)
+    started = time.perf_counter()
     suite = _resolve_suite(spec)
-    target = get_dut(spec.dut or suite.dut)
+    target = _spec_target(spec, suite.dut)
     if target.faults_factory is None:
         raise TargetError(
             f"DUT {target.name!r} has no fault catalogue; campaignable DUTs: "
@@ -1465,7 +1412,7 @@ def build_campaign(spec: CampaignSpec, *,
         dut=target.name,
     )
     if spec.preflight == "lint":
-        _run_lint_preflight(target.name)
+        _run_lint_preflight(target)
     if executor is None:
         executor = make_executor(spec.backend, spec.jobs,
                                  concurrency=spec.concurrency)
@@ -1486,6 +1433,8 @@ def build_campaign(spec: CampaignSpec, *,
         reuse_stands=spec.reuse_stands,
         use_vm=spec.use_vm,
     )
+    if PROFILER.enabled:
+        PROFILER.add("job_expansion", time.perf_counter() - started)
     return campaign, faults
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -45,6 +46,33 @@ class TestCli:
         script_path = os.path.join(out_dir, "interior_illumination.xml")
         for stand in ("big_rack", "minimal"):
             assert main_run([script_path, "--stand", stand, "--quiet"]) == 0
+
+    def test_run_compiled_composed_sheets(self, tmp_path, capsys):
+        """repro-run serves a composed sheet like any other: the script's
+        DUT name is the composition's, and the summary matches the
+        declarative composed run."""
+        from repro.core import read_script
+        from repro.paper import composed_suite
+        from repro.targets import RunSpec, run_single
+        from repro.teststand.report import summary_line
+
+        def without_wall(line):
+            return re.sub(r"[0-9.]+ ms wall", "ms wall", line)
+
+        workbook_dir = str(tmp_path / "workbook")
+        out_dir = str(tmp_path / "scripts")
+        save_suite(composed_suite(), workbook_dir)
+        assert main_compile([workbook_dir, out_dir]) == 0
+        capsys.readouterr()
+        paths = sorted(os.path.join(out_dir, name)
+                       for name in os.listdir(out_dir))
+        assert len(paths) == len(composed_suite())
+        for path in paths:
+            assert main_run([path, "--quiet"]) == 0
+            expected = summary_line(run_single(RunSpec(
+                script=read_script(path), composition="lock+cluster")))
+            assert without_wall(capsys.readouterr().out) \
+                == without_wall(expected) + "\n"
 
     def test_run_unknown_dut_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "alien.xml"

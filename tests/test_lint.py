@@ -16,6 +16,7 @@ registry stays clean) fixture per rule family, plus
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -39,7 +40,6 @@ from repro.lint import (
     LintError,
     blocking_execute_calls,
     preflight_lint,
-    preflight_lint_composition,
     run_lint,
 )
 from repro.lint.cli import main as lint_main
@@ -57,13 +57,17 @@ from repro.paper.composed import (
     composed_suite,
 )
 from repro.targets import (
+    CampaignSpec,
     CompositionTarget,
     DutTarget,
     RunSpec,
     TargetError,
+    build_campaign,
     derive_signal_set,
+    register_composition,
     register_dut,
     run_single,
+    unregister_composition,
     unregister_dut,
     unresolved_signal_message,
 )
@@ -642,9 +646,10 @@ def conflicting_speed_harness(ecu=None):
         ecu if ecu is not None else InstrumentClusterEcu(), database)
 
 
-def ghost_composed_suite():
+def ghost_composed_suite(name=COMPOSITION_NAME):
     """The real lock+cluster interaction suite plus two ghost signals: an
-    electrical pin no member owns and a bus message no member defines."""
+    electrical pin no member owns and a bus message no member defines.
+    *name* is the composition the suite is for."""
     signals = tuple(composed_signal_set()) + (
         Signal("GHOST_WIRE", SignalDirection.INPUT, SignalKind.RESISTIVE,
                pins=("NO_SUCH_PIN",)),
@@ -653,8 +658,8 @@ def ghost_composed_suite():
     )
     base = composed_suite()
     return TestSuite(
-        base.dut,
-        SignalSet(signals, dut=base.dut, composition=COMPOSITION_NAME),
+        name,
+        SignalSet(signals, dut=name, composition=name),
         base.statuses,
         tuple(base),
     )
@@ -757,14 +762,36 @@ def test_family_m_negative_on_bundled_registry():
 
 
 def test_preflight_lint_composition_passes_clean_and_blocks_broken():
-    assert preflight_lint_composition("lock+cluster").errors == ()
+    assert preflight_lint("lock+cluster").errors == ()
     broken = CompositionTarget(
         "toy_broken", _lock_cluster_members(),
         suite_factory=ghost_composed_suite,
     )
     with pytest.raises(LintError) as excinfo:
-        preflight_lint_composition(broken)
+        preflight_lint(broken)
     assert any(f.rule == "M-UNRESOLVED-SIGNAL" for f in excinfo.value.findings)
+
+
+def test_composed_preflight_lint_blocks_campaign_and_run():
+    """``preflight="lint"`` gates a registered composition on both the
+    campaign and the single-run path, before anything is built."""
+    suite_factory = functools.partial(ghost_composed_suite, "toy_broken")
+    script = Compiler().compile_suite(suite_factory())[0]
+    register_composition(CompositionTarget(
+        "toy_broken", _lock_cluster_members(), suite_factory=suite_factory,
+    ))
+    try:
+        with pytest.raises(LintError) as campaign_error:
+            build_campaign(CampaignSpec(composition="toy_broken",
+                                        preflight="lint"))
+        with pytest.raises(LintError) as run_error:
+            run_single(RunSpec(script=script, composition="toy_broken",
+                               preflight="lint"))
+    finally:
+        unregister_composition("toy_broken")
+    for excinfo in (campaign_error, run_error):
+        assert any(f.rule == "M-UNRESOLVED-SIGNAL"
+                   for f in excinfo.value.findings)
 
 
 def test_cli_composition_filter(capsys):

@@ -230,6 +230,38 @@ def test_composition_provenance_round_trips(store_path):
     assert store.get_run(single.store_run_id).campaign["composition"] is None
 
 
+def test_profiled_cli_campaign_records_and_resumes(store_path, capsys,
+                                                   monkeypatch):
+    """``repro-campaign --profile`` takes the same campaign path as a plain
+    run: ``--store`` records the run, ``--resume`` checkpoints every job
+    and clears the checkpoints once the run records."""
+    from repro.cli import main_campaign
+
+    argv = ["--dut", "wiper_ecu", "--store", store_path, "--profile"]
+    assert main_campaign(argv) == 0
+    captured = capsys.readouterr()
+    assert "profile: vm" in captured.err
+    (run_id,) = ResultStore(store_path).run_ids()
+    assert ResultStore(store_path).get_run(run_id).render() + "\n" \
+        == captured.out
+
+    saved = []
+    save_checkpoint = ResultStore.save_checkpoint
+
+    def counting_save(self, *args):
+        saved.append(args)
+        return save_checkpoint(self, *args)
+
+    monkeypatch.setattr(ResultStore, "save_checkpoint", counting_save)
+    assert main_campaign(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == captured.out
+    assert saved
+    assert len(ResultStore(store_path).run_ids()) == 2
+    with sqlite3.connect(store_path) as connection:
+        assert connection.execute(
+            "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # Connection lifetime: one connection per store file per process
 # ---------------------------------------------------------------------------

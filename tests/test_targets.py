@@ -546,3 +546,71 @@ class TestCompositions:
         result = run_single(RunSpec(script=script,
                                     composition="lock+cluster"))
         assert result.passed
+
+    def test_composed_run_with_an_unknown_signal_is_an_error(self):
+        from repro.targets import SignalDerivationWarning
+        from repro.teststand.verdict import Verdict
+
+        script = _script("lock+cluster", "NO_SUCH_SIGNAL")
+        with pytest.warns(SignalDerivationWarning, match="no_such_signal"):
+            result = run_single(RunSpec(script=script,
+                                        composition="lock+cluster"))
+        assert result.verdict is Verdict.ERROR
+        (action,) = result.steps[0].actions
+        assert "unknown signal" in action.error
+
+    def test_script_dut_name_finds_a_composition(self):
+        from repro.paper import composed_suite
+
+        script = Compiler().compile_test(composed_suite(), "composed_auto_lock")
+        assert script.dut == "lock+cluster"
+        assert run_single(RunSpec(script=script)).passed
+
+    def test_dut_and_composition_names_never_clash(self):
+        from repro.paper import composed_suite
+        from repro.targets import (
+            CompositionTarget,
+            get_composition,
+            get_dut,
+            get_target,
+            register_composition,
+        )
+
+        assert get_target("Lock+Cluster") is get_composition("lock+cluster")
+        assert get_target("wiper_ecu") is get_dut("wiper_ecu")
+        with pytest.raises(TargetError, match="clashes with a DUT"):
+            register_composition(CompositionTarget(
+                "wiper_ecu",
+                (("a", "central_locking_ecu"), ("b", "instrument_cluster_ecu")),
+                suite_factory=composed_suite,
+            ), replace_existing=True)
+        clash = DutTarget(name="lock+cluster", ecu_factory=object,
+                          harness_factory=lambda ecu: ecu,
+                          signals_factory=tuple)
+        with pytest.raises(TargetError, match="clashes with a composition"):
+            register_dut(clash, replace_existing=True)
+        assert get_target("wiper_ecu") is get_dut("wiper_ecu")
+        assert get_target("lock+cluster") is get_composition("lock+cluster")
+
+    def test_campaign_from_a_composed_suite_finds_the_composition(self):
+        from repro.paper import composed_suite
+
+        faults = ("cluster.speed_tx_truncated",)
+        by_suite = run_campaign(CampaignSpec(suite=composed_suite(),
+                                             faults=faults))
+        by_name = run_campaign(CampaignSpec(composition="lock+cluster",
+                                            faults=faults))
+        assert by_suite.table() == by_name.table()
+        assert by_suite.detected == faults
+
+    def test_stand_helpers_accept_a_composition(self):
+        from repro.targets import default_stand_for, method_coverage
+
+        assert default_stand_for("lock+cluster") == "big_rack"
+        stand = stand_factory_for("minimal", "lock+cluster")()
+        pins = {route.pin for route in stand.connections}
+        assert {"KEY_SW", "SPEED_SENSOR"} <= pins
+        assert sorted(stand_factories_for("lock+cluster")) == \
+            ["big_rack", "minimal"]
+        assert method_coverage("lock+cluster") == \
+            {"big_rack": (), "minimal": ()}

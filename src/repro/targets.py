@@ -1085,9 +1085,15 @@ def signal_set_for_script(script: TestScript, target: Target,
                           harness: TestHarness | CompositionHarness, *,
                           warn: Callable[[str], None] | None = _warn_default
                           ) -> SignalSet:
-    """The registered signal set when it covers the script, else a derived one."""
+    """The registered signal set when it covers the script, else a derived one.
+
+    A composition always gets its interaction sheet: a derived set would
+    bind a member-sent signal (``SPEED``) through the merged CAN database,
+    and the stand would transmit it beside the member.
+    """
     signals = target.signals_factory()
-    if all(name in signals for name in script.signals_used()):
+    if isinstance(target, CompositionTarget) or all(
+            name in signals for name in script.signals_used()):
         return signals
     return derive_signal_set(script, harness, warn=warn)
 

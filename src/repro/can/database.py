@@ -144,10 +144,6 @@ class CanDatabase:
     def __len__(self) -> int:
         return len(self._messages)
 
-    @property
-    def message_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self._messages.values())
-
     def merged_with(self, other: "CanDatabase") -> "CanDatabase":
         """Combine two databases (disjoint names and ids required)."""
         merged = CanDatabase(self, name=f"{self.name}+{other.name}")

@@ -38,6 +38,7 @@ import multiprocessing
 import os
 import random
 import sqlite3
+import threading
 from dataclasses import dataclass, replace
 
 from .core.errors import ConfigurationError, InstrumentIOError, TransientError
@@ -224,7 +225,9 @@ class ChaosPolicy:
 ACTIVE: ChaosPolicy | None = None
 
 _STORE_RNG: random.Random | None = None
-_STORE_CONSECUTIVE = 0
+#: Injections in a row on each thread: a retry loop runs on one thread, so
+#: other threads' commits must not reset or lengthen its run.
+_STORE_STREAK = threading.local()
 _STORE_CONSECUTIVE_CAP = 2
 
 _SERVICE_RNG: random.Random | None = None
@@ -246,12 +249,12 @@ def install(policy: ChaosPolicy) -> None:
     a process at a time).  The executor calls this for the duration of
     ``run_jobs`` and inside pool workers; tests may call it directly.
     """
-    global ACTIVE, _STORE_RNG, _STORE_CONSECUTIVE, _SERVICE_RNG, _SERVICE_CRASHED_LAST
+    global ACTIVE, _STORE_RNG, _STORE_STREAK, _SERVICE_RNG, _SERVICE_CRASHED_LAST
     if ACTIVE == policy:
         return
     ACTIVE = policy
     _STORE_RNG = random.Random(f"{policy.seed}:store")
-    _STORE_CONSECUTIVE = 0
+    _STORE_STREAK = threading.local()
     _SERVICE_RNG = random.Random(f"{policy.seed}:service")
     _SERVICE_CRASHED_LAST = False
 
@@ -302,23 +305,24 @@ def on_store_commit() -> None:
 
     Raises a one-shot ``sqlite3.OperationalError("database is locked")``
     at the configured rate.  At most :data:`_STORE_CONSECUTIVE_CAP`
-    consecutive injections fire, so the store's bounded write retry is
-    always sufficient to make progress.
+    consecutive injections fire on one thread, so the store's bounded
+    write retry is always sufficient to make progress, also when several
+    threads write at once.
     """
-    global _STORE_CONSECUTIVE
     policy = ACTIVE
     if policy is None or _STORE_RNG is None:
         return
     rate = policy.profile.store_fail_rate
     if rate <= 0.0:
         return
-    if _STORE_CONSECUTIVE >= _STORE_CONSECUTIVE_CAP:
-        _STORE_CONSECUTIVE = 0
+    streak = getattr(_STORE_STREAK, "count", 0)
+    if streak >= _STORE_CONSECUTIVE_CAP:
+        _STORE_STREAK.count = 0
         return
     if _STORE_RNG.random() < rate:
-        _STORE_CONSECUTIVE += 1
+        _STORE_STREAK.count = streak + 1
         raise sqlite3.OperationalError("database is locked [chaos injection]")
-    _STORE_CONSECUTIVE = 0
+    _STORE_STREAK.count = 0
 
 
 def maybe_service_crash() -> None:

@@ -162,10 +162,6 @@ class EcuModel(abc.ABC):
         """Externally applied resistance at *pin* (infinite when unconnected)."""
         return self._resistances.get(str(pin).lower(), default)
 
-    def voltage_at(self, pin: str, default: float = 0.0) -> float:
-        """Externally applied voltage at *pin*."""
-        return self._voltages.get(str(pin).lower(), default)
-
     def rx_signal(self, message: str, signal: str, default: float = 0.0) -> float:
         """Last received value of a CAN signal."""
         return self._rx_values.get(str(message).lower(), {}).get(str(signal).lower(), default)

@@ -183,10 +183,6 @@ class CompositionHarness:
     def members(self) -> tuple[tuple[str, TestHarness], ...]:
         return tuple(self._harnesses.items())
 
-    def member_harness(self, alias: str) -> TestHarness:
-        self.ecu.member(alias)  # validates the alias with the richer error
-        return self._harnesses[str(alias).lower()]
-
     def _owner(self, pin: str) -> TestHarness:
         alias, _member = self.ecu.owner_of(pin)
         return self._harnesses[alias]

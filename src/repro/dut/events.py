@@ -78,7 +78,6 @@ class EventScheduler:
         self._now = float(start_time)
         self._queue: list[_QueueEntry] = []
         self._counter = itertools.count()
-        self._fired_count = 0
 
     @property
     def now(self) -> float:
@@ -89,11 +88,6 @@ class EventScheduler:
     def pending_count(self) -> int:
         """Number of events still waiting to fire (excluding cancelled ones)."""
         return sum(1 for entry in self._queue if entry.event.pending)
-
-    @property
-    def fired_count(self) -> int:
-        """Number of events executed so far."""
-        return self._fired_count
 
     def schedule_at(self, time: float, callback: Callable[[], None], *, name: str = "") -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
@@ -137,16 +131,9 @@ class EventScheduler:
             # that callbacks scheduling follow-up events see a consistent now.
             self._now = max(self._now, entry.time)
             entry.event._fire()
-            self._fired_count += 1
             fired += 1
         self._now = max(self._now, float(time))
         return fired
-
-    def advance_by(self, delta: float) -> int:
-        """Advance the clock by *delta* seconds (see :meth:`advance_to`)."""
-        if delta < 0:
-            raise SchedulerError(f"cannot advance time backwards by {delta}")
-        return self.advance_to(self._now + delta)
 
     def cancel_all(self) -> None:
         """Cancel every pending event (used on ECU reset)."""

@@ -208,9 +208,5 @@ class Network:
         return (GROUND, *self._nodes)
 
     @property
-    def resistor_count(self) -> int:
-        return len(self._resistors)
-
-    @property
     def source_count(self) -> int:
         return len(self._sources)

@@ -113,14 +113,6 @@ class LintReport:
             "notes": len(self.notes),
         }
 
-    def counts_by_dut(self) -> dict[str, int]:
-        """Finding count per DUT name (registry-wide findings under ``*``)."""
-        per_dut: dict[str, int] = {}
-        for finding in self.findings:
-            key = finding.dut or "*"
-            per_dut[key] = per_dut.get(key, 0) + 1
-        return per_dut
-
     def summary(self) -> str:
         counts = self.counts()
         return (

@@ -118,10 +118,6 @@ class MethodSpec:
     def is_measurement(self) -> bool:
         return self.kind is MethodKind.MEASUREMENT
 
-    @property
-    def is_timing(self) -> bool:
-        return self.kind is MethodKind.TIMING
-
     def parameter(self, name: str) -> ParameterSpec:
         """Look up a parameter spec by name."""
         wanted = str(name).lower()
@@ -129,9 +125,6 @@ class MethodSpec:
             if spec.name.lower() == wanted:
                 return spec
         raise MethodError(f"method {self.name!r} has no parameter {name!r}")
-
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.parameters)
 
     def validate_params(self, params: Mapping[str, str]) -> None:
         """Check a parameter mapping against the schema.

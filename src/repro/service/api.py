@@ -11,11 +11,13 @@ Routes (see ``docs/result-store.md`` for a curl quickstart):
 ``GET /``
     service metadata and the endpoint catalogue.
 ``GET /targets``
-    the registered DUTs and stands (what a campaign may ask for).
+    the registered DUTs, compositions and stands (what a campaign may ask
+    for).
 ``POST /campaigns``
     submit a campaign; the JSON body carries
-    :class:`~repro.targets.CampaignSpec` fields (``dut`` or ``workbook``
-    required).  Returns 202 with the job id and its polling location.
+    :class:`~repro.targets.CampaignSpec` fields (``dut``, ``composition``
+    or ``workbook`` required).  Returns 202 with the job id and its
+    polling location.
 ``GET /campaigns`` / ``GET /campaigns/<id>``
     job snapshots: state (queued / running / done / failed), timestamps,
     and - once done - the store ``run_id``.
@@ -42,8 +44,9 @@ __all__ = ["CampaignApp", "SPEC_FIELDS"]
 #: in particular ``store`` (the service records into its own store) and
 #: ``suite`` (not expressible in JSON) - is rejected with 400.
 SPEC_FIELDS = (
-    "dut", "workbook", "stand", "faults", "policy", "backend", "jobs",
-    "concurrency", "retries", "use_plans", "reuse_stands", "preflight",
+    "dut", "composition", "workbook", "stand", "faults", "policy", "backend",
+    "jobs", "concurrency", "retries", "use_plans", "reuse_stands", "use_vm",
+    "preflight",
 )
 
 
@@ -166,6 +169,18 @@ class CampaignApp:
                 }
                 for target in sorted(targets.iter_duts(), key=lambda t: t.key)
             ],
+            "compositions": [
+                {
+                    "name": target.name,
+                    "description": target.description,
+                    "members": {member.alias: member.dut
+                                for member in target.members},
+                    "sheets": len(target.suite_factory()),
+                    "faults": len(target.faults_factory()),
+                }
+                for target in sorted(targets.iter_compositions(),
+                                     key=lambda t: t.key)
+            ],
             "stands": [
                 {
                     "name": stand.name,
@@ -199,8 +214,10 @@ class CampaignApp:
                 f"unknown campaign field(s): {', '.join(unknown)}; "
                 f"allowed: {', '.join(SPEC_FIELDS)}"
             )
-        if not document.get("dut") and not document.get("workbook"):
-            raise _bad_request("a campaign needs a 'dut' or a 'workbook'")
+        if not any(document.get(field)
+                   for field in ("dut", "composition", "workbook")):
+            raise _bad_request(
+                "a campaign needs a 'composition', a 'dut' or a 'workbook'")
         if "faults" in document and isinstance(document["faults"], list):
             document["faults"] = tuple(document["faults"])
         try:

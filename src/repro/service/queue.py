@@ -64,6 +64,7 @@ class _ServiceJob:
             "job": self.job_id,
             "state": self.state,
             "dut": self.spec.dut,
+            "composition": self.spec.composition,
             "stand": self.spec.stand,
             "backend": self.spec.backend,
             "faults": list(self.spec.faults),

@@ -24,22 +24,20 @@ and a query cookbook; the short version:
 ``runs``
     one row per recorded :class:`~repro.teststand.executor.ExecutionReport`:
     timestamp, git SHA + ``repro.__version__`` of the producing process,
-    backend / workers / wall time, plan-cache statistics snapshot.
+    backend / workers / wall time, plan-cache statistics snapshot.  A
+    resumable campaign (``CampaignSpec(store=..., resume=True)``) holds an
+    *unfinished run* from its first checkpoint on: ``resume_key`` carries
+    the campaign's content fingerprint until the final record stamps the
+    run and clears it.  Readers skip runs whose ``resume_key`` is set.
 ``jobs``
     one row per job of a run, in the report's deterministic insertion
-    order (``ordinal``), referencing the deduplicated script.
+    order (``ordinal``), referencing the deduplicated script.  A
+    checkpoint is the job's rows committed into the unfinished run.
 ``case_results``
     one row per executed test case (job x script): stand, overall
     verdict, simulated duration, wall time, setup action results.
 ``step_results``
     one row per executed script step with its action results.
-``checkpoints``
-    one row per completed job of an *in-flight* resumable campaign
-    (``CampaignSpec(store=..., resume=True)``), keyed by the campaign's
-    content fingerprint and the job id.  Each payload is a full
-    single-result report document, so a killed campaign restores its
-    finished jobs byte-identically and re-runs only the rest; the rows
-    are deleted once the campaign records its final report.
 
 Action results are stored as JSON documents (the exact dicts of
 :mod:`repro.teststand.serialize`) inside the case/step rows: the
@@ -53,13 +51,13 @@ from __future__ import annotations
 __all__ = ["STORE_SCHEMA", "DDL"]
 
 #: Version of the on-disk store schema, recorded in ``meta``.  Bump on any
-#: table change; :class:`repro.store.ResultStore` refuses to open a store
-#: written by a different schema version instead of misreading it.
-STORE_SCHEMA = 3
+#: table change; :class:`repro.store.ResultStore` migrates a schema-3 store
+#: on open and refuses any other version instead of misreading it.
+STORE_SCHEMA = 4
 
-#: The full DDL, executed with ``executescript`` on first open.  Every
-#: statement is idempotent (``IF NOT EXISTS``) so concurrent first opens
-#: of the same path do not race each other.
+#: The full DDL, executed statement by statement under the write lock that
+#: opening a new store takes.  Every statement is idempotent
+#: (``IF NOT EXISTS``), so migrating a schema-3 store runs it too.
 DDL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -107,9 +105,12 @@ CREATE TABLE IF NOT EXISTS runs (
     workers       INTEGER NOT NULL,
     wall_time     REAL NOT NULL,
     plan_cache    TEXT,
-    campaign_id   INTEGER REFERENCES campaigns(id)
+    campaign_id   INTEGER REFERENCES campaigns(id),
+    resume_key    TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_runs_created ON runs(created_at);
+CREATE UNIQUE INDEX IF NOT EXISTS idx_runs_resume ON runs(resume_key)
+    WHERE resume_key IS NOT NULL;
 
 CREATE TABLE IF NOT EXISTS jobs (
     id            INTEGER PRIMARY KEY,
@@ -155,15 +156,4 @@ CREATE TABLE IF NOT EXISTS step_results (
     actions    TEXT NOT NULL,
     UNIQUE (case_id, ordinal)
 );
-
-CREATE TABLE IF NOT EXISTS checkpoints (
-    id           INTEGER PRIMARY KEY,
-    campaign_key TEXT NOT NULL,
-    job_key      TEXT NOT NULL,
-    payload      TEXT NOT NULL,
-    created_at   REAL NOT NULL,
-    UNIQUE (campaign_key, job_key)
-);
-CREATE INDEX IF NOT EXISTS idx_checkpoints_campaign
-    ON checkpoints(campaign_key);
 """

@@ -8,7 +8,9 @@ the dict serialization it is built on: a recorded run re-renders
 **byte-identically** - ``get_run(run_id).render()`` equals what
 ``repro-campaign`` printed live, and ``diff_runs(a, b)`` of two identical
 campaigns (e.g. the same family campaign on the serial and async backends)
-is empty.
+is empty.  A resumable campaign writes the same rows as it goes: each
+checkpoint commits one job into the campaign's unfinished run, and the
+final record finishes that run.
 
 Concurrency model: a process keeps one connection per store file, opened on
 first use and shared by every :class:`ResultStore` on that file.  Each
@@ -25,6 +27,8 @@ the process like any in-memory database.
 from __future__ import annotations
 
 import atexit
+import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -39,13 +43,13 @@ from .. import chaos as _chaos
 from ..analysis.campaign import BASELINE_GROUP, CampaignResult, FaultRunOutcome
 from ..analysis.faults import FaultModel
 from ..core.errors import ReproError
-from ..teststand.executor import ExecutionReport, JobResult
+from ..teststand.executor import ExecutionReport, JobResult, format_job_id
 from ..teststand.report import format_table
 from ..teststand.serialize import (
     REPORT_SCHEMA,
-    report_from_dict,
-    report_to_dict,
     restored_factory,
+    result_to_dict,
+    script_to_dict,
 )
 from .schema import DDL, STORE_SCHEMA
 
@@ -69,12 +73,21 @@ def current_git_sha() -> str | None:
     """Best-effort git SHA of the producing process's working tree.
 
     ``None`` when git is unavailable or the process does not run inside a
-    repository - recording never fails over provenance metadata.
+    repository - recording never fails over provenance metadata.  Git runs
+    once per working directory; a process reuses the answer.
     """
+    try:
+        return _git_sha(os.getcwd())
+    except OSError:
+        return None
+
+
+@functools.lru_cache(maxsize=64)
+def _git_sha(cwd: str) -> str | None:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
+            capture_output=True, text=True, timeout=10, cwd=cwd,
         )
     except Exception:
         return None
@@ -457,48 +470,26 @@ class ResultStore:
             link.inode = None if self._memory else _inode(self._key)
         return link.conn
 
-    class _Session:
-        """Context manager: one transaction on the store's connection."""
-
-        def __init__(self, store: "ResultStore"):
-            self._store = store
-            self._link: _Link | None = None
-            self._conn: sqlite3.Connection | None = None
-
-        def __enter__(self) -> sqlite3.Connection:
-            link = self._store._link()
-            link.lock.acquire()
+    @contextlib.contextmanager
+    def _connect(self):
+        """One transaction on the store's connection, under its lock."""
+        link = self._link()
+        with link.lock:
+            conn = self._connection(link)
             try:
-                self._conn = self._store._connection(link)
-            except BaseException:
-                link.lock.release()
-                raise
-            self._link = link
-            return self._conn
-
-        def __exit__(self, exc_type, exc, tb) -> None:
-            conn = self._conn
-            try:
-                if exc_type is None:
-                    if _chaos.ACTIVE is not None:
-                        # Chaos commit-point hook: may raise a one-shot
-                        # "database is locked" for the bounded write
-                        # retry to absorb.
-                        _chaos.on_store_commit()
-                    conn.commit()
-                else:
-                    conn.rollback()
+                yield conn
+                if _chaos.ACTIVE is not None:
+                    # Chaos commit-point hook: may raise a one-shot
+                    # "database is locked" for the bounded write retry
+                    # to absorb.
+                    _chaos.on_store_commit()
+                conn.commit()
             except BaseException:
                 try:
                     conn.rollback()
                 except sqlite3.Error:
                     pass
                 raise
-            finally:
-                self._link.lock.release()
-
-    def _connect(self) -> "_Session":
-        return self._Session(self)
 
     #: Attempts one write transaction gets against a locked database
     #: before the store gives up.
@@ -509,7 +500,7 @@ class ResultStore:
 
         SQLite raises ``OperationalError: database is locked`` when another
         writer holds the file past the busy timeout.  Transactions roll
-        back cleanly (see ``_Session``) and all inserts are idempotent
+        back cleanly (see ``_connect``) and all inserts are idempotent
         (``INSERT OR IGNORE`` interning, fresh rowids), so re-running the
         whole transaction is safe.  Retries back off exponentially;
         anything but a locked/busy error propagates immediately.
@@ -531,26 +522,52 @@ class ResultStore:
                 delay = min(1.0, delay * 2.0)
 
     def _initialise(self, conn: sqlite3.Connection) -> None:
+        # Checked before anything is written: a store of another schema
+        # is refused untouched.
+        self._schema_version(conn)
         if not self._memory:
             # WAL lets concurrent writers queue behind the busy timeout
             # instead of failing immediately, and readers never block
             # writers.  The mode persists in the file, so setting it once
             # per open is enough.
             conn.execute("PRAGMA journal_mode = WAL")
-        conn.executescript(DDL)
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'store_schema'"
-        ).fetchone()
-        if row is None:
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("store_schema", str(STORE_SCHEMA)),
-            )
-        elif int(row["value"]) != STORE_SCHEMA:
+        # Read again under the write lock: of two processes opening one
+        # schema-3 file at once, one migrates it and the other finds 4.
+        conn.execute("BEGIN IMMEDIATE")
+        version = self._schema_version(conn)
+        if version == STORE_SCHEMA:
+            return
+        if version == 3:
+            # Each pending checkpoint becomes a row of its unfinished run.
+            conn.execute("ALTER TABLE runs ADD COLUMN resume_key TEXT")
+            for row in conn.execute("SELECT campaign_key, payload "
+                                    "FROM checkpoints ORDER BY id").fetchall():
+                job_result = ExecutionReport.from_dict(
+                    json.loads(row["payload"])).results[0]
+                self._write_jobs(
+                    conn, self._unfinished_run(conn, row["campaign_key"]),
+                    [(job_result.job.index, job_result)])
+            conn.execute("DROP TABLE checkpoints")
+        for statement in DDL.split(";"):
+            conn.execute(statement)
+        conn.execute("INSERT OR REPLACE INTO meta (key, value) "
+                     "VALUES ('store_schema', ?)", (str(STORE_SCHEMA),))
+
+    def _schema_version(self, conn: sqlite3.Connection) -> int | None:
+        """The store's schema version (None when new); refuses all but 3, 4."""
+        row = None
+        if conn.execute("SELECT 1 FROM sqlite_master "
+                        "WHERE name = 'meta'").fetchone():
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key = 'store_schema'"
+            ).fetchone()
+        version = int(row["value"]) if row else None
+        if version not in (None, 3, STORE_SCHEMA):
             raise StoreError(
-                f"store {self.path!r} uses schema {row['value']}, this "
-                f"release reads schema {STORE_SCHEMA}"
+                f"store {self.path!r} uses schema {version}, this release "
+                f"reads schema {STORE_SCHEMA} and migrates schema 3"
             )
+        return version
 
     def close(self) -> None:
         """Close this process's connection to the store.
@@ -564,64 +581,114 @@ class ResultStore:
 
     # -- recording ----------------------------------------------------------
 
+    @staticmethod
+    def _intern(conn: sqlite3.Connection, table: str, **row) -> int:
+        """Id of the *table* row with *row*'s fingerprint, inserted if new."""
+        conn.execute(f"INSERT OR IGNORE INTO {table} ({', '.join(row)}) "
+                     f"VALUES ({', '.join('?' * len(row))})",
+                     tuple(row.values()))
+        return conn.execute(f"SELECT id FROM {table} WHERE fingerprint = ?",
+                            (row["fingerprint"],)).fetchone()["id"]
+
     def _intern_script(self, conn: sqlite3.Connection, script_doc: dict) -> int:
         content = _canonical(script_doc)
-        fingerprint = _fingerprint(content)
-        conn.execute(
-            "INSERT OR IGNORE INTO scripts (name, dut, fingerprint, content) "
-            "VALUES (?, ?, ?, ?)",
-            (script_doc["name"], script_doc["dut"], fingerprint, content),
-        )
-        row = conn.execute(
-            "SELECT id FROM scripts WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        return int(row["id"])
+        return self._intern(conn, "scripts", name=script_doc["name"],
+                            dut=script_doc["dut"],
+                            fingerprint=_fingerprint(content), content=content)
 
     def _intern_catalogue(self, conn: sqlite3.Connection, dut: str,
                           content: list[dict]) -> int:
-        text = _canonical({"dut": dut, "faults": content})
-        fingerprint = _fingerprint(text)
-        conn.execute(
-            "INSERT OR IGNORE INTO catalogues (dut, fingerprint, content) "
-            "VALUES (?, ?, ?)",
-            (dut, fingerprint, json.dumps(content)),
-        )
-        row = conn.execute(
-            "SELECT id FROM catalogues WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        return int(row["id"])
+        fingerprint = _fingerprint(_canonical({"dut": dut, "faults": content}))
+        return self._intern(conn, "catalogues", dut=dut,
+                            fingerprint=fingerprint, content=json.dumps(content))
 
     def _intern_campaign(self, conn: sqlite3.Connection, spec,
                          catalogue_id: int | None) -> int:
-        composition = getattr(spec, "composition", None)
+        # A spec of None (faults recorded without one) takes the defaults
+        # of CampaignSpec, so its catalogue still hangs off a campaign row.
         fields = {
-            "dut": spec.dut,
-            "composition": composition,
-            "stand": spec.stand,
-            "policy": spec.policy,
-            "backend": spec.backend,
-            "jobs": int(spec.jobs),
-            "concurrency": int(spec.concurrency),
-            "retries": int(spec.retries),
-            "use_plans": bool(spec.use_plans),
-            "reuse_stands": bool(spec.reuse_stands),
+            "dut": getattr(spec, "dut", None),
+            "composition": getattr(spec, "composition", None),
+            "stand": getattr(spec, "stand", None),
+            "policy": getattr(spec, "policy", "first_fit"),
+            "backend": getattr(spec, "backend", "auto"),
+            "jobs": int(getattr(spec, "jobs", 1)),
+            "concurrency": int(getattr(spec, "concurrency", 0)),
+            "retries": int(getattr(spec, "retries", 1)),
+            "use_plans": bool(getattr(spec, "use_plans", True)),
+            "reuse_stands": bool(getattr(spec, "reuse_stands", True)),
             "catalogue": catalogue_id,
         }
         fingerprint = _fingerprint(_canonical(fields))
-        conn.execute(
-            "INSERT OR IGNORE INTO campaigns (dut, composition, stand, "
-            "policy, backend, jobs, concurrency, retries, use_plans, "
-            "reuse_stands, catalogue_id, fingerprint) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (spec.dut, composition, spec.stand, spec.policy, spec.backend,
-             int(spec.jobs), int(spec.concurrency), int(spec.retries),
-             int(spec.use_plans), int(spec.reuse_stands), catalogue_id,
-             fingerprint),
-        )
+        fields["catalogue_id"] = fields.pop("catalogue")
+        return self._intern(conn, "campaigns", fingerprint=fingerprint,
+                            **fields)
+
+    def _unfinished_run(self, conn: sqlite3.Connection,
+                        resume_key: str | None) -> int:
+        """Id of the unfinished run under *resume_key*, created if need be.
+
+        A key of None matches no run, so it always creates a new one.
+        """
         row = conn.execute(
-            "SELECT id FROM campaigns WHERE fingerprint = ?", (fingerprint,)
+            "SELECT id FROM runs WHERE resume_key = ?", (resume_key,)
         ).fetchone()
-        return int(row["id"])
+        if row is not None:
+            return row["id"]
+        from .. import __version__
+
+        return conn.execute(
+            "INSERT INTO runs (created_at, repro_version, backend, workers, "
+            "wall_time, resume_key) VALUES (?, ?, '', 0, 0.0, ?)",
+            (time.time(), __version__, resume_key),
+        ).lastrowid
+
+    def _write_jobs(self, conn: sqlite3.Connection, run_id: int,
+                    job_results: Iterable[tuple[int, JobResult]]) -> None:
+        """Write ``(ordinal, job result)`` pairs into run *run_id*, skipping
+        (script and all) every ordinal the run already holds."""
+        held = {row[0] for row in conn.execute(
+            "SELECT ordinal FROM jobs WHERE run_id = ?", (run_id,))}
+        script_ids: dict[int, int] = {}
+        for ordinal, job_result in job_results:
+            job, result = job_result.job, job_result.result
+            if ordinal in held:
+                continue
+            if id(job.script) not in script_ids:
+                script_ids[id(job.script)] = self._intern_script(
+                    conn, script_to_dict(job.script))
+            job_row = conn.execute(
+                "INSERT INTO jobs (run_id, ordinal, job_index, script_id, "
+                "group_name, stand_label, policy, stop_on_error, "
+                "use_plans, reuse_stands, attempts, error, wall_time) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (run_id, ordinal, job.index, script_ids[id(job.script)],
+                 job.group, job.stand_label, job.policy,
+                 int(job.stop_on_error), int(job.use_plans),
+                 int(job.reuse_stands), job_result.attempts, job_result.error,
+                 job_result.wall_time),
+            ).lastrowid
+            if result is None:
+                continue
+            document, verdict = result_to_dict(result), result.verdict
+            case_id = conn.execute(
+                "INSERT INTO case_results (job_id, stand, verdict, "
+                "passed, duration, wall_time, setup) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (job_row, result.stand, verdict.value, int(verdict.ok),
+                 result.duration, result.wall_time,
+                 json.dumps(document["setup"])),
+            ).lastrowid
+            conn.executemany(
+                "INSERT INTO step_results (case_id, ordinal, number, "
+                "duration, start_time, remark, verdict, actions) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                [(case_id, step_ordinal, step.number, step.duration,
+                  step.start_time, step.remark, step.verdict.value,
+                  json.dumps(step_doc["actions"]))
+                 for step_ordinal, (step, step_doc) in enumerate(
+                     zip(result.steps, document["steps"]))],
+            )
 
     def record_report(
         self,
@@ -632,8 +699,9 @@ class ResultStore:
         plan_cache: Mapping | None = None,
         git_sha: str | None = None,
         created_at: float | None = None,
+        resume_key: str | None = None,
     ) -> int:
-        """Record one execution report; returns the new run id.
+        """Record one execution report; returns its run id.
 
         *spec* is the producing :class:`~repro.targets.CampaignSpec` (or
         any object with its fields), *faults* the selected fault models in
@@ -641,24 +709,28 @@ class ResultStore:
         :meth:`StoredRun.campaign_result` / fault-table re-rendering.
         *git_sha* defaults to :func:`current_git_sha`, *created_at* to now;
         *plan_cache* may carry a plan-cache statistics snapshot.
+
+        *resume_key* finishes the unfinished run that
+        :meth:`save_checkpoint` has been filling under that key: the
+        record writes only the jobs the run lacks, stamps it and clears
+        the key, so the run keeps the id its first checkpoint took.
         """
         from .. import __version__
 
-        document = report.to_dict()
         if git_sha is None:
             git_sha = current_git_sha()
         if created_at is None:
             created_at = time.time()
         return self._with_write_retry(
             lambda: self._record_report_txn(
-                document, report, spec, faults, plan_cache,
-                git_sha, created_at, __version__,
+                report, spec, faults, plan_cache,
+                git_sha, created_at, __version__, resume_key,
             )
         )
 
     def _record_report_txn(
-        self, document, report, spec, faults, plan_cache,
-        git_sha, created_at, version,
+        self, report, spec, faults, plan_cache,
+        git_sha, created_at, version, resume_key,
     ) -> int:
         """One recording transaction (retried by :meth:`record_report`)."""
         with self._connect() as conn:
@@ -666,70 +738,23 @@ class ResultStore:
             if spec is not None or faults is not None:
                 catalogue_id = None
                 if faults is not None:
-                    dut = (spec.dut if spec is not None else None) or next(
-                        (s["dut"] for s in document["scripts"]), "")
+                    dut = getattr(spec, "dut", None) or next(
+                        (jr.job.script.dut for jr in report.results), "")
                     catalogue_id = self._intern_catalogue(
                         conn, dut or "", _catalogue_content(faults))
-                if spec is not None:
-                    campaign_id = self._intern_campaign(
-                        conn, spec, catalogue_id)
-                else:
-                    # Faults without a spec still need an anchor row so the
-                    # catalogue is reachable from the run.
-                    campaign_id = self._intern_campaign(
-                        conn, _AnonymousSpec(), catalogue_id)
-            cursor = conn.execute(
-                "INSERT INTO runs (created_at, git_sha, repro_version, "
-                "backend, workers, wall_time, plan_cache, campaign_id) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (created_at, git_sha, version, document["backend"],
-                 document["workers"], document["wall_time"],
+                campaign_id = self._intern_campaign(conn, spec, catalogue_id)
+            run_id = self._unfinished_run(conn, resume_key)
+            conn.execute(
+                "UPDATE runs SET created_at = ?, git_sha = ?, "
+                "repro_version = ?, backend = ?, workers = ?, wall_time = ?, "
+                "plan_cache = ?, campaign_id = ?, resume_key = NULL "
+                "WHERE id = ?",
+                (created_at, git_sha, version, report.backend, report.workers,
+                 report.wall_time,
                  json.dumps(dict(plan_cache)) if plan_cache else None,
-                 campaign_id),
+                 campaign_id, run_id),
             )
-            run_id = int(cursor.lastrowid)
-            script_ids = [
-                self._intern_script(conn, script_doc)
-                for script_doc in document["scripts"]
-            ]
-            for ordinal, job in enumerate(document["jobs"]):
-                cursor = conn.execute(
-                    "INSERT INTO jobs (run_id, ordinal, job_index, script_id, "
-                    "group_name, stand_label, policy, stop_on_error, "
-                    "use_plans, reuse_stands, attempts, error, wall_time) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (run_id, ordinal, job["index"],
-                     script_ids[job["script"]], job["group"],
-                     job["stand_label"], job["policy"],
-                     int(job["stop_on_error"]), int(job["use_plans"]),
-                     int(job["reuse_stands"]), job["attempts"], job["error"],
-                     job["wall_time"]),
-                )
-                job_id = int(cursor.lastrowid)
-                result = job["result"]
-                if result is None:
-                    continue
-                verdict = report.results[ordinal].verdict
-                cursor = conn.execute(
-                    "INSERT INTO case_results (job_id, stand, verdict, "
-                    "passed, duration, wall_time, setup) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (job_id, result["stand"], verdict.value,
-                     int(verdict.ok), result["duration"],
-                     result["wall_time"], json.dumps(result["setup"])),
-                )
-                case_id = int(cursor.lastrowid)
-                steps = report.results[ordinal].result.steps
-                for step_ordinal, step in enumerate(result["steps"]):
-                    conn.execute(
-                        "INSERT INTO step_results (case_id, ordinal, number, "
-                        "duration, start_time, remark, verdict, actions) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        (case_id, step_ordinal, step["number"],
-                         step["duration"], step["start_time"], step["remark"],
-                         steps[step_ordinal].verdict.value,
-                         json.dumps(step["actions"])),
-                    )
+            self._write_jobs(conn, run_id, enumerate(report.results))
         return run_id
 
     def record_campaign(self, result: CampaignResult, spec=None, **kwargs) -> int:
@@ -738,7 +763,8 @@ class ResultStore:
         Convenience wrapper around :meth:`record_report` that extracts the
         execution report and the injected fault models from the
         :class:`~repro.analysis.campaign.CampaignResult`; the stored run
-        then re-renders the full fault table byte-identically.
+        then re-renders the full fault table byte-identically.  A
+        checkpointed campaign passes its ``resume_key``.
         """
         if result.execution is None:
             raise StoreError(
@@ -752,75 +778,73 @@ class ResultStore:
     # -- checkpoints (campaign resume) --------------------------------------
 
     def save_checkpoint(self, campaign_key: str, job_result: JobResult) -> bool:
-        """Persist one finished job of an in-flight resumable campaign.
+        """Commit one finished job into the unfinished run under *campaign_key*.
 
-        The payload is a full single-result report document, so
-        :meth:`load_checkpoints` restores the :class:`JobResult` (and every
-        verdict detail in it) byte-identically.  Failed jobs are *not*
-        checkpointed - a resumed campaign gets to retry them - and the call
-        reports whether it stored anything.  Committed per job: a SIGKILL
-        between jobs loses at most the job in flight.
+        The first checkpoint creates that run.  The job's rows, at its
+        ``index`` (its place in a campaign's report) as ordinal, are the
+        ones the final :meth:`record_campaign` keeps.  Failed jobs are
+        *not* checkpointed - a resumed campaign gets to retry them - and
+        the call reports whether it stored anything.  Committed per job: a
+        SIGKILL between jobs loses at most the job in flight.
         """
         if job_result.result is None:
             return False
-        payload = json.dumps(report_to_dict(ExecutionReport([job_result])))
-        job_key = job_result.job.job_id
 
         def _write() -> None:
             with self._connect() as conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO checkpoints "
-                    "(campaign_key, job_key, payload, created_at) "
-                    "VALUES (?, ?, ?, ?)",
-                    (campaign_key, job_key, payload, time.time()),
-                )
+                self._write_jobs(conn, self._unfinished_run(conn, campaign_key),
+                                 [(job_result.job.index, job_result)])
 
         self._with_write_retry(_write)
         return True
 
     def load_checkpoints(self, campaign_key: str) -> dict[str, JobResult]:
-        """All checkpointed job results of a campaign, keyed by ``job_id``.
+        """The jobs the unfinished run under *campaign_key* holds, by ``job_id``.
 
         The restored results render byte-identically but carry placeholder
         factories (:func:`~repro.teststand.serialize.restored_factory`);
         :func:`~repro.teststand.executor.run_jobs` slots them into the
         report without executing anything.
         """
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT job_key, payload FROM checkpoints "
-                "WHERE campaign_key = ? ORDER BY id",
-                (campaign_key,),
-            ).fetchall()
-        restored: dict[str, JobResult] = {}
-        for row in rows:
-            report = report_from_dict(json.loads(row["payload"]))
-            restored[row["job_key"]] = report.results[0]
-        return restored
+        document = self._report_document(None, resume_key=campaign_key)
+        if document is None:
+            return {}
+        report = ExecutionReport.from_dict(document)
+        return {job_result.job.job_id: job_result
+                for job_result in report.results}
 
     def clear_checkpoints(self, campaign_key: str) -> int:
-        """Drop a campaign's checkpoints (after its final report recorded)."""
+        """Drop the unfinished run under *campaign_key*; returns its job count."""
 
         def _write() -> int:
             with self._connect() as conn:
                 cursor = conn.execute(
-                    "DELETE FROM checkpoints WHERE campaign_key = ?",
+                    "DELETE FROM jobs WHERE run_id IN "
+                    "(SELECT id FROM runs WHERE resume_key = ?)",
                     (campaign_key,),
                 )
+                conn.execute("DELETE FROM runs WHERE resume_key = ?",
+                             (campaign_key,))
                 return cursor.rowcount
 
         return self._with_write_retry(_write)
 
     # -- reading ------------------------------------------------------------
 
-    def _report_document(self, run_id: int) -> dict:
-        """Rebuild the exact :func:`report_to_dict` document of a run."""
+    def _report_document(self, run_id: int | None,
+                         resume_key: str | None = None) -> dict | None:
+        """Rebuild the exact :func:`report_to_dict` document of run *run_id*,
+        or of the unfinished run under *resume_key* (None if there is none)."""
         with self._connect() as conn:
             run = conn.execute(
-                "SELECT * FROM runs WHERE id = ?", (run_id,)
+                "SELECT * FROM runs WHERE id = ? OR resume_key = ?",
+                (run_id, resume_key),
             ).fetchone()
             if run is None:
+                if resume_key is not None:
+                    return None
                 raise StoreError(f"no stored run with id {run_id}")
+            run_id = run["id"]
             job_rows = conn.execute(
                 "SELECT jobs.*, scripts.content AS script_content "
                 "FROM jobs JOIN scripts ON scripts.id = jobs.script_id "
@@ -897,7 +921,8 @@ class ResultStore:
         """Load one stored run (metadata now, report rebuilt lazily)."""
         with self._connect() as conn:
             run = conn.execute(
-                "SELECT * FROM runs WHERE id = ?", (run_id,)
+                "SELECT * FROM runs WHERE id = ? AND resume_key IS NULL",
+                (run_id,),
             ).fetchone()
             if run is None:
                 raise StoreError(f"no stored run with id {run_id}")
@@ -931,9 +956,10 @@ class ResultStore:
         return StoredRun(self, run, campaign, catalogue)
 
     def run_ids(self) -> tuple[int, ...]:
-        """All stored run ids, oldest first."""
+        """All stored run ids, oldest first (unfinished runs excluded)."""
         with self._connect() as conn:
-            rows = conn.execute("SELECT id FROM runs ORDER BY id").fetchall()
+            rows = conn.execute("SELECT id FROM runs WHERE resume_key IS NULL "
+                                "ORDER BY id").fetchall()
         return tuple(row["id"] for row in rows)
 
     def list_runs(self, *, dut: str | None = None,
@@ -958,10 +984,11 @@ class ResultStore:
             "     AND case_results.verdict = 'fail') THEN 'fail' "
             "   ELSE 'pass' END) AS worst "
             "FROM runs LEFT JOIN campaigns ON campaigns.id = runs.campaign_id "
+            "WHERE runs.resume_key IS NULL "
         )
         params: list = []
         if dut is not None:
-            sql += "WHERE LOWER(run_dut) = LOWER(?) "
+            sql += "AND LOWER(run_dut) = LOWER(?) "
             params.append(dut)
         sql += "ORDER BY runs.id DESC"
         if limit is not None:
@@ -1013,7 +1040,7 @@ class ResultStore:
             "JOIN scripts ON scripts.id = jobs.script_id "
             "LEFT JOIN case_results ON case_results.job_id = jobs.id "
         )
-        clauses: list[str] = []
+        clauses = ["runs.resume_key IS NULL"]
         params: list = []
         if dut is not None:
             clauses.append("LOWER(scripts.dut) = LOWER(?)")
@@ -1027,20 +1054,17 @@ class ResultStore:
         if since is not None:
             clauses.append("runs.created_at >= ?")
             params.append(float(since))
-        if clauses:
-            sql += "WHERE " + " AND ".join(clauses) + " "
+        sql += "WHERE " + " AND ".join(clauses) + " "
         sql += "ORDER BY runs.id DESC, jobs.ordinal"
         with self._connect() as conn:
             rows = conn.execute(sql, params).fetchall()
         result = []
         for row in rows:
-            label = row["group_name"] or "-"
-            if row["stand_label"]:
-                label = f"{label}@{row['stand_label']}"
             result.append(CaseRow(
                 run_id=row["run_id"],
                 created_at=row["created_at"],
-                job=f"{label}/{row['script']}#{row['job_index']}",
+                job=format_job_id(row["group_name"], row["stand_label"],
+                                  row["script"], row["job_index"]),
                 script=row["script"],
                 dut=row["dut"],
                 group=row["group_name"],
@@ -1062,7 +1086,8 @@ class ResultStore:
         verdicts: dict[int, dict[str, str]] = {}
         with self._connect() as conn:
             for run_id in (a, b):
-                if conn.execute("SELECT 1 FROM runs WHERE id = ?",
+                if conn.execute("SELECT 1 FROM runs WHERE id = ? "
+                                "AND resume_key IS NULL",
                                 (run_id,)).fetchone() is None:
                     raise StoreError(f"no stored run with id {run_id}")
                 rows = conn.execute(
@@ -1074,14 +1099,12 @@ class ResultStore:
                     "LEFT JOIN case_results ON case_results.job_id = jobs.id "
                     "WHERE jobs.run_id = ? ORDER BY jobs.ordinal", (run_id,)
                 ).fetchall()
-                table = {}
-                for row in rows:
-                    label = row["group_name"] or "-"
-                    if row["stand_label"]:
-                        label = f"{label}@{row['stand_label']}"
-                    key = f"{label}/{row['script']}#{row['job_index']}"
-                    table[key] = row["verdict"]
-                verdicts[run_id] = table
+                verdicts[run_id] = {
+                    format_job_id(row["group_name"], row["stand_label"],
+                                  row["script"], row["job_index"]):
+                    row["verdict"]
+                    for row in rows
+                }
         table_a, table_b = verdicts[a], verdicts[b]
         changed = tuple(
             VerdictDelta(job=key, verdict_a=table_a[key], verdict_b=table_b[key])
@@ -1092,17 +1115,3 @@ class ResultStore:
         return RunDiff(run_a=a, run_b=b, changed=changed,
                        only_a=only_a, only_b=only_b)
 
-
-class _AnonymousSpec:
-    """Neutral campaign fields for reports recorded with faults but no spec."""
-
-    dut = None
-    composition = None
-    stand = None
-    policy = "first_fit"
-    backend = "auto"
-    jobs = 1
-    concurrency = 0
-    retries = 1
-    use_plans = True
-    reuse_stands = True

@@ -1255,12 +1255,12 @@ class CampaignSpec:
     it byte-identically (``repro-report --store PATH --run ID``).
 
     ``resume`` (requires ``store``) makes the campaign *checkpointed*:
-    every finished job is persisted as it completes, jobs already
-    checkpointed by a previous (killed) run of the same campaign are
-    skipped, and the merged final report is byte-identical to an
-    uninterrupted run.  The checkpoints are dropped once the final report
-    records.  ``deadline`` is a per-job wall-clock budget in seconds
-    (blown jobs report a structured ``JobTimeoutError`` without retrying).
+    every finished job is committed as it completes, into the stored run
+    its first checkpoint starts; jobs a previous (killed) run of the same
+    campaign committed are skipped, and the final record finishes that
+    run, byte-identical to an uninterrupted one.  ``deadline`` is a
+    per-job wall-clock budget in seconds (blown jobs report a structured
+    ``JobTimeoutError`` without retrying).
     ``chaos_seed`` / ``chaos_profile`` install a deterministic
     :class:`repro.chaos.ChaosPolicy` for the campaign - seeded fault
     injection for resilience testing; a seed without a profile defaults
@@ -1446,7 +1446,7 @@ def build_campaign(spec: CampaignSpec, *,
 
 def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
                          faults: Sequence[FaultModel]) -> str:
-    """Content fingerprint identifying a resumable campaign's checkpoints.
+    """Content fingerprint naming a resumable campaign's unfinished run.
 
     Built from everything that determines job identities and verdicts -
     compiled script content, fault selection, stand, allocation policy,
@@ -1480,10 +1480,10 @@ def run_campaign(spec: CampaignSpec, *,
     assigned :attr:`~repro.analysis.campaign.CampaignResult.store_run_id`.
 
     With ``spec.resume`` additionally set, the run is checkpointed: each
-    finished job persists into the store as it completes, jobs already
-    checkpointed under the same campaign fingerprint are restored instead
-    of re-executed, and the checkpoints are dropped once the merged final
-    report records.  Killing a resumable campaign at any point therefore
+    finished job is committed as it completes into the unfinished run
+    stored under the campaign fingerprint, jobs that run already holds are
+    restored instead of re-executed, and the final record writes only the
+    rest and finishes the run.  Killing a resumable campaign therefore
     loses at most the jobs in flight; re-running the same spec produces a
     final report byte-identical to an uninterrupted run.
     """
@@ -1496,7 +1496,7 @@ def run_campaign(spec: CampaignSpec, *,
     store = None
     completed = None
     on_result = None
-    resume_key = ""
+    resume_key = None
     if spec.store:
         # Imported lazily: the registry must not pay the store's sqlite
         # setup cost (nor create files) unless a spec actually records.
@@ -1508,9 +1508,8 @@ def run_campaign(spec: CampaignSpec, *,
             on_result = functools.partial(store.save_checkpoint, resume_key)
     result = campaign.run(faults, completed=completed, on_result=on_result)
     if store is not None:
-        result.store_run_id = store.record_campaign(result, spec)
-        if spec.resume:
-            store.clear_checkpoints(resume_key)
+        result.store_run_id = store.record_campaign(result, spec,
+                                                    resume_key=resume_key)
     return result
 
 

@@ -98,6 +98,7 @@ __all__ = [
     "execute_job",
     "aexecute_job",
     "expand_jobs",
+    "format_job_id",
     "run_jobs",
     "run_across_stands",
 ]
@@ -152,10 +153,17 @@ class Job:
 
     @property
     def job_id(self) -> str:
-        label = self.group or "-"
-        if self.stand_label:
-            label = f"{label}@{self.stand_label}"
-        return f"{label}/{self.script.name}#{self.index}"
+        return format_job_id(self.group, self.stand_label, self.script.name,
+                             self.index)
+
+
+def format_job_id(group: str, stand_label: str, script: str,
+                  index: int) -> str:
+    """A job's id, ``group[@stand]/script#index``: the same on any backend."""
+    label = group or "-"
+    if stand_label:
+        label = f"{label}@{stand_label}"
+    return f"{label}/{script}#{index}"
 
 
 @dataclass(frozen=True)

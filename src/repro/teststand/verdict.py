@@ -151,10 +151,6 @@ class TestResult:
             tally[result.verdict.value] += 1
         return tally
 
-    def failed_steps(self) -> tuple[StepResult, ...]:
-        """All steps whose verdict is not PASS."""
-        return tuple(step for step in self.steps if not step.verdict.ok)
-
     def resources_used(self) -> tuple[str, ...]:
         """All resource names that served at least one action."""
         seen: dict[str, None] = {}

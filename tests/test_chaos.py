@@ -368,6 +368,11 @@ _CHILD_ENV = {
     "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
 }
 
+#: Job rows of unfinished runs: the checkpoints of campaigns in flight.
+_CHECKPOINTED_JOBS = ("SELECT COUNT(*) FROM jobs JOIN runs "
+                      "ON runs.id = jobs.run_id "
+                      "WHERE runs.resume_key IS NOT NULL")
+
 #: ``python -c`` body: run ``repro-campaign`` with the given arguments and
 #: SIGKILL this process as soon as its third checkpoint has committed.
 _SIGKILL_AFTER_THIRD_CHECKPOINT = """
@@ -388,6 +393,58 @@ def save_then_die(self, campaign_key, job_result):
 ResultStore.save_checkpoint = save_then_die
 main_campaign(sys.argv[1:])
 """
+
+
+def _write_concurrently(path: str, policy: chaos.ChaosPolicy | None = None,
+                        writers: int = 8) -> None:
+    """*writers* threads (more than cores, on one shared connection) each
+    record a run into *path* and checkpoint every job under a key of their
+    own, with *policy* installed while they write; every run and every
+    checkpointed job must land exactly once."""
+    result = run_campaign(_small_spec())
+    job_ids = {jr.job.job_id for jr in result.execution.results}
+    run_ids = []
+    errors = []
+    # All open the fresh file at once: the open (DDL, WAL switch)
+    # races the other writers, not just the recording transactions.
+    start = threading.Barrier(writers)
+
+    def write(slot):
+        try:
+            start.wait()
+            store = ResultStore(path)
+            run_ids.append(store.record_campaign(result, _small_spec()))
+            for jr in result.execution.results:
+                store.save_checkpoint(f"writer-{slot}", jr)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(slot,))
+               for slot in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    if policy is not None:
+        chaos.install(policy)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        chaos.uninstall()
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(set(run_ids)) == writers
+    store = ResultStore(path)
+    assert store.run_ids() == tuple(sorted(run_ids))
+    for slot in range(writers):
+        assert set(store.load_checkpoints(f"writer-{slot}")) == job_ids
+    with sqlite3.connect(path) as conn:
+        per_run = conn.execute(
+            "SELECT COUNT(jobs.id) FROM runs LEFT JOIN jobs "
+            "ON jobs.run_id = runs.id GROUP BY runs.id").fetchall()
+    assert per_run == [(len(job_ids),)] * (2 * writers)
 
 
 class TestStoreHardening:
@@ -415,44 +472,13 @@ class TestStoreHardening:
         assert store.get_run(run_id) is not None
 
     def test_concurrent_writers_share_one_file(self, tmp_path):
-        path = str(tmp_path / "shared.db")
-        result = run_campaign(_small_spec())
-        job_ids = {jr.job.job_id for jr in result.execution.results}
-        writers = 8  # more threads than cores, on one shared connection
-        run_ids = []
-        errors = []
-        # All open the fresh file at once: the open (DDL, WAL switch)
-        # races the other writers, not just the recording transactions.
-        start = threading.Barrier(writers)
+        _write_concurrently(str(tmp_path / "shared.db"))
 
-        def write(slot):
-            try:
-                start.wait()
-                store = ResultStore(path)
-                run_ids.append(store.record_campaign(result, _small_spec()))
-                for jr in result.execution.results:
-                    store.save_checkpoint(f"writer-{slot}", jr)
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=write, args=(slot,))
-                   for slot in range(writers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == []
-        assert len(set(run_ids)) == writers
-        store = ResultStore(path)
-        assert store.run_ids() == tuple(sorted(run_ids))
-        for slot in range(writers):
-            assert set(store.load_checkpoints(f"writer-{slot}")) == job_ids
+    def test_concurrent_writers_share_one_file_under_flaky_store(self,
+                                                                 tmp_path):
+        _write_concurrently(
+            str(tmp_path / "flaky.db"),
+            chaos.ChaosPolicy.from_profile("flaky-store", seed=5))
 
     def test_checkpoint_round_trip(self, tmp_path):
         store = ResultStore(str(tmp_path / "ckpt.db"))
@@ -503,8 +529,7 @@ class TestResume:
         monkeypatch.setattr(ResultStore, "save_checkpoint", original)
 
         with sqlite3.connect(path) as conn:
-            persisted = conn.execute(
-                "SELECT COUNT(*) FROM checkpoints").fetchone()[0]
+            persisted = conn.execute(_CHECKPOINTED_JOBS).fetchone()[0]
         assert persisted == 3
 
         resumed = run_campaign(spec)
@@ -513,8 +538,7 @@ class TestResume:
             == reference.execution.verdict_table()
         assert resumed.store_run_id is not None
         with sqlite3.connect(path) as conn:
-            assert conn.execute(
-                "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 0
+            assert conn.execute(_CHECKPOINTED_JOBS).fetchone()[0] == 0
 
     def test_sigkilled_campaign_resumes_byte_identically(self, tmp_path,
                                                          capsys):
@@ -529,8 +553,7 @@ class TestResume:
         assert child.returncode == -signal.SIGKILL, child.stderr
         # The checkpoints sit in the WAL nobody merged; a reader sees them.
         with sqlite3.connect(f"file:{path}?mode=ro", uri=True) as conn:
-            assert conn.execute(
-                "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 3
+            assert conn.execute(_CHECKPOINTED_JOBS).fetchone()[0] == 3
 
         assert main_campaign(["--dut", "wiper_ecu"]) == 0
         clean = capsys.readouterr().out
@@ -539,8 +562,7 @@ class TestResume:
         (run_id,) = ResultStore(path).run_ids()
         assert ResultStore(path).get_run(run_id).render() + "\n" == clean
         with sqlite3.connect(path) as conn:
-            assert conn.execute(
-                "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 0
+            assert conn.execute(_CHECKPOINTED_JOBS).fetchone()[0] == 0
             assert conn.execute(
                 "PRAGMA integrity_check").fetchone()[0] == "ok"
 

@@ -132,7 +132,7 @@ class TestDocsMatchCode:
         from repro.store import DDL, STORE_SCHEMA
         assert f"Schema version {STORE_SCHEMA} " in doc
         tables = re.findall(r"CREATE TABLE IF NOT EXISTS (\w+)", DDL)
-        assert "checkpoints" in tables
+        assert "resume_key" in DDL and "`resume_key`" in doc
         for table in tables:
             assert re.search(rf"^{table}\s", doc, re.MULTILINE), table
 

@@ -24,7 +24,7 @@ from repro.service import (
 )
 from repro.service.cli import main_serve
 from repro.store import ResultStore
-from repro.targets import CampaignSpec
+from repro.targets import CampaignSpec, run_campaign
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,27 @@ def test_api_campaign_round_trip_matches_cli_stdout(app, service, capsys):
     assert main_campaign(["--dut", "wiper_ecu"]) == 0
     cli_stdout = capsys.readouterr().out
     assert f"{report['table']}\n{report['summary']}\n" == cli_stdout
+
+
+def test_api_campaigns_a_composition(app, service):
+    status, body = request(app, "GET", "/targets")
+    compositions = {entry["name"]: entry for entry in body["compositions"]}
+    assert compositions["lock+cluster"]["members"] == {
+        "lock": "central_locking_ecu", "cluster": "instrument_cluster_ecu"}
+    # use_vm off runs the classic walk; the table must not change.
+    status, body = request(app, "POST", "/campaigns",
+                           {"composition": "lock+cluster", "use_vm": False})
+    assert status == 202
+    snapshot = service.wait(body["job"], timeout=60)
+    assert snapshot["state"] == "done", snapshot["error"]
+    assert snapshot["composition"] == "lock+cluster"
+    assert snapshot["dut"] is None
+
+    status, report = request(app, "GET", f"/runs/{snapshot['run_id']}/report")
+    assert status == 200
+    live = run_campaign(CampaignSpec(composition="lock+cluster"))
+    assert report["table"] == live.table()
+    assert report["summary"] == live.summary()
 
 
 def test_api_diff_of_identical_runs_is_empty(app, service):

@@ -12,15 +12,20 @@ once, and it follows the file through deletion, fork and ``close()``.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import sqlite3
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.store import CaseRow, ResultStore, RunInfo, StoreError
 from repro.targets import CampaignSpec, campaignable_dut_names, run_campaign
+from repro.teststand.executor import ExecutionReport
 
 
 @pytest.fixture
@@ -234,7 +239,7 @@ def test_profiled_cli_campaign_records_and_resumes(store_path, capsys,
                                                    monkeypatch):
     """``repro-campaign --profile`` takes the same campaign path as a plain
     run: ``--store`` records the run, ``--resume`` checkpoints every job
-    and clears the checkpoints once the run records."""
+    into an unfinished run that the final record finishes."""
     from repro.cli import main_campaign
 
     argv = ["--dut", "wiper_ecu", "--store", store_path, "--profile"]
@@ -259,7 +264,8 @@ def test_profiled_cli_campaign_records_and_resumes(store_path, capsys,
     assert len(ResultStore(store_path).run_ids()) == 2
     with sqlite3.connect(store_path) as connection:
         assert connection.execute(
-            "SELECT COUNT(*) FROM checkpoints").fetchone()[0] == 0
+            "SELECT COUNT(*) FROM jobs JOIN runs ON runs.id = jobs.run_id "
+            "WHERE runs.resume_key IS NOT NULL").fetchone()[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +347,262 @@ def test_closed_store_leaves_other_instances_working(store_path):
         f"{result.table()}\n{result.summary()}"
     again = second.record_campaign(result)
     assert second.run_ids() == (run_id, again)
+
+
+# ---------------------------------------------------------------------------
+# A checkpoint is a job row of the campaign's unfinished run
+# ---------------------------------------------------------------------------
+
+def _row_counts(path: str) -> dict[str, tuple[int, int]]:
+    """``(row count, highest id)`` of every per-job table."""
+    with sqlite3.connect(path) as connection:
+        return {table: connection.execute(
+                    f"SELECT COUNT(*), MAX(id) FROM {table}").fetchone()
+                for table in ("jobs", "case_results", "step_results")}
+
+
+def _interrupt_after(monkeypatch, method: str, calls: int, spec) -> None:
+    """Run *spec*, raising KeyboardInterrupt (a stand-in for SIGKILL) right
+    after the *calls*-th ``ResultStore.<method>`` call has returned."""
+    original = getattr(ResultStore, method)
+    seen = []
+
+    def interrupting(self, *args, **kwargs):
+        returned = original(self, *args, **kwargs)
+        seen.append(args)
+        if len(seen) == calls:
+            raise KeyboardInterrupt
+        return returned
+
+    monkeypatch.setattr(ResultStore, method, interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(spec)
+    monkeypatch.setattr(ResultStore, method, original)
+
+
+def _counting_checkpoints(monkeypatch) -> list:
+    saved = []
+    original = ResultStore.save_checkpoint
+
+    def counting(self, *args):
+        saved.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ResultStore, "save_checkpoint", counting)
+    return saved
+
+
+def test_final_record_writes_no_row_a_checkpoint_wrote(store_path,
+                                                       monkeypatch):
+    """Killed after every job checkpointed but before the final record, a
+    resumed campaign executes nothing, writes no per-job row and keeps the
+    run id its first checkpoint took."""
+    spec = CampaignSpec(dut="wiper_ecu", faults=("motor_stuck_off",),
+                        store=store_path, resume=True)
+    original = ResultStore.record_campaign
+
+    def killed(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ResultStore, "record_campaign", killed)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(spec)
+    monkeypatch.setattr(ResultStore, "record_campaign", original)
+    with sqlite3.connect(store_path) as connection:
+        (unfinished,) = connection.execute(
+            "SELECT id FROM runs WHERE resume_key IS NOT NULL").fetchone()
+    before = _row_counts(store_path)
+
+    saved = _counting_checkpoints(monkeypatch)
+    resumed = run_campaign(spec)
+    assert saved == []
+    assert _row_counts(store_path) == before
+    assert resumed.store_run_id == unfinished
+    assert ResultStore(store_path).get_run(unfinished).render() \
+        == f"{resumed.table()}\n{resumed.summary()}"
+
+
+def test_unfinished_runs_are_invisible_to_readers(store_path):
+    result = run_campaign(CampaignSpec(dut="wiper_ecu",
+                                       faults=("motor_stuck_off",)))
+    store = ResultStore(store_path)
+    finished = store.record_campaign(result)
+    for job_result in result.execution.results[:3]:
+        assert store.save_checkpoint("in-flight", job_result)
+    with sqlite3.connect(store_path) as connection:
+        (unfinished,) = connection.execute(
+            "SELECT id FROM runs WHERE resume_key = 'in-flight'").fetchone()
+    assert store.run_ids() == (finished,)
+    assert [info.run_id for info in store.list_runs()] == [finished]
+    assert [info.run_id for info in store.list_runs(dut="wiper_ecu")] \
+        == [finished]
+    assert {row.run_id for row in store.query()} == {finished}
+    with pytest.raises(StoreError):
+        store.get_run(unfinished)
+    with pytest.raises(StoreError):
+        store.diff_runs(finished, unfinished)
+    assert len(store.load_checkpoints("in-flight")) == 3
+
+
+# ---------------------------------------------------------------------------
+# Schema 3 migrates on open; other schemas are refused untouched
+# ---------------------------------------------------------------------------
+
+#: The table schema 3 kept pending checkpoints in.
+_SCHEMA_3_CHECKPOINTS = """
+DROP INDEX idx_runs_resume;
+ALTER TABLE runs DROP COLUMN resume_key;
+CREATE TABLE checkpoints (
+    id           INTEGER PRIMARY KEY,
+    campaign_key TEXT NOT NULL,
+    job_key      TEXT NOT NULL,
+    payload      TEXT NOT NULL,
+    created_at   REAL NOT NULL,
+    UNIQUE (campaign_key, job_key)
+);
+CREATE INDEX idx_checkpoints_campaign ON checkpoints(campaign_key);
+UPDATE meta SET value = '3' WHERE key = 'store_schema';
+"""
+
+
+def _downgrade_to_schema_3(path: str) -> None:
+    """Rewrite a schema-4 store the way schema 3 held it: each unfinished
+    run's jobs become single-job report documents in ``checkpoints``."""
+    store = ResultStore(path)
+    with sqlite3.connect(path) as connection:
+        keys = [key for (key,) in connection.execute(
+            "SELECT resume_key FROM runs WHERE resume_key IS NOT NULL")]
+    pending = [
+        (key, job_id, json.dumps(ExecutionReport([job_result]).to_dict()))
+        for key in keys
+        for job_id, job_result in store.load_checkpoints(key).items()
+    ]
+    for key in keys:
+        store.clear_checkpoints(key)
+    store.close()
+    connection = sqlite3.connect(path)
+    connection.executescript(_SCHEMA_3_CHECKPOINTS)
+    connection.executemany(
+        "INSERT INTO checkpoints (campaign_key, job_key, payload, created_at)"
+        " VALUES (?, ?, ?, 0.0)", pending)
+    connection.commit()
+    connection.close()
+
+
+def _schema_3_store(path: str, monkeypatch) -> tuple[str, CampaignSpec]:
+    """A schema-3 store holding one recorded run and a campaign stopped
+    after 3 checkpoints; returns the recorded run's rendering and the
+    stopped campaign's spec."""
+    recorded = run_campaign(CampaignSpec(dut="wiper_ecu", store=path))
+    rendered = ResultStore(path).get_run(recorded.store_run_id).render()
+    spec = CampaignSpec(dut="wiper_ecu", store=path, resume=True)
+    _interrupt_after(monkeypatch, "save_checkpoint", 3, spec)
+    _downgrade_to_schema_3(path)
+    with sqlite3.connect(path) as connection:
+        assert connection.execute(
+            "SELECT value FROM meta").fetchone() == ("3",)
+        assert connection.execute(
+            "SELECT COUNT(*) FROM checkpoints").fetchone() == (3,)
+    return rendered, spec
+
+
+def test_schema_3_store_migrates_on_open(store_path, monkeypatch):
+    clean = run_campaign(CampaignSpec(dut="wiper_ecu"))
+    rendered, spec = _schema_3_store(store_path, monkeypatch)
+
+    saved = _counting_checkpoints(monkeypatch)
+    resumed = run_campaign(spec)
+    # Only the jobs the three migrated checkpoints lack were executed.
+    assert len(saved) == len(clean.execution.results) - 3
+    assert f"{resumed.table()}\n{resumed.summary()}" \
+        == f"{clean.table()}\n{clean.summary()}"
+    assert resumed.execution.verdict_table() \
+        == clean.execution.verdict_table()
+    store = ResultStore(store_path)
+    first, second = store.run_ids()
+    assert store.get_run(first).render() == rendered
+    assert store.get_run(second).render() == rendered
+    with sqlite3.connect(store_path) as connection:
+        assert connection.execute(
+            "SELECT value FROM meta").fetchone() == ("4",)
+        assert connection.execute(
+            "SELECT name FROM sqlite_master WHERE name = 'checkpoints'"
+        ).fetchone() is None
+
+
+#: ``python -c`` body: import the store, say so, and open the store at
+#: ``argv[1]`` once told to on stdin.
+_OPEN_WHEN_TOLD = """
+import sys
+from repro.store import ResultStore
+print("ready", flush=True)
+sys.stdin.readline()
+ResultStore(sys.argv[1])
+"""
+
+
+def test_two_processes_migrate_a_schema_3_store_once(store_path,
+                                                     monkeypatch):
+    _schema_3_store(store_path, monkeypatch)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    children = [subprocess.Popen(
+        [sys.executable, "-c", _OPEN_WHEN_TOLD, store_path], env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for _ in range(2)]
+    try:
+        for child in children:
+            assert child.stdout.readline() == "ready\n"
+        for child in children:  # both open the schema-3 file at once
+            child.stdin.write("go\n")
+            child.stdin.flush()
+        assert [child.wait(timeout=60) for child in children] == [0, 0]
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+            child.stdin.close()
+            child.stdout.close()
+    with sqlite3.connect(store_path) as connection:
+        assert connection.execute(
+            "SELECT value FROM meta").fetchone() == ("4",)
+        assert connection.execute(
+            "SELECT COUNT(*) FROM jobs JOIN runs ON runs.id = jobs.run_id "
+            "WHERE runs.resume_key IS NOT NULL").fetchone() == (3,)
+    assert _integrity(store_path) == "ok"
+
+
+def test_store_of_another_schema_is_refused_untouched(store_path):
+    connection = sqlite3.connect(store_path)
+    connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, "
+                       "value TEXT NOT NULL)")
+    connection.execute("INSERT INTO meta VALUES ('store_schema', '2')")
+    connection.commit()
+    connection.close()
+    before = Path(store_path).read_bytes()
+    with pytest.raises(StoreError, match="uses schema 2"):
+        ResultStore(store_path)
+    assert Path(store_path).read_bytes() == before
+    assert sorted(os.listdir(os.path.dirname(store_path))) \
+        == [os.path.basename(store_path)]
+
+
+def test_two_records_start_git_at_most_once(store_path, tmp_path,
+                                            monkeypatch):
+    # A working directory no earlier record ran in.
+    monkeypatch.chdir(tmp_path)
+    started = []
+    run = subprocess.run
+
+    def counting_run(args, *rest, **kwargs):
+        if args[0] == "git":
+            started.append(args)
+        return run(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    result = run_campaign(CampaignSpec(dut="wiper_ecu",
+                                       faults=("motor_stuck_off",)))
+    store = ResultStore(store_path)
+    store.record_campaign(result)
+    store.record_campaign(result)
+    assert len(started) <= 1

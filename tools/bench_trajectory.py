@@ -282,9 +282,9 @@ def bench_store_overhead(rounds: int) -> dict:
     """The wiper campaign with no store vs. checkpointed into a store.
 
     The checkpointed pass is ``run_campaign(store=..., resume=True)``: it
-    opens the store, commits one checkpoint per job, records the final
-    report and clears the checkpoints, all into one store file that
-    accumulates a run per pass.  Both passes build the campaign from its
+    opens the store, commits each finished job's rows into the campaign's
+    unfinished run (one checkpoint per job), and the final record stamps
+    that run, all into one store file that accumulates a run per pass.  Both passes build the campaign from its
     spec, and they interleave, best-of, as in :func:`bench_chaos_overhead`.
     """
     plain = CampaignSpec(dut="wiper_ecu")
@@ -404,9 +404,8 @@ def main(argv=None) -> int:
         # running under an installed-but-inert policy.
         "chaos_hooks_free_when_off": workloads["chaos_overhead"]["no_policy_s"]
         <= workloads["chaos_overhead"]["installed_s"] * 1.02,
-        # A checkpointed campaign (a durable commit per job, the final
-        # record and the clear) may take at most 3x the same campaign
-        # without a store.
+        # A checkpointed campaign (a durable commit per job and the final
+        # record) may take at most 3x the same campaign without a store.
         "store_resume_overhead": workloads["store_overhead"]["resume_s"]
         <= workloads["store_overhead"]["no_store_s"] * 3.0,
         # Each electrical state is solved once per process: a second pass

@@ -45,8 +45,7 @@ __all__ = ["CampaignApp", "SPEC_FIELDS"]
 #: ``suite`` (not expressible in JSON) - is rejected with 400.
 SPEC_FIELDS = (
     "dut", "composition", "workbook", "stand", "faults", "policy", "backend",
-    "jobs", "concurrency", "retries", "use_plans", "reuse_stands", "use_vm",
-    "preflight",
+    "jobs", "concurrency", "retries", "use_plans", "reuse_stands", "preflight",
 )
 
 

@@ -208,7 +208,7 @@ def generate_site(store: ResultStore, out_dir: str) -> list[str]:
     # its predecessor's delta.
     diffs: list[RunDiff] = []
     by_dut: dict[str, list] = {}
-    for info in sorted(infos, key=lambda item: item.run_id):
+    for info in reversed(infos):
         by_dut.setdefault(info.dut.lower(), []).append(info)
     for runs in by_dut.values():
         for earlier, later in zip(runs, runs[1:]):

@@ -27,7 +27,6 @@ the process like any in-memory database.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import functools
 import hashlib
 import json
@@ -470,26 +469,48 @@ class ResultStore:
             link.inode = None if self._memory else _inode(self._key)
         return link.conn
 
-    @contextlib.contextmanager
-    def _connect(self):
-        """One transaction on the store's connection, under its lock."""
-        link = self._link()
-        with link.lock:
-            conn = self._connection(link)
+    class _Session:
+        """Context manager: one transaction on the store's connection."""
+
+        def __init__(self, store: "ResultStore"):
+            self._store = store
+            self._link: _Link | None = None
+            self._conn: sqlite3.Connection | None = None
+
+        def __enter__(self) -> sqlite3.Connection:
+            link = self._store._link()
+            link.lock.acquire()
             try:
-                yield conn
-                if _chaos.ACTIVE is not None:
-                    # Chaos commit-point hook: may raise a one-shot
-                    # "database is locked" for the bounded write retry
-                    # to absorb.
-                    _chaos.on_store_commit()
-                conn.commit()
+                self._conn = self._store._connection(link)
+            except BaseException:
+                link.lock.release()
+                raise
+            self._link = link
+            return self._conn
+
+        def __exit__(self, exc_type, exc, tb) -> None:
+            conn = self._conn
+            try:
+                if exc_type is None:
+                    if _chaos.ACTIVE is not None:
+                        # Chaos commit-point hook: may raise a one-shot
+                        # "database is locked" for the bounded write
+                        # retry to absorb.
+                        _chaos.on_store_commit()
+                    conn.commit()
+                else:
+                    conn.rollback()
             except BaseException:
                 try:
                     conn.rollback()
                 except sqlite3.Error:
                     pass
                 raise
+            finally:
+                self._link.lock.release()
+
+    def _connect(self) -> "_Session":
+        return self._Session(self)
 
     #: Attempts one write transaction gets against a locked database
     #: before the store gives up.
@@ -500,7 +521,7 @@ class ResultStore:
 
         SQLite raises ``OperationalError: database is locked`` when another
         writer holds the file past the busy timeout.  Transactions roll
-        back cleanly (see ``_connect``) and all inserts are idempotent
+        back cleanly (see ``_Session``) and all inserts are idempotent
         (``INSERT OR IGNORE`` interning, fresh rowids), so re-running the
         whole transaction is safe.  Retries back off exponentially;
         anything but a locked/busy error propagates immediately.
@@ -538,8 +559,11 @@ class ResultStore:
         if version == STORE_SCHEMA:
             return
         if version == 3:
-            # Each pending checkpoint becomes a row of its unfinished run.
             conn.execute("ALTER TABLE runs ADD COLUMN resume_key TEXT")
+        for statement in DDL.split(";"):
+            conn.execute(statement)
+        if version == 3:
+            # Each pending checkpoint becomes a row of its unfinished run.
             for row in conn.execute("SELECT campaign_key, payload "
                                     "FROM checkpoints ORDER BY id").fetchall():
                 job_result = ExecutionReport.from_dict(
@@ -548,8 +572,6 @@ class ResultStore:
                     conn, self._unfinished_run(conn, row["campaign_key"]),
                     [(job_result.job.index, job_result)])
             conn.execute("DROP TABLE checkpoints")
-        for statement in DDL.split(";"):
-            conn.execute(statement)
         conn.execute("INSERT OR REPLACE INTO meta (key, value) "
                      "VALUES ('store_schema', ?)", (str(STORE_SCHEMA),))
 
@@ -581,67 +603,86 @@ class ResultStore:
 
     # -- recording ----------------------------------------------------------
 
-    @staticmethod
-    def _intern(conn: sqlite3.Connection, table: str, **row) -> int:
-        """Id of the *table* row with *row*'s fingerprint, inserted if new."""
-        conn.execute(f"INSERT OR IGNORE INTO {table} ({', '.join(row)}) "
-                     f"VALUES ({', '.join('?' * len(row))})",
-                     tuple(row.values()))
-        return conn.execute(f"SELECT id FROM {table} WHERE fingerprint = ?",
-                            (row["fingerprint"],)).fetchone()["id"]
-
     def _intern_script(self, conn: sqlite3.Connection, script_doc: dict) -> int:
         content = _canonical(script_doc)
-        return self._intern(conn, "scripts", name=script_doc["name"],
-                            dut=script_doc["dut"],
-                            fingerprint=_fingerprint(content), content=content)
+        fingerprint = _fingerprint(content)
+        conn.execute(
+            "INSERT OR IGNORE INTO scripts (name, dut, fingerprint, content) "
+            "VALUES (?, ?, ?, ?)",
+            (script_doc["name"], script_doc["dut"], fingerprint, content),
+        )
+        row = conn.execute(
+            "SELECT id FROM scripts WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+        return int(row["id"])
 
     def _intern_catalogue(self, conn: sqlite3.Connection, dut: str,
                           content: list[dict]) -> int:
-        fingerprint = _fingerprint(_canonical({"dut": dut, "faults": content}))
-        return self._intern(conn, "catalogues", dut=dut,
-                            fingerprint=fingerprint, content=json.dumps(content))
+        text = _canonical({"dut": dut, "faults": content})
+        fingerprint = _fingerprint(text)
+        conn.execute(
+            "INSERT OR IGNORE INTO catalogues (dut, fingerprint, content) "
+            "VALUES (?, ?, ?)",
+            (dut, fingerprint, json.dumps(content)),
+        )
+        row = conn.execute(
+            "SELECT id FROM catalogues WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+        return int(row["id"])
 
     def _intern_campaign(self, conn: sqlite3.Connection, spec,
                          catalogue_id: int | None) -> int:
-        # A spec of None (faults recorded without one) takes the defaults
-        # of CampaignSpec, so its catalogue still hangs off a campaign row.
+        composition = getattr(spec, "composition", None)
         fields = {
-            "dut": getattr(spec, "dut", None),
-            "composition": getattr(spec, "composition", None),
-            "stand": getattr(spec, "stand", None),
-            "policy": getattr(spec, "policy", "first_fit"),
-            "backend": getattr(spec, "backend", "auto"),
-            "jobs": int(getattr(spec, "jobs", 1)),
-            "concurrency": int(getattr(spec, "concurrency", 0)),
-            "retries": int(getattr(spec, "retries", 1)),
-            "use_plans": bool(getattr(spec, "use_plans", True)),
-            "reuse_stands": bool(getattr(spec, "reuse_stands", True)),
+            "dut": spec.dut,
+            "composition": composition,
+            "stand": spec.stand,
+            "policy": spec.policy,
+            "backend": spec.backend,
+            "jobs": int(spec.jobs),
+            "concurrency": int(spec.concurrency),
+            "retries": int(spec.retries),
+            "use_plans": bool(spec.use_plans),
+            "reuse_stands": bool(spec.reuse_stands),
             "catalogue": catalogue_id,
         }
         fingerprint = _fingerprint(_canonical(fields))
-        fields["catalogue_id"] = fields.pop("catalogue")
-        return self._intern(conn, "campaigns", fingerprint=fingerprint,
-                            **fields)
+        conn.execute(
+            "INSERT OR IGNORE INTO campaigns (dut, composition, stand, "
+            "policy, backend, jobs, concurrency, retries, use_plans, "
+            "reuse_stands, catalogue_id, fingerprint) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (spec.dut, composition, spec.stand, spec.policy, spec.backend,
+             int(spec.jobs), int(spec.concurrency), int(spec.retries),
+             int(spec.use_plans), int(spec.reuse_stands), catalogue_id,
+             fingerprint),
+        )
+        row = conn.execute(
+            "SELECT id FROM campaigns WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+        return int(row["id"])
 
     def _unfinished_run(self, conn: sqlite3.Connection,
                         resume_key: str | None) -> int:
         """Id of the unfinished run under *resume_key*, created if need be.
 
-        A key of None matches no run, so it always creates a new one.
+        A key of None matches no run, so it always creates a new one.  The
+        insert comes before the lookup because it takes the write lock: of
+        two processes checkpointing one campaign at once, the second then
+        finds the first one's run instead of colliding with it.
         """
-        row = conn.execute(
-            "SELECT id FROM runs WHERE resume_key = ?", (resume_key,)
-        ).fetchone()
-        if row is not None:
-            return row["id"]
         from .. import __version__
 
-        return conn.execute(
-            "INSERT INTO runs (created_at, repro_version, backend, workers, "
-            "wall_time, resume_key) VALUES (?, ?, '', 0, 0.0, ?)",
+        cursor = conn.execute(
+            "INSERT OR IGNORE INTO runs (created_at, repro_version, backend, "
+            "workers, wall_time, resume_key) VALUES (?, ?, '', 0, 0.0, ?)",
             (time.time(), __version__, resume_key),
-        ).lastrowid
+        )
+        if resume_key is None:
+            return cursor.lastrowid
+        return conn.execute(
+            "SELECT id FROM runs WHERE resume_key = ?", (resume_key,)
+        ).fetchone()["id"]
 
     def _write_jobs(self, conn: sqlite3.Connection, run_id: int,
                     job_results: Iterable[tuple[int, JobResult]]) -> None:
@@ -738,11 +779,18 @@ class ResultStore:
             if spec is not None or faults is not None:
                 catalogue_id = None
                 if faults is not None:
-                    dut = getattr(spec, "dut", None) or next(
+                    dut = (spec.dut if spec is not None else None) or next(
                         (jr.job.script.dut for jr in report.results), "")
                     catalogue_id = self._intern_catalogue(
                         conn, dut or "", _catalogue_content(faults))
-                campaign_id = self._intern_campaign(conn, spec, catalogue_id)
+                if spec is not None:
+                    campaign_id = self._intern_campaign(
+                        conn, spec, catalogue_id)
+                else:
+                    # Faults without a spec still need an anchor row so the
+                    # catalogue is reachable from the run.
+                    campaign_id = self._intern_campaign(
+                        conn, _AnonymousSpec(), catalogue_id)
             run_id = self._unfinished_run(conn, resume_key)
             conn.execute(
                 "UPDATE runs SET created_at = ?, git_sha = ?, "
@@ -956,7 +1004,11 @@ class ResultStore:
         return StoredRun(self, run, campaign, catalogue)
 
     def run_ids(self) -> tuple[int, ...]:
-        """All stored run ids, oldest first (unfinished runs excluded)."""
+        """All stored run ids in ascending order (unfinished runs excluded).
+
+        A resumed run keeps the id its first checkpoint took, so id order
+        is not record order; :meth:`list_runs` orders by record time.
+        """
         with self._connect() as conn:
             rows = conn.execute("SELECT id FROM runs WHERE resume_key IS NULL "
                                 "ORDER BY id").fetchall()
@@ -964,7 +1016,7 @@ class ResultStore:
 
     def list_runs(self, *, dut: str | None = None,
                   limit: int | None = None) -> list[RunInfo]:
-        """Run metadata rows, newest first, optionally filtered by DUT."""
+        """Run metadata rows, newest record first, optionally filtered by DUT."""
         sql = (
             "SELECT runs.*, "
             "COALESCE(campaigns.dut, ("
@@ -990,7 +1042,7 @@ class ResultStore:
         if dut is not None:
             sql += "AND LOWER(run_dut) = LOWER(?) "
             params.append(dut)
-        sql += "ORDER BY runs.id DESC"
+        sql += "ORDER BY runs.created_at DESC, runs.id DESC"
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))
@@ -1055,7 +1107,7 @@ class ResultStore:
             clauses.append("runs.created_at >= ?")
             params.append(float(since))
         sql += "WHERE " + " AND ".join(clauses) + " "
-        sql += "ORDER BY runs.id DESC, jobs.ordinal"
+        sql += "ORDER BY runs.created_at DESC, runs.id DESC, jobs.ordinal"
         with self._connect() as conn:
             rows = conn.execute(sql, params).fetchall()
         result = []
@@ -1115,3 +1167,17 @@ class ResultStore:
         return RunDiff(run_a=a, run_b=b, changed=changed,
                        only_a=only_a, only_b=only_b)
 
+
+class _AnonymousSpec:
+    """Neutral campaign fields for reports recorded with faults but no spec."""
+
+    dut = None
+    composition = None
+    stand = None
+    policy = "first_fit"
+    backend = "auto"
+    jobs = 1
+    concurrency = 0
+    retries = 1
+    use_plans = True
+    reuse_stands = True

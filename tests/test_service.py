@@ -207,9 +207,8 @@ def test_api_campaigns_a_composition(app, service):
     compositions = {entry["name"]: entry for entry in body["compositions"]}
     assert compositions["lock+cluster"]["members"] == {
         "lock": "central_locking_ecu", "cluster": "instrument_cluster_ecu"}
-    # use_vm off runs the classic walk; the table must not change.
     status, body = request(app, "POST", "/campaigns",
-                           {"composition": "lock+cluster", "use_vm": False})
+                           {"composition": "lock+cluster"})
     assert status == 202
     snapshot = service.wait(body["job"], timeout=60)
     assert snapshot["state"] == "done", snapshot["error"]

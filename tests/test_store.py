@@ -19,6 +19,7 @@ import sqlite3
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,82 @@ def test_unfinished_runs_are_invisible_to_readers(store_path):
     with pytest.raises(StoreError):
         store.diff_runs(finished, unfinished)
     assert len(store.load_checkpoints("in-flight")) == 3
+
+
+def test_resumed_run_lists_as_the_newest_record(store_path, tmp_path,
+                                               monkeypatch):
+    """A resumed run keeps its first checkpoint's id but is recorded last:
+    readers list it first, and the HTML site diffs it against the run
+    recorded while it was interrupted, not the other way round."""
+    from repro.service import generate_site
+
+    spec = CampaignSpec(dut="wiper_ecu", store=store_path, resume=True)
+    _interrupt_after(monkeypatch, "save_checkpoint", 3, spec)
+    other = run_campaign(CampaignSpec(dut="wiper_ecu", store=store_path))
+    resumed = run_campaign(spec)
+    assert resumed.store_run_id < other.store_run_id
+    store = ResultStore(store_path)
+    assert [info.run_id for info in store.list_runs()] \
+        == [resumed.store_run_id, other.store_run_id]
+    assert store.query()[0].run_id == resumed.store_run_id
+    written = generate_site(store, str(tmp_path / "site"))
+    assert [os.path.basename(path) for path in written
+            if os.path.basename(path).startswith("diff-")] \
+        == [f"diff-{other.store_run_id}-vs-{resumed.store_run_id}.html"]
+
+
+#: ``python -c`` body: run a small wiper campaign, open the store at
+#: ``argv[1]``, say so, and once told to on stdin checkpoint job
+#: ``argv[2]`` under the campaign key ``shared``.
+_CHECKPOINT_WHEN_TOLD = """
+import sys
+from repro.store import ResultStore
+from repro.targets import CampaignSpec, run_campaign
+result = run_campaign(CampaignSpec(dut="wiper_ecu",
+                                   faults=("motor_stuck_off",)))
+store = ResultStore(sys.argv[1])
+store.run_ids()
+print("ready", flush=True)
+sys.stdin.readline()
+store.save_checkpoint("shared", result.execution.results[int(sys.argv[2])])
+"""
+
+
+def test_two_processes_checkpoint_into_one_unfinished_run(store_path):
+    """Two processes take their first checkpoint under one key while a
+    third holds the write lock: both wait for the lock with no run under
+    the key, and the second must join the first one's run."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    children = [subprocess.Popen(
+        [sys.executable, "-c", _CHECKPOINT_WHEN_TOLD, store_path, str(slot)],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for slot in range(2)]
+    holder = None
+    try:
+        for child in children:
+            assert child.stdout.readline() == "ready\n"
+        holder = sqlite3.connect(store_path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        for child in children:
+            child.stdin.write("go\n")
+            child.stdin.flush()
+        time.sleep(0.5)  # both now wait on the lock held here
+        holder.execute("COMMIT")
+        assert [child.wait(timeout=60) for child in children] == [0, 0]
+    finally:
+        if holder is not None:
+            holder.close()
+        for child in children:
+            child.kill()
+            child.wait()
+            child.stdin.close()
+            child.stdout.close()
+    with sqlite3.connect(store_path) as connection:
+        assert connection.execute(
+            "SELECT COUNT(*) FROM runs WHERE resume_key = 'shared'"
+        ).fetchone() == (1,)
+    assert len(ResultStore(store_path).load_checkpoints("shared")) == 2
 
 
 # ---------------------------------------------------------------------------

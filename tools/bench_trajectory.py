@@ -284,8 +284,9 @@ def bench_store_overhead(rounds: int) -> dict:
     The checkpointed pass is ``run_campaign(store=..., resume=True)``: it
     opens the store, commits each finished job's rows into the campaign's
     unfinished run (one checkpoint per job), and the final record stamps
-    that run, all into one store file that accumulates a run per pass.  Both passes build the campaign from its
-    spec, and they interleave, best-of, as in :func:`bench_chaos_overhead`.
+    that run, all into one store file that accumulates a run per pass.
+    Both passes build the campaign from its spec, and they interleave,
+    best-of, as in :func:`bench_chaos_overhead`.
     """
     plain = CampaignSpec(dut="wiper_ecu")
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,7 +7,10 @@ A from-scratch reproduction of the tool chain described in
 
 The package is organised along the paper's own split between test
 *definition* and test *execution*, plus a registry layer that binds the two
-together per device under test:
+together per device under test.  ``import repro`` imports none of the
+subpackages below: each re-exported name (``repro.run_campaign``,
+``repro.store``, ...) is imported on first use, so a run loads only the
+modules it executes.
 
 ``repro.core``
     signal / status / test-definition model, compiler, XML generation and
@@ -45,9 +48,9 @@ together per device under test:
     extend the registry, and :func:`~repro.targets.run_single` /
     :func:`~repro.targets.run_campaign` expand declarative
     :class:`~repro.targets.RunSpec` / :class:`~repro.targets.CampaignSpec`
-    objects through the executor engine.  All five bundled body-electronics
+    objects through the executor engine.  All six bundled body-electronics
     ECUs (interior light, central locking, window lifter, wiper, exterior
-    light) are registered with fault catalogues, so
+    light, instrument cluster) are registered with fault catalogues, so
     ``repro-campaign --dut <name>`` covers the whole family.
 ``repro.store``
     the persistent result store: execution reports and campaign results
@@ -69,68 +72,31 @@ together per device under test:
     see ``docs/robustness.md``).
 """
 
-from . import analysis, can, chaos, core, dut, instruments, methods, paper, sheets, teststand
-from . import targets
-from . import store
-from .core import (
-    Compiler,
-    CompileOptions,
-    Signal,
-    SignalDirection,
-    SignalKind,
-    SignalSet,
-    StatusDefinition,
-    StatusTable,
-    TestDefinition,
-    TestScript,
-    TestSuite,
-    compile_suite,
-    compile_test,
-    parse_script,
-    read_script,
-    script_to_string,
-    write_script,
-)
-from .targets import (
-    CampaignSpec,
-    CapabilityGapError,
-    DutTarget,
-    RunSpec,
-    SignalDerivationWarning,
-    StandTarget,
-    TargetError,
-    method_coverage,
-    register_dut,
-    register_stand,
-    run_campaign,
-    run_single,
-)
-from .chaos import ChaosPolicy, ChaosProfile
-from .teststand import (
-    ResiliencePolicy,
-    TestStand,
-    TestStandInterpreter,
-    build_big_rack,
-    build_minimal_bench,
-    build_paper_stand,
-    run_script,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "__version__",
-    "core", "sheets", "methods", "teststand", "instruments", "dut", "can",
-    "analysis", "paper", "targets", "store", "chaos",
-    "Signal", "SignalDirection", "SignalKind", "SignalSet",
-    "StatusDefinition", "StatusTable", "TestDefinition", "TestSuite", "TestScript",
-    "Compiler", "CompileOptions", "compile_test", "compile_suite",
-    "script_to_string", "write_script", "parse_script", "read_script",
-    "TestStand", "TestStandInterpreter", "run_script",
-    "build_paper_stand", "build_big_rack", "build_minimal_bench",
-    "DutTarget", "StandTarget", "TargetError", "CapabilityGapError",
-    "SignalDerivationWarning", "method_coverage",
-    "register_dut", "register_stand",
-    "RunSpec", "CampaignSpec", "run_single", "run_campaign",
-    "ResiliencePolicy", "ChaosPolicy", "ChaosProfile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".": ("core", "sheets", "methods", "teststand", "instruments", "dut",
+          "can", "analysis", "paper", "targets", "store", "chaos"),
+    "core": (
+        "Signal", "SignalDirection", "SignalKind", "SignalSet",
+        "StatusDefinition", "StatusTable", "TestDefinition", "TestSuite",
+        "TestScript", "Compiler", "CompileOptions", "compile_test",
+        "compile_suite", "script_to_string", "write_script", "parse_script",
+        "read_script",
+    ),
+    "teststand": (
+        "TestStand", "TestStandInterpreter", "run_script",
+        "build_paper_stand", "build_big_rack", "build_minimal_bench",
+        "ResiliencePolicy",
+    ),
+    "targets": (
+        "DutTarget", "StandTarget", "TargetError", "CapabilityGapError",
+        "SignalDerivationWarning", "method_coverage",
+        "register_dut", "register_stand",
+        "RunSpec", "CampaignSpec", "run_single", "run_campaign",
+    ),
+    "chaos": ("ChaosPolicy", "ChaosProfile"),
+})
+__all__.insert(0, "__version__")

@@ -1,43 +1,26 @@
-"""Analysis extensions: coverage, traceability, reuse metrics, fault injection."""
+"""Analysis extensions: coverage, traceability, reuse metrics, fault injection.
 
-from .campaign import CampaignResult, FaultCampaign, FaultRunOutcome
-from .coverage import CoverageReport, compute_coverage
-from .faults import (
-    FaultCatalogue,
-    FaultModel,
-    central_locking_faults,
-    exterior_light_faults,
-    interior_light_faults,
-    window_lifter_faults,
-    wiper_faults,
-)
-from .reuse import ReuseReport, compare_suites, script_portability, vocabulary_reuse
-from .traceability import (
-    Requirement,
-    RequirementCatalogue,
-    TraceabilityReport,
-    trace_requirements,
-)
+Every name below is imported from its submodule on first use (see
+:mod:`repro._lazy`), so a fault campaign loads neither the coverage, the
+reuse nor the traceability analysis.
+"""
 
-__all__ = [
-    "CoverageReport",
-    "compute_coverage",
-    "Requirement",
-    "RequirementCatalogue",
-    "TraceabilityReport",
-    "trace_requirements",
-    "ReuseReport",
-    "compare_suites",
-    "vocabulary_reuse",
-    "script_portability",
-    "FaultModel",
-    "FaultCatalogue",
-    "interior_light_faults",
-    "central_locking_faults",
-    "wiper_faults",
-    "window_lifter_faults",
-    "exterior_light_faults",
-    "FaultCampaign",
-    "FaultRunOutcome",
-    "CampaignResult",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "campaign": ("CampaignResult", "FaultCampaign", "FaultRunOutcome"),
+    "coverage": ("CoverageReport", "compute_coverage"),
+    "faults": (
+        "FaultCatalogue", "FaultModel", "central_locking_faults",
+        "exterior_light_faults", "interior_light_faults",
+        "window_lifter_faults", "wiper_faults",
+    ),
+    "reuse": (
+        "ReuseReport", "compare_suites", "script_portability",
+        "vocabulary_reuse",
+    ),
+    "traceability": (
+        "Requirement", "RequirementCatalogue", "TraceabilityReport",
+        "trace_requirements",
+    ),
+})

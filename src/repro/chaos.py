@@ -34,10 +34,8 @@ Only one policy is active per process at a time (:func:`install` /
 from __future__ import annotations
 
 import contextvars
-import multiprocessing
 import os
 import random
-import sqlite3
 import threading
 from dataclasses import dataclass, replace
 
@@ -171,10 +169,13 @@ class _JobChaos:
         """Advance the call cursor; fault, kill, or return (hang, glitch)."""
         ordinal = self.calls
         self.calls = ordinal + 1
-        if ordinal == self.kill_call and multiprocessing.parent_process() is not None:
-            # Simulates a segfaulting pool worker.  Only ever fires inside
-            # a child process; the parent's executor must recover.
-            os._exit(WORKER_KILL_EXIT_CODE)
+        if ordinal == self.kill_call:
+            import multiprocessing
+
+            if multiprocessing.parent_process() is not None:
+                # Simulates a segfaulting pool worker.  Only ever fires
+                # inside a child process; the parent's executor must recover.
+                os._exit(WORKER_KILL_EXIT_CODE)
         if ordinal == self.fault_call:
             raise InstrumentIOError(
                 f"chaos: injected instrument I/O fault (call #{ordinal})"
@@ -320,6 +321,8 @@ def on_store_commit() -> None:
         _STORE_STREAK.count = 0
         return
     if _STORE_RNG.random() < rate:
+        import sqlite3
+
         _STORE_STREAK.count = streak + 1
         raise sqlite3.OperationalError("database is locked [chaos injection]")
     _STORE_STREAK.count = 0

@@ -48,10 +48,6 @@ import os
 import sys
 from typing import Sequence
 
-from .core.xmlgen import write_script
-from .core.xmlparse import read_script
-from .core.compiler import Compiler
-from .sheets.workbook import load_suite
 from .teststand.allocator import ALLOCATION_POLICIES
 from .teststand.executor import EXECUTION_BACKENDS
 from .teststand.report import summary_line, text_report
@@ -86,6 +82,10 @@ def main_compile(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("workbook", help="directory containing signals.csv, status.csv, test_*.csv")
     parser.add_argument("output", help="directory to write the generated XML scripts into")
     args = parser.parse_args(argv)
+
+    from .core.compiler import Compiler
+    from .core.xmlgen import write_script
+    from .sheets.workbook import load_suite
 
     try:
         suite = load_suite(args.workbook)
@@ -132,6 +132,8 @@ def main_run(argv: Sequence[str] | None = None) -> int:
                         default="first_fit", help="resource allocation policy")
     parser.add_argument("--quiet", action="store_true", help="print only the summary line")
     args = parser.parse_args(argv)
+
+    from .core.xmlparse import read_script
 
     try:
         script = read_script(args.script)
@@ -650,6 +652,8 @@ def main_report(argv: Sequence[str] | None = None) -> int:
         return _report_from_store(args, parser)
     if args.script is None:
         parser.error("a script path or --store PATH is required")
+
+    from .core.xmlparse import read_script
 
     try:
         script = read_script(args.script)

@@ -1,61 +1,31 @@
-"""Core test-definition model and tool chain (the paper's contribution)."""
+"""Core test-definition model and tool chain (the paper's contribution).
 
-from .compiler import CompileOptions, Compiler, compile_suite, compile_test
-from .errors import (
-    AllocationError,
-    CapabilityError,
-    CompileError,
-    DefinitionError,
-    ExecutionError,
-    ExpressionError,
-    HarnessError,
-    InstrumentError,
-    MethodError,
-    ReproError,
-    RoutingError,
-    ScriptError,
-    SheetError,
-    SignalError,
-    StatusError,
-)
-from .script import MethodCall, ScriptStep, SignalAction, TestScript
-from .signals import Signal, SignalDirection, SignalKind, SignalSet
-from .status import StatusDefinition, StatusTable
-from .testdef import StatusAssignment, TestDefinition, TestStep, TestSuite
-from .validation import Issue, Severity, assert_valid, validate_script, validate_suite
-from .values import (
-    INFINITY,
-    Interval,
-    LimitExpression,
-    Quantity,
-    format_binary,
-    format_number,
-    parse_binary,
-    parse_number,
-)
-from .xmlgen import script_to_string, signal_fragment, write_script
-from .xmlparse import parse_script, read_script, script_from_string
+Every name below is imported from its submodule on first use (see
+:mod:`repro._lazy`), so reading a script does not load the compiler,
+the XML generator or the validator.
+"""
 
-__all__ = [
-    # errors
-    "ReproError", "DefinitionError", "SheetError", "StatusError", "SignalError",
-    "ExpressionError", "CompileError", "ScriptError", "ExecutionError",
-    "AllocationError", "CapabilityError", "RoutingError", "InstrumentError",
-    "HarnessError", "MethodError",
-    # values
-    "INFINITY", "Interval", "LimitExpression", "Quantity",
-    "parse_number", "format_number", "parse_binary", "format_binary",
-    # signals & statuses
-    "Signal", "SignalDirection", "SignalKind", "SignalSet",
-    "StatusDefinition", "StatusTable",
-    # test definitions
-    "StatusAssignment", "TestStep", "TestDefinition", "TestSuite",
-    # scripts
-    "MethodCall", "SignalAction", "ScriptStep", "TestScript",
-    # compiler & xml
-    "Compiler", "CompileOptions", "compile_test", "compile_suite",
-    "script_to_string", "write_script", "signal_fragment",
-    "parse_script", "read_script", "script_from_string",
-    # validation
-    "Issue", "Severity", "validate_suite", "validate_script", "assert_valid",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "compiler": ("CompileOptions", "Compiler", "compile_suite", "compile_test"),
+    "errors": (
+        "AllocationError", "CapabilityError", "CompileError", "DefinitionError",
+        "ExecutionError", "ExpressionError", "HarnessError", "InstrumentError",
+        "MethodError", "ReproError", "RoutingError", "ScriptError",
+        "SheetError", "SignalError", "StatusError",
+    ),
+    "script": ("MethodCall", "ScriptStep", "SignalAction", "TestScript"),
+    "signals": ("Signal", "SignalDirection", "SignalKind", "SignalSet"),
+    "status": ("StatusDefinition", "StatusTable"),
+    "testdef": ("StatusAssignment", "TestDefinition", "TestStep", "TestSuite"),
+    "validation": (
+        "Issue", "Severity", "assert_valid", "validate_script", "validate_suite",
+    ),
+    "values": (
+        "INFINITY", "Interval", "LimitExpression", "Quantity",
+        "format_binary", "format_number", "parse_binary", "parse_number",
+    ),
+    "xmlgen": ("script_to_string", "signal_fragment", "write_script"),
+    "xmlparse": ("parse_script", "read_script", "script_from_string"),
+})

@@ -37,7 +37,6 @@ other.
 from __future__ import annotations
 
 import abc
-import asyncio
 import inspect
 import math
 import time
@@ -83,6 +82,8 @@ async def adrive(core: Core[_T]) -> _T:
     stands at once.  A cancelled task raises ``CancelledError`` here, at
     the await, and the core unwinds at its yield.
     """
+    import asyncio
+
     try:
         while True:
             try:

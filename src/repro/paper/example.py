@@ -37,6 +37,8 @@ to ``put_r``), this reproduction models them as ``put_r`` resources.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..can import CanDatabase
 from ..core.compiler import Compiler
 from ..core.script import MethodCall, SignalAction, TestScript
@@ -46,10 +48,12 @@ from ..core.testdef import TestDefinition, TestSuite
 from ..dut.harness import LoadSpec, TestHarness
 from ..dut.interior_light import InteriorLightEcu
 from ..dut.messages import body_can_database
-from ..sheets.workbook import Workbook, suite_to_workbook
 from ..teststand.interpreter import TestStandInterpreter
 from ..teststand.stands import TestStand, build_paper_stand
 from ..teststand.verdict import TestResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sheets.workbook import Workbook
 
 __all__ = [
     "PAPER_TEST_NAME",
@@ -179,6 +183,8 @@ def paper_suite() -> TestSuite:
 
 def paper_workbook() -> Workbook:
     """The example rendered as the three-sheet workbook (CSV-persistable)."""
+    from ..sheets.workbook import suite_to_workbook
+
     return suite_to_workbook(paper_suite())
 
 

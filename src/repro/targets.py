@@ -35,9 +35,10 @@ and :func:`build_campaign` match the two and reject impossible requests
 :func:`method_coverage` exposes the same matrix to ``repro-campaign
 --list-targets``.
 
-All five bundled ECUs and all three bundled stands are registered at import
-time, so ``repro-campaign`` covers the whole body-electronics family.  Both
-registration helpers are decorator-friendly::
+All six bundled ECUs (the instrument cluster among them) and all three
+bundled stands are registered at import time, so ``repro-campaign`` covers
+the whole body-electronics family.  Both registration helpers are
+decorator-friendly::
 
     @register_stand("lab_bench", adaptable=True)
     def build_lab_bench(pins=PAPER_PINS): ...
@@ -50,7 +51,6 @@ registration helpers are decorator-friendly::
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import time
 import warnings
@@ -76,7 +76,6 @@ from .core.compiler import Compiler
 from .core.script import TestScript
 from .core.signals import Signal, SignalDirection, SignalKind, SignalSet
 from .core.testdef import TestSuite
-from .core.xmlparse import read_script
 from .dut.central_locking import CentralLockingEcu
 from .dut.composition import CompositionHarness, EcuAssembly
 from .dut.exterior_light import ExteriorLightEcu
@@ -106,7 +105,6 @@ from .paper.family import (
     wiper_signal_set,
     wiper_suite,
 )
-from .sheets.workbook import load_suite
 from .teststand.executor import (
     Executor,
     ResiliencePolicy,
@@ -1168,8 +1166,12 @@ class RunSpec:
 
 def run_single(spec: RunSpec) -> TestResult:
     """Expand a :class:`RunSpec` through the registry and execute it."""
-    script = spec.script if isinstance(spec.script, TestScript) \
-        else read_script(spec.script)
+    if isinstance(spec.script, TestScript):
+        script = spec.script
+    else:
+        from .core.xmlparse import read_script
+
+        script = read_script(spec.script)
     target = _spec_target(spec, script.dut)
     if script.dut and script.dut.lower() != target.key:
         raise TargetError(
@@ -1331,6 +1333,8 @@ def _resolve_suite(spec: CampaignSpec) -> TestSuite:
     if spec.suite is not None:
         return spec.suite
     if spec.workbook is not None:
+        from .sheets.workbook import load_suite
+
         try:
             return load_suite(spec.workbook)
         except Exception as exc:
@@ -1454,6 +1458,8 @@ def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
     count): a campaign killed on the process backend may resume on the
     serial one and still merge byte-identically.
     """
+    import hashlib
+
     from .teststand.serialize import script_key
 
     document = {
@@ -1514,7 +1520,9 @@ def run_campaign(spec: CampaignSpec, *,
 
 
 # ---------------------------------------------------------------------------
-# Bundled registrations: the five body-electronics ECUs, the three stands
+# Bundled registrations: the six body-electronics ECUs (interior light,
+# central locking, wiper, window lifter, exterior light, instrument
+# cluster), the three stands and the lock+cluster composition
 # ---------------------------------------------------------------------------
 
 register_stand("paper", build_paper_stand,

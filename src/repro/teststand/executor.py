@@ -47,22 +47,15 @@ linearly (benchmark A4).
 
 from __future__ import annotations
 
-import asyncio
+import atexit
 import contextvars
 import itertools
 import math
 import os
-import pickle
 import random
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -512,6 +505,8 @@ async def _aexecute_with_retries(
     as a transient error.  Deadlines use ``asyncio.wait_for``, which (unlike
     the sync path's abandoned helper thread) actually cancels the job.
     """
+    import asyncio
+
     start = time.perf_counter()
     reason = _quarantine_reason(job, policy, batch)
     if reason:
@@ -610,6 +605,8 @@ class ThreadExecutor(Executor):
         return self.max_workers
 
     def map_jobs(self, fn, jobs, *extra):
+        from concurrent.futures import ThreadPoolExecutor, as_completed
+
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             futures = {
                 pool.submit(fn, job, *extra): position
@@ -631,7 +628,8 @@ class _Pool(NamedTuple):
 #: target registry changes.  Its workers outlive campaigns, so their plan
 #: caches, VM bindings and stand pools stay warm.  The owner pid keeps a
 #: forked child off the pool it inherited, whose manager thread lives in
-#: the parent only.  The standard library shuts the pool down at exit.
+#: the parent only.  The standard library shuts the pool down at exit, and
+#: :func:`_drop_pool` frees it before the interpreter clears modules.
 _POOL_LOCK = threading.Lock()
 _POOL: _Pool | None = None
 
@@ -655,11 +653,23 @@ def _fresh_pool_lock() -> None:
     _POOL_LOCK = threading.Lock()
 
 
+def _drop_pool() -> None:
+    # Runs after the standard library has joined the pool's threads and
+    # before module teardown, during which the pool's weakref callback may
+    # find ``concurrent.futures.process`` already cleared and print a
+    # traceback.
+    global _POOL
+    _POOL = None
+
+
 os.register_at_fork(after_in_child=_fresh_pool_lock)
+atexit.register(_drop_pool)
 
 
 def _warm_pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of *workers* workers; the caller holds the lock."""
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL
     pid = os.getpid()
     if _POOL is not None and _POOL.pid == pid:
@@ -801,6 +811,9 @@ class ProcessExecutor(Executor):
     MAX_RESPAWNS = 3
 
     def map_jobs(self, fn, jobs, *extra):
+        import pickle
+        from concurrent.futures import BrokenExecutor, as_completed
+
         jobs = tuple(jobs)
         profile = PROFILER.enabled
         remaining = list(enumerate(self._chunked(jobs)))
@@ -893,6 +906,8 @@ class AsyncExecutor(Executor):
         return f"AsyncExecutor(concurrency={self.concurrency})"
 
     def map_jobs(self, fn, jobs, *extra):
+        import asyncio
+
         try:
             asyncio.get_running_loop()
         except RuntimeError:
@@ -908,6 +923,8 @@ class AsyncExecutor(Executor):
     async def _drain(
         self, fn: Callable[..., "asyncio.Future[JobResult]"], jobs: Sequence[Job], extra
     ) -> list[tuple[int, JobResult]]:
+        import asyncio
+
         semaphore = asyncio.Semaphore(self.concurrency)
         completed: list[tuple[int, JobResult]] = []
 

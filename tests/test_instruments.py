@@ -249,7 +249,7 @@ class TestDrivers:
             awaited.append(seconds)
             await real_sleep(0)
 
-        monkeypatch.setattr(instruments_base.asyncio, "sleep", recording_sleep)
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
         log = []
         assert asyncio.run(adrive(_core(log))) == "done"
         assert awaited == [0.25, 0.5]
@@ -304,7 +304,7 @@ class TestDrivers:
             await real_sleep(0)
 
         monkeypatch.setattr(instruments_base.time, "sleep", slept.append)
-        monkeypatch.setattr(instruments_base.asyncio, "sleep", recording_sleep)
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
         dvm = Dvm("DVM1", io_delay=0.01)
         args = (MethodCall("get_u", {"u_min": "0", "u_max": "1"}), INT_ILL,
                 ("INT_ILL_F", "INT_ILL_R"), harness, {"ubatt": 12})

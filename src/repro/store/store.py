@@ -27,6 +27,7 @@ the process like any in-memory database.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import hashlib
 import json
@@ -46,9 +47,9 @@ from ..teststand.executor import ExecutionReport, JobResult, format_job_id
 from ..teststand.report import format_table
 from ..teststand.serialize import (
     REPORT_SCHEMA,
+    ScriptKeys,
     restored_factory,
     result_to_dict,
-    script_to_dict,
 )
 from .schema import DDL, STORE_SCHEMA
 
@@ -416,6 +417,9 @@ class ResultStore:
         # connection, and a later chdir cannot point it at another file.
         self._key = self.path if self._memory else os.path.realpath(self.path)
         self._memory_link = _Link() if self._memory else None
+        #: The script memo of the campaign under way, if any
+        #: (:meth:`campaign_scripts`).
+        self._scripts: ScriptKeys | None = None
 
         def initialise() -> None:
             with self._connect():
@@ -603,13 +607,29 @@ class ResultStore:
 
     # -- recording ----------------------------------------------------------
 
-    def _intern_script(self, conn: sqlite3.Connection, script_doc: dict) -> int:
-        content = _canonical(script_doc)
-        fingerprint = _fingerprint(content)
+    @contextlib.contextmanager
+    def campaign_scripts(self):
+        """Serialise and fingerprint each script once for one campaign.
+
+        Yields the :class:`~repro.teststand.serialize.ScriptKeys` memo that
+        every checkpoint and record made through this store inside the
+        block reuses; the caller builds the campaign's resume key from it
+        too.  Scripts are mutable, so the memo ends with the block: outside
+        one, each write serialises its scripts afresh.
+        """
+        self._scripts = scripts = ScriptKeys()
+        try:
+            yield scripts
+        finally:
+            self._scripts = None
+
+    def _intern_script(self, conn: sqlite3.Connection, script,
+                       scripts: ScriptKeys) -> int:
+        fingerprint = scripts.fingerprint(script)
         conn.execute(
             "INSERT OR IGNORE INTO scripts (name, dut, fingerprint, content) "
             "VALUES (?, ?, ?, ?)",
-            (script_doc["name"], script_doc["dut"], fingerprint, content),
+            (script.name, script.dut, fingerprint, scripts.key(script)),
         )
         row = conn.execute(
             "SELECT id FROM scripts WHERE fingerprint = ?", (fingerprint,)
@@ -690,6 +710,7 @@ class ResultStore:
         (script and all) every ordinal the run already holds."""
         held = {row[0] for row in conn.execute(
             "SELECT ordinal FROM jobs WHERE run_id = ?", (run_id,))}
+        scripts = self._scripts or ScriptKeys()
         script_ids: dict[int, int] = {}
         for ordinal, job_result in job_results:
             job, result = job_result.job, job_result.result
@@ -697,7 +718,7 @@ class ResultStore:
                 continue
             if id(job.script) not in script_ids:
                 script_ids[id(job.script)] = self._intern_script(
-                    conn, script_to_dict(job.script))
+                    conn, job.script, scripts)
             job_row = conn.execute(
                 "INSERT INTO jobs (run_id, ordinal, job_index, script_id, "
                 "group_name, stand_label, policy, stop_on_error, "
@@ -882,7 +903,11 @@ class ResultStore:
     def _report_document(self, run_id: int | None,
                          resume_key: str | None = None) -> dict | None:
         """Rebuild the exact :func:`report_to_dict` document of run *run_id*,
-        or of the unfinished run under *resume_key* (None if there is none)."""
+        or of the unfinished run under *resume_key* (None if there is none).
+
+        Equal stored documents come back as one shared object, so the
+        document is for reading only.
+        """
         with self._connect() as conn:
             run = conn.execute(
                 "SELECT * FROM runs WHERE id = ? OR resume_key = ?",
@@ -914,6 +939,17 @@ class ResultStore:
                     "ORDER BY step_results.case_id, step_results.ordinal",
                     (run_id,)):
                 steps_by_case.setdefault(row["case_id"], []).append(row)
+        # Most stored setup and step documents repeat an earlier one of the
+        # run (the same script step, passing again): each distinct text is
+        # decoded once, and report_from_dict rebuilds each decoded list once.
+        decoded: dict[str, list] = {}
+
+        def decode(text: str) -> list:
+            document = decoded.get(text)
+            if document is None:
+                document = decoded[text] = json.loads(text)
+            return document
+
         scripts: list[dict] = []
         index_by_id: dict[int, int] = {}
         jobs: list[dict] = []
@@ -929,14 +965,14 @@ class ResultStore:
                     "stand": case["stand"],
                     "duration": case["duration"],
                     "wall_time": case["wall_time"],
-                    "setup": json.loads(case["setup"]),
+                    "setup": decode(case["setup"]),
                     "steps": [
                         {
                             "number": step["number"],
                             "duration": step["duration"],
                             "start_time": step["start_time"],
                             "remark": step["remark"],
-                            "actions": json.loads(step["actions"]),
+                            "actions": decode(step["actions"]),
                         }
                         for step in steps_by_case.get(case["id"], [])
                     ],

@@ -55,7 +55,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import chaos as _chaos
 
@@ -121,6 +121,9 @@ from .teststand.stands import (
     build_paper_stand,
 )
 from .teststand.verdict import TestResult
+
+if TYPE_CHECKING:
+    from .teststand.serialize import ScriptKeys
 
 __all__ = [
     "TargetError",
@@ -1449,25 +1452,35 @@ def build_campaign(spec: CampaignSpec, *,
 
 
 def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
-                         faults: Sequence[FaultModel]) -> str:
+                         faults: Sequence[FaultModel],
+                         scripts: ScriptKeys) -> str:
     """Content fingerprint naming a resumable campaign's unfinished run.
 
     Built from everything that determines job identities and verdicts -
-    compiled script content, fault selection, stand, allocation policy,
-    fast-path switches - and nothing that does not (backend, worker
-    count): a campaign killed on the process backend may resume on the
-    serial one and still merge byte-identically.
+    compiled script content (from the campaign's
+    :class:`~repro.teststand.serialize.ScriptKeys` memo *scripts*), fault
+    selection, stand, allocation policy, fast-path switches - and nothing
+    that does not (backend, worker count): a campaign killed on the
+    process backend may resume on the serial one and still merge
+    byte-identically.  A stand named explicitly that is the target's
+    default stand keys as no stand at all, so naming it or not resumes
+    the same run.
     """
     import hashlib
 
-    from .teststand.serialize import script_key
-
+    stand = spec.stand
+    # The scripts name the target of a spec that names none; a campaign
+    # without scripts has no job to resume.
+    if stand is not None and campaign.scripts:
+        target = _spec_target(spec, campaign.scripts[0].dut)
+        if get_stand(stand).name == default_stand_for(target):
+            stand = None
     document = {
-        "scripts": [script_key(script) for script in campaign.scripts],
+        "scripts": [scripts.key(script) for script in campaign.scripts],
         "faults": [fault.name for fault in faults],
         "dut": spec.dut,
         "composition": spec.composition,
-        "stand": spec.stand,
+        "stand": stand,
         "policy": spec.policy,
         "use_plans": bool(spec.use_plans),
         "use_vm": bool(spec.use_vm),
@@ -1499,21 +1512,19 @@ def run_campaign(spec: CampaignSpec, *,
             "campaign resume requires a result store "
             "(CampaignSpec(store=..., resume=True))"
         )
-    store = None
-    completed = None
-    on_result = None
-    resume_key = None
-    if spec.store:
-        # Imported lazily: the registry must not pay the store's sqlite
-        # setup cost (nor create files) unless a spec actually records.
-        from .store import ResultStore
-        store = ResultStore(spec.store)
+    if not spec.store:
+        return campaign.run(faults)
+    # Imported lazily: the registry must not pay the store's sqlite
+    # setup cost (nor create files) unless a spec actually records.
+    from .store import ResultStore
+    store = ResultStore(spec.store)
+    with store.campaign_scripts() as scripts:
+        completed = on_result = resume_key = None
         if spec.resume:
-            resume_key = _campaign_resume_key(spec, campaign, faults)
+            resume_key = _campaign_resume_key(spec, campaign, faults, scripts)
             completed = store.load_checkpoints(resume_key)
             on_result = functools.partial(store.save_checkpoint, resume_key)
-    result = campaign.run(faults, completed=completed, on_result=on_result)
-    if store is not None:
+        result = campaign.run(faults, completed=completed, on_result=on_result)
         result.store_run_id = store.record_campaign(result, spec,
                                                     resume_key=resume_key)
     return result

@@ -31,6 +31,7 @@ not need them and re-execution is out of scope for a restored report:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Mapping
 
@@ -125,12 +126,45 @@ def script_from_dict(data: Mapping) -> TestScript:
 def script_key(script: TestScript) -> str:
     """Content key of a script: scripts with equal keys render identically.
 
-    The key is the canonical JSON of :func:`script_to_dict` - the same
-    content fingerprint the result store uses to deduplicate the
-    ``scripts`` table across runs.
+    The key is the canonical JSON of :func:`script_to_dict` - the content
+    the result store keeps in its ``scripts`` table, deduplicated across
+    runs by the key's SHA-256 (:class:`ScriptKeys`).
     """
     return json.dumps(script_to_dict(script), sort_keys=True,
                       separators=(",", ":"))
+
+
+class ScriptKeys:
+    """Each script's :func:`script_key` and its SHA-256, computed once.
+
+    A campaign runs a handful of scripts in many jobs: its resume key,
+    every checkpoint and the final record all need the same key text, and
+    the memo serialises and hashes each script once for all of them.
+    Entries are keyed by script identity and hold the script, so an id is
+    not reused while its entry lives.  Scripts are mutable
+    (:meth:`~repro.core.script.TestScript.append`), so one memo serves one
+    campaign and is then dropped; never keep it across campaigns.  Two
+    threads that miss on one script both compute the same entry.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[TestScript, str, str]] = {}
+
+    def _entry(self, script: TestScript) -> tuple[TestScript, str, str]:
+        entry = self._entries.get(id(script))
+        if entry is None:
+            key = script_key(script)
+            entry = self._entries[id(script)] = (
+                script, key, hashlib.sha256(key.encode("utf-8")).hexdigest())
+        return entry
+
+    def key(self, script: TestScript) -> str:
+        """:func:`script_key` of *script*."""
+        return self._entry(script)[1]
+
+    def fingerprint(self, script: TestScript) -> str:
+        """SHA-256 hex digest of *script*'s key: its row in the store."""
+        return self._entry(script)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -181,27 +215,6 @@ def _action_result_to_dict(result: ActionResult) -> dict:
     }
 
 
-def _action_result_from_dict(data: Mapping) -> ActionResult:
-    action = _action_from_dict(data["action"])
-    resource = data.get("resource")
-    allocation = None
-    if resource is not None:
-        allocation = Allocation(
-            signal=action.signal,
-            method=action.method,
-            resource=resource,
-            routes=(),
-            persistent=bool(data.get("persistent", False)),
-        )
-    return ActionResult(
-        action=action,
-        verdict=Verdict(data["verdict"]),
-        outcome=_outcome_from_dict(data.get("outcome")),
-        allocation=allocation,
-        error=data.get("error", ""),
-    )
-
-
 def _step_result_to_dict(step: StepResult) -> dict:
     return {
         "number": step.number,
@@ -210,18 +223,6 @@ def _step_result_to_dict(step: StepResult) -> dict:
         "remark": step.remark,
         "actions": [_action_result_to_dict(action) for action in step.actions],
     }
-
-
-def _step_result_from_dict(data: Mapping) -> StepResult:
-    return StepResult(
-        number=data["number"],
-        duration=data["duration"],
-        actions=tuple(
-            _action_result_from_dict(action) for action in data["actions"]
-        ),
-        remark=data.get("remark", ""),
-        start_time=data.get("start_time", 0.0),
-    )
 
 
 def result_to_dict(result: TestResult) -> dict:
@@ -239,18 +240,86 @@ def result_to_dict(result: TestResult) -> dict:
     }
 
 
+class _Restorer:
+    """Rebuilds result documents, sharing equal immutable values.
+
+    Action results, actions and allocations are frozen, so equal ones can
+    be one object.  An action-result list is rebuilt once per document
+    object: the store decodes each distinct stored text once, so the
+    steps that repeat one share a single list.  Actions and allocations
+    are interned by value.  One restorer serves one report.
+    """
+
+    def __init__(self) -> None:
+        self._lists: dict[int, tuple[list, tuple[ActionResult, ...]]] = {}
+        self._actions: dict[tuple, SignalAction] = {}
+        self._allocations: dict[tuple, Allocation] = {}
+
+    def _action(self, data: Mapping) -> SignalAction:
+        key = (data["signal"], data["method"], tuple(data["params"].items()))
+        action = self._actions.get(key)
+        if action is None:
+            action = self._actions[key] = _action_from_dict(data)
+        return action
+
+    def _action_result(self, data: Mapping) -> ActionResult:
+        action = self._action(data["action"])
+        resource = data.get("resource")
+        allocation = None
+        if resource is not None:
+            persistent = bool(data.get("persistent", False))
+            key = (action.signal, action.method, resource, persistent)
+            allocation = self._allocations.get(key)
+            if allocation is None:
+                allocation = self._allocations[key] = Allocation(
+                    signal=action.signal,
+                    method=action.method,
+                    resource=resource,
+                    routes=(),
+                    persistent=persistent,
+                )
+        return ActionResult(
+            action=action,
+            verdict=Verdict(data["verdict"]),
+            outcome=_outcome_from_dict(data.get("outcome")),
+            allocation=allocation,
+            error=data.get("error", ""),
+        )
+
+    def action_results(self, documents: list) -> tuple[ActionResult, ...]:
+        entry = self._lists.get(id(documents))
+        # Keyed by identity: the entry holds its list, and the check turns
+        # away any other object that carries the same id.
+        if entry is None or entry[0] is not documents:
+            entry = self._lists[id(documents)] = (
+                documents,
+                tuple(self._action_result(item) for item in documents),
+            )
+        return entry[1]
+
+    def result(self, data: Mapping, script: TestScript) -> TestResult:
+        return TestResult(
+            script,
+            data["stand"],
+            setup=self.action_results(data["setup"]),
+            steps=tuple(
+                StepResult(
+                    number=step["number"],
+                    duration=step["duration"],
+                    actions=self.action_results(step["actions"]),
+                    remark=step.get("remark", ""),
+                    start_time=step.get("start_time", 0.0),
+                )
+                for step in data["steps"]
+            ),
+            duration=data["duration"],
+            wall_time=data["wall_time"],
+        )
+
+
 def result_from_dict(data: Mapping, script: TestScript) -> TestResult:
     """Rebuild a :class:`TestResult` around its (separately stored) script."""
-    return TestResult(
-        script,
-        data["stand"],
-        setup=tuple(
-            _action_result_from_dict(action) for action in data["setup"]
-        ),
-        steps=tuple(_step_result_from_dict(step) for step in data["steps"]),
-        duration=data["duration"],
-        wall_time=data["wall_time"],
-    )
+    return _Restorer().result(data, script)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +407,7 @@ def report_from_dict(data: Mapping):
     if kind != "execution-report":
         raise ReproError(f"not an execution report document (kind={kind!r})")
     scripts = [script_from_dict(entry) for entry in data["scripts"]]
+    restorer = _Restorer()
     results: list[JobResult] = []
     for entry in data["jobs"]:
         script = scripts[entry["script"]]
@@ -359,7 +429,7 @@ def report_from_dict(data: Mapping):
         results.append(JobResult(
             job=job,
             result=(
-                result_from_dict(result_data, script)
+                restorer.result(result_data, script)
                 if result_data is not None else None
             ),
             attempts=entry.get("attempts", 1),

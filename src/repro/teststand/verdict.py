@@ -90,7 +90,14 @@ class StepResult:
 
     @property
     def verdict(self) -> Verdict:
-        return Verdict.combine(result.verdict for result in self.actions)
+        # Memoised: the actions are a tuple of frozen results, so the
+        # verdict never changes, and a campaign's table and summary judge
+        # every step several times.
+        cached = self.__dict__.get("_verdict")
+        if cached is None:
+            cached = Verdict.combine(result.verdict for result in self.actions)
+            object.__setattr__(self, "_verdict", cached)
+        return cached
 
     @property
     def passed(self) -> bool:

@@ -480,6 +480,11 @@ class TestStoreHardening:
             str(tmp_path / "flaky.db"),
             chaos.ChaosPolicy.from_profile("flaky-store", seed=5))
 
+    def test_concurrent_writers_share_one_file_under_murphy(self, tmp_path):
+        _write_concurrently(
+            str(tmp_path / "murphy.db"),
+            chaos.ChaosPolicy.from_profile("murphy", seed=5))
+
     def test_checkpoint_round_trip(self, tmp_path):
         store = ResultStore(str(tmp_path / "ckpt.db"))
         result = run_campaign(_small_spec())

@@ -54,7 +54,7 @@ def test_run_campaign_records_and_assigns_run_id(recorded):
                                     asynced.store_run_id}
 
 
-def test_stored_run_rerenders_byte_identically(recorded):
+def test_stored_run_rerenders_byte_identically(recorded, tmp_path):
     path, serial, asynced = recorded
     store = ResultStore(path)
     live = f"{serial.table()}\n{serial.summary()}"
@@ -68,6 +68,19 @@ def test_stored_run_rerenders_byte_identically(recorded):
         assert run.execution_report().to_dict() == result.execution.to_dict()
         # serial and async campaigns agree with each other, stored or live
         assert run.render() == live
+    # Every target, checkpointed: a read-back shares the results of the
+    # stored documents that repeat, and still renders each run exactly.
+    resumed_path = str(tmp_path / "resumed.db")
+    targets = [{"dut": name} for name in campaignable_dut_names()]
+    targets.append({"composition": "lock+cluster"})
+    for target in targets:
+        plain = run_campaign(CampaignSpec(**target))
+        result = run_campaign(CampaignSpec(store=resumed_path, resume=True,
+                                           **target))
+        run = ResultStore(resumed_path).get_run(result.store_run_id)
+        assert run.render() == f"{plain.table()}\n{plain.summary()}"
+        assert run.verdict_table() == plain.execution.verdict_table()
+        assert run.execution_report().to_dict() == result.execution.to_dict()
 
 
 def test_diff_runs_of_identical_campaigns_is_empty(recorded):
@@ -421,6 +434,54 @@ def test_final_record_writes_no_row_a_checkpoint_wrote(store_path,
     assert resumed.store_run_id == unfinished
     assert ResultStore(store_path).get_run(unfinished).render() \
         == f"{resumed.table()}\n{resumed.summary()}"
+
+
+def test_resume_key_ignores_how_the_default_stand_was_named(store_path,
+                                                            monkeypatch):
+    """A campaign started without ``stand`` resumes when the default stand
+    is named explicitly: only the jobs it had not checkpointed run."""
+    plain = run_campaign(CampaignSpec(dut="wiper_ecu"))
+    _interrupt_after(monkeypatch, "save_checkpoint", 3,
+                     CampaignSpec(dut="wiper_ecu", store=store_path,
+                                  resume=True))
+    saved = _counting_checkpoints(monkeypatch)
+    resumed = run_campaign(CampaignSpec(dut="wiper_ecu", stand="big_rack",
+                                        store=store_path, resume=True))
+    assert len(resumed.execution) == 36
+    assert len(saved) == 33
+    text = f"{plain.table()}\n{plain.summary()}"
+    assert f"{resumed.table()}\n{resumed.summary()}" == text
+    assert ResultStore(store_path).get_run(resumed.store_run_id).render() \
+        == text
+
+
+def test_script_memo_ends_with_its_campaign(store_path):
+    """A script changed after its campaign is stored as it is now: one
+    long-lived store keeps no script memo from one campaign to the next."""
+    from repro.core.script import ScriptStep
+    from repro.teststand.serialize import script_key
+
+    result = run_campaign(CampaignSpec(dut="wiper_ecu",
+                                       faults=("motor_stuck_off",)))
+    store = ResultStore(store_path)
+    with store.campaign_scripts():
+        for job_result in result.execution.results:
+            store.save_checkpoint("K1", job_result)
+        store.record_campaign(result, resume_key="K1")
+    job_result = result.execution.results[0]
+    script = job_result.job.script
+    stored_before = script_key(script)
+    script.append(ScriptStep(number=script.steps[-1].number + 1,
+                             duration=0.1, remark="appended"))
+    assert script_key(script) != stored_before
+    assert store.save_checkpoint("K2", job_result)
+    with sqlite3.connect(store_path) as connection:
+        (content,) = connection.execute(
+            "SELECT scripts.content FROM jobs "
+            "JOIN scripts ON scripts.id = jobs.script_id "
+            "JOIN runs ON runs.id = jobs.run_id "
+            "WHERE runs.resume_key = 'K2'").fetchone()
+    assert content == script_key(script)
 
 
 def test_unfinished_runs_are_invisible_to_readers(store_path):

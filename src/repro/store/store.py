@@ -940,8 +940,9 @@ class ResultStore:
                     (run_id,)):
                 steps_by_case.setdefault(row["case_id"], []).append(row)
         # Most stored setup and step documents repeat an earlier one of the
-        # run (the same script step, passing again): each distinct text is
-        # decoded once, and report_from_dict rebuilds each decoded list once.
+        # run (the same script step with the same outcome in another job):
+        # each distinct text is decoded once, and report_from_dict rebuilds
+        # each decoded list once.
         decoded: dict[str, list] = {}
 
         def decode(text: str) -> list:

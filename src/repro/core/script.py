@@ -150,6 +150,13 @@ class ScriptStep:
         )
 
 
+def _referenced_variables(actions: Iterable[SignalAction]) -> set[str]:
+    names: set[str] = set()
+    for action in actions:
+        names |= action.call.variables()
+    return names
+
+
 class TestScript:
     """A complete, test-stand-independent test script.
 
@@ -190,29 +197,27 @@ class TestScript:
         self.dut = str(dut).strip()
         self.description = description
         self.setup: tuple[SignalAction, ...] = tuple(setup)
+        declared = {str(v).lower() for v in variables}
+        self._variables = tuple(sorted(declared | _referenced_variables(self.setup)))
         self._steps: list[ScriptStep] = []
         for step in steps:
             self.append(step)
-        declared = {str(v).lower() for v in variables}
-        self._variables = tuple(sorted(declared | self._referenced_variables()))
         self.metadata: dict[str, str] = dict(metadata or {})
 
     def append(self, step: ScriptStep) -> None:
-        """Append a step; numbers must be strictly increasing."""
+        """Append a step; numbers must be strictly increasing.
+
+        The variables the step references join :attr:`variables`, so a
+        script grown step by step equals one built with all its steps.
+        """
         if self._steps and step.number <= self._steps[-1].number:
             raise ScriptError(
                 f"step numbers must increase: {step.number} after {self._steps[-1].number}"
             )
         self._steps.append(step)
-
-    def _referenced_variables(self) -> set[str]:
-        names: set[str] = set()
-        for action in self.setup:
-            names |= action.call.variables()
-        for step in self._steps:
-            for action in step.actions:
-                names |= action.call.variables()
-        return names
+        referenced = _referenced_variables(step.actions)
+        if not referenced.issubset(self._variables):
+            self._variables = tuple(sorted(referenced.union(self._variables)))
 
     # -- access --------------------------------------------------------------
 

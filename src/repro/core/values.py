@@ -430,8 +430,12 @@ class LimitExpression:
 
     @classmethod
     def relative(cls, factor: float, variable: str) -> "LimitExpression":
-        """Build the paper's canonical relative form, e.g. ``(0.7*ubatt)``."""
-        return cls(f"({format_number(factor)}*{variable.lower()})")
+        """Build the paper's canonical relative form, e.g. ``(0.7*ubatt)``.
+
+        Parsed through the :func:`compile_expression` cache: compiling a
+        suite writes the same few relative limits for every status.
+        """
+        return compile_expression(f"({format_number(factor)}*{variable.lower()})")
 
     @classmethod
     def constant(cls, value: float) -> "LimitExpression":
@@ -456,6 +460,14 @@ class LimitExpression:
 
 
 @functools.lru_cache(maxsize=4096)
+def _parsed(text: str) -> LimitExpression | str:
+    """*text* parsed, or the message of the :class:`ExpressionError` it raised."""
+    try:
+        return LimitExpression(text)
+    except ExpressionError as exc:
+        return str(exc)
+
+
 def compile_expression(text: str) -> LimitExpression:
     """Parse *text* into a :class:`LimitExpression`, caching by source text.
 
@@ -464,6 +476,12 @@ def compile_expression(text: str) -> LimitExpression:
     same textual form.  The interpreter/allocator hot path evaluates the
     same handful of script parameters thousands of times per campaign;
     interning the parse step turns each of those into a tree walk instead
-    of an ``ast.parse``.
+    of an ``ast.parse``.  A text that does not parse is remembered too
+    (``MethodCall.variables`` tries every parameter, payload literals such
+    as ``0001B`` included), and each call raises a fresh
+    :class:`ExpressionError` with the remembered message.
     """
-    return LimitExpression(text)
+    parsed = _parsed(text)
+    if isinstance(parsed, str):
+        raise ExpressionError(parsed)
+    return parsed

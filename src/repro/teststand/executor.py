@@ -696,27 +696,35 @@ def _retire_pool(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=True)
 
 
-def _produced(position: int, job_result: JobResult) -> tuple:
+def _produced(position: int, job_result: JobResult,
+              batch: WorkerBatch) -> tuple:
     """What a worker sends home for one job: ``(position, result, attempts,
-    error, wall_time)``.  The parent holds the job already, so neither the
-    job nor the result's script makes the return trip."""
+    error, wall_time)``.  The parent holds the job and its script already,
+    so the result travels without its script and names each of its
+    actions by position in that script (see
+    :mod:`repro.teststand.transport`)."""
     result = job_result.result
     if result is not None:
-        result.script = None
+        batch.send_home(result)
     return (position, result, job_result.attempts, job_result.error,
             job_result.wall_time)
 
 
 def _run_job_chunk(
-    fn: Callable[..., JobResult],
-    chunk: Sequence[tuple[int, Job]],
-    extra: tuple,
+    token: tuple[int, int],
+    head: bytes,
+    blobs: dict[int, bytes],
+    jobs: bytes,
     profile: bool = False,
     redelivered: bool = False,
 ) -> tuple[list[tuple], dict | None, dict | None]:
-    """Worker-side chunk runner: execute every job of *chunk* in order.
+    """Worker-side chunk runner: execute every job of one chunk in order.
 
-    Returns the :func:`_produced` tuple of every job, in chunk order.
+    The first four arguments are a :meth:`Shipment.payload
+    <repro.teststand.transport.Shipment.payload>`: the worker opens its
+    copy of the batch *token* (made from *head* at the batch's first chunk
+    here) and unpickles the chunk's jobs against it.  Returns the
+    :func:`_produced` tuple of every job, in chunk order.
 
     With ``profile`` the worker's process-global profiler and plan-cache
     statistics are measured across the chunk and the *deltas* ship back
@@ -725,8 +733,9 @@ def _run_job_chunk(
     both extra slots are ``None`` and nothing is measured.
 
     ``redelivered`` marks a chunk resubmitted after the pool died mid-batch;
-    any chaos policy riding in *extra* has its worker kills stripped, so a
-    deterministic kill schedule cannot starve the batch by killing the
+    any chaos policy riding in the batch's extra arguments has its worker
+    kills stripped, in a copy for this chunk (the batch keeps its own), so
+    a deterministic kill schedule cannot starve the batch by killing the
     respawned worker at the same call forever.
 
     The worker serves other batches before and after this one, so the
@@ -735,6 +744,11 @@ def _run_job_chunk(
     fork) is uninstalled, so a clean batch keeps the zero-cost
     ``chaos.ACTIVE is None`` path, and the profiler follows ``profile``.
     """
+    from .transport import open_batch
+
+    batch = open_batch(token, head)
+    chunk = batch.jobs(jobs, blobs)
+    fn, extra = batch.fn, batch.extra
     if redelivered:
         extra = tuple(
             arg.without_worker_kill() if isinstance(arg, ResiliencePolicy) else arg
@@ -745,7 +759,8 @@ def _run_job_chunk(
     if profile:
         PROFILER.reset()
         stats_before = GLOBAL_PLAN_CACHE.stats.snapshot()
-    produced = [_produced(position, fn(job, *extra)) for position, job in chunk]
+    produced = [_produced(position, fn(job, *extra), batch)
+                for position, job in chunk]
     if not profile:
         return produced, None, None
     stats_after = GLOBAL_PLAN_CACHE.stats.snapshot()
@@ -754,6 +769,14 @@ def _run_job_chunk(
         for name in stats_after
     }
     return produced, PROFILER.snapshot(), stats_delta
+
+
+def _unpicklable(exc: Exception) -> ReproError:
+    return ReproError(
+        "the process backend requires picklable jobs "
+        "(module-level factories); use the thread backend for "
+        f"closures ({exc})"
+    )
 
 
 class ProcessExecutor(Executor):
@@ -769,15 +792,23 @@ class ProcessExecutor(Executor):
     registration changed, replaces it too.  A forked child builds its own
     pool, and the standard library shuts the pool down at interpreter exit.
 
-    Jobs are dispatched in *chunks* rather than one future per job: a whole
-    chunk is pickled as one payload, and because campaign expansion shares
-    the script / signal-set objects across its jobs, pickle's per-dump memo
-    serialises each distinct script and signal set **once per chunk**
-    instead of once per job.  The return trip carries only what the worker
-    produced (each result without its script, plus attempts, error and wall
-    time); the parent re-attaches its own job and script.  Chunking also
-    lets each worker's plan cache and stand pool serve every job of the
-    chunk after warming up on its first.
+    Jobs are dispatched in *chunks* rather than one future per job, and a
+    batch's shared inputs are pickled **once per batch**
+    (:class:`~repro.teststand.transport.Shipment`): each distinct script,
+    signal set and factory, the job function and the resilience policy.
+    Each chunk carries the pickled shared objects its jobs use plus its own
+    jobs' small fields, so it runs anywhere from its payload alone.  A
+    worker unpickles a batch's shared objects at the first chunk that needs
+    them and keeps its last few batches, so every chunk it serves of a
+    batch runs the same script objects against the same signal set: per
+    batch it computes one plan fingerprint and one action index per
+    script, and one VM signal check per program.  (A chunk of three jobs
+    usually holds three different scripts, so a worker that unpickled
+    every chunk afresh fingerprinted nearly every job's script.)  The
+    return trip carries only what the worker produced: each result
+    without its script and with each action named by its position in that
+    script, plus attempts, error and wall time; the parent re-attaches its
+    own job, script and actions.
 
     ``chunk_size=None`` (the default) picks ``ceil(n / (workers * 4))``
     capped at 32 - large enough to amortise the IPC, small enough to keep
@@ -814,9 +845,20 @@ class ProcessExecutor(Executor):
         import pickle
         from concurrent.futures import BrokenExecutor, as_completed
 
+        from .transport import Shipment
+
+        unpicklable = (pickle.PicklingError, TypeError, AttributeError,
+                       ImportError)
         jobs = tuple(jobs)
+        try:
+            # Everything is pickled before the pool is touched, so jobs
+            # that do not pickle leave the warm pool as it was.
+            shipment = Shipment(fn, jobs, extra)
+            remaining = [(chunk_id, shipment.payload(chunk))
+                         for chunk_id, chunk in enumerate(self._chunked(jobs))]
+        except unpicklable as exc:
+            raise _unpicklable(exc) from exc
         profile = PROFILER.enabled
-        remaining = list(enumerate(self._chunked(jobs)))
         redelivery = False
         respawns = self.MAX_RESPAWNS
         while remaining:
@@ -827,8 +869,8 @@ class ProcessExecutor(Executor):
                 # from replacing the pool between lease and submit.
                 with _POOL_LOCK:
                     pool = _warm_pool(self.max_workers)
-                    for chunk_id, chunk in remaining:
-                        futures[pool.submit(_run_job_chunk, fn, chunk, extra,
+                    for chunk_id, payload in remaining:
+                        futures[pool.submit(_run_job_chunk, *payload,
                                             profile, redelivery)] = chunk_id
                 for future in as_completed(futures):
                     produced, phases, stats_delta = future.result()
@@ -842,7 +884,7 @@ class ProcessExecutor(Executor):
                     for position, result, attempts, error, wall_time in produced:
                         job = jobs[position]
                         if result is not None:
-                            result.script = job.script
+                            shipment.restore(result, job.script)
                         yield position, JobResult(job, result, attempts,
                                                   error, wall_time)
                 remaining = []
@@ -858,17 +900,13 @@ class ProcessExecutor(Executor):
                         f"{self.MAX_RESPAWNS} respawns ({exc})"
                     ) from exc
                 remaining = [
-                    (chunk_id, chunk) for chunk_id, chunk in remaining
+                    (chunk_id, payload) for chunk_id, payload in remaining
                     if chunk_id not in finished
                 ]
                 redelivery = True
-            except (pickle.PicklingError, TypeError, AttributeError,
-                    ImportError) as exc:
-                raise ReproError(
-                    "the process backend requires picklable jobs "
-                    "(module-level factories); use the thread backend for "
-                    f"closures ({exc})"
-                ) from exc
+            except unpicklable as exc:
+                # A worker that cannot rebuild what the parent pickled.
+                raise _unpicklable(exc) from exc
             finally:
                 # The pool outlives this batch: a caller that stopped early
                 # (or an error) leaves no chunk of it queued there.

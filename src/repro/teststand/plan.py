@@ -146,8 +146,8 @@ class _HashedKey:
 
     def __reduce__(self):
         # String hashes are salted per process (PYTHONHASHSEED): a key
-        # pickled into a worker (e.g. riding a script's fingerprint memo)
-        # must recompute its hash there, or equal-content keys from the
+        # pickled into a worker (e.g. riding a step's split memo) must
+        # recompute its hash there, or equal-content keys from the
         # parent and the worker would never compare equal.
         return (type(self), (self.value,))
 
@@ -155,16 +155,35 @@ class _HashedKey:
         return f"_HashedKey({self.value!r})"
 
 
+class _ScriptMemo(tuple):
+    """A script's fingerprint memo, which stays in its process.
+
+    It holds the signal-set object it was computed for, so a pickled
+    script (a process batch ships each one to its workers) would carry a
+    copy of that set, which no job there uses and which the ``is`` guard
+    never matches.  It pickles as an empty memo instead.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (tuple, ())
+
+
 def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
     """Execution-relevant content identity of (script, resolved signals).
 
-    Covers every action (order, signal, method, parameters) plus the pin /
-    bus resolution of every signal the script touches - everything the
-    allocation sequence depends on - plus the step skeleton (number,
-    settle duration, remark).  The skeleton was irrelevant while plans
-    stopped at allocation, but the cached plan now carries the compiled VM
-    program of the *whole measurement loop*, whose ``WAIT`` / ``END_STEP``
-    operands bake in exactly those step fields.  The result is
+    Covers every action exactly as spelled (order, signal, method,
+    parameters in insertion order) plus the pin / bus resolution of every
+    signal the script touches - everything the allocation sequence depends
+    on - plus the step skeleton (number, settle duration, remark).  The
+    skeleton was irrelevant while plans stopped at allocation, but the
+    cached plan now carries the compiled VM program of the *whole
+    measurement loop*, whose ``WAIT`` / ``END_STEP`` operands bake in
+    exactly those step fields.  The spelling is exact because a VM run
+    reports the compiled program's own action objects: a script that
+    differs only in method case or parameter order must get its own plan,
+    or its results would name the other script's actions.  The result is
     memoised on the script object, guarded by the step/setup counts (the
     only way a ``TestScript`` can grow) *and* by the signal-set object:
     the same script run against a differently-pinned set must fingerprint
@@ -174,7 +193,7 @@ def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
     """
     guard = (len(script.setup), len(script.steps))
     cached = script.__dict__.get("_allocation_fingerprint")
-    if cached is not None and cached[0] == guard and cached[1] is signals:
+    if cached and cached[0] == guard and cached[1] is signals:
         return cached[2]
 
     actions: list[tuple] = []
@@ -184,9 +203,9 @@ def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
         used.setdefault(str(action.signal).lower(), None)
         actions.append((
             marker,
-            str(action.signal).lower(),
-            action.method.lower(),
-            tuple(sorted(action.call.params.items())),
+            action.signal,
+            action.call.method,
+            tuple(action.call.params.items()),
         ))
 
     for action in script.setup:
@@ -217,7 +236,8 @@ def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
         (script.name, script.dut.lower(), tuple(actions), tuple(resolved),
          steps_meta)
     )
-    script.__dict__["_allocation_fingerprint"] = (guard, signals, fingerprint)
+    script.__dict__["_allocation_fingerprint"] = _ScriptMemo(
+        (guard, signals, fingerprint))
     return fingerprint
 
 

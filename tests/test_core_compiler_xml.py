@@ -176,6 +176,21 @@ class TestScriptModel:
         with pytest.raises(ScriptError):
             script.append(ScriptStep(0, 1.0))
 
+    def test_append_keeps_variables_current(self):
+        """A script grown step by step equals one built in one call: the
+        same stand variables, and so the same stored content key."""
+        from repro.teststand.serialize import script_key
+
+        first = ScriptStep(0, 1.0, (SignalAction("ds_fl", MethodCall(
+            "get_u", {"u_min": "(0.7*ubatt)", "u_max": "(1*ubatt)"})),))
+        second = ScriptStep(1, 1.0, (SignalAction("ds_fr", MethodCall(
+            "get_u", {"u_min": "(0.1*vref)", "u_max": "(0.2*vref)"})),))
+        grown = TestScript("get_u_twice", "some_ecu", [first])
+        grown.append(second)
+        built = TestScript("get_u_twice", "some_ecu", [first, second])
+        assert grown.variables == built.variables == ("ubatt", "vref")
+        assert script_key(grown) == script_key(built)
+
     def test_total_duration_and_counts(self, script):
         assert script.total_duration == pytest.approx(309.0)
         assert script.action_count() == len(script.setup) + sum(

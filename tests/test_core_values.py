@@ -16,6 +16,7 @@ from repro.core.values import (
     Interval,
     LimitExpression,
     Quantity,
+    compile_expression,
     format_binary,
     format_number,
     parse_binary,
@@ -216,6 +217,29 @@ class TestLimitExpression:
 
     def test_relative_constructor(self):
         assert LimitExpression.relative(0.7, "UBATT").text == "(0.7*ubatt)"
+
+    def test_relative_constructor_parses_once(self):
+        assert LimitExpression.relative(0.7, "UBATT") is \
+            compile_expression("(0.7*ubatt)")
+
+    def test_failed_parse_is_remembered_and_raised_afresh(self, monkeypatch):
+        """A payload literal is not an expression: it is parsed once, and
+        every attempt raises a new error carrying the remembered message."""
+        import ast
+
+        parses = []
+        real_parse = ast.parse
+        monkeypatch.setattr(ast, "parse",
+                            lambda *a, **k: parses.append(a) or real_parse(*a, **k))
+        raised = []
+        for _ in range(2):
+            parses.clear()
+            with pytest.raises(ExpressionError, match="0110B") as info:
+                compile_expression("0110B")
+            raised.append(info.value)
+        assert parses == []  # the second attempt parsed nothing
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
 
     def test_constant_constructor(self):
         assert LimitExpression.constant(5.0).text == "5"

@@ -16,10 +16,14 @@ suite (each DUT and the ``lock+cluster`` composition) and mutating them:
 Every script runs once on the VM and once on the classic reference walk,
 against the healthy ECU or a faulty one.  The two JSON reports must be
 identical apart from the wall time, and so must the results the report
-leaves out (setup actions, allocations, step start times).  The classic
-walk then runs once more with the harness's reading cache bypassed
-(``node_voltages.__wrapped__``), and must again produce the same results.
-The seed is fixed, so a failure reproduces exactly.
+leaves out (setup actions, allocations, step start times, and each
+action exactly as spelled).  The classic walk then runs once more with the
+harness's reading cache bypassed (``node_voltages.__wrapped__``), and must
+again produce the same results.  Each script then has a respelled twin:
+the same name, every method's case swapped and every parameter list
+reversed.  The twin runs on the VM against the plan cache that already
+holds the original's plan, and must report its own spelling, as the
+classic walk does.  The seed is fixed, so a failure reproduces exactly.
 """
 
 from __future__ import annotations
@@ -123,11 +127,27 @@ def _generate(rng: random.Random, scripts, index: int) -> TestScript:
     return TestScript(f"generated_{index}", scripts[0].dut, steps, setup=setup)
 
 
+def _respelled(script: TestScript) -> TestScript:
+    """*script* under its own name, each method's case swapped and each
+    action's parameters in reverse order: the same test, spelled apart."""
+    def respell(action: SignalAction) -> SignalAction:
+        return SignalAction(action.signal, MethodCall(
+            action.method.swapcase(),
+            dict(reversed(action.call.params.items()))))
+
+    steps = [ScriptStep(step.number, step.duration,
+                        tuple(respell(action) for action in step.actions),
+                        remark=step.remark)
+             for step in script.steps]
+    return TestScript(script.name, script.dut, steps,
+                      setup=tuple(respell(action) for action in script.setup))
+
+
 def _observed(campaign, script: TestScript, ecu_factory, *,
               stop_on_error: bool, plan_cache: PlanCache | None) -> tuple:
     """The run's JSON report without its wall time, plus what that report
-    leaves out: setup results, allocations (routes included) and step
-    start times."""
+    leaves out: setup results, allocations (routes included), step start
+    times and each action result's action exactly as spelled."""
     interpreter = TestStandInterpreter(
         campaign.stand_factory(), campaign.harness_factory(ecu_factory()),
         campaign.signals, stop_on_error=stop_on_error, plan_cache=plan_cache,
@@ -135,7 +155,12 @@ def _observed(campaign, script: TestScript, ecu_factory, *,
     result = interpreter.run(script)
     report = json.loads(json_report(result))
     report.pop("wall_time_s")
-    return report, result.setup, tuple(result.steps)
+    spellings = tuple(
+        (item.action.signal, item.action.call.method,
+         tuple(item.action.call.params.items()))
+        for item in result.action_results
+    )
+    return report, result.setup, tuple(result.steps), spellings
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -159,6 +184,12 @@ def test_vm_matches_classic_on_generated_scripts(target, monkeypatch):
             uncached = _observed(campaign, script, ecu, stop_on_error=stop,
                                  plan_cache=None)
         assert uncached == classic, f"{target} seed {SEED} script {index}"
+        twin = _respelled(script)
+        twin_vm = _observed(campaign, twin, ecu, stop_on_error=stop,
+                            plan_cache=cache)
+        twin_classic = _observed(campaign, twin, ecu, stop_on_error=stop,
+                                 plan_cache=None)
+        assert twin_vm == twin_classic, f"{target} seed {SEED} twin {index}"
     # Guard against comparing classic with classic: the VM must have served
     # most scripts, and a script it compiled must never degrade.
     stats = cache.stats.snapshot()

@@ -359,6 +359,21 @@ class TestWarmProcessPool:
         assert run_jobs(_paper_jobs(clean_worker_ecu, 2), ProcessExecutor(1)).ok
         assert _current_pool() is pool
 
+    def test_closure_factories_are_refused_and_the_pool_stays_warm(self):
+        """Jobs that do not pickle raise the error that points to the
+        thread backend, and the next batch runs on the same warm pool."""
+        assert run_jobs(_paper_jobs(InteriorLightEcu, 1), ProcessExecutor(2)).ok
+        warm = _current_pool()
+
+        def closure_ecu():
+            return InteriorLightEcu()
+
+        with pytest.raises(ReproError, match="thread backend"):
+            run_jobs(_paper_jobs(closure_ecu, 2), ProcessExecutor(2))
+        assert _current_pool() is warm
+        assert run_jobs(_paper_jobs(InteriorLightEcu, 2), ProcessExecutor(2)).ok
+        assert _current_pool() is warm
+
     def test_chaos_batch_then_clean_batch(self):
         """A worker death replaces the pool; the next clean batch runs on
         the replacement with no chaos policy left in its workers."""

@@ -22,7 +22,14 @@ from repro.core.errors import ConfigurationError, InstrumentError, ReproError
 from repro.dut import InteriorLightEcu
 from repro.instruments import Dvm
 from repro.paper import interior_harness, paper_signal_set, paper_suite
-from repro.targets import CampaignSpec, build_campaign, get_stand
+from repro.core.script import ScriptStep
+from repro.targets import (
+    CampaignSpec,
+    build_campaign,
+    campaignable_dut_names,
+    composition_names,
+    get_stand,
+)
 from repro.teststand import executor as executor_mod
 from repro.teststand import (
     GLOBAL_PLAN_CACHE,
@@ -39,6 +46,7 @@ from repro.teststand import (
 )
 from repro.teststand.executor import execute_job
 from repro.teststand.plan import script_fingerprint, stand_fingerprint
+from repro.teststand.serialize import result_to_dict
 
 
 def _paper_script():
@@ -182,6 +190,16 @@ class TestPlanInvalidation:
         assert first != second
         # And the memo still serves the original set correctly afterwards.
         assert script_fingerprint(script, original) == first
+
+    def test_fingerprint_memo_stays_in_its_process(self):
+        """A pickled script (a process batch ships each one) leaves its
+        fingerprint memo, and the signal set the memo holds, behind."""
+        script = _paper_script()
+        signals = paper_signal_set()
+        fingerprint = script_fingerprint(script, signals)
+        clone = pickle.loads(pickle.dumps(script))
+        assert not clone.__dict__.get("_allocation_fingerprint")
+        assert script_fingerprint(clone, signals) == fingerprint
 
     def test_registry_replace_invalidates_fingerprint(self):
         """register(..., replace=True) changes content without changing
@@ -365,17 +383,49 @@ class TestProcessChunking:
 
     def test_results_come_home_without_their_jobs(self):
         """Workers send back results only; the parent re-attaches its own
-        job and that job's script to each."""
+        job, that job's script and the script's own actions to each, and
+        every result documents exactly as the serial run's does."""
+        for target in tuple(campaignable_dut_names()) + tuple(composition_names()):
+            spec = CampaignSpec(composition=target) \
+                if target in composition_names() else CampaignSpec(dut=target)
+            campaign, faults = build_campaign(spec)
+            jobs = campaign._expand(faults)
+            serial = run_jobs(jobs)
+            report = run_jobs(jobs, ProcessExecutor(max_workers=2, chunk_size=1))
+            assert len(report) == len(jobs)
+            for job, job_result, reference in zip(jobs, report, serial):
+                assert job_result.job is job
+                assert job_result.result.script is job.script
+                own = {id(action) for action in job.script.setup}
+                own.update(id(action) for step in job.script.steps
+                           for action in step.actions)
+                for item in job_result.result.action_results:
+                    assert id(item.action) in own, (target, job.job_id, item)
+                document = result_to_dict(job_result.result)
+                expected = result_to_dict(reference.result)
+                document.pop("wall_time")
+                expected.pop("wall_time")
+                assert document == expected, (target, job.job_id)
+
+    def test_a_script_grown_between_batches_ships_again(self):
+        """A worker keeps a batch's scripts for that batch only: a step
+        appended to a script after one batch runs in the next batch that
+        ships the same script object."""
+        script = _paper_script()
         jobs = expand_jobs(
-            tuple(Compiler().compile_suite(paper_suite())), paper_signal_set(),
-            {"stand": build_paper_stand}, interior_harness,
-            {"baseline": InteriorLightEcu, "rerun": InteriorLightEcu},
+            (script,), paper_signal_set(), {"stand": build_paper_stand},
+            interior_harness, {"baseline": InteriorLightEcu},
         )
-        report = run_jobs(jobs, ProcessExecutor(max_workers=2, chunk_size=1))
-        assert len(report) == len(jobs)
-        for job, job_result in zip(jobs, report):
-            assert job_result.job is job
-            assert job_result.result.script is job.script
+        executor = ProcessExecutor(max_workers=1)  # one worker serves both
+        before = run_jobs(jobs, executor).results[0].result
+        last = script.steps[-1]
+        script.append(ScriptStep(last.number + 1, 0.5, last.actions,
+                                 remark="appended"))
+        after = run_jobs(jobs, executor).results[0].result
+        assert len(after.steps) == len(before.steps) + 1
+        assert after.steps[-1].remark == "appended"
+        assert result_to_dict(after)["steps"] == \
+            result_to_dict(run_jobs(jobs).results[0].result)["steps"]
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):

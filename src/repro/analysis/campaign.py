@@ -150,7 +150,6 @@ class FaultCampaign:
         *,
         policy: str = "first_fit",
         executor: Executor | None = None,
-        max_attempts: int = 2,
         resilience: ResiliencePolicy | None = None,
         use_plans: bool = True,
         reuse_stands: bool = True,
@@ -163,9 +162,8 @@ class FaultCampaign:
         self.healthy_factory = healthy_factory
         self.policy = policy
         self.executor = executor
-        self.max_attempts = max_attempts
-        #: Full executor resilience policy (backoff, deadline, quarantine,
-        #: chaos); overrides ``max_attempts`` when set.
+        #: Executor resilience policy (retries, backoff, deadline,
+        #: quarantine, chaos); ``None`` runs under the default policy.
         self.resilience = resilience
         #: Compile-once-run-many switches forwarded to every job (see
         #: :class:`repro.teststand.executor.Job`); off only for A/B timing.
@@ -215,7 +213,6 @@ class FaultCampaign:
         report = run_jobs(
             self._expand(catalogue),
             executor or self.executor,
-            max_attempts=self.max_attempts,
             resilience=resilience if resilience is not None else self.resilience,
             completed=completed,
             on_result=on_result,

@@ -1440,7 +1440,6 @@ def build_campaign(spec: CampaignSpec, *,
         target.ecu_factory,
         policy=spec.policy,
         executor=executor,
-        max_attempts=1 + max(0, spec.retries),
         resilience=_resilience_for(spec),
         use_plans=spec.use_plans,
         reuse_stands=spec.reuse_stands,

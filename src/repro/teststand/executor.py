@@ -194,8 +194,9 @@ class ResiliencePolicy:
       ``1 ± jitter`` drawn from ``random.Random(f"{seed}:{job_id}:...")``,
       so the exact same schedule replays on every backend.
     * **Deadline** — a per-job wall-clock budget shared across the job's
-      attempts; blowing it raises :class:`~repro.core.errors.JobTimeoutError`
-      (permanent: a job that blew its budget once would blow it again).
+      attempts and backoffs; blowing it raises
+      :class:`~repro.core.errors.JobTimeoutError` (permanent: a job that
+      blew its budget once would blow it again).
     * **Quarantine** — after ``quarantine_after`` *consecutive*
       infrastructure failures on one stand, further jobs for that stand are
       reported ERROR with a structured ``StandQuarantinedError`` reason
@@ -216,7 +217,8 @@ class ResiliencePolicy:
     chaos: chaos_mod.ChaosPolicy | None = None
 
     def __post_init__(self):
-        if int(self.max_attempts) < 1:
+        object.__setattr__(self, "max_attempts", int(self.max_attempts))
+        if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
@@ -409,144 +411,145 @@ def _backoff_seconds(policy: ResiliencePolicy, job_id: str, attempt: int) -> flo
     return max(0.0, delay)
 
 
-def _deadline_error(deadline: float) -> JobTimeoutError:
-    return JobTimeoutError(
-        f"job exceeded its {deadline:g} s wall-clock deadline",
-        deadline=deadline,
-    )
-
-
-def _run_with_deadline(job: Job, remaining: float, deadline: float) -> TestResult:
-    """Run :func:`execute_job` with a wall-clock budget.
-
-    The job runs on a daemon helper thread (with the caller's context, so
-    an active chaos schedule follows it); when the budget lapses the thread
-    is *abandoned* — Python cannot safely kill it — and
-    :class:`JobTimeoutError` is raised.  The helper has its own empty stand
-    pool, so an abandoned run can never corrupt a stand a future job would
-    lease.
-    """
-    outcome: list[tuple[str, object]] = []
-    ctx = contextvars.copy_context()
-
-    def _target() -> None:
-        try:
-            outcome.append(("ok", execute_job(job)))
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            outcome.append(("err", exc))
-
-    worker = threading.Thread(
-        target=ctx.run, args=(_target,),
-        name=f"deadline-{job.index}", daemon=True,
-    )
-    worker.start()
-    worker.join(remaining)
-    if not outcome:
-        raise _deadline_error(deadline)
-    kind, value = outcome[0]
-    if kind == "err":
-        raise value  # type: ignore[misc]
-    return value  # type: ignore[return-value]
-
-
-def _execute_with_retries(job: Job, policy: ResiliencePolicy,
-                          batch: int = 0) -> JobResult:
+async def _run_with_retries(job: Job, policy: ResiliencePolicy, batch: int,
+                            run_once, sleep) -> JobResult:
     """Run *job* under *policy*: classified retries, backoff, deadline, chaos.
+
+    The retry loop of both drivers.  It awaits only what its driver hands
+    it: ``run_once(job, budget)``, one run within *budget* seconds (``None``
+    without a deadline) that returns ``None`` when the budget lapsed first,
+    and ``sleep(seconds)``, one backoff.
 
     Verdicts — including FAIL and ERROR action results — are never retried;
     they are deterministic observations about the DUT.  Only a *raised*
     exception counts, and only when :func:`is_transient` classifies it as
     worth another attempt; permanent errors (bad configuration, capability
-    gaps, blown deadlines) fail fast and report their first error.
-    *batch* names the quarantine book the job's stand outcome counts in.
+    gaps, blown deadlines) fail fast and report their first error.  The
+    deadline is one budget for all the job's attempts and the backoffs
+    between them.  *batch* names the quarantine book the job's stand
+    outcome counts in.
     """
     start = time.perf_counter()
     reason = _quarantine_reason(job, policy, batch)
     if reason:
         return JobResult(job, None, attempts=0, error=reason,
                          wall_time=time.perf_counter() - start)
-    attempts = max(1, int(policy.max_attempts))
-    for attempt in range(1, attempts + 1):
+    end = None if policy.deadline is None else start + policy.deadline
+    for attempt in itertools.count(1):
         token = None
         if policy.chaos is not None:
             token = chaos_mod.begin_job(policy.chaos, job.job_id, attempt)
+        result, error = None, ""
         try:
-            if policy.deadline is not None:
-                remaining = policy.deadline - (time.perf_counter() - start)
-                if remaining <= 0.0:
-                    raise _deadline_error(policy.deadline)
-                result = _run_with_deadline(job, remaining, policy.deadline)
-            else:
-                result = execute_job(job)
+            budget = None if end is None else end - time.perf_counter()
+            if budget is None or budget > 0.0:
+                result = await run_once(job, budget)
+            if result is None:
+                raise JobTimeoutError(
+                    f"job exceeded its {policy.deadline:g} s wall-clock deadline",
+                    deadline=policy.deadline)
         except Exception as exc:  # noqa: BLE001 - reported in the JobResult
-            if is_transient(exc) and attempt < attempts:
-                time.sleep(_backoff_seconds(policy, job.job_id, attempt))
+            if is_transient(exc) and attempt < policy.max_attempts:
+                delay = _backoff_seconds(policy, job.job_id, attempt)
+                if end is not None:
+                    delay = max(0.0, min(delay, end - time.perf_counter()))
+                await sleep(delay)
                 continue
-            _note_stand_outcome(job, policy, batch, failed=True)
-            return JobResult(job, None, attempts=attempt,
-                             error=f"{type(exc).__name__}: {exc}",
-                             wall_time=time.perf_counter() - start)
+            error = f"{type(exc).__name__}: {exc}"
         finally:
             if token is not None:
                 chaos_mod.end_job(token)
-        _note_stand_outcome(job, policy, batch, failed=False)
-        return JobResult(job, result, attempts=attempt,
+        _note_stand_outcome(job, policy, batch, failed=result is None)
+        return JobResult(job, result, attempts=attempt, error=error,
                          wall_time=time.perf_counter() - start)
+
+
+async def _blocking_attempt(job: Job, budget: float | None) -> TestResult | None:
+    """One attempt of the blocking driver; it never suspends.
+
+    Without a budget the job runs in the calling thread.  With one it runs
+    on a daemon helper thread (with the caller's context, so an active
+    chaos schedule follows it); when the budget lapses the thread is
+    *abandoned* — Python cannot safely kill it — and ``None`` is returned.
+    The helper has its own empty stand pool, so an abandoned run can never
+    corrupt a stand a future job would lease.
+    """
+    if budget is None:
+        return execute_job(job)
+    outcome: list[TestResult | BaseException] = []
+
+    def _target() -> None:
+        try:
+            outcome.append(execute_job(job))
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+            outcome.append(exc)
+
+    worker = threading.Thread(
+        target=contextvars.copy_context().run, args=(_target,),
+        name=f"deadline-{job.index}", daemon=True,
+    )
+    worker.start()
+    worker.join(budget)
+    if not outcome:
+        return None
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
+async def _blocking_sleep(seconds: float) -> None:
+    time.sleep(seconds)
+
+
+def _execute_with_retries(job: Job, policy: ResiliencePolicy,
+                          batch: int = 0) -> JobResult:
+    """Run :func:`_run_with_retries` in the calling thread: nothing it
+    awaits here suspends, so one ``send`` runs it to its end without an
+    event loop (and a serial campaign imports no asyncio)."""
+    retrying = _run_with_retries(job, policy, batch,
+                                 _blocking_attempt, _blocking_sleep)
+    try:
+        retrying.send(None)
+    except StopIteration as done:
+        return done.value
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+async def _awaited_attempt(job: Job, budget: float | None) -> TestResult | None:
+    """One attempt of the awaiting driver, cancelled when *budget* lapses.
+
+    A ``TimeoutError`` the job raised itself is its own, transient, error:
+    only the cancelled task marks a lapse, because the loop may fire its
+    timer slightly early.
+    """
+    import asyncio
+
+    if budget is None:
+        return await aexecute_job(job)
+    task = asyncio.create_task(aexecute_job(job))
+    try:
+        return await asyncio.wait_for(task, timeout=budget)
+    except (asyncio.TimeoutError, TimeoutError):
+        # asyncio.TimeoutError only merged into the builtin on Python
+        # 3.11; catch both for 3.10.
+        if task.cancelled():
+            return None
+        raise
 
 
 async def _aexecute_with_retries(
     job: Job, policy: ResiliencePolicy, batch: int = 0
 ) -> JobResult:
-    """Awaitable twin of :func:`_execute_with_retries` (same retry policy).
+    """Await :func:`_run_with_retries` on the running event loop.
 
     ``asyncio.CancelledError`` derives from ``BaseException`` and therefore
     propagates: a cancelled job is abandoned, not retried and not recorded
-    as a transient error.  Deadlines use ``asyncio.wait_for``, which (unlike
-    the sync path's abandoned helper thread) actually cancels the job.
+    as a transient error.
     """
     import asyncio
 
-    start = time.perf_counter()
-    reason = _quarantine_reason(job, policy, batch)
-    if reason:
-        return JobResult(job, None, attempts=0, error=reason,
-                         wall_time=time.perf_counter() - start)
-    attempts = max(1, int(policy.max_attempts))
-    for attempt in range(1, attempts + 1):
-        token = None
-        if policy.chaos is not None:
-            token = chaos_mod.begin_job(policy.chaos, job.job_id, attempt)
-        try:
-            if policy.deadline is not None:
-                remaining = policy.deadline - (time.perf_counter() - start)
-                if remaining <= 0.0:
-                    raise _deadline_error(policy.deadline)
-                try:
-                    result = await asyncio.wait_for(
-                        aexecute_job(job), timeout=remaining
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    # asyncio.TimeoutError only merged into the builtin
-                    # on Python 3.11; catch both for 3.10.
-                    raise _deadline_error(policy.deadline) from None
-            else:
-                result = await aexecute_job(job)
-        except Exception as exc:  # noqa: BLE001 - reported in the JobResult
-            if is_transient(exc) and attempt < attempts:
-                await asyncio.sleep(_backoff_seconds(policy, job.job_id, attempt))
-                continue
-            _note_stand_outcome(job, policy, batch, failed=True)
-            return JobResult(job, None, attempts=attempt,
-                             error=f"{type(exc).__name__}: {exc}",
-                             wall_time=time.perf_counter() - start)
-        finally:
-            if token is not None:
-                chaos_mod.end_job(token)
-        _note_stand_outcome(job, policy, batch, failed=False)
-        return JobResult(job, result, attempts=attempt,
-                         wall_time=time.perf_counter() - start)
-    raise AssertionError("unreachable")  # pragma: no cover
+    return await _run_with_retries(job, policy, batch,
+                                   _awaited_attempt, asyncio.sleep)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +564,9 @@ class Executor:
     order; callers that need determinism re-order by position (which
     :func:`run_jobs` does).
 
-    ``is_async`` tells :func:`run_jobs` which job function the backend
-    expects: ``False`` (the default) gets the synchronous retry wrapper,
-    ``True`` gets its awaitable twin.
+    ``is_async`` tells :func:`run_jobs` which driver of the retry loop
+    the backend expects: ``False`` (the default) gets the blocking one,
+    ``True`` the awaiting one.
     """
 
     name = "?"
@@ -1199,7 +1202,6 @@ def run_jobs(
     jobs: Iterable[Job],
     executor: Executor | None = None,
     *,
-    max_attempts: int = 2,
     on_result: Callable[[JobResult], None] | None = None,
     resilience: ResiliencePolicy | None = None,
     completed: Mapping[str, JobResult] | None = None,
@@ -1214,8 +1216,8 @@ def run_jobs(
     only after the last job finished — still in completion order.)
 
     *resilience* carries the full :class:`ResiliencePolicy` (retries,
-    backoff, deadline, quarantine, chaos); when omitted, a default policy
-    with the given *max_attempts* is used.  *completed* maps ``job_id`` to
+    backoff, deadline, quarantine, chaos); when omitted, the default
+    policy is used.  *completed* maps ``job_id`` to
     a previously produced :class:`JobResult` (a resumed campaign's
     checkpoints): matching jobs are not dispatched — their restored results
     slot straight into the report, and *on_result* is **not** called for
@@ -1232,9 +1234,7 @@ def run_jobs(
     """
     job_list = tuple(jobs)
     executor = executor or SerialExecutor()
-    policy = resilience if resilience is not None else ResiliencePolicy(
-        max_attempts=max(1, int(max_attempts))
-    )
+    policy = resilience or ResiliencePolicy()
     start = time.perf_counter()
     slots: list[JobResult | None] = [None] * len(job_list)
     pending: list[tuple[int, Job]] = []
@@ -1280,7 +1280,6 @@ def run_across_stands(
     *,
     policy: str = "first_fit",
     executor: Executor | None = None,
-    max_attempts: int = 2,
 ) -> ExecutionReport:
     """Portability run: the same script(s) on every stand of *stands*.
 
@@ -1293,4 +1292,4 @@ def run_across_stands(
         tuple(scripts), signals, stands, harness_factory,
         {"portability": ecu_factory}, policy=policy,
     )
-    return run_jobs(jobs, executor, max_attempts=max_attempts)
+    return run_jobs(jobs, executor)

@@ -40,6 +40,7 @@ from repro.paper import interior_harness, paper_signal_set, paper_suite
 from repro.store import ResultStore
 from repro.targets import CampaignSpec, CapabilityGapError, run_campaign
 from repro.teststand import (
+    AsyncExecutor,
     ResiliencePolicy,
     SerialExecutor,
     Verdict,
@@ -69,6 +70,10 @@ def flaky_io_ecu():
     raise InstrumentIOError("bus dropped the frame")
 
 
+def socket_timeout_ecu():
+    raise TimeoutError("stand socket timed out")
+
+
 def slow_ecu():
     time.sleep(0.5)
     return InteriorLightEcu()
@@ -84,6 +89,11 @@ def _jobs(ecu_factory, groups=1):
 
 
 FAST = ResiliencePolicy(backoff_base=0.0, jitter=0.0)
+
+#: Both drivers of the one retry loop: the blocking one and the awaiting one.
+BOTH_DRIVERS = pytest.mark.parametrize(
+    "executor", (SerialExecutor(), AsyncExecutor(concurrency=1)),
+    ids=("serial", "async"))
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +112,15 @@ class TestClassification:
         assert not is_transient(CapabilityGapError("paper", ("get_i",)))
         assert not is_transient(JobTimeoutError("x", deadline=1.0))
 
+    @BOTH_DRIVERS
     @pytest.mark.parametrize(
         "factory,name",
         ((config_error_ecu, "ConfigurationError"),
          (capability_gap_ecu, "CapabilityGapError")),
         ids=("configuration", "capability_gap"))
-    def test_permanent_errors_fail_fast(self, factory, name):
+    def test_permanent_errors_fail_fast(self, factory, name, executor):
         """Regression: permanent errors must not burn the retry budget."""
-        report = run_jobs(_jobs(factory), SerialExecutor(),
+        report = run_jobs(_jobs(factory), executor,
                           resilience=ResiliencePolicy(
                               max_attempts=4, backoff_base=0.0))
         job_result = report.results[0]
@@ -118,8 +129,9 @@ class TestClassification:
         assert name in job_result.error
         assert job_result.verdict is Verdict.ERROR
 
-    def test_retry_exhaustion_reports_last_error(self):
-        report = run_jobs(_jobs(flaky_io_ecu), SerialExecutor(),
+    @BOTH_DRIVERS
+    def test_retry_exhaustion_reports_last_error(self, executor):
+        report = run_jobs(_jobs(flaky_io_ecu), executor,
                           resilience=ResiliencePolicy(
                               max_attempts=3, backoff_base=0.0))
         job_result = report.results[0]
@@ -130,6 +142,7 @@ class TestClassification:
         assert job_result.verdict is Verdict.ERROR
 
     def test_policy_validation(self):
+        assert type(ResiliencePolicy(max_attempts=3.0).max_attempts) is int
         with pytest.raises(ConfigurationError):
             ResiliencePolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
@@ -196,15 +209,40 @@ class TestDeadline:
         assert job_result.attempts == 1
         assert "JobTimeoutError" in job_result.error
 
+    @BOTH_DRIVERS
+    def test_job_timeout_error_is_retried_not_a_deadline(self, executor):
+        """A TimeoutError the job raises itself is an ordinary transient
+        error, not a lapse of the job's deadline."""
+        report = run_jobs(_jobs(socket_timeout_ecu), executor,
+                          resilience=ResiliencePolicy(
+                              max_attempts=3, backoff_base=0.0,
+                              deadline=5.0))
+        job_result = report.results[0]
+        assert job_result.attempts == 3
+        assert "stand socket timed out" in job_result.error
+
+    @BOTH_DRIVERS
+    def test_backoff_stops_at_the_deadline(self, executor):
+        """The deadline bounds the backoff too: a 1 s backoff after a
+        failure is cut at what is left of a 0.2 s budget."""
+        report = run_jobs(_jobs(flaky_io_ecu), executor,
+                          resilience=ResiliencePolicy(
+                              backoff_base=1.0, jitter=0.0, deadline=0.2))
+        job_result = report.results[0]
+        assert "JobTimeoutError" in job_result.error
+        assert job_result.attempts == 2
+        assert job_result.wall_time < 0.45
+
 
 # ---------------------------------------------------------------------------
 # Quarantine
 # ---------------------------------------------------------------------------
 
 class TestQuarantine:
-    def test_circuit_breaker_reports_instead_of_executing(self):
+    @BOTH_DRIVERS
+    def test_circuit_breaker_reports_instead_of_executing(self, executor):
         jobs = _jobs(flaky_io_ecu, groups=5)
-        report = run_jobs(jobs, SerialExecutor(),
+        report = run_jobs(jobs, executor,
                           resilience=ResiliencePolicy(
                               max_attempts=1, backoff_base=0.0,
                               quarantine_after=2))
@@ -218,7 +256,8 @@ class TestQuarantine:
         assert all("quarantined after 2 consecutive" in jr.error
                    for jr in results[2:])
 
-    def test_success_resets_the_counter(self):
+    @BOTH_DRIVERS
+    def test_success_resets_the_counter(self, executor):
         failures = {"left": 1}
 
         def one_failure_ecu():
@@ -227,7 +266,7 @@ class TestQuarantine:
                 raise InstrumentIOError("one-shot")
             return InteriorLightEcu()
 
-        report = run_jobs(_jobs(one_failure_ecu, groups=4), SerialExecutor(),
+        report = run_jobs(_jobs(one_failure_ecu, groups=4), executor,
                           resilience=ResiliencePolicy(
                               max_attempts=1, backoff_base=0.0,
                               quarantine_after=2))

@@ -220,7 +220,8 @@ class TestExecutorEngine:
             paper_scripts(), paper_signal_set(), {"": build_paper_stand},
             interior_harness, {"": flaky_ecu},
         )
-        report = run_jobs(jobs, SerialExecutor(), max_attempts=3)
+        report = run_jobs(jobs, SerialExecutor(),
+                          resilience=ResiliencePolicy(max_attempts=3))
         assert report.ok
         assert report.results[0].attempts == 2
         assert report.results[0].result.passed
@@ -233,7 +234,8 @@ class TestExecutorEngine:
             paper_scripts(), paper_signal_set(), {"": build_paper_stand},
             interior_harness, {"": broken_ecu},
         )
-        report = run_jobs(jobs, SerialExecutor(), max_attempts=2)
+        report = run_jobs(jobs, SerialExecutor(),
+                          resilience=ResiliencePolicy(max_attempts=2))
         assert not report.ok
         job_result = report.results[0]
         assert job_result.result is None

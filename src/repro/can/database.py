@@ -4,11 +4,14 @@ Test definitions refer to bus signals by name (``IGN_ST``, ``NIGHT``); the
 database records which message carries each signal and how the payload is
 laid out, so the CAN interface resource can turn ``put_can data="0001B"``
 into an actual frame and the ECU model can decode received frames.
+
+Both are immutable once built, so each builds its lookup tables (names,
+identifiers, signals) once, when it is constructed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
 from ..core.errors import ValueError_
@@ -16,6 +19,9 @@ from .codec import SignalCoding
 from .frame import CanFrame
 
 __all__ = ["MessageDefinition", "CanDatabase"]
+
+#: How many frames, and how many decoded payloads, one message keeps.
+MEMO_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -53,17 +59,27 @@ class MessageDefinition:
                         f"signals {coding.name!r} and {other.name!r} overlap in "
                         f"message {self.name!r}"
                     )
+        object.__setattr__(self, "_signals",
+                           {coding.key: coding for coding in signals})
+        # Frames by payload and decoded values by payload bytes (see
+        # ``_frame`` and ``decode``).
+        object.__setattr__(self, "_frames", {})
+        object.__setattr__(self, "_decoded", {})
+
+    def __reduce__(self):
+        # Pickle the fields only: the signal table is rebuilt on load and
+        # the memos start empty.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def key(self) -> str:
         return self.name.lower()
 
     def signal(self, name: str) -> SignalCoding:
-        wanted = str(name).lower()
-        for coding in self.signals:
-            if coding.key == wanted:
-                return coding
-        raise ValueError_(f"message {self.name!r} has no signal {name!r}")
+        coding = self._signals.get(str(name).lower())
+        if coding is None:
+            raise ValueError_(f"message {self.name!r} has no signal {name!r}")
+        return coding
 
     def signal_names(self) -> tuple[str, ...]:
         return tuple(coding.name for coding in self.signals)
@@ -80,40 +96,77 @@ class MessageDefinition:
         payload = base_payload
         for name, value in values.items():
             payload = self.signal(name).encode(payload, value)
-        return CanFrame.from_int(self.can_id, payload, self.length)
+        return self._frame(payload)
 
     def encode_raw(self, payload: int) -> CanFrame:
         """Encode a raw integer payload (e.g. the literal ``0001B``)."""
-        return CanFrame.from_int(self.can_id, payload, self.length)
+        return self._frame(payload)
+
+    def _frame(self, payload: int) -> CanFrame:
+        """The frame carrying *payload*, built once per ``int`` payload.
+
+        Frames are immutable and a message sends the same few payloads
+        again and again; at most :data:`MEMO_MAX` are kept.
+        """
+        frames = self._frames
+        frame = frames.get(payload) if type(payload) is int else None
+        if frame is None:
+            frame = CanFrame.from_int(self.can_id, payload, self.length)
+            if type(payload) is int and len(frames) < MEMO_MAX:
+                frames[payload] = frame
+        return frame
 
     def decode(self, frame: CanFrame) -> dict[str, float]:
-        """Decode all signal values from a frame of this message."""
+        """Decode all signal values from a frame of this message.
+
+        Returns a new dict on every call; the values of each distinct
+        payload (at most :data:`MEMO_MAX`) are computed once.
+        """
         if frame.can_id != self.can_id:
             raise ValueError_(
                 f"frame id {frame.can_id:#x} does not match message "
                 f"{self.name!r} ({self.can_id:#x})"
             )
-        payload = frame.as_int()
-        return {coding.name: coding.decode(payload) for coding in self.signals}
+        data = frame.data
+        decoded = self._decoded.get(data) if type(data) is bytes else None
+        if decoded is None:
+            payload = frame.as_int()
+            decoded = {coding.name: coding.decode(payload)
+                       for coding in self.signals}
+            if type(data) is bytes and len(self._decoded) < MEMO_MAX:
+                self._decoded[data] = decoded
+        return dict(decoded)
 
 
 class CanDatabase:
-    """A collection of message definitions with signal-name lookup."""
+    """An immutable collection of message definitions with signal-name lookup.
+
+    Built once from its messages; names and identifiers must be unique.
+    To add messages, build a new database from the old one's messages.
+    """
 
     def __init__(self, messages: Iterable[MessageDefinition] = (), *, name: str = "candb"):
-        self.name = name
-        self._messages: dict[str, MessageDefinition] = {}
-        self._by_id: dict[int, MessageDefinition] = {}
+        self._name = name
+        by_key: dict[str, MessageDefinition] = {}
+        by_id: dict[int, MessageDefinition] = {}
+        by_signal: dict[str, MessageDefinition] = {}
         for message in messages:
-            self.add(message)
+            if message.key in by_key:
+                raise ValueError_(f"duplicate message name {message.name!r}")
+            if message.can_id in by_id:
+                raise ValueError_(f"duplicate CAN id {message.can_id:#x}")
+            by_key[message.key] = message
+            by_id[message.can_id] = message
+            for coding in message.signals:
+                # The first message carrying a signal wins.
+                by_signal.setdefault(coding.key, message)
+        self._messages = by_key
+        self._by_id = by_id
+        self._by_signal = by_signal
 
-    def add(self, message: MessageDefinition) -> None:
-        if message.key in self._messages:
-            raise ValueError_(f"duplicate message name {message.name!r}")
-        if message.can_id in self._by_id:
-            raise ValueError_(f"duplicate CAN id {message.can_id:#x}")
-        self._messages[message.key] = message
-        self._by_id[message.can_id] = message
+    @property
+    def name(self) -> str:
+        return self._name
 
     def message(self, name: str) -> MessageDefinition:
         try:
@@ -129,11 +182,10 @@ class CanDatabase:
 
     def message_for_signal(self, signal: str) -> MessageDefinition:
         """Find the message carrying a given signal name."""
-        wanted = str(signal).lower()
-        for message in self._messages.values():
-            if any(coding.key == wanted for coding in message.signals):
-                return message
-        raise ValueError_(f"no message carries signal {signal!r}")
+        try:
+            return self._by_signal[str(signal).lower()]
+        except KeyError as exc:
+            raise ValueError_(f"no message carries signal {signal!r}") from exc
 
     def __contains__(self, name: object) -> bool:
         return str(name).lower() in self._messages
@@ -146,7 +198,4 @@ class CanDatabase:
 
     def merged_with(self, other: "CanDatabase") -> "CanDatabase":
         """Combine two databases (disjoint names and ids required)."""
-        merged = CanDatabase(self, name=f"{self.name}+{other.name}")
-        for message in other:
-            merged.add(message)
-        return merged
+        return CanDatabase([*self, *other], name=f"{self.name}+{other.name}")

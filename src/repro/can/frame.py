@@ -53,6 +53,16 @@ class CanFrame:
             raise ValueError_(f"classical CAN payload limited to 8 bytes, got {len(data)}")
         object.__setattr__(self, "data", data)
 
+    def stamped(self, timestamp: float) -> "CanFrame":
+        """This frame at *timestamp*.
+
+        A frame was checked when it was built and cannot change, so the copy
+        skips the checks.
+        """
+        frame = object.__new__(type(self))
+        frame.__dict__.update(self.__dict__, timestamp=timestamp)
+        return frame
+
     @property
     def dlc(self) -> int:
         """Data length code (payload length in bytes)."""

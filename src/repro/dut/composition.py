@@ -24,11 +24,12 @@ bytecode VM like any other, and the classic walk stays the reference (see
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..can import CanBus, CanDatabase, CanFrame
 from ..core.errors import CompositionError, HarnessError
-from .base import EcuModel
+from .base import EcuModel, _learn, _spellings
 from .harness import TestHarness
 from .pins import Pin
 
@@ -42,7 +43,7 @@ def merge_databases(databases: Iterable[CanDatabase]) -> CanDatabase:
     redefinition (same name or identifier, different layout) is a wiring
     error and raises :class:`CompositionError`.
     """
-    merged = CanDatabase()
+    messages = []
     by_name: dict[str, object] = {}
     by_id: dict[int, object] = {}
     for database in databases:
@@ -58,10 +59,20 @@ def merge_databases(databases: Iterable[CanDatabase]) -> CanDatabase:
                     f"conflicting CAN message definition {message.name!r} "
                     f"(id 0x{message.can_id:x}) between composed members"
                 )
-            merged.add(message)
+            messages.append(message)
             by_name[message.name.lower()] = message
             by_id[message.can_id] = message
-    return merged
+    return CanDatabase(messages)
+
+
+@functools.lru_cache(maxsize=16)
+def _merged_database(databases: tuple[CanDatabase | None, ...]) -> CanDatabase:
+    """:func:`merge_databases` once per member set.
+
+    A database is immutable and compares by identity, so the members'
+    databases key the merge; a conflict raises on every call.
+    """
+    return merge_databases(databases)
 
 
 class EcuAssembly:
@@ -91,6 +102,9 @@ class EcuAssembly:
         if not self._members:
             raise CompositionError("a composition needs at least one member")
         self.name = name or "+".join(self._members)
+        # Spelling -> pin key, built for this assembly's members.
+        self._pin_keys = _spellings(
+            self._pin_owner, [pin.name for ecu in self for pin in ecu.pins])
 
     # -- structure ---------------------------------------------------------------
 
@@ -124,14 +138,23 @@ class EcuAssembly:
         return tuple(pin for ecu in self for pin in ecu.pins)
 
     def has_pin(self, name: str) -> bool:
-        return str(name).lower() in self._pin_owner
+        return self._owner_alias(name) is not None
 
     def pin(self, name: str) -> Pin:
         return self.owner_of(name)[1].pin(name)
 
+    def _owner_alias(self, pin: str) -> str | None:
+        key = self._pin_keys.get(pin) if type(pin) is str else None
+        if key is None:
+            key = str(pin).lower()
+            if key not in self._pin_owner:
+                return None
+            _learn(self._pin_keys, pin, key)
+        return self._pin_owner[key]
+
     def owner_of(self, pin: str) -> tuple[str, EcuModel]:
         """(alias, member) owning *pin*; raises like a harness on unknown pins."""
-        alias = self._pin_owner.get(str(pin).lower())
+        alias = self._owner_alias(pin)
         if alias is None:
             raise HarnessError(
                 f"composition {self.name!r} has no pin {pin!r} on any member")
@@ -172,8 +195,8 @@ class CompositionHarness:
             harness.join_bus(self.bus, node_name=alias,
                              stand_node=self._stand_node)
             self._harnesses[alias] = harness
-        self.can_db = merge_databases(
-            harness.can_db for harness in self._harnesses.values())
+        self.can_db = _merged_database(tuple(
+            harness.can_db for harness in self._harnesses.values()))
         self._ubatt = float(ubatt)
         self.set_ubatt(ubatt)
 

@@ -192,9 +192,10 @@ class TestHarness:
     # -- electrical stimuli -------------------------------------------------------
 
     def _pin_key(self, pin: str) -> str:
-        if not self.ecu.has_pin(pin):
+        key = self.ecu.pin_key(pin)
+        if key is None:
             raise HarnessError(f"DUT {self.ecu.name!r} has no pin {pin!r}")
-        return str(pin).lower()
+        return key
 
     def apply_resistance(self, pin: str, ohms: float) -> float:
         """Apply a resistance between *pin* and ground; returns the applied value."""
@@ -234,6 +235,7 @@ class TestHarness:
         the drives through ``ecu.output_drive`` (so a model whose readback
         raises fails the reading, cached or not), and the loads, which
         :meth:`add_load` extends and :class:`LoadSpec` lets callers mutate.
+        The pins are the model class's tuple, built once per class.
         """
         ecu = self.ecu
         pins = []
@@ -266,7 +268,7 @@ class TestHarness:
         if len(pins) > 2:
             raise HarnessError(
                 f"measure_voltage takes one or two pins, got {len(pins)}")
-        keys = tuple(self._pin_key(pin) for pin in pins)
+        keys = tuple(map(self._pin_key, pins))
         voltages = self._node_voltages(keys)
         reference = keys[1] if len(keys) > 1 else GROUND
         return voltages[keys[0]] - voltages[reference]
@@ -288,9 +290,11 @@ class TestHarness:
         stand applied to it, else infinity (open).
         """
         key = self._pin_key(pin)
-        drive = self.ecu.output_drive(key) if self.ecu.pin(key).is_output else None
-        if drive is not None and drive.driven:
-            return drive.resistance
+        ecu = self.ecu
+        if ecu.pin(key).is_output:
+            drive = ecu.output_drive(key)
+            if drive.driven:
+                return drive.resistance
         applied = self._applied_resistances.get(key)
         if applied is not None:
             return applied

@@ -134,18 +134,26 @@ LIGHT_SWITCH = MessageDefinition(
 )
 
 
+#: The body catalogue, built once per process (a database is immutable).
+_BODY_CAN = CanDatabase(
+    (
+        IGN_STATUS,
+        LIGHT_SENSOR,
+        LOCK_COMMAND,
+        LOCK_STATUS,
+        VEHICLE_SPEED,
+        WIPER_COMMAND,
+        WINDOW_POSITION,
+        LIGHT_SWITCH,
+    ),
+    name="body_can",
+)
+
+
 def body_can_database() -> CanDatabase:
-    """The shared body-domain CAN database used by all bundled ECU models."""
-    return CanDatabase(
-        (
-            IGN_STATUS,
-            LIGHT_SENSOR,
-            LOCK_COMMAND,
-            LOCK_STATUS,
-            VEHICLE_SPEED,
-            WIPER_COMMAND,
-            WINDOW_POSITION,
-            LIGHT_SWITCH,
-        ),
-        name="body_can",
-    )
+    """The shared body-domain CAN database used by all bundled ECU models.
+
+    Every call returns the same immutable instance; to add messages, build
+    a new ``CanDatabase`` from its messages and yours.
+    """
+    return _BODY_CAN

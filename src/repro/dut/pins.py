@@ -32,7 +32,14 @@ class PinKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Pin:
-    """One named DUT pin."""
+    """One named DUT pin.
+
+    Besides its fields a pin carries three derived attributes, computed
+    once because pins are immutable and read on every simulated
+    measurement: ``key`` (the canonical lower-case lookup key),
+    ``is_input`` (the test stand stimulates this pin) and ``is_output``
+    (the DUT drives this pin).
+    """
 
     name: str
     kind: PinKind
@@ -41,35 +48,18 @@ class Pin:
     def __post_init__(self) -> None:
         if not str(self.name).strip():
             raise HarnessError("pin needs a name")
-        # Pins are immutable and looked up on every simulated measurement;
-        # precompute the derived views once instead of per access.
-        object.__setattr__(self, "_key", self.name.lower())
-        object.__setattr__(self, "_is_input", self.kind in (
+        object.__setattr__(self, "key", self.name.lower())
+        object.__setattr__(self, "is_input", self.kind in (
             PinKind.RESISTIVE_INPUT,
             PinKind.ANALOG_INPUT,
             PinKind.DIGITAL_INPUT,
             PinKind.SUPPLY,
         ))
-        object.__setattr__(self, "_is_output", self.kind in (
+        object.__setattr__(self, "is_output", self.kind in (
             PinKind.POWER_OUTPUT,
             PinKind.RETURN_OUTPUT,
             PinKind.SIGNAL_OUTPUT,
         ))
-
-    @property
-    def key(self) -> str:
-        """Canonical lower-case lookup key."""
-        return self._key
-
-    @property
-    def is_input(self) -> bool:
-        """True when the test stand stimulates this pin."""
-        return self._is_input
-
-    @property
-    def is_output(self) -> bool:
-        """True when the DUT drives this pin."""
-        return self._is_output
 
     def __str__(self) -> str:
         return self.name
@@ -103,13 +93,35 @@ class OutputDrive:
 
     @classmethod
     def high_side(cls, resistance: float = 0.2) -> "OutputDrive":
-        """Driver closed to the battery rail."""
-        return cls(level=1.0, resistance=resistance, driven=True)
+        """Driver closed to the battery rail (a shared instance, see :meth:`_shared`)."""
+        return cls._shared(1.0, resistance)
 
     @classmethod
     def low_side(cls, resistance: float = 0.1) -> "OutputDrive":
-        """Driver closed to ground."""
-        return cls(level=0.0, resistance=resistance, driven=True)
+        """Driver closed to ground (a shared instance, see :meth:`_shared`)."""
+        return cls._shared(0.0, resistance)
+
+    @classmethod
+    def _shared(cls, level: float, resistance: float) -> "OutputDrive":
+        """The driven state at *level* and *resistance*, one instance per value.
+
+        Models drive the same few constants on every evaluation, and a drive
+        is immutable, so equal states share one object.  The key holds the
+        resistance's type as well as its value: ``1`` and ``1.0`` compare
+        equal but print differently.  Only ``int`` and ``float`` resistances
+        are shared, and at most :data:`SHARED_DRIVES_MAX` states are kept;
+        any other state is built afresh, as before.
+        """
+        kind = type(resistance)
+        if kind is not float and kind is not int:
+            return cls(level=level, resistance=resistance, driven=True)
+        key = (cls, level, kind, resistance)
+        drive = _SHARED.get(key)
+        if drive is None:
+            drive = cls(level=level, resistance=resistance, driven=True)
+            if len(_SHARED) < SHARED_DRIVES_MAX:
+                _SHARED[key] = drive
+        return drive
 
     @classmethod
     def floating(cls) -> "OutputDrive":
@@ -123,3 +135,9 @@ class OutputDrive:
 
 #: The one shared high-impedance drive state (see :meth:`OutputDrive.floating`).
 _FLOATING = OutputDrive(level=0.0, resistance=1.0, driven=False)
+
+#: How many driven states :meth:`OutputDrive._shared` keeps.
+SHARED_DRIVES_MAX = 256
+
+#: Driven states by ``(class, level, resistance type, resistance)``.
+_SHARED: dict[tuple, OutputDrive] = {}

@@ -467,20 +467,23 @@ async def _run_with_retries(job: Job, policy: ResiliencePolicy, batch: int,
 async def _blocking_attempt(job: Job, budget: float | None) -> TestResult | None:
     """One attempt of the blocking driver; it never suspends.
 
-    Without a budget the job runs in the calling thread.  With one it runs
-    on a daemon helper thread (with the caller's context, so an active
-    chaos schedule follows it); when the budget lapses the thread is
-    *abandoned* — Python cannot safely kill it — and ``None`` is returned.
-    The helper has its own empty stand pool, so an abandoned run can never
-    corrupt a stand a future job would lease.
+    Without a budget the job runs in the calling thread.  With one, the
+    calling thread leases the stand from its own pool and a daemon helper
+    thread (with the caller's context, so an active chaos schedule follows
+    it) runs the job on it.  The stand goes back to the caller's pool only
+    when the helper finished within the budget.  When the budget lapses the
+    thread is *abandoned* — Python cannot safely kill it — ``None`` is
+    returned, and its stand is never returned to any pool, so an abandoned
+    run can never corrupt a stand a future job would lease.
     """
     if budget is None:
         return execute_job(job)
+    stand, pooled = _lease_stand(job)
     outcome: list[TestResult | BaseException] = []
 
     def _target() -> None:
         try:
-            outcome.append(execute_job(job))
+            outcome.append(_interpreter_for(job, stand).run(job.script))
         except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
             outcome.append(exc)
 
@@ -492,6 +495,8 @@ async def _blocking_attempt(job: Job, budget: float | None) -> TestResult | None
     worker.join(budget)
     if not outcome:
         return None
+    # The helper has finished with the stand once it recorded an outcome.
+    _return_stand(job, stand, pooled)
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     return outcome[0]

@@ -131,11 +131,11 @@ class TestCanDatabase:
             db.message_for_signal("NOPE")
 
     def test_duplicate_name_and_id_rejected(self):
-        db = CanDatabase((MessageDefinition("A", 0x1, 1),))
-        with pytest.raises(ValueError_):
-            db.add(MessageDefinition("a", 0x2, 1))
-        with pytest.raises(ValueError_):
-            db.add(MessageDefinition("B", 0x1, 1))
+        first = MessageDefinition("A", 0x1, 1)
+        with pytest.raises(ValueError_, match="duplicate message name 'a'"):
+            CanDatabase((first, MessageDefinition("a", 0x2, 1)))
+        with pytest.raises(ValueError_, match="duplicate CAN id 0x1"):
+            CanDatabase((first, MessageDefinition("B", 0x1, 1)))
 
     def test_merged(self):
         merged = CanDatabase((MessageDefinition("A", 0x1, 1),)).merged_with(

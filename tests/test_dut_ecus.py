@@ -6,12 +6,15 @@ import math
 
 import pytest
 
+from repro.core.errors import HarnessError
 from repro.dut import (
     CentralLockingEcu,
+    EcuModel,
     ExteriorLightEcu,
     InteriorLightEcu,
     WindowLifterEcu,
     WiperEcu,
+    body_can_database,
 )
 from repro.dut.pins import OutputDrive, PinKind
 
@@ -273,3 +276,89 @@ class TestExteriorLightEcu:
         ecu = ExteriorLightEcu()
         ecu.set_pin_resistance("PARK_SW", 1.0)
         assert ecu.output_drive("POSITION_LIGHT").driven
+
+
+# ---------------------------------------------------------------------------
+# Names match without regard to case, on every model
+# ---------------------------------------------------------------------------
+
+def _bundled_models():
+    """Every bundled ECU class, every fault variant and a composition."""
+    from repro.analysis.faults import (
+        central_locking_faults,
+        exterior_light_faults,
+        instrument_cluster_faults,
+        interaction_faults,
+        interior_light_faults,
+        window_lifter_faults,
+        wiper_faults,
+    )
+    from repro.dut import InstrumentClusterEcu
+    from repro.targets import get_composition
+
+    models = [(cls.NAME, cls) for cls in (
+        InteriorLightEcu, CentralLockingEcu, WindowLifterEcu, WiperEcu,
+        ExteriorLightEcu, InstrumentClusterEcu)]
+    catalogues = [interior_light_faults(), central_locking_faults(),
+                  wiper_faults(), window_lifter_faults(),
+                  exterior_light_faults(), instrument_cluster_faults(),
+                  interaction_faults(InstrumentClusterEcu.NAME),
+                  get_composition("lock+cluster").faults_factory()]
+    models += [(f"{catalogue.ecu_name}/{fault.name}", fault.build)
+               for catalogue in catalogues for fault in catalogue]
+    models.append(("lock+cluster",
+                   get_composition("lock+cluster").build_assembly))
+    return models
+
+
+def _spellings(name: str) -> tuple[str, str, str]:
+    return name, name.lower(), name.swapcase()
+
+
+@pytest.mark.parametrize("build", [build for _, build in _bundled_models()],
+                         ids=[label for label, _ in _bundled_models()])
+class TestNamesIgnoreCase:
+    def test_pins_resolve_under_every_spelling(self, build):
+        model = build()
+        for declared in model.pins:
+            for spelling in _spellings(declared.name):
+                # Twice: the second lookup is served by what the first learned.
+                for _ in range(2):
+                    assert model.has_pin(spelling)
+                    assert model.pin(spelling) == declared
+        with pytest.raises(HarnessError) as unknown:
+            model.pin("NO_SUCH_PIN")
+        assert "'NO_SUCH_PIN'" in str(unknown.value)
+        assert not model.has_pin("NO_SUCH_PIN")
+
+    def test_members_see_resistances_and_signals_under_any_spelling(self, build):
+        model = build()
+        members = [model] if isinstance(model, EcuModel) else list(model)
+        for ecu in members:
+            for declared in ecu.pins:
+                for written in _spellings(declared.name):
+                    for read in _spellings(declared.name):
+                        ecu.set_pin_resistance(written, 42.0)
+                        assert ecu.resistance_at(read) == 42.0
+                        ecu.clear_pin_resistance(read)
+                        assert ecu.resistance_at(written) == math.inf
+            for message in ecu.RX_MESSAGES:
+                definition = body_can_database().message(message)
+                for coding in definition.signals:
+                    for _ in range(2):
+                        ecu.receive_message(definition.name.lower(),
+                                            {coding.name.lower(): 1.0})
+                        # A fault may drop what it received; every spelling
+                        # still reads the same value.
+                        read = {ecu.rx_signal(message, signal, -1.0)
+                                for message in _spellings(definition.name)
+                                for signal in _spellings(coding.name)}
+                        assert len(read) == 1, read
+            with pytest.raises(HarnessError, match="unknown pin 'NO_SUCH_PIN'"):
+                ecu.set_pin_resistance("NO_SUCH_PIN", 1.0)
+            assert ecu.resistance_at("NO_SUCH_PIN") == math.inf
+            inputs = [pin for pin in ecu.pins if not pin.is_output]
+            if inputs:
+                with pytest.raises(HarnessError, match="is not an output"):
+                    ecu.drive_output(inputs[0].name.swapcase(),
+                                     OutputDrive.floating())

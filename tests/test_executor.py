@@ -82,6 +82,21 @@ def clean_worker_ecu():
     return InteriorLightEcu()
 
 
+#: Holds :func:`blocking_ecu` until a test lets it go.
+_RELEASE_ECU = threading.Event()
+
+
+def blocking_ecu():
+    """A healthy ECU that takes until :data:`_RELEASE_ECU` is set to build."""
+    _RELEASE_ECU.wait(10.0)
+    return InteriorLightEcu()
+
+
+def deadline_stand():
+    """The paper stand under a factory of its own, so it has its own pool."""
+    return build_paper_stand()
+
+
 def _paper_jobs(ecu_factory, groups: int):
     return expand_jobs(
         paper_scripts(), paper_signal_set(), {"": build_paper_stand},
@@ -268,6 +283,55 @@ class TestExecutorEngine:
         )
         assert len(report) == 3
         assert all(result.passed for result in report.test_results())
+
+
+class TestDeadlineStandReuse:
+    """Under a deadline the blocking driver leases each attempt's stand in
+    the calling thread, so stands are reused as without a deadline."""
+
+    def test_warm_campaign_under_a_deadline_builds_no_stand(self, monkeypatch):
+        from repro.teststand.stands import TestStand
+
+        spec = CampaignSpec(dut="wiper_ecu", backend="serial", deadline=30.0)
+        run_campaign(spec)
+        built = []
+        original = TestStand.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TestStand, "__init__", counting_init)
+        result = run_campaign(spec)
+        assert len(result.execution) == 36
+        assert result.execution.ok
+        assert built == []
+
+    def test_abandoned_attempt_keeps_its_stand_out_of_the_pool(self):
+        jobs = expand_jobs(paper_scripts()[:1], paper_signal_set(),
+                           {"": deadline_stand}, interior_harness,
+                           {"": blocking_ecu})
+        name = f"deadline-{jobs[0].index}"
+        _RELEASE_ECU.clear()
+        try:
+            report = run_jobs(jobs, SerialExecutor(), resilience=ResiliencePolicy(
+                max_attempts=1, deadline=0.2))
+            assert "JobTimeoutError" in report.results[0].error
+            assert self._idle(deadline_stand) == []
+        finally:
+            _RELEASE_ECU.set()
+        helpers = [t for t in threading.enumerate() if t.name == name]
+        assert helpers
+        for helper in helpers:
+            helper.join(10.0)
+            assert not helper.is_alive()
+        assert self._idle(deadline_stand) == []
+
+    @staticmethod
+    def _idle(factory) -> list:
+        """This thread's idle stands of *factory*."""
+        pools = getattr(executor_mod._WORKER_STANDS, "pools", {})
+        return pools.get(factory, [])
 
 
 class TestSerialParallelEquivalence:

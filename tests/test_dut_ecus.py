@@ -362,3 +362,48 @@ class TestNamesIgnoreCase:
                 with pytest.raises(HarnessError, match="is not an output"):
                     ecu.drive_output(inputs[0].name.swapcase(),
                                      OutputDrive.floating())
+
+
+def _case_variants(name: str) -> list[str]:
+    """Every upper/lower-case spelling of *name*."""
+    spellings = [""]
+    for char in name:
+        spellings = [done + c for done in spellings
+                     for c in {char.lower(), char.upper()}]
+    return spellings
+
+
+def test_spelling_tables_stay_exact_and_bounded_under_threads():
+    """Threads learning spellings of one class at once: every lookup
+    resolves to its lower-case key and the table stays bounded."""
+    import sys
+    import threading
+
+    from repro.dut.base import SPELLINGS_MAX
+
+    class Probe(InteriorLightEcu):
+        pass
+
+    spellings = [s for pin in Probe.PINS for s in _case_variants(pin.name)]
+    assert len(spellings) > SPELLINGS_MAX
+    wrong = []
+
+    def learn(offset: int) -> None:
+        ecu = Probe()
+        for spelling in spellings[offset:] + spellings[:offset]:
+            if ecu.pin_key(spelling) != spelling.lower():
+                wrong.append(spelling)
+
+    threads = [threading.Thread(target=learn, args=(i * 37,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(Probe._PIN_KEYS) <= SPELLINGS_MAX + len(threads)

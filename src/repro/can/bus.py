@@ -92,15 +92,7 @@ class CanBus:
 
     def transmit(self, frame: CanFrame, *, sender: CanNode | None = None) -> CanFrame:
         """Deliver a frame to every node except the sender; returns the stamped frame."""
-        if type(frame) is CanFrame:
-            stamped = frame.stamped(self._time)
-        else:
-            stamped = CanFrame(
-                can_id=frame.can_id,
-                data=frame.data,
-                extended=frame.extended,
-                timestamp=self._time,
-            )
+        stamped = frame.stamped(self._time)
         self._log.append((sender.name if sender else "<anonymous>", stamped))
         for node in self._nodes:
             if node is sender:

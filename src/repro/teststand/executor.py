@@ -245,21 +245,23 @@ class ResiliencePolicy:
 
 #: Per-thread stand pools: {stand_factory -> [idle stands]}.  Thread-local
 #: storage gives every worker thread (and every worker process' main thread)
-#: its own pools, so pooled stands are never shared between OS threads; the
-#: async backend's interleaved jobs run on one thread and simply pop
-#: distinct stands from the same pool.  Bounded: the least recently used
-#: factories are dropped so long-lived sessions spanning many campaigns do
-#: not accumulate stands forever.
+#: its own pools, so a pooled stand is never used by two OS threads at once:
+#: under a deadline the blocking driver hands an idle stand to its helper
+#: thread and takes it back only once the helper has finished (see
+#: :func:`_blocking_attempt`); the async backend's interleaved jobs run on
+#: one thread and simply pop distinct stands from the same pool.  Bounded:
+#: the least recently used factories are dropped so long-lived sessions
+#: spanning many campaigns do not accumulate stands forever.
 _WORKER_STANDS = threading.local()
 
 #: How many distinct stand factories one worker keeps pools for.
 _STAND_POOL_FACTORIES = 16
 
 
-def _lease_stand(job: Job) -> tuple[TestStand, bool]:
-    """A stand for *job*: pooled (and reset) when reuse is on, else fresh."""
+def _stand_pool(job: Job) -> list[TestStand] | None:
+    """This thread's idle stands for *job*; ``None`` when reuse is off."""
     if not job.reuse_stands:
-        return job.stand_factory(), False
+        return None
     pools: OrderedDict = getattr(_WORKER_STANDS, "pools", None)
     if pools is None:
         pools = _WORKER_STANDS.pools = OrderedDict()
@@ -270,13 +272,23 @@ def _lease_stand(job: Job) -> tuple[TestStand, bool]:
             pools.popitem(last=False)
     else:
         pools.move_to_end(job.stand_factory)
-    if pool:
-        stand = pool.pop()
-        # Reset on lease, not on return: a run that died mid-job still
-        # hands its successor a clean stand.
-        stand.reset()
-        return stand, True
-    return job.stand_factory(), True
+    return pool
+
+
+def _ready_stand(job: Job, idle: TestStand | None) -> TestStand:
+    """*idle* reset for *job*, or a fresh stand when there is none."""
+    if idle is None:
+        return job.stand_factory()
+    # Reset on lease, not on return: a run that died mid-job still hands
+    # its successor a clean stand.
+    idle.reset()
+    return idle
+
+
+def _lease_stand(job: Job) -> tuple[TestStand, bool]:
+    """A stand for *job*: pooled (and reset) when reuse is on, else fresh."""
+    pool = _stand_pool(job)
+    return _ready_stand(job, pool.pop() if pool else None), pool is not None
 
 
 def _return_stand(job: Job, stand: TestStand, pooled: bool) -> None:
@@ -468,22 +480,27 @@ async def _blocking_attempt(job: Job, budget: float | None) -> TestResult | None
     """One attempt of the blocking driver; it never suspends.
 
     Without a budget the job runs in the calling thread.  With one, the
-    calling thread leases the stand from its own pool and a daemon helper
-    thread (with the caller's context, so an active chaos schedule follows
-    it) runs the job on it.  The stand goes back to the caller's pool only
-    when the helper finished within the budget.  When the budget lapses the
-    thread is *abandoned* — Python cannot safely kill it — ``None`` is
-    returned, and its stand is never returned to any pool, so an abandoned
-    run can never corrupt a stand a future job would lease.
+    calling thread takes an idle stand from its own pool and a daemon
+    helper thread (with the caller's context, so an active chaos schedule
+    follows it) resets it, or builds a fresh one, and runs the job on it:
+    the budget covers getting the stand, as on the awaiting driver.  The
+    stand goes back to the caller's pool only when the helper finished
+    within the budget.  When the budget lapses the thread is *abandoned* —
+    Python cannot safely kill it — ``None`` is returned, and its stand is
+    never returned to any pool, so an abandoned run can never corrupt a
+    stand a future job would lease.
     """
     if budget is None:
         return execute_job(job)
-    stand, pooled = _lease_stand(job)
+    pool = _stand_pool(job)
+    idle = pool.pop() if pool else None
+    stands: list[TestStand] = []
     outcome: list[TestResult | BaseException] = []
 
     def _target() -> None:
         try:
-            outcome.append(_interpreter_for(job, stand).run(job.script))
+            stands.append(_ready_stand(job, idle))
+            outcome.append(_interpreter_for(job, stands[0]).run(job.script))
         except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
             outcome.append(exc)
 
@@ -495,8 +512,9 @@ async def _blocking_attempt(job: Job, budget: float | None) -> TestResult | None
     worker.join(budget)
     if not outcome:
         return None
-    # The helper has finished with the stand once it recorded an outcome.
-    _return_stand(job, stand, pooled)
+    # The helper has finished with its stand once it recorded an outcome.
+    if stands and pool is not None:
+        pool.append(stands[0])
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     return outcome[0]

@@ -97,6 +97,29 @@ def deadline_stand():
     return build_paper_stand()
 
 
+#: Holds the slow stands below until a test lets them go.
+_RELEASE_STAND = threading.Event()
+
+
+def slow_to_build_stand():
+    """The paper stand, built once :data:`_RELEASE_STAND` is set."""
+    _RELEASE_STAND.wait(10.0)
+    return build_paper_stand()
+
+
+def slow_to_reset_stand():
+    """The paper stand, whose reset waits until :data:`_RELEASE_STAND` is set."""
+    stand = build_paper_stand()
+    reset = stand.reset
+
+    def slow_reset():
+        _RELEASE_STAND.wait(10.0)
+        reset()
+
+    stand.reset = slow_reset
+    return stand
+
+
 def _paper_jobs(ecu_factory, groups: int):
     return expand_jobs(
         paper_scripts(), paper_signal_set(), {"": build_paper_stand},
@@ -286,8 +309,9 @@ class TestExecutorEngine:
 
 
 class TestDeadlineStandReuse:
-    """Under a deadline the blocking driver leases each attempt's stand in
-    the calling thread, so stands are reused as without a deadline."""
+    """Under a deadline the blocking driver takes each attempt's stand from
+    the calling thread's pool, so stands are reused as without a deadline,
+    and resets or builds it within the budget."""
 
     def test_warm_campaign_under_a_deadline_builds_no_stand(self, monkeypatch):
         from repro.teststand.stands import TestStand
@@ -308,10 +332,10 @@ class TestDeadlineStandReuse:
         assert built == []
 
     def test_abandoned_attempt_keeps_its_stand_out_of_the_pool(self):
-        jobs = expand_jobs(paper_scripts()[:1], paper_signal_set(),
-                           {"": deadline_stand}, interior_harness,
-                           {"": blocking_ecu})
-        name = f"deadline-{jobs[0].index}"
+        warm = run_jobs(self._jobs(deadline_stand, clean_worker_ecu),
+                        SerialExecutor())
+        assert warm.ok and len(self._idle(deadline_stand)) == 1
+        jobs = self._jobs(deadline_stand, blocking_ecu)
         _RELEASE_ECU.clear()
         try:
             report = run_jobs(jobs, SerialExecutor(), resilience=ResiliencePolicy(
@@ -320,12 +344,45 @@ class TestDeadlineStandReuse:
             assert self._idle(deadline_stand) == []
         finally:
             _RELEASE_ECU.set()
-        helpers = [t for t in threading.enumerate() if t.name == name]
+        self._join_helpers(jobs[0])
+        assert self._idle(deadline_stand) == []
+
+    @pytest.mark.parametrize("factory, warm", [
+        (slow_to_build_stand, False), (slow_to_reset_stand, True),
+    ], ids=["build", "reset"])
+    def test_getting_the_stand_counts_against_the_deadline(self, factory, warm):
+        if warm:
+            _RELEASE_STAND.set()
+            assert run_jobs(self._jobs(factory, clean_worker_ecu),
+                            SerialExecutor()).ok
+            assert len(self._idle(factory)) == 1
+        jobs = self._jobs(factory, clean_worker_ecu)
+        _RELEASE_STAND.clear()
+        try:
+            report = run_jobs(jobs, SerialExecutor(), resilience=ResiliencePolicy(
+                max_attempts=1, deadline=0.2))
+            assert "JobTimeoutError" in report.results[0].error
+            assert report.results[0].wall_time < 5.0
+        finally:
+            _RELEASE_STAND.set()
+        self._join_helpers(jobs[0])
+        assert self._idle(factory) == []
+
+    @staticmethod
+    def _jobs(stand_factory, ecu_factory):
+        return expand_jobs(paper_scripts()[:1], paper_signal_set(),
+                           {"": stand_factory}, interior_harness,
+                           {"": ecu_factory})
+
+    @staticmethod
+    def _join_helpers(job) -> None:
+        """Join the abandoned helper threads of *job*, each within 10 s."""
+        helpers = [t for t in threading.enumerate()
+                   if t.name == f"deadline-{job.index}"]
         assert helpers
         for helper in helpers:
             helper.join(10.0)
             assert not helper.is_alive()
-        assert self._idle(deadline_stand) == []
 
     @staticmethod
     def _idle(factory) -> list:

@@ -11,7 +11,7 @@ identifiers, signals) once, when it is constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
 from ..core.errors import ValueError_
@@ -19,6 +19,9 @@ from .codec import SignalCoding
 from .frame import CanFrame
 
 __all__ = ["MessageDefinition", "CanDatabase"]
+
+#: How many frames, and how many decoded payloads, one message keeps.
+MEMO_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,15 @@ class MessageDefinition:
                     )
         object.__setattr__(self, "_signals",
                            {coding.key: coding for coding in signals})
+        # Frames by payload and decoded values by payload bytes (see
+        # ``_frame`` and ``decode``).
+        object.__setattr__(self, "_frames", {})
+        object.__setattr__(self, "_decoded", {})
+
+    def __reduce__(self):
+        # Pickle the fields only: the signal table is rebuilt on load and
+        # the memos start empty.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def key(self) -> str:
@@ -84,21 +96,47 @@ class MessageDefinition:
         payload = base_payload
         for name, value in values.items():
             payload = self.signal(name).encode(payload, value)
-        return CanFrame.from_int(self.can_id, payload, self.length)
+        return self._frame(payload)
 
     def encode_raw(self, payload: int) -> CanFrame:
         """Encode a raw integer payload (e.g. the literal ``0001B``)."""
-        return CanFrame.from_int(self.can_id, payload, self.length)
+        return self._frame(payload)
+
+    def _frame(self, payload: int) -> CanFrame:
+        """The frame carrying *payload*, built once per ``int`` payload.
+
+        Frames are immutable, and a campaign sends the same few payloads
+        (its sheets' literals, once per fault) again and again; at most
+        :data:`MEMO_MAX` are kept.
+        """
+        frames = self._frames
+        frame = frames.get(payload) if type(payload) is int else None
+        if frame is None:
+            frame = CanFrame.from_int(self.can_id, payload, self.length)
+            if type(payload) is int and len(frames) < MEMO_MAX:
+                frames[payload] = frame
+        return frame
 
     def decode(self, frame: CanFrame) -> dict[str, float]:
-        """Decode all signal values from a frame of this message."""
+        """Decode all signal values from a frame of this message.
+
+        Returns a new dict on every call; the values of each distinct
+        payload (at most :data:`MEMO_MAX`) are computed once.
+        """
         if frame.can_id != self.can_id:
             raise ValueError_(
                 f"frame id {frame.can_id:#x} does not match message "
                 f"{self.name!r} ({self.can_id:#x})"
             )
-        payload = frame.as_int()
-        return {coding.name: coding.decode(payload) for coding in self.signals}
+        # A frame's data is always exact ``bytes`` (see ``CanFrame``).
+        decoded = self._decoded.get(frame.data)
+        if decoded is None:
+            payload = frame.as_int()
+            decoded = {coding.name: coding.decode(payload)
+                       for coding in self.signals}
+            if len(self._decoded) < MEMO_MAX:
+                self._decoded[frame.data] = decoded
+        return dict(decoded)
 
 
 class CanDatabase:

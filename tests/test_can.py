@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from repro.can import (
     pack_field,
     unpack_field,
 )
+from repro.can.database import MEMO_MAX
 from repro.core.errors import ValueError_
 from repro.dut.messages import body_can_database
 
@@ -111,6 +114,26 @@ class TestMessageDefinition:
         with pytest.raises(ValueError_):
             MessageDefinition("M", 0x1, 2,
                               (SignalCoding("A", 0, 8), SignalCoding("B", 4, 8)))
+
+    def test_repeated_payloads_share_frames_and_decodings_within_bounds(self):
+        def message():
+            return MessageDefinition(
+                "M", 0x1, 2, (SignalCoding("A", 0, 8), SignalCoding("B", 8, 8)))
+
+        msg, pristine = message(), pickle.dumps(message())
+        frame = msg.encode_raw(0x0102)
+        assert msg.encode({"A": 2, "B": 1}) is frame
+        first = msg.decode(frame)
+        first["A"] = 99
+        assert msg.decode(frame) == {"A": 2, "B": 1}
+        for payload in range(MEMO_MAX + 10):
+            frame = msg.encode_raw(payload)
+            assert frame.as_int() == payload
+            assert msg.decode(frame) == {"A": payload & 0xFF, "B": payload >> 8}
+        assert len(msg._frames) == len(msg._decoded) == MEMO_MAX
+        # No memo travels in a pickle.
+        assert pickle.dumps(msg) == pristine
+        assert pickle.loads(pristine) == msg
 
 
 class TestCanDatabase:

@@ -14,9 +14,9 @@ insertion-ordered verdict aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .._record import Record
 from ..core.errors import ReproError
 from ..core.script import TestScript
 from ..core.signals import SignalSet
@@ -44,12 +44,15 @@ StandFactory = Callable[[], TestStand]
 BASELINE_GROUP = "baseline"
 
 
-@dataclass(frozen=True)
-class FaultRunOutcome:
+class FaultRunOutcome(Record):
     """Result of running the whole suite against one fault model."""
 
     fault: FaultModel
     results: tuple[TestResult, ...]
+
+    def __init__(self, fault: FaultModel,
+                 results: tuple[TestResult, ...]) -> None:
+        self.__dict__.update(fault=fault, results=results)
 
     @property
     def detected(self) -> bool:

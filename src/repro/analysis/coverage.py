@@ -12,16 +12,15 @@ cheap counter-measure is to measure what a suite actually exercises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
+from .._record import Record
 from ..core.testdef import TestSuite
 
 __all__ = ["CoverageReport", "compute_coverage"]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     """Result of :func:`compute_coverage`."""
 
     dut: str
@@ -33,6 +32,22 @@ class CoverageReport:
     unused_statuses: tuple[str, ...]
     unstimulated_inputs: tuple[str, ...]
     unchecked_outputs: tuple[str, ...]
+
+    def __init__(self, dut: str, signal_stimulated: Mapping[str, int],
+                 signal_checked: Mapping[str, int],
+                 status_usage: Mapping[str, int],
+                 pair_usage: Mapping[tuple[str, str], int],
+                 requirements: Mapping[str, int],
+                 unused_statuses: tuple[str, ...],
+                 unstimulated_inputs: tuple[str, ...],
+                 unchecked_outputs: tuple[str, ...]) -> None:
+        self.__dict__.update(
+            dut=dut, signal_stimulated=signal_stimulated,
+            signal_checked=signal_checked, status_usage=status_usage,
+            pair_usage=pair_usage, requirements=requirements,
+            unused_statuses=unused_statuses,
+            unstimulated_inputs=unstimulated_inputs,
+            unchecked_outputs=unchecked_outputs)
 
     @property
     def signal_coverage(self) -> float:

@@ -14,9 +14,9 @@ the faulty ECU while the same test passes on the healthy one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from .._record import Record
 from ..core.errors import ReproError
 from ..dut.base import EcuModel
 from ..dut.central_locking import CentralLockingEcu
@@ -41,14 +41,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FaultModel:
+class FaultModel(Record):
     """One seeded defect: a name, a description and an ECU factory."""
 
     name: str
     description: str
     factory: Callable[[], EcuModel]
     expected_detected: bool = True
+
+    def __init__(self, name: str, description: str,
+                 factory: Callable[[], EcuModel],
+                 expected_detected: bool = True) -> None:
+        self.__dict__.update(name=name, description=description,
+                             factory=factory,
+                             expected_detected=expected_detected)
 
     def build(self) -> EcuModel:
         """Instantiate the faulty ECU (or, for composed faults, assembly)."""

@@ -14,9 +14,9 @@ reused"*.  This module measures that percentage for concrete suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .._record import Record
 from ..core.script import TestScript
 from ..core.testdef import TestSuite
 
@@ -29,8 +29,7 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
-@dataclass(frozen=True)
-class ReuseReport:
+class ReuseReport(Record):
     """Pairwise reuse metrics between two test suites."""
 
     suite_a: str
@@ -41,6 +40,18 @@ class ReuseReport:
     status_jaccard: float
     method_jaccard: float
     assignment_jaccard: float
+
+    def __init__(self, suite_a: str, suite_b: str,
+                 shared_statuses: tuple[str, ...],
+                 shared_methods: tuple[str, ...],
+                 shared_signals: tuple[str, ...], status_jaccard: float,
+                 method_jaccard: float, assignment_jaccard: float) -> None:
+        self.__dict__.update(
+            suite_a=suite_a, suite_b=suite_b,
+            shared_statuses=shared_statuses, shared_methods=shared_methods,
+            shared_signals=shared_signals, status_jaccard=status_jaccard,
+            method_jaccard=method_jaccard,
+            assignment_jaccard=assignment_jaccard)
 
     def summary(self) -> str:
         return (

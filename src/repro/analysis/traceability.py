@@ -9,26 +9,26 @@ texts so reports can spell out what is and is not covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from .._record import Record
 from ..core.errors import DefinitionError
 from ..core.testdef import TestSuite
 
 __all__ = ["Requirement", "RequirementCatalogue", "TraceabilityReport", "trace_requirements"]
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(Record):
     """One requirement of the component specification."""
 
     identifier: str
     text: str
     chapter: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.identifier).strip():
+    def __init__(self, identifier: str, text: str, chapter: str = "") -> None:
+        if not str(identifier).strip():
             raise DefinitionError("requirement needs an identifier")
+        self.__dict__.update(identifier=identifier, text=text, chapter=chapter)
 
     @property
     def key(self) -> str:
@@ -69,8 +69,7 @@ class RequirementCatalogue:
         return tuple(req.identifier for req in self._requirements.values())
 
 
-@dataclass(frozen=True)
-class TraceabilityReport:
+class TraceabilityReport(Record):
     """Mapping between requirements and the tests/steps touching them."""
 
     component: str
@@ -78,6 +77,14 @@ class TraceabilityReport:
     covered: tuple[str, ...]
     uncovered: tuple[str, ...]
     dangling: tuple[str, ...]
+
+    def __init__(self, component: str,
+                 links: Mapping[str, tuple[tuple[str, int], ...]],
+                 covered: tuple[str, ...], uncovered: tuple[str, ...],
+                 dangling: tuple[str, ...]) -> None:
+        self.__dict__.update(component=component, links=links,
+                             covered=covered, uncovered=uncovered,
+                             dangling=dangling)
 
     @property
     def coverage(self) -> float:

@@ -9,8 +9,7 @@ ships (ignition status, door states, lock states, wiper stalk positions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import Record
 from ..core.errors import ValueError_
 
 __all__ = ["SignalCoding", "pack_field", "unpack_field"]
@@ -39,8 +38,7 @@ def unpack_field(payload: int, start_bit: int, bit_length: int) -> int:
     return (payload >> start_bit) & ((1 << bit_length) - 1)
 
 
-@dataclass(frozen=True)
-class SignalCoding:
+class SignalCoding(Record):
     """Placement and scaling of one signal within a CAN message payload."""
 
     name: str
@@ -51,17 +49,22 @@ class SignalCoding:
     unit: str = ""
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, start_bit: int, bit_length: int,
+                 factor: float = 1.0, offset: float = 0.0, unit: str = "",
+                 description: str = "") -> None:
+        if not str(name).strip():
             raise ValueError_("signal coding needs a name")
-        if self.bit_length <= 0 or self.bit_length > 64:
-            raise ValueError_(f"bit_length must be 1..64, got {self.bit_length}")
-        if self.start_bit < 0 or self.start_bit + self.bit_length > 64:
+        if bit_length <= 0 or bit_length > 64:
+            raise ValueError_(f"bit_length must be 1..64, got {bit_length}")
+        if start_bit < 0 or start_bit + bit_length > 64:
             raise ValueError_(
-                f"signal {self.name!r} does not fit into an 8-byte payload"
+                f"signal {name!r} does not fit into an 8-byte payload"
             )
-        if self.factor == 0:
+        if factor == 0:
             raise ValueError_("factor must not be zero")
+        self.__dict__.update(name=name, start_bit=start_bit,
+                             bit_length=bit_length, factor=factor,
+                             offset=offset, unit=unit, description=description)
 
     @property
     def key(self) -> str:

@@ -11,9 +11,9 @@ identifiers, signals) once, when it is constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
+from .._record import Record, fields
 from ..core.errors import ValueError_
 from .codec import SignalCoding
 from .frame import CanFrame
@@ -24,8 +24,7 @@ __all__ = ["MessageDefinition", "CanDatabase"]
 MEMO_MAX = 64
 
 
-@dataclass(frozen=True)
-class MessageDefinition:
+class MessageDefinition(Record):
     """Layout of one CAN message: identifier, length and contained signals."""
 
     name: str
@@ -36,40 +35,43 @@ class MessageDefinition:
     sender: str = ""
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, can_id: int, length: int,
+                 signals: Iterable[SignalCoding] = (),
+                 cycle_time: float | None = None, sender: str = "",
+                 description: str = "") -> None:
+        if not str(name).strip():
             raise ValueError_("message definition needs a name")
-        if self.length < 0 or self.length > 8:
-            raise ValueError_(f"message length must be 0..8 bytes, got {self.length}")
-        signals = tuple(self.signals)
-        object.__setattr__(self, "signals", signals)
+        if length < 0 or length > 8:
+            raise ValueError_(f"message length must be 0..8 bytes, got {length}")
+        signals = tuple(signals)
         for index, coding in enumerate(signals):
-            if coding.start_bit + coding.bit_length > 8 * self.length:
+            if coding.start_bit + coding.bit_length > 8 * length:
                 raise ValueError_(
-                    f"signal {coding.name!r} exceeds the {self.length}-byte payload "
-                    f"of message {self.name!r}"
+                    f"signal {coding.name!r} exceeds the {length}-byte payload "
+                    f"of message {name!r}"
                 )
             for other in signals[index + 1:]:
                 if coding.key == other.key:
                     raise ValueError_(
-                        f"duplicate signal {coding.name!r} in message {self.name!r}"
+                        f"duplicate signal {coding.name!r} in message {name!r}"
                     )
                 if coding.overlaps(other):
                     raise ValueError_(
                         f"signals {coding.name!r} and {other.name!r} overlap in "
-                        f"message {self.name!r}"
+                        f"message {name!r}"
                     )
-        object.__setattr__(self, "_signals",
-                           {coding.key: coding for coding in signals})
-        # Frames by payload and decoded values by payload bytes (see
-        # ``_frame`` and ``decode``).
-        object.__setattr__(self, "_frames", {})
-        object.__setattr__(self, "_decoded", {})
+        self.__dict__.update(
+            name=name, can_id=can_id, length=length, signals=signals,
+            cycle_time=cycle_time, sender=sender, description=description,
+            _signals={coding.key: coding for coding in signals},
+            # Frames by payload and decoded values by payload bytes (see
+            # ``_frame`` and ``decode``).
+            _frames={}, _decoded={})
 
     def __reduce__(self):
         # Pickle the fields only: the signal table is rebuilt on load and
         # the memos start empty.
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+        return (type(self), tuple(getattr(self, name) for name in fields(self)))
 
     @property
     def key(self) -> str:

@@ -8,8 +8,7 @@ itself; encoding/decoding of signal values lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import Record
 from ..core.errors import ValueError_
 
 __all__ = ["CanFrame", "MAX_STANDARD_ID", "MAX_EXTENDED_ID"]
@@ -20,8 +19,7 @@ MAX_STANDARD_ID = 0x7FF
 MAX_EXTENDED_ID = 0x1FFF_FFFF
 
 
-@dataclass(frozen=True)
-class CanFrame:
+class CanFrame(Record):
     """One classical CAN data frame.
 
     Attributes
@@ -41,17 +39,19 @@ class CanFrame:
     extended: bool = False
     timestamp: float = 0.0
 
-    def __post_init__(self) -> None:
-        limit = MAX_EXTENDED_ID if self.extended else MAX_STANDARD_ID
-        if not 0 <= self.can_id <= limit:
+    def __init__(self, can_id: int, data: bytes, extended: bool = False,
+                 timestamp: float = 0.0) -> None:
+        limit = MAX_EXTENDED_ID if extended else MAX_STANDARD_ID
+        if not 0 <= can_id <= limit:
             raise ValueError_(
-                f"CAN id {self.can_id:#x} out of range for "
-                f"{'extended' if self.extended else 'standard'} frames"
+                f"CAN id {can_id:#x} out of range for "
+                f"{'extended' if extended else 'standard'} frames"
             )
-        data = bytes(self.data)
+        data = bytes(data)
         if len(data) > 8:
             raise ValueError_(f"classical CAN payload limited to 8 bytes, got {len(data)}")
-        object.__setattr__(self, "data", data)
+        self.__dict__.update(can_id=can_id, data=data, extended=extended,
+                             timestamp=timestamp)
 
     def stamped(self, timestamp: float) -> "CanFrame":
         """This frame at *timestamp*.

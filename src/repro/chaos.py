@@ -24,7 +24,7 @@ Design rules
   byte-identical to an undisturbed run - the chaos parity gate in
   ``tests/test_parity_matrix.py``.
 * **Picklable.**  Policies ship to process-pool workers inside the
-  executor's ``ResiliencePolicy``; both are frozen dataclasses of plain
+  executor's ``ResiliencePolicy``; both are frozen records of plain
   values.
 
 Only one policy is active per process at a time (:func:`install` /
@@ -37,8 +37,8 @@ import contextvars
 import os
 import random
 import threading
-from dataclasses import dataclass, replace
 
+from ._record import Record, replace
 from .core.errors import ConfigurationError, InstrumentIOError, TransientError
 
 __all__ = [
@@ -75,8 +75,7 @@ class ServiceWorkerCrash(TransientError):
     """
 
 
-@dataclass(frozen=True)
-class ChaosProfile:
+class ChaosProfile(Record):
     """Fault rates for one chaos personality.
 
     All rates are probabilities in ``[0, 1]`` evaluated once per
@@ -95,6 +94,26 @@ class ChaosProfile:
     #: worker kills may fire.  1 keeps every injection recoverable by a
     #: single retry; raise it to exhaust retry budgets on purpose.
     faulty_attempts: int = 1
+
+    def __init__(self, instrument_fault_rate: float = 0.0,
+                 instrument_hang_rate: float = 0.0,
+                 instrument_hang_seconds: float = 0.05,
+                 glitch_rate: float = 0.0, worker_kill_rate: float = 0.0,
+                 store_fail_rate: float = 0.0,
+                 service_crash_rate: float = 0.0,
+                 faulty_attempts: int = 1) -> None:
+        self.__dict__.update(
+            instrument_fault_rate=instrument_fault_rate,
+            instrument_hang_rate=instrument_hang_rate,
+            instrument_hang_seconds=instrument_hang_seconds,
+            glitch_rate=glitch_rate, worker_kill_rate=worker_kill_rate,
+            store_fail_rate=store_fail_rate,
+            service_crash_rate=service_crash_rate,
+            faulty_attempts=faulty_attempts)
+
+
+#: The profile of a policy that names none: no faults at all.
+_NO_FAULTS = ChaosProfile()
 
 
 #: Named personalities for the CLI's ``--chaos-profile`` and for tests.
@@ -184,13 +203,17 @@ class _JobChaos:
         return hang, ordinal == self.glitch_call
 
 
-@dataclass(frozen=True)
-class ChaosPolicy:
+class ChaosPolicy(Record):
     """A seed plus a :class:`ChaosProfile`; the whole injection config."""
 
     seed: int = 0
-    profile: ChaosProfile = ChaosProfile()
+    profile: ChaosProfile = _NO_FAULTS
     profile_name: str = ""
+
+    def __init__(self, seed: int = 0, profile: ChaosProfile = _NO_FAULTS,
+                 profile_name: str = "") -> None:
+        self.__dict__.update(seed=seed, profile=profile,
+                             profile_name=profile_name)
 
     @classmethod
     def from_profile(cls, name: str, seed: int = 0) -> "ChaosPolicy":

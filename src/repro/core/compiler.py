@@ -10,9 +10,9 @@ expressions, signals stay signals rather than pins).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from .._record import Record
 from ..methods import MethodRegistry, MethodSpec, default_registry
 from .errors import CompileError
 from .script import MethodCall, ScriptStep, SignalAction, TestScript
@@ -23,8 +23,7 @@ from .testdef import TestDefinition, TestStep, TestSuite
 __all__ = ["CompileOptions", "Compiler", "compile_suite", "compile_test"]
 
 
-@dataclass(frozen=True)
-class CompileOptions:
+class CompileOptions(Record):
     """Tunable aspects of the compilation.
 
     Attributes
@@ -46,6 +45,12 @@ class CompileOptions:
     check_directions: bool = True
     emit_setup: bool = True
     strict_statuses: bool = True
+
+    def __init__(self, check_directions: bool = True, emit_setup: bool = True,
+                 strict_statuses: bool = True) -> None:
+        self.__dict__.update(check_directions=check_directions,
+                             emit_setup=emit_setup,
+                             strict_statuses=strict_statuses)
 
 
 class Compiler:

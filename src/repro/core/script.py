@@ -18,28 +18,27 @@ test definition and test execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+from .._record import Record
 from .errors import ScriptError
 from .values import LimitExpression, compile_expression, format_number
 
 __all__ = ["MethodCall", "SignalAction", "ScriptStep", "TestScript"]
 
 
-@dataclass(frozen=True)
-class MethodCall:
+class MethodCall(Record):
     """One method statement: a method name plus textual parameters."""
 
     method: str
-    params: Mapping[str, str] = field(default_factory=dict)
+    params: Mapping[str, str]  # a new empty mapping by default
 
-    def __post_init__(self) -> None:
-        if not str(self.method).strip():
+    def __init__(self, method: str, params: Mapping[str, str] | None = None) -> None:
+        if not str(method).strip():
             raise ScriptError("method call without a method name")
-        frozen = MappingProxyType({str(k): str(v) for k, v in dict(self.params).items()})
-        object.__setattr__(self, "params", frozen)
+        frozen = MappingProxyType({str(k): str(v) for k, v in dict(params or {}).items()})
+        self.__dict__.update(method=method, params=frozen)
 
     def __reduce__(self):
         # The frozen MappingProxyType view cannot be pickled; rebuild from a
@@ -84,7 +83,7 @@ class MethodCall:
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.method.lower(), tuple(sorted(self.params.items()))))
-            object.__setattr__(self, "_hash", cached)
+            self.__dict__["_hash"] = cached
         return cached
 
     def __str__(self) -> str:
@@ -92,16 +91,16 @@ class MethodCall:
         return f"{self.method} {rendered}".strip()
 
 
-@dataclass(frozen=True)
-class SignalAction:
+class SignalAction(Record):
     """One signal statement: a signal name and the method call applied to it."""
 
     signal: str
     call: MethodCall
 
-    def __post_init__(self) -> None:
-        if not str(self.signal).strip():
+    def __init__(self, signal: str, call: MethodCall) -> None:
+        if not str(signal).strip():
             raise ScriptError("signal action without a signal name")
+        self.__dict__.update(signal=signal, call=call)
 
     @property
     def method(self) -> str:
@@ -112,8 +111,7 @@ class SignalAction:
         return f"{self.signal}: {self.call}"
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(Record):
     """One script step: number, duration and its ordered signal actions."""
 
     number: int
@@ -122,14 +120,17 @@ class ScriptStep:
     remark: str = ""
     requirement: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.number < 0:
-            raise ScriptError(f"step number must be >= 0, got {self.number}")
-        duration = float(self.duration)
+    def __init__(self, number: int, duration: float,
+                 actions: Iterable[SignalAction] = (), remark: str = "",
+                 requirement: str | None = None) -> None:
+        if number < 0:
+            raise ScriptError(f"step number must be >= 0, got {number}")
+        duration = float(duration)
         if duration < 0:
             raise ScriptError(f"step duration must be >= 0, got {duration}")
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "actions", tuple(self.actions))
+        self.__dict__.update(number=number, duration=duration,
+                             actions=tuple(actions), remark=remark,
+                             requirement=requirement)
 
     def actions_for(self, signal: str) -> tuple[SignalAction, ...]:
         """All actions addressing *signal* (case-insensitive)."""

@@ -15,9 +15,9 @@ script.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
+from .._record import Record
 from .errors import CompositionError, SignalError
 
 __all__ = ["SignalDirection", "SignalKind", "Signal", "SignalSet",
@@ -87,8 +87,7 @@ class SignalKind(enum.Enum):
             raise SignalError(f"unknown signal kind: {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(Record):
     """A requirement-level signal of the device under test.
 
     Parameters
@@ -120,19 +119,27 @@ class Signal:
     initial_status: str | None = None
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.name or not str(self.name).strip():
+    def __init__(self, name: str, direction: SignalDirection,
+                 kind: SignalKind, pins: Iterable[str] = (),
+                 message: str | None = None,
+                 initial_status: str | None = None,
+                 description: str = "") -> None:
+        if not name or not str(name).strip():
             raise SignalError("signal name must not be empty")
-        object.__setattr__(self, "pins", tuple(self.pins))
-        if self.kind is SignalKind.BUS:
-            if not self.message:
+        pins = tuple(pins)
+        if kind is SignalKind.BUS:
+            if not message:
                 raise SignalError(
-                    f"bus signal {self.name!r} needs the carrying message name"
+                    f"bus signal {name!r} needs the carrying message name"
                 )
-        elif not self.pins:
+        elif not pins:
             raise SignalError(
-                f"signal {self.name!r} of kind {self.kind.value} needs at least one pin"
+                f"signal {name!r} of kind {kind.value} needs at least one pin"
             )
+        self.__dict__.update(name=name, direction=direction, kind=kind,
+                             pins=pins, message=message,
+                             initial_status=initial_status,
+                             description=description)
 
     @property
     def key(self) -> str:

@@ -20,17 +20,16 @@ leaves interpretation to the method specification (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
+from .._record import Record
 from .errors import StatusError
 from .values import format_number, parse_number
 
 __all__ = ["StatusDefinition", "StatusTable"]
 
 
-@dataclass(frozen=True)
-class StatusDefinition:
+class StatusDefinition(Record):
     """One row of the status table.
 
     Numeric columns are stored both parsed (``nominal`` ...) and verbatim
@@ -52,21 +51,32 @@ class StatusDefinition:
     auxiliaries: tuple[float | None, ...] = (None, None, None)
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, method: str, attribute: str = "",
+                 variable: str | None = None, nominal: float | None = None,
+                 minimum: float | None = None, maximum: float | None = None,
+                 nominal_text: str = "", minimum_text: str = "",
+                 maximum_text: str = "",
+                 auxiliaries: Iterable[float | None] = (None, None, None),
+                 description: str = "") -> None:
+        if not str(name).strip():
             raise StatusError("status name must not be empty")
-        if not str(self.method).strip():
-            raise StatusError(f"status {self.name!r} does not name a method")
-        aux = tuple(self.auxiliaries)
+        if not str(method).strip():
+            raise StatusError(f"status {name!r} does not name a method")
+        aux = tuple(auxiliaries)
         if len(aux) < 3:
             aux = aux + (None,) * (3 - len(aux))
-        object.__setattr__(self, "auxiliaries", aux[:3])
-        if not self.nominal_text and self.nominal is not None:
-            object.__setattr__(self, "nominal_text", format_number(self.nominal))
-        if not self.minimum_text and self.minimum is not None:
-            object.__setattr__(self, "minimum_text", format_number(self.minimum))
-        if not self.maximum_text and self.maximum is not None:
-            object.__setattr__(self, "maximum_text", format_number(self.maximum))
+        if not nominal_text and nominal is not None:
+            nominal_text = format_number(nominal)
+        if not minimum_text and minimum is not None:
+            minimum_text = format_number(minimum)
+        if not maximum_text and maximum is not None:
+            maximum_text = format_number(maximum)
+        self.__dict__.update(
+            name=name, method=method, attribute=attribute, variable=variable,
+            nominal=nominal, minimum=minimum, maximum=maximum,
+            nominal_text=nominal_text, minimum_text=minimum_text,
+            maximum_text=maximum_text, auxiliaries=aux[:3],
+            description=description)
 
     @property
     def key(self) -> str:

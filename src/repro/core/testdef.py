@@ -10,9 +10,9 @@ and is preserved here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .._record import Record
 from .errors import DefinitionError
 from .signals import SignalSet
 from .status import StatusTable
@@ -21,27 +21,26 @@ from .values import format_number, parse_number
 __all__ = ["StatusAssignment", "TestStep", "TestDefinition", "TestSuite"]
 
 
-@dataclass(frozen=True)
-class StatusAssignment:
+class StatusAssignment(Record):
     """Assignment of one status to one signal within a test step."""
 
     signal: str
     status: str
 
-    def __post_init__(self) -> None:
-        if not str(self.signal).strip():
+    def __init__(self, signal: str, status: str) -> None:
+        if not str(signal).strip():
             raise DefinitionError("status assignment without a signal name")
-        if not str(self.status).strip():
+        if not str(status).strip():
             raise DefinitionError(
-                f"empty status assigned to signal {self.signal!r}"
+                f"empty status assigned to signal {signal!r}"
             )
+        self.__dict__.update(signal=signal, status=status)
 
     def __str__(self) -> str:
         return f"{self.signal}={self.status}"
 
 
-@dataclass(frozen=True)
-class TestStep:
+class TestStep(Record):
     """One row of a test definition sheet.
 
     Parameters
@@ -66,22 +65,26 @@ class TestStep:
     remark: str = ""
     requirement: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.number < 0:
-            raise DefinitionError(f"step number must be >= 0, got {self.number}")
-        duration = float(self.duration)
+    def __init__(self, number: int, duration: float,
+                 assignments: Iterable[StatusAssignment] = (),
+                 remark: str = "", requirement: str | None = None) -> None:
+        if number < 0:
+            raise DefinitionError(f"step number must be >= 0, got {number}")
+        duration = float(duration)
         if duration < 0:
             raise DefinitionError(f"step duration must be >= 0, got {duration}")
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "assignments", tuple(self.assignments))
+        assignments = tuple(assignments)
         seen: set[str] = set()
-        for assignment in self.assignments:
+        for assignment in assignments:
             key = assignment.signal.lower()
             if key in seen:
                 raise DefinitionError(
-                    f"step {self.number} assigns signal {assignment.signal!r} twice"
+                    f"step {number} assigns signal {assignment.signal!r} twice"
                 )
             seen.add(key)
+        self.__dict__.update(number=number, duration=duration,
+                             assignments=assignments, remark=remark,
+                             requirement=requirement)
 
     @property
     def signals(self) -> tuple[str, ...]:

@@ -11,9 +11,9 @@ clean) so that callers can decide whether to warn or abort.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable
 
+from .._record import Record
 from ..methods import MethodRegistry, default_registry
 from .errors import DefinitionError
 from .script import TestScript
@@ -30,13 +30,16 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(Record):
     """One finding of the validator."""
 
     severity: Severity
     location: str
     message: str
+
+    def __init__(self, severity: Severity, location: str, message: str) -> None:
+        self.__dict__.update(severity=severity, location=location,
+                             message=message)
 
     @property
     def is_error(self) -> bool:

@@ -33,9 +33,9 @@ import operator
 import os
 import re
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .._record import Record
 from .errors import ExpressionError, ValueError_
 
 __all__ = [
@@ -145,8 +145,7 @@ def format_binary(value: int, *, width: int = 4) -> str:
     return bits + "B"
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A physical quantity: a magnitude plus a unit string.
 
     Units are not converted automatically (the tool chain always works in
@@ -157,8 +156,8 @@ class Quantity:
     value: float
     unit: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float, unit: str = "") -> None:
+        self.__dict__.update(value=float(value), unit=unit)
 
     def __str__(self) -> str:
         if self.unit:
@@ -177,8 +176,7 @@ class Quantity:
         return self.unit == other.unit or not self.unit or not other.unit
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A closed interval ``[low, high]`` used for tolerance checks.
 
     Intervals are the backbone of expectation checking: a ``get_u`` status
@@ -207,17 +205,16 @@ class Interval:
     low: float
     high: float
 
-    def __post_init__(self) -> None:
-        low = float(self.low)
-        high = float(self.high)
+    def __init__(self, low: float, high: float) -> None:
+        low = float(low)
+        high = float(high)
         if math.isnan(low) or math.isnan(high):
             raise ValueError_(
                 f"interval bounds must not be NaN, got [{low}, {high}]"
             )
         if low > high:
             raise ValueError_(f"interval low {low} exceeds high {high}")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
+        self.__dict__.update(low=low, high=high)
 
     def contains(self, value: float, *, tolerance: float = 0.0) -> bool:
         """Whether *value* lies inside the interval (optionally widened).

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.errors import ReproError
@@ -22,13 +21,6 @@ __all__ = ["Event", "EventScheduler"]
 
 class SchedulerError(ReproError):
     """Raised for misuse of the event scheduler (e.g. scheduling in the past)."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    sequence: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -76,7 +68,10 @@ class EventScheduler:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[_QueueEntry] = []
+        # Heap of ``(time, sequence, event)``: the sequence number is unique,
+        # so ties on time fall back to insertion order and events are never
+        # compared.
+        self._queue: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     @property
@@ -87,7 +82,7 @@ class EventScheduler:
     @property
     def pending_count(self) -> int:
         """Number of events still waiting to fire (excluding cancelled ones)."""
-        return sum(1 for entry in self._queue if entry.event.pending)
+        return sum(1 for _, _, event in self._queue if event.pending)
 
     def schedule_at(self, time: float, callback: Callable[[], None], *, name: str = "") -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
@@ -96,7 +91,7 @@ class EventScheduler:
                 f"cannot schedule event at {time} before current time {self._now}"
             )
         event = Event(time, callback, name)
-        heapq.heappush(self._queue, _QueueEntry(event.time, next(self._counter), event))
+        heapq.heappush(self._queue, (event.time, next(self._counter), event))
         return event
 
     def schedule_in(self, delay: float, callback: Callable[[], None], *, name: str = "") -> Event:
@@ -107,11 +102,11 @@ class EventScheduler:
 
     def next_event_time(self) -> float | None:
         """Time of the earliest pending event, or ``None`` when idle."""
-        while self._queue and not self._queue[0].event.pending:
+        while self._queue and not self._queue[0][2].pending:
             heapq.heappop(self._queue)
         if not self._queue:
             return None
-        return self._queue[0].time
+        return self._queue[0][0]
 
     def advance_to(self, time: float) -> int:
         """Advance the clock to *time*, firing every due event in order.
@@ -126,19 +121,19 @@ class EventScheduler:
             next_time = self.next_event_time()
             if next_time is None or next_time > time:
                 break
-            entry = heapq.heappop(self._queue)
+            entry_time, _, event = heapq.heappop(self._queue)
             # The clock moves to the event's time before the callback runs so
             # that callbacks scheduling follow-up events see a consistent now.
-            self._now = max(self._now, entry.time)
-            entry.event._fire()
+            self._now = max(self._now, entry_time)
+            event._fire()
             fired += 1
         self._now = max(self._now, float(time))
         return fired
 
     def cancel_all(self) -> None:
         """Cancel every pending event (used on ECU reset)."""
-        for entry in self._queue:
-            entry.event.cancel()
+        for _, _, event in self._queue:
+            event.cancel()
         self._queue.clear()
 
     def __repr__(self) -> str:

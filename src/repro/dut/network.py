@@ -15,8 +15,8 @@ deterministic for the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .._record import Record
 from ..core.errors import HarnessError
 
 __all__ = ["Network", "GROUND"]
@@ -68,18 +68,22 @@ def _solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return solution
 
 
-@dataclass(frozen=True)
-class _Resistor:
+class _Resistor(Record):
     node_a: str
     node_b: str
     ohms: float
 
+    def __init__(self, node_a: str, node_b: str, ohms: float) -> None:
+        self.__dict__.update(node_a=node_a, node_b=node_b, ohms=ohms)
 
-@dataclass(frozen=True)
-class _VoltageSource:
+
+class _VoltageSource(Record):
     positive: str
     negative: str
     volts: float
+
+    def __init__(self, positive: str, negative: str, volts: float) -> None:
+        self.__dict__.update(positive=positive, negative=negative, volts=volts)
 
 
 class Network:

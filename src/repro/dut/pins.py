@@ -10,8 +10,8 @@ translates between the test stand and the behavioural ECU model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._record import Record
 from ..core.errors import HarnessError
 
 __all__ = ["PinKind", "Pin", "OutputDrive"]
@@ -30,8 +30,7 @@ class PinKind(enum.Enum):
     SIGNAL_OUTPUT = "signal_output"      #: low-current status output (LED, logic)
 
 
-@dataclass(frozen=True)
-class Pin:
+class Pin(Record):
     """One named DUT pin.
 
     Besides its fields a pin carries three derived attributes, computed
@@ -45,28 +44,28 @@ class Pin:
     kind: PinKind
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, kind: PinKind, description: str = "") -> None:
+        if not str(name).strip():
             raise HarnessError("pin needs a name")
-        object.__setattr__(self, "key", self.name.lower())
-        object.__setattr__(self, "is_input", self.kind in (
-            PinKind.RESISTIVE_INPUT,
-            PinKind.ANALOG_INPUT,
-            PinKind.DIGITAL_INPUT,
-            PinKind.SUPPLY,
-        ))
-        object.__setattr__(self, "is_output", self.kind in (
-            PinKind.POWER_OUTPUT,
-            PinKind.RETURN_OUTPUT,
-            PinKind.SIGNAL_OUTPUT,
-        ))
+        self.__dict__.update(
+            name=name, kind=kind, description=description, key=name.lower(),
+            is_input=kind in (
+                PinKind.RESISTIVE_INPUT,
+                PinKind.ANALOG_INPUT,
+                PinKind.DIGITAL_INPUT,
+                PinKind.SUPPLY,
+            ),
+            is_output=kind in (
+                PinKind.POWER_OUTPUT,
+                PinKind.RETURN_OUTPUT,
+                PinKind.SIGNAL_OUTPUT,
+            ))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class OutputDrive:
+class OutputDrive(Record):
     """How the ECU currently drives one of its output pins.
 
     Attributes
@@ -85,11 +84,13 @@ class OutputDrive:
     resistance: float = 0.1
     driven: bool = True
 
-    def __post_init__(self) -> None:
-        if self.resistance <= 0:
+    def __init__(self, level: float = 0.0, resistance: float = 0.1,
+                 driven: bool = True) -> None:
+        if resistance <= 0:
             raise HarnessError("driver resistance must be positive")
-        if not -0.5 <= self.level <= 1.5:
-            raise HarnessError(f"drive level {self.level} outside plausible range")
+        if not -0.5 <= level <= 1.5:
+            raise HarnessError(f"drive level {level} outside plausible range")
+        self.__dict__.update(level=level, resistance=resistance, driven=driven)
 
     @classmethod
     def high_side(cls, resistance: float = 0.2) -> "OutputDrive":

@@ -37,13 +37,12 @@ other.
 from __future__ import annotations
 
 import abc
-import inspect
 import math
 import time
-from dataclasses import dataclass
-from typing import Generator, Mapping, Sequence, TypeVar
+from typing import Callable, Generator, Mapping, Sequence, TypeVar
 
 from .. import chaos as _chaos
+from .._record import Record
 from ..core.errors import CapabilityError, InstrumentError
 from ..core.signals import Signal
 from ..core.script import MethodCall
@@ -95,8 +94,7 @@ async def adrive(core: Core[_T]) -> _T:
         core.close()
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(Record):
     """One supported method with its valid parameter range."""
 
     method: str
@@ -105,12 +103,15 @@ class Capability:
     maximum: float
     unit: str = ""
 
-    def __post_init__(self) -> None:
-        if self.minimum > self.maximum:
+    def __init__(self, method: str, attribute: str, minimum: float,
+                 maximum: float, unit: str = "") -> None:
+        if minimum > maximum:
             raise InstrumentError(
-                f"capability {self.method!r}: minimum {self.minimum} exceeds "
-                f"maximum {self.maximum}"
+                f"capability {method!r}: minimum {minimum} exceeds "
+                f"maximum {maximum}"
             )
+        self.__dict__.update(method=method, attribute=attribute,
+                             minimum=minimum, maximum=maximum, unit=unit)
 
     @property
     def range(self) -> Interval:
@@ -152,6 +153,31 @@ class Capability:
         return f"{self.method}({self.attribute}: {self.range} {self.unit})".strip()
 
 
+#: ``co_flags`` bit of a function that has a ``**`` parameter.
+_CO_VARKEYWORDS = 0x08
+
+
+def _takes_prepared(function: Callable) -> bool:
+    """Whether *function* accepts a ``prepared=`` keyword argument.
+
+    It does when it has a ``prepared`` parameter that can be passed by
+    name, or a ``**`` parameter.  Its code object answers that without
+    :mod:`inspect`; a wrapper is judged by the function it wraps
+    (``__wrapped__``), as :func:`inspect.signature` judges it.  A callable
+    without a code object of its own cannot be checked here and passes.
+    """
+    seen = set()
+    while hasattr(function, "__wrapped__") and id(function) not in seen:
+        seen.add(id(function))
+        function = function.__wrapped__
+    code = getattr(function, "__code__", None)
+    if code is None:
+        return True
+    named = code.co_varnames[code.co_posonlyargcount:
+                             code.co_argcount + code.co_kwonlyargcount]
+    return "prepared" in named or bool(code.co_flags & _CO_VARKEYWORDS)
+
+
 class Instrument(abc.ABC):
     """Base class of all virtual instruments.
 
@@ -182,7 +208,7 @@ class Instrument(abc.ABC):
         perform = cls.__dict__.get("_perform")
         if perform is None:
             return
-        if "prepared" not in inspect.signature(perform).parameters:
+        if not _takes_prepared(perform):
             raise TypeError(
                 f"{cls.__qualname__}._perform must accept the keyword "
                 f"argument 'prepared' (see Instrument._perform)"
@@ -333,9 +359,10 @@ class Instrument(abc.ABC):
         / :func:`~repro.methods.base.limits_for_call` result - the values
         are computed by those same helpers, so verdicts are byte-identical
         - and fall back to self-evaluation otherwise.  Every subclass must
-        take the keyword: the VM passes it on each call, and a subclass
-        whose ``_perform`` lacks it raises :class:`TypeError` when the
-        class is defined.
+        take the keyword, as a named or keyword-only ``prepared`` parameter
+        or through ``**options``: the VM passes it on each call, and a
+        subclass whose ``_perform`` has neither raises :class:`TypeError`
+        when the class is defined.
         """
 
     def __repr__(self) -> str:

@@ -8,9 +8,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .._record import Record
 from ..methods import MethodRegistry
 from ..targets import CompositionTarget, DutTarget, TargetError, get_target
 from . import composition, coverage, executor_safety, expressions, reachability
@@ -82,12 +82,15 @@ def select_rules(
     )
 
 
-@dataclass(frozen=True)
-class LintReport:
+class LintReport(Record):
     """Outcome of one lint run: the sorted findings plus derived views."""
 
     findings: tuple[LintFinding, ...]
     rules: tuple[str, ...] = ()
+
+    def __init__(self, findings: tuple[LintFinding, ...],
+                 rules: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(findings=findings, rules=rules)
 
     @property
     def errors(self) -> tuple[LintFinding, ...]:

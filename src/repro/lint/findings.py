@@ -9,8 +9,9 @@ engine produces them, the CLI renders them as text or JSON, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
+
+from .._record import Record
 
 __all__ = [
     "ERROR",
@@ -42,8 +43,7 @@ EXIT_WARNINGS = 1
 EXIT_ERRORS = 2
 
 
-@dataclass(frozen=True)
-class LintFinding:
+class LintFinding(Record):
     """One structured diagnostic emitted by a lint rule.
 
     Attributes
@@ -73,12 +73,15 @@ class LintFinding:
     hint: str = ""
     dut: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
+    def __init__(self, rule: str, severity: str, location: str, message: str,
+                 hint: str = "", dut: str | None = None) -> None:
+        if severity not in SEVERITIES:
             raise ValueError(
                 f"finding severity must be one of {SEVERITIES}, "
-                f"got {self.severity!r}"
+                f"got {severity!r}"
             )
+        self.__dict__.update(rule=rule, severity=severity, location=location,
+                             message=message, hint=hint, dut=dut)
 
     def render(self) -> str:
         """One text line, the ``--format text`` representation."""
@@ -100,8 +103,7 @@ class LintFinding:
         }
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(Record):
     """One registered lint rule: identity, default severity, check function.
 
     ``check(context, rule)`` walks the :class:`~repro.lint.context.LintContext`
@@ -115,6 +117,11 @@ class LintRule:
     severity: str
     summary: str
     check: Callable[..., Iterable[LintFinding]]
+
+    def __init__(self, id: str, severity: str, summary: str,
+                 check: Callable[..., Iterable[LintFinding]]) -> None:
+        self.__dict__.update(id=id, severity=severity, summary=summary,
+                             check=check)
 
     def finding(self, location: str, message: str, *, hint: str = "",
                 dut: str | None = None,

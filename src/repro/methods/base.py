@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from typing import Mapping, TYPE_CHECKING
+from typing import Iterable, Mapping, TYPE_CHECKING
 
+from .._record import Record
 from ..core.errors import MethodError
 from ..core.values import (
     Interval,
@@ -76,8 +76,7 @@ class ParameterRole(enum.Enum):
     AUXILIARY = "auxiliary"  #: extra method-specific parameter (columns D1..D3)
 
 
-@dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(Record):
     """Schema of one named parameter of a method."""
 
     name: str
@@ -86,12 +85,16 @@ class ParameterSpec:
     required: bool = True
     description: str = ""
 
+    def __init__(self, name: str, role: ParameterRole, unit: str = "",
+                 required: bool = True, description: str = "") -> None:
+        self.__dict__.update(name=name, role=role, unit=unit,
+                             required=required, description=description)
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(Record):
     """Schema of a method (name, kind, principal attribute, parameters)."""
 
     name: str
@@ -100,10 +103,14 @@ class MethodSpec:
     parameters: tuple[ParameterSpec, ...] = ()
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, kind: MethodKind, attribute: str,
+                 parameters: Iterable[ParameterSpec] = (),
+                 description: str = "") -> None:
+        if not name:
             raise MethodError("method name must not be empty")
-        object.__setattr__(self, "parameters", tuple(self.parameters))
+        self.__dict__.update(name=name, kind=kind, attribute=attribute,
+                             parameters=tuple(parameters),
+                             description=description)
 
     @property
     def key(self) -> str:
@@ -199,8 +206,7 @@ class MethodSpec:
         return self.name
 
 
-@dataclass(frozen=True)
-class MethodOutcome:
+class MethodOutcome(Record):
     """Result of performing one method call on a resource.
 
     Attributes
@@ -227,6 +233,13 @@ class MethodOutcome:
     limits: Interval | None = None
     unit: str = ""
     detail: str = ""
+
+    def __init__(self, method: str, passed: bool,
+                 observed: float | None = None,
+                 limits: Interval | None = None, unit: str = "",
+                 detail: str = "") -> None:
+        self.__dict__.update(method=method, passed=passed, observed=observed,
+                             limits=limits, unit=unit, detail=detail)
 
     def __bool__(self) -> bool:
         return self.passed

@@ -26,9 +26,9 @@ import itertools
 import queue as queue_module
 import threading
 import time
-from dataclasses import replace
 
 from .. import chaos as _chaos
+from .._record import replace
 from ..core.errors import ReproError, TransientError
 from ..store import ResultStore
 from ..targets import CampaignSpec, run_campaign

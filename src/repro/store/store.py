@@ -36,10 +36,10 @@ import sqlite3
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .. import chaos as _chaos
+from .._record import Record
 from ..analysis.campaign import BASELINE_GROUP, CampaignResult, FaultRunOutcome
 from ..analysis.faults import FaultModel
 from ..core.errors import ReproError
@@ -198,8 +198,7 @@ def _restored_faults(content: Iterable[Mapping]) -> list[FaultModel]:
     ]
 
 
-@dataclass(frozen=True)
-class RunInfo:
+class RunInfo(Record):
     """One row of :meth:`ResultStore.list_runs`."""
 
     run_id: int
@@ -214,9 +213,16 @@ class RunInfo:
     git_sha: str
     repro_version: str
 
+    def __init__(self, run_id: int, created_at: float, dut: str, stand: str,
+                 backend: str, workers: int, wall_time: float, jobs: int,
+                 verdict: str, git_sha: str, repro_version: str) -> None:
+        self.__dict__.update(
+            run_id=run_id, created_at=created_at, dut=dut, stand=stand,
+            backend=backend, workers=workers, wall_time=wall_time, jobs=jobs,
+            verdict=verdict, git_sha=git_sha, repro_version=repro_version)
 
-@dataclass(frozen=True)
-class CaseRow:
+
+class CaseRow(Record):
     """One row of :meth:`ResultStore.query`: a (run x job x case) verdict."""
 
     run_id: int
@@ -231,18 +237,28 @@ class CaseRow:
     duration: float
     wall_time: float
 
+    def __init__(self, run_id: int, created_at: float, job: str, script: str,
+                 dut: str, group: str, stand: str, verdict: str,
+                 passed: bool, duration: float, wall_time: float) -> None:
+        self.__dict__.update(
+            run_id=run_id, created_at=created_at, job=job, script=script,
+            dut=dut, group=group, stand=stand, verdict=verdict, passed=passed,
+            duration=duration, wall_time=wall_time)
 
-@dataclass(frozen=True)
-class VerdictDelta:
+
+class VerdictDelta(Record):
     """One changed sheet in a run-vs-run diff."""
 
     job: str
     verdict_a: str
     verdict_b: str
 
+    def __init__(self, job: str, verdict_a: str, verdict_b: str) -> None:
+        self.__dict__.update(job=job, verdict_a=verdict_a,
+                             verdict_b=verdict_b)
 
-@dataclass(frozen=True)
-class RunDiff:
+
+class RunDiff(Record):
     """Per-sheet verdict deltas between two stored runs.
 
     ``changed`` lists jobs present in both runs whose verdicts differ;
@@ -258,6 +274,13 @@ class RunDiff:
     changed: tuple[VerdictDelta, ...] = ()
     only_a: tuple[str, ...] = ()
     only_b: tuple[str, ...] = ()
+
+    def __init__(self, run_a: int, run_b: int,
+                 changed: tuple[VerdictDelta, ...] = (),
+                 only_a: tuple[str, ...] = (),
+                 only_b: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(run_a=run_a, run_b=run_b, changed=changed,
+                             only_a=only_a, only_b=only_b)
 
     @property
     def empty(self) -> bool:

@@ -51,13 +51,12 @@ decorator-friendly::
 from __future__ import annotations
 
 import functools
-import json
 import time
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import chaos as _chaos
+from ._record import Record
 
 from .analysis.campaign import CampaignResult, FaultCampaign
 from .analysis.faults import (
@@ -244,8 +243,7 @@ def _required_methods(suite_factory: Callable[[], TestSuite] | None,
         return None
 
 
-@dataclass(frozen=True)
-class DutTarget:
+class DutTarget(Record):
     """Everything execution needs to know about one DUT type.
 
     Attributes
@@ -291,13 +289,24 @@ class DutTarget:
     description: str = ""
     required_methods: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, ecu_factory: Callable[[], object],
+                 harness_factory: Callable[[object], TestHarness],
+                 signals_factory: Callable[[], SignalSet],
+                 faults_factory: Callable[[], FaultCatalogue] | None = None,
+                 suite_factory: Callable[[], TestSuite] | None = None,
+                 pins: Iterable[str] | None = None, description: str = "",
+                 required_methods: tuple[str, ...] | None = None) -> None:
+        if not str(name).strip():
             raise TargetError("DUT target needs a name")
-        if self.pins is not None:
-            object.__setattr__(self, "pins", tuple(self.pins))
-        object.__setattr__(self, "required_methods", _required_methods(
-            self.suite_factory, self.required_methods))
+        if pins is not None:
+            pins = tuple(pins)
+        self.__dict__.update(
+            name=name, ecu_factory=ecu_factory,
+            harness_factory=harness_factory, signals_factory=signals_factory,
+            faults_factory=faults_factory, suite_factory=suite_factory,
+            pins=pins, description=description,
+            required_methods=_required_methods(suite_factory,
+                                               required_methods))
 
     @property
     def key(self) -> str:
@@ -313,8 +322,7 @@ class DutTarget:
         return self.harness_factory(self.ecu_factory())
 
 
-@dataclass(frozen=True)
-class StandTarget:
+class StandTarget(Record):
     """One registered test stand builder.
 
     ``adaptable`` stands accept a DUT adapter pin list as their first
@@ -335,23 +343,23 @@ class StandTarget:
     description: str = ""
     methods: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, builder: Callable[..., TestStand],
+                 adaptable: bool = False, description: str = "",
+                 methods: Iterable[str] | None = None) -> None:
+        if not str(name).strip():
             raise TargetError("stand target needs a name")
-        if self.methods is None:
+        if methods is None:
             try:
                 probed = sorted(
-                    m.lower() for m in self.builder().methods_supported()
+                    m.lower() for m in builder().methods_supported()
                 )
             except Exception:
                 probed = None
-            object.__setattr__(
-                self, "methods", tuple(probed) if probed is not None else None
-            )
+            methods = tuple(probed) if probed is not None else None
         else:
-            object.__setattr__(
-                self, "methods", tuple(str(m).lower() for m in self.methods)
-            )
+            methods = tuple(str(m).lower() for m in methods)
+        self.__dict__.update(name=name, builder=builder, adaptable=adaptable,
+                             description=description, methods=methods)
 
     @property
     def key(self) -> str:
@@ -387,8 +395,7 @@ class StandTarget:
         return AdaptedStandFactory(self.builder, tuple(pins))
 
 
-@dataclass(frozen=True)
-class AdaptedStandFactory:
+class AdaptedStandFactory(Record):
     """Zero-argument stand factory: a module-level *builder* wired to *pins*.
 
     Unlike a ``functools.partial`` (which hashes by identity) it is a value:
@@ -400,6 +407,10 @@ class AdaptedStandFactory:
 
     builder: Callable[..., TestStand]
     pins: tuple[str, ...]
+
+    def __init__(self, builder: Callable[..., TestStand],
+                 pins: tuple[str, ...]) -> None:
+        self.__dict__.update(builder=builder, pins=pins)
 
     def __call__(self) -> TestStand:
         return self.builder(self.pins)
@@ -603,8 +614,7 @@ def stand_factories_for(dut: str | Target,
 # Multi-ECU compositions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompositionMember:
+class CompositionMember(Record):
     """One member slot of a composition: a short alias bound to a DUT.
 
     The alias is the member's address inside the composition - in fault
@@ -615,17 +625,16 @@ class CompositionMember:
     alias: str
     dut: str
 
-    def __post_init__(self) -> None:
-        if not str(self.alias).strip():
+    def __init__(self, alias: str, dut: str) -> None:
+        if not str(alias).strip():
             raise TargetError("composition member needs an alias")
-        if not str(self.dut).strip():
+        if not str(dut).strip():
             raise TargetError("composition member needs a DUT name")
-        object.__setattr__(self, "alias", str(self.alias).strip().lower())
-        object.__setattr__(self, "dut", str(self.dut).strip())
+        self.__dict__.update(alias=str(alias).strip().lower(),
+                             dut=str(dut).strip())
 
 
-@dataclass(frozen=True)
-class CompositionTarget:
+class CompositionTarget(Record):
     """Several registered DUTs campaigned together on one shared CAN bus.
 
     A composition is one more target: it carries the factories, adapter
@@ -663,31 +672,34 @@ class CompositionTarget:
     expected_overrides: tuple[tuple[str, bool], ...] = ()
     required_methods: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, members: Iterable[CompositionMember],
+                 suite_factory: Callable[[], TestSuite],
+                 description: str = "",
+                 expected_overrides: Iterable[tuple[str, bool]] = (),
+                 required_methods: tuple[str, ...] | None = None) -> None:
+        if not str(name).strip():
             raise TargetError("composition target needs a name")
         members = tuple(
             member if isinstance(member, CompositionMember)
             else CompositionMember(*member)
-            for member in self.members
+            for member in members
         )
         if len(members) < 2:
             raise TargetError(
-                f"composition {self.name!r} needs at least two members"
+                f"composition {name!r} needs at least two members"
             )
         aliases = [member.alias for member in members]
         if len(set(aliases)) != len(aliases):
             raise TargetError(
-                f"composition {self.name!r} has duplicate member aliases"
+                f"composition {name!r} has duplicate member aliases"
             )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(
-            self, "expected_overrides",
-            tuple((str(key).lower(), bool(value))
-                  for key, value in self.expected_overrides),
-        )
-        object.__setattr__(self, "required_methods", _required_methods(
-            self.suite_factory, self.required_methods))
+        self.__dict__.update(
+            name=name, members=members, suite_factory=suite_factory,
+            description=description,
+            expected_overrides=tuple((str(key).lower(), bool(value))
+                                     for key, value in expected_overrides),
+            required_methods=_required_methods(suite_factory,
+                                               required_methods))
 
     @property
     def key(self) -> str:
@@ -1132,8 +1144,7 @@ def _spec_target(spec: RunSpec | CampaignSpec, name: str | None) -> Target:
     return get_dut(spec.dut) if spec.dut is not None else get_target(name)
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Record):
     """Declarative description of one script execution.
 
     ``script`` may be a parsed :class:`~repro.core.script.TestScript` or the
@@ -1159,12 +1170,21 @@ class RunSpec:
     stop_on_error: bool = False
     preflight: str = "coverage"
 
-    def __post_init__(self) -> None:
-        _check_preflight(self.preflight)
-        if self.dut is not None and self.composition is not None:
+    def __init__(self, script: TestScript | str, stand: str | None = None,
+                 policy: str = "first_fit", dut: str | None = None,
+                 composition: str | None = None,
+                 signals: SignalSet | None = None,
+                 stop_on_error: bool = False,
+                 preflight: str = "coverage") -> None:
+        _check_preflight(preflight)
+        if dut is not None and composition is not None:
             raise ConfigurationError(
                 "a run spec targets either a dut or a composition, not both"
             )
+        self.__dict__.update(script=script, stand=stand, policy=policy,
+                             dut=dut, composition=composition,
+                             signals=signals, stop_on_error=stop_on_error,
+                             preflight=preflight)
 
 
 def run_single(spec: RunSpec) -> TestResult:
@@ -1204,8 +1224,7 @@ def run_single(spec: RunSpec) -> TestResult:
 # Declarative campaigns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Record):
     """Declarative description of one fault-injection campaign.
 
     Exactly one suite source applies, in precedence order: an in-memory
@@ -1293,43 +1312,62 @@ class CampaignSpec:
     chaos_seed: int | None = None
     chaos_profile: str = ""
 
-    def __post_init__(self) -> None:
-        _check_preflight(self.preflight)
-        if self.dut is not None and self.composition is not None:
+    def __init__(self, dut: str | None = None,
+                 composition: str | None = None,
+                 suite: TestSuite | None = None, workbook: str | None = None,
+                 stand: str | None = None,
+                 faults: Iterable[str] | str | None = (),
+                 policy: str = "first_fit", backend: str = "auto",
+                 jobs: int = 1, concurrency: int = 0, retries: int = 1,
+                 use_plans: bool = True, reuse_stands: bool = True,
+                 use_vm: bool = True, preflight: str = "coverage",
+                 store: str | None = None, resume: bool = False,
+                 deadline: float | None = None,
+                 chaos_seed: int | None = None,
+                 chaos_profile: str = "") -> None:
+        _check_preflight(preflight)
+        if dut is not None and composition is not None:
             raise ConfigurationError(
                 "a campaign spec targets either a dut or a composition, "
                 "not both"
             )
-        faults = self.faults
         if faults is None:
             faults = ()
         elif isinstance(faults, str):
             # Accept the CLI's comma-separated spelling too; tuple("a,b")
             # would otherwise silently explode the string into characters.
             faults = faults.split(",")
-        object.__setattr__(self, "faults", tuple(faults))
-        if int(self.jobs) < 1:
+        faults = tuple(faults)
+        if int(jobs) < 1:
             raise ConfigurationError(
-                f"campaign jobs must be >= 1, got {self.jobs}"
+                f"campaign jobs must be >= 1, got {jobs}"
             )
-        if int(self.concurrency) < 0:
+        if int(concurrency) < 0:
             raise ConfigurationError(
                 "campaign concurrency must be non-negative "
-                f"(0 = automatic), got {self.concurrency}"
+                f"(0 = automatic), got {concurrency}"
             )
-        if int(self.retries) < 0:
+        if int(retries) < 0:
             raise ConfigurationError(
-                f"campaign retries must be non-negative, got {self.retries}"
+                f"campaign retries must be non-negative, got {retries}"
             )
-        if self.deadline is not None and not float(self.deadline) > 0.0:
+        if deadline is not None and not float(deadline) > 0.0:
             raise ConfigurationError(
-                f"campaign deadline must be positive, got {self.deadline}"
+                f"campaign deadline must be positive, got {deadline}"
             )
-        if self.chaos_profile and self.chaos_profile not in _chaos.PROFILES:
+        if chaos_profile and chaos_profile not in _chaos.PROFILES:
             raise ConfigurationError(
-                f"unknown chaos profile {self.chaos_profile!r} "
+                f"unknown chaos profile {chaos_profile!r} "
                 f"(known: {', '.join(sorted(_chaos.PROFILES))})"
             )
+        self.__dict__.update(
+            dut=dut, composition=composition, suite=suite, workbook=workbook,
+            stand=stand, faults=faults, policy=policy,
+            backend=backend, jobs=jobs, concurrency=concurrency,
+            retries=retries, use_plans=use_plans, reuse_stands=reuse_stands,
+            use_vm=use_vm, preflight=preflight, store=store, resume=resume,
+            deadline=deadline, chaos_seed=chaos_seed,
+            chaos_profile=chaos_profile)
 
 
 def _resolve_suite(spec: CampaignSpec) -> TestSuite:
@@ -1484,6 +1522,8 @@ def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
         "use_plans": bool(spec.use_plans),
         "use_vm": bool(spec.use_vm),
     }
+    import json
+
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -33,9 +33,9 @@ benchmark:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .._record import Record
 from ..core.errors import AllocationError, CapabilityError, RoutingError
 from ..core.script import MethodCall
 from ..core.signals import Signal
@@ -50,8 +50,7 @@ __all__ = ["Allocation", "Allocator", "ALLOCATION_POLICIES"]
 ALLOCATION_POLICIES = ("first_fit", "best_fit", "least_used")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """Result of one successful allocation."""
 
     signal: str
@@ -59,6 +58,12 @@ class Allocation:
     resource: str
     routes: tuple[Route, ...] = ()
     persistent: bool = False
+
+    def __init__(self, signal: str, method: str, resource: str,
+                 routes: tuple[Route, ...] = (),
+                 persistent: bool = False) -> None:
+        self.__dict__.update(signal=signal, method=method, resource=resource,
+                             routes=routes, persistent=persistent)
 
     @property
     def pins(self) -> tuple[str, ...]:

@@ -8,34 +8,32 @@ the switching element (a simple switch ``Sw1.1`` or a multiplexer channel
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .._record import Record
 from ..core.errors import RoutingError
 
 __all__ = ["Connector", "Switch", "MuxChannel", "DirectWire", "Route", "ConnectionMatrix"]
 
 
-@dataclass(frozen=True)
-class Connector:
+class Connector(Record):
     """A switching element that can connect a resource terminal to a pin."""
 
     label: str
 
-    def __post_init__(self) -> None:
-        if not str(self.label).strip():
+    def __init__(self, label: str) -> None:
+        if not str(label).strip():
             raise RoutingError("connector needs a label")
+        self.__dict__["label"] = label
 
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
 class Switch(Connector):
     """An independently closable switch (the paper's ``Sw1.1`` / ``Sw1.2``)."""
 
 
-@dataclass(frozen=True)
 class MuxChannel(Connector):
     """One channel of a multiplexer (the paper's ``Mx1.1`` ... ``Mx4.2``).
 
@@ -46,19 +44,18 @@ class MuxChannel(Connector):
     mux: str = ""
     channel: int = 0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not str(self.mux).strip():
-            raise RoutingError(f"mux channel {self.label!r} needs a mux group name")
+    def __init__(self, label: str, mux: str = "", channel: int = 0) -> None:
+        super().__init__(label)
+        if not str(mux).strip():
+            raise RoutingError(f"mux channel {label!r} needs a mux group name")
+        self.__dict__.update(mux=mux, channel=channel)
 
 
-@dataclass(frozen=True)
 class DirectWire(Connector):
     """A permanent wire (no switching element) between resource and pin."""
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """One possible connection: resource terminal -> DUT pin via a connector."""
 
     resource: str
@@ -66,10 +63,14 @@ class Route:
     pin: str
     connector: Connector
 
-    def __post_init__(self) -> None:
-        for field_name in ("resource", "terminal", "pin"):
-            if not str(getattr(self, field_name)).strip():
+    def __init__(self, resource: str, terminal: str, pin: str,
+                 connector: Connector) -> None:
+        for field_name, value in (("resource", resource),
+                                  ("terminal", terminal), ("pin", pin)):
+            if not str(value).strip():
                 raise RoutingError(f"route needs a {field_name}")
+        self.__dict__.update(resource=resource, terminal=terminal, pin=pin,
+                             connector=connector)
 
     @property
     def resource_key(self) -> str:

@@ -56,10 +56,10 @@ import random
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .. import chaos as chaos_mod
+from .._record import Record, replace
 from ..core.errors import (
     ConfigurationError,
     JobTimeoutError,
@@ -108,8 +108,7 @@ DEFAULT_ASYNC_CONCURRENCY = 8
 # Job model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Job:
+class Job(Record):
     """One independent unit of campaign work: run one script once.
 
     A job owns *factories*, not instances: every execution builds a fresh
@@ -144,6 +143,21 @@ class Job:
     reuse_stands: bool = True
     use_vm: bool = True
 
+    def __init__(self, index: int, script: TestScript, signals: SignalSet,
+                 stand_factory: Callable[[], object],
+                 harness_factory: Callable[[object], object],
+                 ecu_factory: Callable[[], object], policy: str = "first_fit",
+                 stop_on_error: bool = False, group: str = "",
+                 stand_label: str = "", use_plans: bool = True,
+                 reuse_stands: bool = True, use_vm: bool = True) -> None:
+        self.__dict__.update(
+            index=index, script=script, signals=signals,
+            stand_factory=stand_factory, harness_factory=harness_factory,
+            ecu_factory=ecu_factory, policy=policy,
+            stop_on_error=stop_on_error, group=group,
+            stand_label=stand_label, use_plans=use_plans,
+            reuse_stands=reuse_stands, use_vm=use_vm)
+
     @property
     def job_id(self) -> str:
         return format_job_id(self.group, self.stand_label, self.script.name,
@@ -159,8 +173,7 @@ def format_job_id(group: str, stand_label: str, script: str,
     return f"{label}/{script}#{index}"
 
 
-@dataclass(frozen=True)
-class JobResult:
+class JobResult(Record):
     """Outcome of one job: the test result, or a terminal execution error."""
 
     job: Job
@@ -168,6 +181,11 @@ class JobResult:
     attempts: int = 1
     error: str = ""
     wall_time: float = 0.0
+
+    def __init__(self, job: Job, result: TestResult | None, attempts: int = 1,
+                 error: str = "", wall_time: float = 0.0) -> None:
+        self.__dict__.update(job=job, result=result, attempts=attempts,
+                             error=error, wall_time=wall_time)
 
     @property
     def ok(self) -> bool:
@@ -178,8 +196,7 @@ class JobResult:
         return self.result.verdict if self.result is not None else Verdict.ERROR
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(Record):
     """How a job batch survives infrastructure trouble.
 
     One frozen, picklable value threaded through every backend (it rides
@@ -216,27 +233,36 @@ class ResiliencePolicy:
     quarantine_after: int = 0
     chaos: chaos_mod.ChaosPolicy | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "max_attempts", int(self.max_attempts))
-        if self.max_attempts < 1:
+    def __init__(self, max_attempts: int = 2, backoff_base: float = 0.05,
+                 backoff_factor: float = 2.0, backoff_max: float = 2.0,
+                 jitter: float = 0.25, seed: int = 0,
+                 deadline: float | None = None, quarantine_after: int = 0,
+                 chaos: chaos_mod.ChaosPolicy | None = None) -> None:
+        max_attempts = int(max_attempts)
+        if max_attempts < 1:
             raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be >= 1, got {max_attempts}"
             )
-        if self.deadline is not None and not self.deadline > 0.0:
+        if deadline is not None and not deadline > 0.0:
             raise ConfigurationError(
-                f"deadline must be positive, got {self.deadline}"
+                f"deadline must be positive, got {deadline}"
             )
-        if int(self.quarantine_after) < 0:
+        if int(quarantine_after) < 0:
             raise ConfigurationError(
                 f"quarantine_after must be >= 0 (0 disables), "
-                f"got {self.quarantine_after}"
+                f"got {quarantine_after}"
             )
+        self.__dict__.update(
+            max_attempts=max_attempts, backoff_base=backoff_base,
+            backoff_factor=backoff_factor, backoff_max=backoff_max,
+            jitter=jitter, seed=seed, deadline=deadline,
+            quarantine_after=quarantine_after, chaos=chaos)
 
     def without_worker_kill(self) -> "ResiliencePolicy":
         """Copy with chaos worker kills disabled (for redelivered chunks)."""
         if self.chaos is None:
             return self
-        return _dc_replace(self, chaos=self.chaos.without_worker_kill())
+        return replace(self, chaos=self.chaos.without_worker_kill())
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +668,19 @@ class ThreadExecutor(Executor):
                 yield futures[future], future.result()
 
 
-class _Pool(NamedTuple):
+class _Pool(Record):
+    """The warm pool, with the pid, worker count and registry generation it
+    was forked for."""
+
     pid: int
     workers: int
     generation: int
     executor: ProcessPoolExecutor
+
+    def __init__(self, pid: int, workers: int, generation: int,
+                 executor: ProcessPoolExecutor) -> None:
+        self.__dict__.update(pid=pid, workers=workers, generation=generation,
+                             executor=executor)
 
 
 #: The process backend's one pool per process, shared by every process

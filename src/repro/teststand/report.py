@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from .verdict import TestResult, Verdict
@@ -84,6 +83,8 @@ def text_report(result: TestResult, *, verbose: bool = True) -> str:
 
 def json_report(result: TestResult) -> str:
     """Machine-readable JSON report of one test run."""
+    import json
+
     payload = {
         "script": result.script.name,
         "dut": result.script.dut,

@@ -8,26 +8,28 @@ needs about itself (the second being the connection matrix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .._record import Record
 from ..core.errors import AllocationError
 from ..instruments.base import Capability, Instrument
 
 __all__ = ["Resource", "ResourceTable"]
 
 
-@dataclass(frozen=True)
-class Resource:
+class Resource(Record):
     """One named resource of a test stand: an instrument behind a label."""
 
     name: str
     instrument: Instrument
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    def __init__(self, name: str, instrument: Instrument,
+                 description: str = "") -> None:
+        if not str(name).strip():
             raise AllocationError("resource needs a name")
+        self.__dict__.update(name=name, instrument=instrument,
+                             description=description)
 
     @property
     def key(self) -> str:

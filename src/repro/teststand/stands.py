@@ -28,9 +28,9 @@ The default of ``0`` keeps the purely virtual stands fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .._record import Record
 from ..core.errors import AllocationError
 from ..instruments import (
     CanInterface,
@@ -60,25 +60,40 @@ __all__ = [
 PAPER_PINS = ("INT_ILL_F", "INT_ILL_R", "DS_FL", "DS_FR", "DS_RL", "DS_RR")
 
 
-@dataclass
-class TestStand:
-    """One test stand: resources, connection matrix, supply and variables."""
+class TestStand(Record):
+    """One test stand: resources, connection matrix, supply and variables.
+
+    The one mutable record: its fields can be assigned, so, like any
+    mutable value, it compares by field but cannot be hashed.
+    """
 
     name: str
     resources: ResourceTable
     connections: ConnectionMatrix
     supply_voltage: float = 12.0
-    variables: dict[str, float] = field(default_factory=dict)
+    variables: dict[str, float]  # a new empty dict by default
     registry: MethodRegistry | None = None
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, resources: ResourceTable,
+                 connections: ConnectionMatrix, supply_voltage: float = 12.0,
+                 variables: dict[str, float] | None = None,
+                 registry: MethodRegistry | None = None,
+                 description: str = "") -> None:
+        if not str(name).strip():
             raise AllocationError("test stand needs a name")
-        if self.supply_voltage < 0:
+        if supply_voltage < 0:
             raise AllocationError("supply voltage must be non-negative")
-        if self.registry is None:
-            self.registry = default_registry()
+        self.__dict__.update(
+            name=name, resources=resources, connections=connections,
+            supply_voltage=supply_voltage,
+            variables={} if variables is None else variables,
+            registry=default_registry() if registry is None else registry,
+            description=description)
 
     def reset(self) -> None:
         """Restore the stand to its between-jobs idle state.

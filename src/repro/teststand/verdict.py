@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .._record import Record
 from ..core.script import SignalAction, TestScript
 from ..methods import MethodOutcome
 from .allocator import Allocation
@@ -42,8 +42,7 @@ class Verdict(enum.Enum):
         return worst
 
 
-@dataclass(frozen=True)
-class ActionResult:
+class ActionResult(Record):
     """Result of one signal action (one method call) of a step."""
 
     action: SignalAction
@@ -51,6 +50,13 @@ class ActionResult:
     outcome: MethodOutcome | None = None
     allocation: Allocation | None = None
     error: str = ""
+
+    def __init__(self, action: SignalAction, verdict: Verdict,
+                 outcome: MethodOutcome | None = None,
+                 allocation: Allocation | None = None,
+                 error: str = "") -> None:
+        self.__dict__.update(action=action, verdict=verdict, outcome=outcome,
+                             allocation=allocation, error=error)
 
     @property
     def signal(self) -> str:
@@ -78,8 +84,7 @@ class ActionResult:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(Record):
     """Result of one script step."""
 
     number: int
@@ -87,6 +92,13 @@ class StepResult:
     actions: tuple[ActionResult, ...] = ()
     remark: str = ""
     start_time: float = 0.0
+
+    def __init__(self, number: int, duration: float,
+                 actions: tuple[ActionResult, ...] = (), remark: str = "",
+                 start_time: float = 0.0) -> None:
+        self.__dict__.update(number=number, duration=duration,
+                             actions=actions, remark=remark,
+                             start_time=start_time)
 
     @property
     def verdict(self) -> Verdict:
@@ -96,7 +108,7 @@ class StepResult:
         cached = self.__dict__.get("_verdict")
         if cached is None:
             cached = Verdict.combine(result.verdict for result in self.actions)
-            object.__setattr__(self, "_verdict", cached)
+            self.__dict__["_verdict"] = cached
         return cached
 
     @property

@@ -13,8 +13,7 @@ keep only their feature-specific assertions.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from repro._record import replace
 from repro.targets import (
     CampaignSpec,
     campaignable_dut_names,

@@ -3,9 +3,10 @@
 ``repro``, ``repro.core``, ``repro.teststand``, ``repro.analysis`` and
 ``repro.paper`` resolve their re-exports on first use, and the heavy
 standard-library modules are imported by the functions that use them, so
-a cold serial ``repro-campaign`` loads only what its run executes.  Each
-check runs in a fresh interpreter: a module that this test session has
-imported already would hide any regression.
+a cold serial ``repro-campaign`` loads only what its run executes.  Its
+records are written in source (``repro._record``), so it compiles no
+generated code either.  Each check runs in a fresh interpreter: a module
+that this test session has imported already would hide any regression.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ NOT_ON_THE_CAMPAIGN_PATH = (
     "asyncio", "concurrent.futures", "multiprocessing", "sqlite3",
     "repro.store", "repro.sheets", "repro.core.xmlparse", "repro.core.xmlgen",
     "repro.teststand.serialize", "repro.analysis.coverage",
+    "dataclasses", "inspect", "json",
 )
 
 #: ``__all__`` of each lazy package, as it was while the packages imported
@@ -111,16 +113,44 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 
 def test_a_cold_campaign_imports_only_what_it_runs():
+    """Nor does it generate code: every ``compile()`` of a string
+    (``exec``, ``eval``, code generation such as :mod:`dataclasses`') is
+    audited from before ``repro`` is imported until both campaigns end.
+
+    A compile counts when a ``repro`` frame is reached, walking out from
+    it, before the body of any other module: a standard-library module
+    that builds a named tuple while it is imported (``shutil``, which
+    ``argparse`` imports on first use on some interpreters) is not
+    ``repro``'s code generation.
+    """
     code = (
-        "import json, sys\n"
+        "import sys\n"
+        "generated = []\n"
+        "def audit(event, args):\n"
+        "    if event != 'compile' or args[1] != '<string>':\n"
+        "        return\n"
+        "    frame = sys._getframe(1)\n"
+        "    while frame is not None:\n"
+        f"        if frame.f_code.co_filename.startswith({str(SRC)!r}):\n"
+        "            generated.append(args[0])\n"
+        "            return\n"
+        "        if frame.f_code.co_name == '<module>':\n"
+        "            return\n"
+        "        frame = frame.f_back\n"
+        "sys.addaudithook(audit)\n"
         "from repro.cli import main_campaign\n"
         "main_campaign(['--dut', 'wiper_ecu', '--quiet'])\n"
         "main_campaign(['--compose', 'lock+cluster', '--quiet'])\n"
-        f"print(json.dumps([m for m in {NOT_ON_THE_CAMPAIGN_PATH!r} "
-        "if m in sys.modules]))\n"
+        f"loaded = [m for m in {NOT_ON_THE_CAMPAIGN_PATH!r} "
+        "if m in sys.modules]\n"
+        "compiled = len(generated)\n"
+        "import json\n"
+        "print(json.dumps([loaded, compiled]))\n"
     )
-    *summaries, loaded = _fresh(code).stdout.splitlines()
-    assert json.loads(loaded) == []
+    *summaries, found = _fresh(code).stdout.splitlines()
+    loaded, compiled = json.loads(found)
+    assert loaded == []
+    assert compiled == 0
     assert summaries == [
         run_campaign(CampaignSpec(dut="wiper_ecu")).summary(),
         run_campaign(CampaignSpec(composition="lock+cluster")).summary(),

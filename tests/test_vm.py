@@ -12,13 +12,16 @@ Covers the guarantees the VM fast path rests on:
 * self-distrust: a binding or prologue mismatch degrades the run to the
   classic interpreter before anything executes,
 * either knob off (``use_plans`` or ``use_vm``) runs the classic walk,
-* the ``prepared`` contract: an instrument whose ``_perform`` lacks the
-  keyword is rejected when its class is defined.
+* the ``prepared`` contract: an instrument whose ``_perform`` cannot take
+  the keyword (neither a ``prepared`` parameter nor ``**``) is rejected
+  when its class is defined.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 
 import pytest
 
@@ -34,6 +37,9 @@ from repro.teststand import (
     GLOBAL_PLAN_CACHE,
     Allocator,
     PlanCache,
+    Resource,
+    ResourceTable,
+    TestStand,
     TestStandInterpreter,
     VmCursor,
     build_paper_stand,
@@ -282,12 +288,78 @@ class TestVmDegrade:
 # Prepared operands: every instrument takes the keyword
 # ---------------------------------------------------------------------------
 
+class _OptionsDvm(Dvm):
+    """A plugin DVM that passes every keyword through ``**options``."""
+
+    def _perform(self, call, signal, pins, harness, variables, **options):
+        return super()._perform(call, signal, pins, harness, variables,
+                                **options)
+
+
+def _paper_stand_with_dvm(dvm: Dvm) -> TestStand:
+    stand = build_paper_stand()
+    return TestStand(stand.name, ResourceTable(
+        Resource(r.name, dvm, r.description) if r.name == "Ress1" else r
+        for r in stand.resources), stand.connections)
+
+
+def _legacy_perform(self, call, signal, pins, harness, variables):
+    return Dvm._perform(self, call, signal, pins, harness, variables)
+
+
 class TestPreparedKeyword:
+    MESSAGE = ("_perform must accept the keyword argument 'prepared' "
+               "(see Instrument._perform)")
+
     def test_perform_without_prepared_is_rejected_at_definition(self):
         """A third-party subclass with the five-argument signature would
         otherwise fail on its first VM-served call."""
-        with pytest.raises(TypeError, match="prepared"):
+        with pytest.raises(TypeError) as raised:
             class _LegacyDvm(Dvm):
                 def _perform(self, call, signal, pins, harness, variables):
                     return super()._perform(call, signal, pins, harness,
                                             variables)
+        assert str(raised.value) == (
+            "TestPreparedKeyword.test_perform_without_prepared_is_rejected_"
+            f"at_definition.<locals>._LegacyDvm.{self.MESSAGE}")
+
+    @pytest.mark.parametrize("perform", [
+        lambda self, call, signal, pins, harness, variables, prepared=None: 0,
+        lambda self, call, signal, pins, harness, variables, *, prepared: 0,
+        lambda self, *args, **options: 0,
+        functools.wraps(Dvm._perform)(lambda self, *args: 0),
+    ], ids=["named", "keyword-only", "var-keyword", "wrapped"])
+    def test_accepted_spellings(self, perform):
+        type("_PluginDvm", (Dvm,), {"_perform": perform})
+
+    @pytest.mark.parametrize("perform", [
+        lambda self, call, signal, pins, harness, variables, prepared, /: 0,
+        lambda self, *args, prepared_values=None: 0,
+        functools.wraps(_legacy_perform)(lambda self, *args, **options: 0),
+    ], ids=["positional-only", "other-name", "wrapped"])
+    def test_rejected_spellings(self, perform):
+        """A wrapper is judged by what it wraps, as ``inspect.signature``
+        judges it."""
+        with pytest.raises(TypeError, match=re.escape(self.MESSAGE)):
+            type("_PluginDvm", (Dvm,), {"_perform": perform})
+
+    def test_a_var_keyword_plugin_runs_on_the_vm(self):
+        """A ``**options`` plugin gets the VM's ``prepared=`` and reports
+        what the classic walk reports."""
+        scripts = Compiler().compile_suite(paper_suite())
+        cache = PlanCache()
+        reports = {}
+        for use_vm in (True, False):
+            interpreter = TestStandInterpreter(
+                _paper_stand_with_dvm(_OptionsDvm("dvm1", u_min=-60.0,
+                                                  u_max=60.0)),
+                interior_harness(InteriorLightEcu()), paper_signal_set(),
+                plan_cache=cache, use_vm=use_vm,
+            )
+            runs = [json.loads(json_report(interpreter.run(script)))
+                    for script in scripts]
+            for run in runs:
+                run.pop("wall_time_s")
+            reports[use_vm] = runs
+        assert cache.stats.snapshot()["vm_runs"] == len(scripts)
+        assert reports[True] == reports[False]

@@ -179,6 +179,8 @@ class TestScript:
         Free-form string metadata recorded in the XML header.
     """
 
+    __test__ = False  # a domain class, not a pytest test class
+
     def __init__(
         self,
         name: str,

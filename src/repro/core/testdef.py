@@ -59,6 +59,8 @@ class TestStep(Record):
         the paper, used by :mod:`repro.analysis.traceability`).
     """
 
+    __test__ = False  # a domain class, not a pytest test class
+
     number: int
     duration: float
     assignments: tuple[StatusAssignment, ...] = ()
@@ -122,6 +124,8 @@ class TestDefinition:
     specification* and only mentions the signals relevant to that part; the
     sheet therefore records its own signal column order.
     """
+
+    __test__ = False  # a domain class, not a pytest test class
 
     def __init__(
         self,
@@ -262,6 +266,8 @@ class TestSuite:
     test definition sheets - i.e. the complete, test-stand-independent
     description of the component tests for one DUT.
     """
+
+    __test__ = False  # a domain class, not a pytest test class
 
     def __init__(
         self,

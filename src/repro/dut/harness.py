@@ -100,6 +100,8 @@ def node_voltages(
 class TestHarness:
     """Wiring, supply, loads, bus and clock around one ECU model."""
 
+    __test__ = False  # a domain class, not a pytest test class
+
     #: Input impedance of the voltage-measuring instrument [Ohm].
     DVM_IMPEDANCE = 10.0e6
 

@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 from ..core.compiler import Compiler
 from ..core.script import TestScript
+from ..core.signals import SignalSet
 from ..core.testdef import TestSuite
 from ..methods import MethodRegistry, default_registry
 from ..targets import (
@@ -32,6 +33,7 @@ from ..targets import (
     iter_duts,
     iter_stands,
 )
+from ..teststand import vm
 from ..teststand.stands import TestStand
 
 __all__ = ["LintContext"]
@@ -111,6 +113,15 @@ class LintContext:
                 return ()
         return self.memo(("scripts", dut.key), build)
 
+    def signals(self, dut: DutTarget) -> SignalSet | None:
+        """The DUT's registered signal set, or ``None`` on failure."""
+        def build():
+            try:
+                return dut.signals_factory()
+            except Exception:
+                return None
+        return self.memo(("signals", dut.key), build)
+
     def harness(self, dut: DutTarget):
         """A built healthy harness (ECU + wiring), or ``None`` on failure."""
         def build():
@@ -174,6 +185,35 @@ class LintContext:
             except Exception:
                 return None
         return self.memo(("stand", stand.key, dut.pins), build)
+
+    def walk(self, dut: DutTarget, script: TestScript,
+             stand: StandTarget) -> tuple[tuple, ...] | None:
+        """The errors of the VM compiler's walk of *script* on *stand*.
+
+        :func:`~repro.teststand.vm.walk_program` on the stand built for the
+        DUT, with the variables it provides, walked once per (sheet x
+        stand): its ``(step, action, VmCompileError)`` triples in run
+        order, then any exception that ended it as ``(None, None, exc)``.
+        ``None`` when the signal set or the stand cannot be built.
+        """
+        def build():
+            signals = self.signals(dut)
+            instance = self.stand_instance(stand, dut)
+            if signals is None or instance is None:
+                return None
+            errors = []
+            try:
+                for step, action, op in vm.walk_program(
+                    script, signals, instance,
+                    policy="first_fit", registry=self.registry,
+                    variables=self.stand_variables(instance),
+                ):
+                    if isinstance(op, vm.VmCompileError):
+                        errors.append((step, action, op))
+            except Exception as exc:
+                errors.append((None, None, exc))
+            return tuple(errors)
+        return self.memo(("walk", dut.key, stand.key, script.name), build)
 
     def stand_variables(self, stand: TestStand) -> dict[str, float]:
         """The variable environment the interpreter would hand the scripts.

@@ -308,44 +308,35 @@ def check_unstorable_result(context: LintContext, rule: LintRule):
 def check_uncompilable_script(context: LintContext, rule: LintRule):
     """(sheet x stand) pairs the bytecode VM cannot compile.
 
-    Compiles every registered combination pre-flight exactly the way the
-    plan cache would on first run.  A combination the VM cannot compile
-    silently takes the classic interpreter on every run - the campaign
-    still produces correct verdicts, but the ``--vm`` speedup the operator
-    asked for never materialises.  Only pairs the stand can actually serve
-    are judged: a stand missing the sheet's methods, or a step no resource
-    can be allocated for, is R-UNSERVABLE-STEP territory, not a VM gap.
+    Reads the VM compiler's walk of every registered combination
+    (:meth:`~repro.lint.context.LintContext.walk`), whose first error is
+    what the plan cache's compile would raise on first run.  A combination
+    the VM cannot compile silently takes the classic interpreter on every
+    run - the campaign still produces correct verdicts, but the ``--vm``
+    speedup the operator asked for never materialises.  Only pairs the
+    stand can actually serve are judged: a stand missing the sheet's
+    methods, or a step no resource can be allocated for, is
+    R-UNSERVABLE-STEP territory, not a VM gap.
     """
     for dut in context.duts:
-        try:
-            signals = dut.signals_factory()
-        except Exception:
-            continue
         for script in context.scripts(dut):
             methods = script.methods_used()
             for target in context.eligible_stands(dut):
                 if target.missing_methods(methods):
                     continue
-                instance = context.stand_instance(target, dut)
-                if instance is None:
+                errors = context.walk(dut, script, target)
+                if not errors:
                     continue
-                try:
-                    vm.compile_program(
-                        script, signals, instance,
-                        policy="first_fit", registry=context.registry,
-                        variables=context.stand_variables(instance),
-                    )
-                except vm.VmCompileError as exc:
-                    if isinstance(exc.__cause__, AllocationError):
-                        # The combination errors identically on the classic
-                        # path - that is R-UNSERVABLE-STEP territory, not a
-                        # VM expressibility gap.
-                        continue
-                    reason = f"{exc.op}: {exc.reason}"
-                except Exception as exc:
-                    reason = f"plan compilation raised {exc!r}"
+                error = errors[0][2]
+                if isinstance(error.__cause__, AllocationError):
+                    # The combination errors identically on the classic
+                    # path - that is R-UNSERVABLE-STEP territory, not a
+                    # VM expressibility gap.
+                    continue
+                if isinstance(error, vm.VmCompileError):
+                    reason = f"{error.op}: {error.reason}"
                 else:
-                    continue
+                    reason = f"plan compilation raised {error!r}"
                 yield rule.finding(
                     f"sheet:{script.name} stand:{target.name}",
                     f"the bytecode VM cannot compile this sheet for stand "

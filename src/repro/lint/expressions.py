@@ -234,10 +234,7 @@ def check_unresolved_signal(context: LintContext, rule: LintRule):
         if harness is None:
             continue
         ecu = harness.ecu
-        try:
-            registered = dut.signals_factory()
-        except Exception:
-            registered = None
+        registered = context.signals(dut)
 
         def resolves_by_name(name: str) -> bool:
             if ecu.has_pin(name):

@@ -1,16 +1,15 @@
 """Rule family R: reachability and dead-step analysis.
 
-These rules replay the exact allocation walk that
-:func:`repro.teststand.vm.compile_program` performs - setup actions first,
-then per step stimuli before expectations, open circuits released instead
-of allocated - against a *simulated* allocator for every stand that could
-physically carry the DUT.  An action that no registered stand can serve is
-statically unsatisfiable: it will produce an ERROR verdict on every run
-that will ever happen, and under ``stop_on_error`` it shadows every later
-step of the sheet.
+These rules read the VM compiler's own allocation walk,
+:func:`repro.teststand.vm.walk_program` (through
+:meth:`~repro.lint.context.LintContext.walk`), on every stand that could
+physically carry the DUT.  An action whose allocation fails on every
+registered stand is statically unsatisfiable: it will produce an ERROR
+verdict on every run that will ever happen, and under ``stop_on_error`` it
+shadows every later step of the sheet.
 
-Nothing here executes a job; the allocator is the same pure capability
-model the plan compiler uses.
+Nothing here executes a job; the walk runs the same pure capability model
+against a scratch allocator.
 """
 
 from __future__ import annotations
@@ -18,80 +17,25 @@ from __future__ import annotations
 import math
 
 from ..core.errors import AllocationError
-from ..core.script import TestScript
-from ..core.values import compile_expression, parse_number
-from ..teststand.allocator import Allocator
-from ..teststand.plan import action_is_measurement, open_circuit_requested
 from .context import LintContext
+from .expressions import _constant_value, _iter_actions
 from .findings import ERROR, WARNING, LintRule
 
 __all__ = ["RULES"]
 
 
-class _ActionFailure:
-    """One action that failed allocation on one candidate stand."""
-
-    __slots__ = ("label", "step_number", "signal", "method", "reason")
-
-    def __init__(self, label, step_number, signal, method, reason):
-        self.label = label
-        self.step_number = step_number
-        self.signal = signal
-        self.method = method
-        self.reason = reason
-
-    @property
-    def key(self) -> tuple:
-        """Identity of the action irrespective of the stand it failed on."""
-        return (self.label, self.signal, self.method)
-
-
-def _walk_stand(script: TestScript, signals, stand, registry, variables):
-    """Replay the VM compiler's allocation walk on one stand.
-
-    Returns the list of :class:`_ActionFailure` for actions the stand's
-    allocator rejects.  Mirrors :func:`repro.teststand.vm.compile_program`
-    action for action: unknown signals and ``wait`` are skipped, open
-    circuits release the signal's allocation instead of requesting one.
-    *variables* is the interpreter environment the stand would provide
-    (see :meth:`~repro.lint.context.LintContext.stand_variables`).
-    """
-    allocator = Allocator(
-        stand.resources, stand.connections,
-        policy="first_fit", registry=registry,
-    )
-    failures: list[_ActionFailure] = []
-
-    def visit(label: str, step_number: int | None, action) -> None:
-        try:
-            signal = signals.get(action.signal)
-        except Exception:
-            return  # E-UNRESOLVED-SIGNAL reports this
-        if action.method.lower() == "wait":
-            return
-        if open_circuit_requested(action, signal, variables):
-            allocator.release(signal.key)
-            return
-        try:
-            allocator.allocate(signal, action.call, variables)
-        except AllocationError as exc:
-            failures.append(_ActionFailure(
-                label, step_number, signal.key, action.method.lower(),
-                str(exc),
-            ))
-
-    for action in script.setup:
-        visit("setup", None, action)
-    for step in script.steps:
-        expectations = []
-        for action in step.actions:
-            if action_is_measurement(registry, action.method):
-                expectations.append(action)
-            else:
-                visit(f"step:{step.number}", step.number, action)
-        for action in expectations:
-            visit(f"step:{step.number}", step.number, action)
-    return failures
+def _allocation_failures(errors) -> dict[tuple, tuple]:
+    """``{(label, signal, method): (step number, message)}`` of a walk's
+    failed allocations, in run order; the step number is ``None`` in the
+    setup."""
+    found: dict[tuple, tuple] = {}
+    for step, action, error in errors:
+        if isinstance(error.__cause__, AllocationError):
+            label = "setup" if step is None else f"step:{step.number}"
+            key = (label, str(action.signal).lower(), action.method.lower())
+            found[key] = (None if step is None else step.number,
+                          str(error.__cause__))
+    return found
 
 
 def _reachability(context: LintContext, dut):
@@ -100,48 +44,34 @@ def _reachability(context: LintContext, dut):
     Returns ``{script.name: (uncovered, common_failures)}`` where
     *uncovered* is the list of stand names that lacked required methods
     (empty when at least one stand covers the script) and
-    *common_failures* maps action keys to the :class:`_ActionFailure`
-    observed on the *first* usable stand, for actions that failed on
-    **every** usable stand.
+    *common_failures* holds the failed allocations (see
+    :func:`_allocation_failures`) of the *first* usable stand, for actions
+    that failed on **every** usable stand.
     """
     def build():
         results = {}
+        if context.signals(dut) is None:
+            return results
         for script in context.scripts(dut):
-            try:
-                signals = dut.signals_factory()
-            except Exception:
-                results[script.name] = ([], {})
-                continue
             methods = script.methods_used()
-            candidates = []
             rejected = []
+            common = None
             for target in context.eligible_stands(dut):
                 if target.missing_methods(methods):
                     rejected.append(target.name)
                     continue
-                instance = context.stand_instance(target, dut)
-                if instance is None:
+                errors = context.walk(dut, script, target)
+                if errors is None:
                     continue
-                candidates.append((target.name, instance))
-            if not candidates:
-                results[script.name] = (rejected, {})
-                continue
-            common: dict[tuple, _ActionFailure] = {}
-            for index, (_, instance) in enumerate(candidates):
-                failures = _walk_stand(
-                    script, signals, instance, context.registry,
-                    context.stand_variables(instance))
-                found = {failure.key: failure for failure in failures}
-                if index == 0:
-                    common = found
-                else:
-                    common = {
-                        key: failure for key, failure in common.items()
-                        if key in found
-                    }
+                found = _allocation_failures(errors)
+                common = found if common is None else {
+                    key: failure for key, failure in common.items()
+                    if key in found
+                }
                 if not common:
                     break
-            results[script.name] = ([], common)
+            results[script.name] = (
+                (rejected, {}) if common is None else ([], common))
         return results
     return context.memo(("reachability", dut.key), build)
 
@@ -163,15 +93,14 @@ def check_unservable_step(context: LintContext, rule: LintRule):
                     dut=dut.name,
                 )
                 continue
-            for failure in common.values():
+            for (label, signal, method), (_, reason) in common.items():
                 stands = ", ".join(
                     target.name for target in context.eligible_stands(dut)
                 )
                 yield rule.finding(
-                    f"sheet:{script.name} {failure.label} "
-                    f"{failure.signal}.{failure.method}",
+                    f"sheet:{script.name} {label} {signal}.{method}",
                     f"statically unsatisfiable on every registered stand "
-                    f"({stands}): {failure.reason}",
+                    f"({stands}): {reason}",
                     hint="widen the stand's resource capability or relax "
                          "the sheet's limits",
                     dut=dut.name,
@@ -192,8 +121,7 @@ def check_dead_step(context: LintContext, rule: LintRule):
             if rejected or not common:
                 continue
             numbered = [
-                failure.step_number for failure in common.values()
-                if failure.step_number is not None
+                number for number, _ in common.values() if number is not None
             ]
             if numbered:
                 first = min(numbered)
@@ -220,25 +148,6 @@ def check_dead_step(context: LintContext, rule: LintRule):
             )
 
 
-def _constant(text) -> float | None:
-    if text is None:
-        return None
-    stripped = str(text).strip()
-    if not stripped:
-        return None
-    try:
-        return parse_number(stripped)
-    except Exception:
-        pass
-    try:
-        expression = compile_expression(stripped)
-        if expression.is_constant:
-            return expression.evaluate({})
-    except Exception:
-        pass
-    return None
-
-
 def check_unreachable_open(context: LintContext, rule: LintRule):
     """Open-circuit requests that can never take the open-circuit branch.
 
@@ -250,12 +159,11 @@ def check_unreachable_open(context: LintContext, rule: LintRule):
     infinite resistance can never pass a finite capability window.
     """
     for dut in context.duts:
-        try:
-            signals = dut.signals_factory()
-        except Exception:
+        signals = context.signals(dut)
+        if signals is None:
             continue
         for script in context.scripts(dut):
-            for label, action in _iter_labelled(script):
+            for label, action in _iter_actions(script):
                 if action.method.lower() != "put_r":
                     continue
                 try:
@@ -264,10 +172,10 @@ def check_unreachable_open(context: LintContext, rule: LintRule):
                     continue
                 if signal.is_bus:
                     continue
-                requested = _constant(action.call.param("r"))
+                requested = _constant_value(action.call.param("r"))
                 if requested is None or not math.isinf(requested):
                     continue
-                high = _constant(action.call.param("r_max"))
+                high = _constant_value(action.call.param("r_max"))
                 if high is None or math.isinf(high):
                     continue
                 yield rule.finding(
@@ -280,14 +188,6 @@ def check_unreachable_open(context: LintContext, rule: LintRule):
                          "open circuit",
                     dut=dut.name,
                 )
-
-
-def _iter_labelled(script: TestScript):
-    for action in script.setup:
-        yield "setup", action
-    for step in script.steps:
-        for action in step.actions:
-            yield f"step:{step.number}", action
 
 
 RULES = (

@@ -26,9 +26,10 @@ extensible registry instead of private CLI tables:
     incomplete) registered signal set.
 
 Both target kinds also record the two halves of the *stand capability
-negotiation* at registration time: a :class:`StandTarget` probes its
-builder once for the methods its resources support, a :class:`DutTarget`
-reads the methods its bundled suite's statuses bind.  :func:`run_single`
+negotiation*: a :class:`StandTarget` probes its builder once, at
+registration, for the methods its resources support; a :class:`DutTarget`
+or :class:`CompositionTarget` derives the methods its compiled bundled
+suite uses on first read of ``required_methods``.  :func:`run_single`
 and :func:`build_campaign` match the two and reject impossible requests
 (e.g. a ``get_i`` sheet on a stand without an ammeter) with a structured
 :class:`CapabilityGapError` *before* any job is built;
@@ -220,27 +221,24 @@ class CapabilityGapError(TargetError):
 # Registry model
 # ---------------------------------------------------------------------------
 
-def _required_methods(suite_factory: Callable[[], TestSuite] | None,
-                      declared: Iterable[str] | None) -> tuple[str, ...] | None:
-    """A target's half of the capability negotiation, lower-cased.
+def _suite_methods(target: "Target") -> tuple[str, ...] | None:
+    """Methods the target's bundled suite needs a stand resource for.
 
-    Declared methods win.  Otherwise every status the bundled suite's
-    sheets (or initial signal statuses) use binds a method, and that set is
-    exactly what the compiled scripts will ask a stand's allocator for.
-    ``None`` when no suite is bundled or its factory fails.
+    The union of the compiled scripts' ``methods_used()``, lower-cased and
+    sorted: one half of the stand capability negotiation,
+    :attr:`StandTarget.methods` being the other.  Derived on first read,
+    so registering a target builds no suite.  ``None`` when no suite is
+    bundled or it fails to build or compile.
     """
-    if declared is not None:
-        return tuple(str(m).lower() for m in declared)
-    if suite_factory is None:
+    if target.suite_factory is None:
         return None
     try:
-        suite = suite_factory()
-        return tuple(sorted({
-            suite.statuses.get(name).method.lower()
-            for name in suite.statuses_used()
-        }))
+        scripts = Compiler().compile_suite(target.suite_factory())
     except Exception:
         return None
+    return tuple(sorted({
+        method for script in scripts for method in script.methods_used()
+    }))
 
 
 class DutTarget(Record):
@@ -269,11 +267,9 @@ class DutTarget(Record):
     description:
         Free text for listings.
     required_methods:
-        Methods the DUT's bundled suite needs a stand resource for, computed
-        at registration time from the suite's status bindings (``None`` when
-        no suite is bundled or its factory fails).  This is one half of the
-        stand capability negotiation; :attr:`StandTarget.methods` is the
-        other.
+        Methods the DUT's bundled suite needs a stand resource for (see
+        :func:`_suite_methods`), derived from the compiled suite on first
+        read.
 
     All factories should be module-level callables so campaign jobs remain
     picklable for the process backend.
@@ -287,15 +283,16 @@ class DutTarget(Record):
     suite_factory: Callable[[], TestSuite] | None = None
     pins: tuple[str, ...] | None = None
     description: str = ""
-    required_methods: tuple[str, ...] | None = None
+
+    required_methods = functools.cached_property(_suite_methods)
 
     def __init__(self, name: str, ecu_factory: Callable[[], object],
                  harness_factory: Callable[[object], TestHarness],
                  signals_factory: Callable[[], SignalSet],
                  faults_factory: Callable[[], FaultCatalogue] | None = None,
                  suite_factory: Callable[[], TestSuite] | None = None,
-                 pins: Iterable[str] | None = None, description: str = "",
-                 required_methods: tuple[str, ...] | None = None) -> None:
+                 pins: Iterable[str] | None = None,
+                 description: str = "") -> None:
         if not str(name).strip():
             raise TargetError("DUT target needs a name")
         if pins is not None:
@@ -304,9 +301,7 @@ class DutTarget(Record):
             name=name, ecu_factory=ecu_factory,
             harness_factory=harness_factory, signals_factory=signals_factory,
             faults_factory=faults_factory, suite_factory=suite_factory,
-            pins=pins, description=description,
-            required_methods=_required_methods(suite_factory,
-                                               required_methods))
+            pins=pins, description=description)
 
     @property
     def key(self) -> str:
@@ -670,13 +665,13 @@ class CompositionTarget(Record):
     suite_factory: Callable[[], TestSuite]
     description: str = ""
     expected_overrides: tuple[tuple[str, bool], ...] = ()
-    required_methods: tuple[str, ...] | None = None
+
+    required_methods = functools.cached_property(_suite_methods)
 
     def __init__(self, name: str, members: Iterable[CompositionMember],
                  suite_factory: Callable[[], TestSuite],
                  description: str = "",
-                 expected_overrides: Iterable[tuple[str, bool]] = (),
-                 required_methods: tuple[str, ...] | None = None) -> None:
+                 expected_overrides: Iterable[tuple[str, bool]] = ()) -> None:
         if not str(name).strip():
             raise TargetError("composition target needs a name")
         members = tuple(
@@ -697,9 +692,7 @@ class CompositionTarget(Record):
             name=name, members=members, suite_factory=suite_factory,
             description=description,
             expected_overrides=tuple((str(key).lower(), bool(value))
-                                     for key, value in expected_overrides),
-            required_methods=_required_methods(suite_factory,
-                                               required_methods))
+                                     for key, value in expected_overrides))
 
     @property
     def key(self) -> str:

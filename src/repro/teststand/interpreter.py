@@ -37,10 +37,10 @@ from .allocator import Allocator
 from .plan import (
     GLOBAL_PLAN_CACHE,
     PlanCache,
-    action_is_measurement,
     open_circuit_outcome,
     open_circuit_requested,
     registry_fingerprint,
+    split_step,
 )
 from .profiling import PROFILER
 from .stands import TestStand
@@ -65,6 +65,8 @@ class TestStandInterpreter:
     :data:`~repro.teststand.plan.GLOBAL_PLAN_CACHE`; ``None`` or
     ``use_vm=False`` selects the classic walk for every run.
     """
+
+    __test__ = False  # a domain class, not a pytest test class
 
     def __init__(
         self,
@@ -136,6 +138,11 @@ class TestStandInterpreter:
         variables = self._variables()
         missing = [name for name in script.variables if name not in variables]
         if missing:
+            # Expressions match variable names case-insensitively, so a
+            # stand may spell ``Vref`` where the script reads ``vref``.
+            provided = {str(name).lower() for name in variables}
+            missing = [name for name in missing if name.lower() not in provided]
+        if missing:
             raise ExecutionError(
                 f"test stand {self.stand.name!r} does not provide variables {missing}"
             )
@@ -206,11 +213,10 @@ class TestStandInterpreter:
     def _split_step(
         self, step: ScriptStep
     ) -> tuple[tuple[SignalAction, ...], tuple[SignalAction, ...]]:
-        """Stimuli before expectations, as the VM compiler splits them.
+        """:func:`~repro.teststand.plan.split_step`, memoised on the step.
 
-        The split depends only on (step, registry), so it is memoised on
-        the step object - campaign runs walk the same steps thousands of
-        times with the same registry.
+        The split depends only on (step, registry), and campaign runs walk
+        the same steps thousands of times with the same registry.
         """
         # Keyed by registry *content*: every stand carries its own
         # default_registry() instance, so an identity key would thrash
@@ -220,11 +226,7 @@ class TestStandInterpreter:
         cached = step.__dict__.get("_split_memo")
         if cached is not None and cached[0] == registry_key:
             return cached[1], cached[2]
-        registry = self.registry
-        stimuli = tuple(a for a in step.actions
-                        if not action_is_measurement(registry, a.method))
-        expectations = tuple(a for a in step.actions
-                             if action_is_measurement(registry, a.method))
+        stimuli, expectations = split_step(step, self.registry)
         step.__dict__["_split_memo"] = (registry_key, stimuli, expectations)
         return stimuli, expectations
 

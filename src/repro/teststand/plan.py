@@ -35,7 +35,7 @@ import threading
 from collections import OrderedDict
 from typing import Mapping
 
-from ..core.script import SignalAction, TestScript
+from ..core.script import ScriptStep, SignalAction, TestScript
 from ..core.signals import Signal, SignalSet
 from ..methods import (
     MethodOutcome,
@@ -53,6 +53,7 @@ __all__ = [
     "GLOBAL_PLAN_CACHE",
     "compile_plan",
     "action_is_measurement",
+    "split_step",
     "open_circuit_requested",
     "open_circuit_outcome",
     "script_fingerprint",
@@ -76,6 +77,25 @@ def action_is_measurement(registry: MethodRegistry, method: str) -> bool:
     if method in registry:
         return registry.get(method).is_measurement
     return str(method).lower().startswith("get")
+
+
+def split_step(
+    step: ScriptStep, registry: MethodRegistry
+) -> tuple[tuple[SignalAction, ...], tuple[SignalAction, ...]]:
+    """A step's ``(stimuli, expectations)``, each in action order.
+
+    The one split of a step, for the VM compiler's walk and the classic
+    walk: stimuli are applied, the step's dt elapses, then the
+    expectations are evaluated.
+    """
+    stimuli: list[SignalAction] = []
+    expectations: list[SignalAction] = []
+    for action in step.actions:
+        if action_is_measurement(registry, action.method):
+            expectations.append(action)
+        else:
+            stimuli.append(action)
+    return tuple(stimuli), tuple(expectations)
 
 
 def open_circuit_requested(

@@ -78,6 +78,7 @@ class TestStand(Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
+    __test__ = False  # a domain class, not a pytest test class
 
     def __init__(self, name: str, resources: ResourceTable,
                  connections: ConnectionMatrix, supply_voltage: float = 12.0,

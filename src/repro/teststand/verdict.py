@@ -126,6 +126,8 @@ class StepResult(Record):
 class TestResult:
     """Result of executing one test script on one test stand."""
 
+    __test__ = False  # a domain class, not a pytest test class
+
     def __init__(
         self,
         script: TestScript,

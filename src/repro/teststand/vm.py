@@ -3,8 +3,9 @@
 For each method it carries out, the paper's interpreter searches a
 resource that can be connected to the signal pin.  The VM does that search
 once per (script x stand-topology x registry x variables) combination:
-:func:`compile_program` walks the script in the interpreter's order against
-a scratch allocator and emits a flat stream of instructions
+:func:`walk_program` walks the script in the interpreter's order against a
+scratch allocator, and :func:`compile_program` turns that walk into a flat
+stream of instructions
 
 ========================  ====================================================
 op                        meaning
@@ -61,7 +62,7 @@ per call.  Instruments must not mutate their ``variables`` argument - which
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .. import chaos as _chaos
 from ..core.errors import AllocationError, TransientError
@@ -80,6 +81,7 @@ __all__ = [
     "VmProgram",
     "VmCompileError",
     "VmCursor",
+    "walk_program",
     "compile_program",
     "batch_io",
 ]
@@ -97,7 +99,7 @@ class VmCompileError(Exception):
     ``op`` names the instruction that could not be generated (e.g.
     ``"SET door_fl:put_r"``); ``reason`` says why.  Both feed the
     ``X-UNCOMPILABLE-SCRIPT`` lint rule and the plan's ``vm_reason``.  A
-    failed allocation is raised ``from`` its
+    failed allocation's ``__cause__`` is its
     :class:`~repro.core.errors.AllocationError`.
     """
 
@@ -233,6 +235,101 @@ def batch_io(ops: list[VmOp]) -> list[VmOp]:
 # Compiler: script x stand -> instruction stream, in one walk
 # ---------------------------------------------------------------------------
 
+def walk_program(
+    script: TestScript,
+    signals: SignalSet,
+    stand: TestStand,
+    *,
+    policy: str,
+    registry: MethodRegistry,
+    variables: Mapping[str, float],
+) -> Iterator[tuple[ScriptStep | None, SignalAction | None,
+                    VmOp | VmCompileError]]:
+    """The one static walk of *script* on *stand*: ``(step, action, op)``.
+
+    Walks the interpreter's exact execution order (setup, then per step all
+    stimuli, the settle, all expectations) against a scratch
+    :class:`~repro.teststand.allocator.Allocator` with the runs' policy,
+    registry and variables, so each ``SET`` / ``GET`` op carries the
+    allocation, capability window and ``dynamic`` flag a run would see.
+    Open circuits release as they do at run time.  ``step`` is ``None`` in
+    the setup; ``action`` is ``None`` for a step's settle ``WAIT`` and its
+    ``END_STEP``.
+
+    An action the VM cannot express yields its :class:`VmCompileError` in
+    place of the op: an unknown signal (the run gives the classic
+    per-action ERROR), a non-numeric ``wait`` duration (the run raises
+    like the classic walk), or a failed allocation (``__cause__`` is the
+    :class:`~repro.core.errors.AllocationError`, whose message the run
+    reproduces).  The walk goes on after an error, the scratch holds as
+    the failure left them, so it yields every allocation a run ends in an
+    ERROR.  :func:`compile_program` and the lint rules R-UNSERVABLE-STEP,
+    R-DEAD-STEP and X-UNCOMPILABLE-SCRIPT read it.
+    """
+    # Imported lazily: plan.py imports this module at its top level.
+    from .plan import (
+        action_is_measurement, open_circuit_outcome, open_circuit_requested,
+        split_step,
+    )
+
+    allocator = Allocator(
+        stand.resources, stand.connections, policy=policy, registry=registry
+    )
+
+    def compile_action(action: SignalAction) -> VmOp | VmCompileError:
+        method_key = action.method.lower()
+        opname = "GET" if action_is_measurement(registry, action.method) else "SET"
+        where = f"{opname} {str(action.signal).lower()}:{method_key}"
+        try:
+            signal = signals.get(action.signal)
+        except Exception as exc:
+            return VmCompileError(where, f"unknown signal: {exc}")
+        if method_key == "wait":
+            raw = action.call.param("t", "0") or 0
+            try:
+                duration = float(raw)
+            except (TypeError, ValueError):
+                return VmCompileError(
+                    f"WAIT {signal.key}:wait",
+                    f"duration t={raw!r} is not numeric",
+                )
+            return VmOp("WAIT", duration=duration, action=action)
+        if open_circuit_requested(action, signal, variables):
+            allocator.release(signal.key)
+            return VmOp("OPEN_CIRCUIT", action=action, signal=signal,
+                        outcome=open_circuit_outcome(action, signal))
+        try:
+            allocation = allocator.allocate(signal, action.call, variables)
+        except AllocationError as exc:
+            error = VmCompileError(
+                where,
+                "no resource allocatable at compile time (the run must "
+                "reproduce the full search's error)",
+            )
+            error.__cause__ = exc
+            return error
+        window = allocator.capability_window(
+            stand.resources.get(allocation.resource), action.call, variables)
+        try:
+            attribute = registry.get(action.method).attribute
+        except Exception:
+            attribute = None
+        item = VmIoItem(action, signal, allocation, attribute, window)
+        return VmOp(opname, resource_key=allocation.resource, items=(item,))
+
+    for action in script.setup:
+        yield None, action, compile_action(action)
+    for step in script.steps:
+        stimuli, expectations = split_step(step, registry)
+        for action in stimuli:
+            yield step, action, compile_action(action)
+        yield step, None, VmOp("WAIT", duration=step.duration)
+        for action in expectations:
+            yield step, action, compile_action(action)
+        yield step, None, VmOp("END_STEP", number=step.number,
+                               duration=step.duration, remark=step.remark)
+
+
 def compile_program(
     script: TestScript,
     signals: SignalSet,
@@ -245,94 +342,33 @@ def compile_program(
 ) -> VmProgram:
     """Compile *script* on *stand* into a :class:`VmProgram` in one walk.
 
-    Walks the interpreter's exact execution order (setup, then per step all
-    stimuli, the settle, all expectations) against a scratch
-    :class:`~repro.teststand.allocator.Allocator` with the runs' policy,
-    registry and variables, so each ``SET`` / ``GET`` item carries the
-    allocation, capability window and ``dynamic`` flag a run would see.
-    Open-circuit realisations apply the same release they apply at run
-    time, keeping the scratch hold state in lock-step.  The compiled
-    windows are sound across runs because the variables they depend on are
-    part of the plan-cache key, and the run prologue re-checks the
-    variable-dependent ones anyway.
-
-    Raises :class:`VmCompileError` - with the failing op and reason - for
-    anything the VM cannot express: an unknown signal (the run must produce
-    the classic per-action ERROR), a non-numeric ``wait`` duration (the run
-    must raise exactly like the classic path), or a failed allocation (the
-    run must reproduce the full search's error message; raised ``from``
-    the :class:`~repro.core.errors.AllocationError`).
+    Reads :func:`walk_program` and raises its first
+    :class:`VmCompileError`.  The compiled windows are sound across runs
+    because the variables they depend on are part of the plan-cache key,
+    and the run prologue re-checks the variable-dependent ones anyway.
 
     :func:`batch_io` runs per segment (setup and each step separately), so
     batches never cross a segment boundary.
     """
-    # Imported lazily: plan.py imports this module at its top level.
-    from .plan import (
-        action_is_measurement, open_circuit_outcome, open_circuit_requested,
-    )
-
-    allocator = Allocator(
-        stand.resources, stand.connections, policy=policy, registry=registry
-    )
-
-    def compile_action(action: SignalAction) -> VmOp:
-        method_key = action.method.lower()
-        opname = "GET" if action_is_measurement(registry, action.method) else "SET"
-        where = f"{opname} {str(action.signal).lower()}:{method_key}"
-        try:
-            signal = signals.get(action.signal)
-        except Exception as exc:
-            raise VmCompileError(where, f"unknown signal: {exc}")
-        if method_key == "wait":
-            raw = action.call.param("t", "0") or 0
-            try:
-                duration = float(raw)
-            except (TypeError, ValueError):
-                raise VmCompileError(
-                    f"WAIT {signal.key}:wait",
-                    f"duration t={raw!r} is not numeric",
-                )
-            return VmOp("WAIT", duration=duration, action=action)
-        if open_circuit_requested(action, signal, variables):
-            allocator.release(signal.key)
-            return VmOp("OPEN_CIRCUIT", action=action, signal=signal,
-                        outcome=open_circuit_outcome(action, signal))
-        try:
-            allocation = allocator.allocate(signal, action.call, variables)
-        except AllocationError as exc:
-            raise VmCompileError(
-                where,
-                "no resource allocatable at compile time (the run must "
-                "reproduce the full search's error)",
-            ) from exc
-        window = allocator.capability_window(
-            stand.resources.get(allocation.resource), action.call, variables)
-        try:
-            attribute = registry.get(action.method).attribute
-        except Exception:
-            attribute = None
-        item = VmIoItem(action, signal, allocation, attribute, window)
-        return VmOp(opname, resource_key=allocation.resource, items=(item,))
-
-    def compile_step(step: ScriptStep) -> list[VmOp]:
-        stimuli: list[SignalAction] = []
-        expectations: list[SignalAction] = []
-        for action in step.actions:
-            if action_is_measurement(registry, action.method):
-                expectations.append(action)
-            else:
-                stimuli.append(action)
-        ops = [compile_action(action) for action in stimuli]
-        ops.append(VmOp("WAIT", duration=step.duration))
-        ops.extend(compile_action(action) for action in expectations)
-        ops.append(VmOp("END_STEP", number=step.number,
-                        duration=step.duration, remark=step.remark))
-        return batch_io(ops)
-
-    ops = batch_io([compile_action(action) for action in script.setup])
+    setup: list[VmOp] = []
+    steps: list[VmOp] = []
+    segment: list[VmOp] = []
+    for step, _action, op in walk_program(
+        script, signals, stand,
+        policy=policy, registry=registry, variables=variables,
+    ):
+        if isinstance(op, VmCompileError):
+            raise op
+        if step is None:
+            setup.append(op)
+            continue
+        segment.append(op)
+        if op.code == "END_STEP":
+            steps.extend(batch_io(segment))
+            segment = []
+    ops = batch_io(setup)
     setup_size = len(ops)
-    for step in script.steps:
-        ops.extend(compile_step(step))
+    ops.extend(steps)
     return VmProgram(tuple(ops), setup_size, key=key)
 
 

@@ -7,6 +7,8 @@ simulated ECU, on all three bundled stands.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import Compiler, script_from_string, script_to_string
@@ -138,6 +140,34 @@ class TestFailureAndErrorPaths:
         interpreter = TestStandInterpreter(stand, harness, paper_signal_set())
         with pytest.raises(ExecutionError):
             interpreter.run(script)
+
+    def test_stand_variable_spelling_does_not_matter(self):
+        """Expressions match variable names case-insensitively, so a stand
+        that spells ``Vref`` serves a script that reads ``vref``, on the VM
+        and on the classic walk alike."""
+        from repro.teststand import PlanCache
+
+        step = ScriptStep(0, 0.1, (SignalAction(
+            "int_ill", MethodCall("get_u", {"u_min": "0", "u_max": "(3*vref)"})),))
+        script = TestScript("reads_vref", "interior_light_ecu", [step])
+
+        def report(name, cache):
+            stand = build_paper_stand()
+            stand.variables = {name: 6.0}
+            interpreter = TestStandInterpreter(
+                stand, build_paper_harness(), paper_signal_set(),
+                plan_cache=cache)
+            document = json.loads(json_report(interpreter.run(script)))
+            document.pop("wall_time_s")
+            return document
+
+        cache = PlanCache()
+        reference = report("vref", None)
+        assert reference["verdict"] == "pass"
+        assert report("Vref", cache) == reference
+        assert report("Vref", None) == reference
+        assert report("vref", cache) == reference
+        assert cache.stats.vm_runs == 2
 
     def test_unknown_signal_is_error_result(self, harness):
         stand = build_paper_stand()

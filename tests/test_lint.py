@@ -43,6 +43,14 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint.cli import main as lint_main
+from repro.lint.context import LintContext
+from repro.methods import default_registry
+from repro.methods.base import (
+    MethodKind,
+    MethodSpec,
+    ParameterRole,
+    ParameterSpec,
+)
 from repro.paper.example import (
     PAPER_TEST_NAME,
     interior_harness,
@@ -71,6 +79,7 @@ from repro.targets import (
     unregister_dut,
     unresolved_signal_message,
 )
+from repro.teststand.allocator import Allocator
 
 # ---------------------------------------------------------------------------
 # Module-level toy fixtures (module-level so X-UNPICKLABLE-FACTORY stays
@@ -148,20 +157,78 @@ def ghost_pin_suite():
                       signals=ghost_pin_signals())
 
 
-def phantom_signal_suite():
-    """Seeded VM gap: the sheet drives a signal the DUT's own signal sheet
-    lacks.  The suite carries the extra signal so it compiles, but at run
-    time resolution fails per action (classic path: per-action ERROR) and
-    the bytecode VM refuses the whole combination at compile time."""
-    signals = SignalSet(
+def _phantom_signals():
+    """The paper's signal sheet plus PHANTOM, which the DUT's registered
+    signal set lacks: a sheet compiles against it, and the run resolves
+    PHANTOM to an unknown signal."""
+    return SignalSet(
         tuple(paper_signal_set()) + (
             Signal("PHANTOM", SignalDirection.OUTPUT, SignalKind.ANALOG,
                    pins=("INT_ILL_F",), initial_status="Lo"),
         ),
         dut="interior_light_ecu",
     )
+
+
+def phantom_signal_suite():
+    """Seeded VM gap: the sheet drives a signal the DUT's own signal sheet
+    lacks.  The suite carries the extra signal so it compiles, but at run
+    time resolution fails per action (classic path: per-action ERROR) and
+    the bytecode VM refuses the whole combination at compile time."""
     return _toy_suite((), [(0.5, {"DS_FL": "Open", "PHANTOM": "Lo"})],
-                      signals=signals)
+                      signals=_phantom_signals())
+
+
+#: A reading no bundled stand's instrument range covers.
+_HUGE = StatusDefinition.from_cells(
+    "Huge", "get_u", "u", nominal="550", minimum="500", maximum="600")
+#: A reading only the big rack's +-100 V DVM covers.
+_HIGH = StatusDefinition.from_cells(
+    "High", "get_u", "u", nominal="80", minimum="70", maximum="90")
+#: A wait whose duration is an expression over UBATT (see
+#: :func:`_expression_wait_registry`): the VM cannot compile it.
+_STALL = StatusDefinition.from_cells(
+    "Stall", "wait", "t", variable="UBATT", nominal="0,01")
+
+
+def _expression_wait_registry():
+    """The default registry with a ``wait`` whose ``t`` follows the status
+    variable, so a sheet can carry a non-numeric wait duration."""
+    registry = default_registry()
+    registry.register(MethodSpec(
+        name="wait", kind=MethodKind.TIMING, attribute="t",
+        parameters=(ParameterSpec("t", ParameterRole.NOMINAL, unit="s"),),
+    ), replace=True)
+    return registry
+
+
+def unservable_after_errors_suite():
+    """An unservable reading (step 2) after an unknown signal (step 0) and
+    a non-numeric wait (step 1)."""
+    return _toy_suite((_STALL, _HUGE), [
+        (0.5, {"DS_FL": "Open", "PHANTOM": "Lo"}),
+        (0.5, {"DS_FR": "Stall"}),
+        (0.5, {"INT_ILL": "Huge"}),
+    ], signals=_phantom_signals())
+
+
+def unservable_before_unknown_suite():
+    """Unservable readings before (step 0) and after (step 2) an unknown
+    signal."""
+    return _toy_suite((_HUGE,), [
+        (0.5, {"INT_ILL": "Huge"}),
+        (0.5, {"PHANTOM": "Lo"}),
+        (0.5, {"INT_ILL": "Huge"}),
+    ], signals=_phantom_signals())
+
+
+def partly_servable_suite():
+    """A reading only one eligible stand serves (step 0), then one no
+    stand serves (step 1)."""
+    return _toy_suite((_HIGH, _HUGE), [
+        (0.5, {"INT_ILL": "High"}),
+        (0.5, {"INT_ILL": "Huge"}),
+    ])
 
 
 class ToyMaskedDoorEcu(InteriorLightEcu):
@@ -366,6 +433,65 @@ def test_unservable_window_seeded_defect_exits_2(toy_dut):
 def test_family_r_negative_on_bundled_duts():
     report = run_lint(rules=[r.id for r in ALL_RULES if r.id.startswith("R-")])
     assert report.findings == ()
+
+
+def test_lint_walks_each_covered_pair_once(monkeypatch):
+    """R-UNSERVABLE-STEP, R-DEAD-STEP and X-UNCOMPILABLE-SCRIPT share one
+    compiler walk, and so one scratch allocator, per covered (sheet x
+    eligible stand) pair."""
+    context = LintContext()
+    pairs = sum(
+        1
+        for dut in context.duts
+        for script in context.scripts(dut)
+        for stand in context.eligible_stands(dut)
+        if not stand.missing_methods(script.methods_used())
+        and context.stand_instance(stand, dut) is not None
+    )
+    built = []
+    original = Allocator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Allocator, "__init__", counting)
+    run_lint()
+    assert pairs == 44
+    assert len(built) == pairs
+
+
+_EDGE_RULES = ["R-UNSERVABLE-STEP", "X-UNCOMPILABLE-SCRIPT"]
+
+
+def test_walk_goes_on_after_errors_that_are_not_allocations(toy_dut):
+    toy_dut("toy_after_errors", suite_factory=unservable_after_errors_suite)
+    report = run_lint(duts=["toy_after_errors"], rules=_EDGE_RULES,
+                      registry=_expression_wait_registry())
+    assert [f.location for f in _findings(report, "R-UNSERVABLE-STEP")] == [
+        "sheet:toy_sheet step:2 int_ill.get_u"]
+    # One X finding per eligible stand, for the sheet's first error.
+    uncompilable = _findings(report, "X-UNCOMPILABLE-SCRIPT")
+    assert len(uncompilable) == 3
+    assert all("GET phantom:get_u: unknown signal" in f.message
+               for f in uncompilable)
+
+
+def test_allocation_failure_first_keeps_uncompilable_quiet(toy_dut):
+    toy_dut("toy_alloc_first", suite_factory=unservable_before_unknown_suite)
+    report = run_lint(duts=["toy_alloc_first"], rules=_EDGE_RULES)
+    assert _findings(report, "X-UNCOMPILABLE-SCRIPT") == []
+    assert [f.location for f in _findings(report, "R-UNSERVABLE-STEP")] == [
+        "sheet:toy_sheet step:0 int_ill.get_u",
+        "sheet:toy_sheet step:2 int_ill.get_u",
+    ]
+
+
+def test_action_one_stand_serves_is_not_unservable(toy_dut):
+    toy_dut("toy_partly", suite_factory=partly_servable_suite)
+    report = run_lint(duts=["toy_partly"], rules=["R-UNSERVABLE-STEP"])
+    assert [f.location for f in _findings(report, "R-UNSERVABLE-STEP")] == [
+        "sheet:toy_sheet step:1 int_ill.get_u"]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,21 @@ ALL_DUTS = ("central_locking_ecu", "exterior_light_ecu",
             "instrument_cluster_ecu", "interior_light_ecu",
             "window_lifter_ecu", "wiper_ecu")
 
+#: One entry per call of the counting suite factories below.
+_SUITES_BUILT: list[str] = []
+
+
+def counted_wiper_suite():
+    _SUITES_BUILT.append("wiper")
+    return wiper_suite()
+
+
+def counted_composed_suite():
+    from repro.paper import composed_suite
+
+    _SUITES_BUILT.append("composed")
+    return composed_suite()
+
 
 class TestRegistry:
     def test_all_bundled_duts_registered(self):
@@ -75,6 +90,40 @@ class TestRegistry:
             assert unregister_dut("toy_ecu") is target
         with pytest.raises(TargetError):
             targets.get_dut("toy_ecu")
+
+    def test_registration_builds_no_suite(self):
+        """A target's suite methods come from its compiled bundled suite,
+        built on the first read of ``required_methods`` and not before."""
+        from repro.targets import (
+            CompositionTarget,
+            register_composition,
+            unregister_composition,
+        )
+
+        _SUITES_BUILT.clear()
+        wiper = targets.get_dut("wiper_ecu")
+        dut = register_dut(DutTarget(
+            name="counted_ecu", ecu_factory=wiper.ecu_factory,
+            harness_factory=wiper_harness,
+            signals_factory=wiper.signals_factory,
+            suite_factory=counted_wiper_suite,
+        ))
+        comp = register_composition(CompositionTarget(
+            "counted_comp",
+            (("a", "central_locking_ecu"), ("b", "instrument_cluster_ecu")),
+            suite_factory=counted_composed_suite,
+        ))
+        try:
+            assert _SUITES_BUILT == []
+            assert dut.required_methods == wiper.required_methods
+            assert dut.required_methods == ("get_i", "get_u", "put_can",
+                                            "put_r")
+            assert comp.required_methods == ("get_can", "get_u", "put_can",
+                                             "put_r")
+            assert _SUITES_BUILT == ["wiper", "composed"]
+        finally:
+            unregister_dut("counted_ecu")
+            unregister_composition("counted_comp")
 
     def test_register_dut_as_decorator(self):
         @register_dut(name="deco_ecu", harness_factory=lambda ecu: ecu,

@@ -227,6 +227,35 @@ class TestOnePassCompiler:
             _compile_one_step(action)
         assert not isinstance(raised.value.__cause__, AllocationError)
 
+    def test_walk_yields_errors_in_place_and_goes_on(self):
+        """The walk yields ``(step, action, op)`` in run order - setup,
+        stimuli, settle, expectations, end of step - with an inexpressible
+        action's error in place of its op, and walks on past it."""
+        door = SignalAction("DS_FL", MethodCall(
+            "put_r", {"r": "0.5", "r_min": "0", "r_max": "2"}))
+        huge = SignalAction("INT_ILL", MethodCall(
+            "get_u", {"u": "550", "u_min": "500", "u_max": "600"}))
+        ghost = SignalAction("NO_SUCH_SIGNAL", MethodCall("get_u", {"u": "1"}))
+        step = ScriptStep(3, 0.5, (huge, ghost, door))
+        script = TestScript("walked", "interior_light_ecu", [step],
+                            setup=(door,))
+        stand = build_paper_stand()
+        walked = list(vm.walk_program(
+            script, paper_signal_set(), stand, policy="first_fit",
+            registry=stand.registry,
+            variables={"ubatt": stand.supply_voltage, "t": 0.0},
+        ))
+        assert [(s, a) for s, a, _ in walked] == [
+            (None, door), (step, door), (step, None),
+            (step, huge), (step, ghost), (step, None)]
+        ops = [op for _, _, op in walked]
+        assert [op.code for op in ops[:3]] == ["SET", "SET", "WAIT"]
+        assert isinstance(ops[3], VmCompileError)
+        assert isinstance(ops[3].__cause__, AllocationError)
+        assert isinstance(ops[4], VmCompileError)
+        assert "unknown signal" in ops[4].reason
+        assert ops[5].code == "END_STEP"
+
 
 # ---------------------------------------------------------------------------
 # Self-distrust: degrade before executing anything

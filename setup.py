@@ -16,9 +16,9 @@ setup(
     python_requires=">=3.10",
     entry_points={
         "console_scripts": [
-            "repro-compile=repro.cli:main_compile",
-            "repro-run=repro.cli:main_run",
-            "repro-report=repro.cli:main_report",
+            "repro-compile=repro.cli_tools:main_compile",
+            "repro-run=repro.cli_tools:main_run",
+            "repro-report=repro.cli_tools:main_report",
             "repro-campaign=repro.cli:main_campaign",
             "repro-lint=repro.lint.cli:main",
             "repro-serve=repro.service.cli:main_serve",

@@ -30,7 +30,6 @@ from ..teststand.executor import (
     expand_jobs,
     run_jobs,
 )
-from ..teststand.report import format_table
 from ..teststand.stands import TestStand
 from ..teststand.verdict import TestResult
 from .faults import FaultModel
@@ -113,6 +112,8 @@ class CampaignResult:
 
     def table(self) -> str:
         """Text table: one row per fault model."""
+        from ..teststand.report import format_table
+
         header = ("fault", "detected", "expected", "failing tests", "description")
         rows = []
         for outcome in self.outcomes:

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator
 
+from .. import dut
 from .._record import Record
 from ..core.errors import ReproError
 from ..dut.base import EcuModel
 from ..dut.central_locking import CentralLockingEcu
-from ..dut.composition import EcuAssembly
 from ..dut.exterior_light import ExteriorLightEcu
 from ..dut.instrument_cluster import InstrumentClusterEcu
 from ..dut.interior_light import InteriorLightEcu
@@ -59,7 +59,9 @@ class FaultModel(Record):
     def build(self) -> EcuModel:
         """Instantiate the faulty ECU (or, for composed faults, assembly)."""
         ecu = self.factory()
-        if not isinstance(ecu, (EcuModel, EcuAssembly)):
+        # ``dut.EcuAssembly`` imports the composition module on first use,
+        # which a single-DUT fault never needs.
+        if not isinstance(ecu, EcuModel) and not isinstance(ecu, dut.EcuAssembly):
             raise ReproError(
                 f"fault {self.name!r} factory did not return an EcuModel "
                 f"or EcuAssembly"

@@ -141,7 +141,7 @@ def blocking_execute_calls(source: str) -> tuple[tuple[int, str], ...]:
     """``(lineno, call)`` for blocking ``.execute(`` calls in async defs.
 
     Exposed for test fixtures; the rule applies it to the interpreter,
-    executor and instrument-base sources.
+    executor, backends, VM and instrument-base sources.
     """
     visitor = _AsyncExecuteVisitor()
     visitor.visit(ast.parse(textwrap.dedent(source)))
@@ -151,9 +151,9 @@ def blocking_execute_calls(source: str) -> tuple[tuple[int, str], ...]:
 def check_blocking_execute(context: LintContext, rule: LintRule):
     """Blocking instrument calls reachable from the async run path."""
     from ..instruments import base as instruments_base
-    from ..teststand import executor, interpreter
+    from ..teststand import backends, executor, interpreter
 
-    for module in (interpreter, executor, vm, instruments_base):
+    for module in (interpreter, executor, backends, vm, instruments_base):
         try:
             source = inspect.getsource(module)
         except Exception:

@@ -4,9 +4,9 @@ These rules read the VM compiler's own allocation walk,
 :func:`repro.teststand.vm.walk_program` (through
 :meth:`~repro.lint.context.LintContext.walk`), on every stand that could
 physically carry the DUT.  An action whose allocation fails on every
-registered stand is statically unsatisfiable: it will produce an ERROR
-verdict on every run that will ever happen, and under ``stop_on_error`` it
-shadows every later step of the sheet.
+stand that covers its sheet's methods is statically unsatisfiable: it will
+produce an ERROR verdict on every run that will ever happen, and under
+``stop_on_error`` it shadows every later step of the sheet.
 
 Nothing here executes a job; the walk runs the same pure capability model
 against a scratch allocator.
@@ -41,12 +41,12 @@ def _allocation_failures(errors) -> dict[tuple, tuple]:
 def _reachability(context: LintContext, dut):
     """Shared analysis: per-script unservable actions across all stands.
 
-    Returns ``{script.name: (uncovered, common_failures)}`` where
+    Returns ``{script.name: (uncovered, common_failures, walked)}`` where
     *uncovered* is the list of stand names that lacked required methods
-    (empty when at least one stand covers the script) and
-    *common_failures* holds the failed allocations (see
-    :func:`_allocation_failures`) of the *first* usable stand, for actions
-    that failed on **every** usable stand.
+    (empty when at least one stand covers the script), *common_failures*
+    holds the failed allocations (see :func:`_allocation_failures`) of the
+    *first* usable stand, for actions that failed on **every** usable
+    stand, and *walked* names the stands whose walk was read.
     """
     def build():
         results = {}
@@ -55,6 +55,7 @@ def _reachability(context: LintContext, dut):
         for script in context.scripts(dut):
             methods = script.methods_used()
             rejected = []
+            walked = []
             common = None
             for target in context.eligible_stands(dut):
                 if target.missing_methods(methods):
@@ -63,6 +64,7 @@ def _reachability(context: LintContext, dut):
                 errors = context.walk(dut, script, target)
                 if errors is None:
                     continue
+                walked.append(target.name)
                 found = _allocation_failures(errors)
                 common = found if common is None else {
                     key: failure for key, failure in common.items()
@@ -71,7 +73,7 @@ def _reachability(context: LintContext, dut):
                 if not common:
                     break
             results[script.name] = (
-                (rejected, {}) if common is None else ([], common))
+                (rejected, {}, []) if common is None else ([], common, walked))
         return results
     return context.memo(("reachability", dut.key), build)
 
@@ -81,7 +83,7 @@ def check_unservable_step(context: LintContext, rule: LintRule):
     for dut in context.duts:
         analysis = _reachability(context, dut)
         for script in context.scripts(dut):
-            rejected, common = analysis.get(script.name, ([], {}))
+            rejected, common, walked = analysis.get(script.name, ([], {}, []))
             if rejected:
                 yield rule.finding(
                     f"sheet:{script.name}",
@@ -94,13 +96,10 @@ def check_unservable_step(context: LintContext, rule: LintRule):
                 )
                 continue
             for (label, signal, method), (_, reason) in common.items():
-                stands = ", ".join(
-                    target.name for target in context.eligible_stands(dut)
-                )
                 yield rule.finding(
                     f"sheet:{script.name} {label} {signal}.{method}",
-                    f"statically unsatisfiable on every registered stand "
-                    f"({stands}): {reason}",
+                    f"statically unsatisfiable on every stand that covers "
+                    f"the sheet's methods ({', '.join(walked)}): {reason}",
                     hint="widen the stand's resource capability or relax "
                          "the sheet's limits",
                     dut=dut.name,
@@ -117,7 +116,7 @@ def check_dead_step(context: LintContext, rule: LintRule):
     for dut in context.duts:
         analysis = _reachability(context, dut)
         for script in context.scripts(dut):
-            rejected, common = analysis.get(script.name, ([], {}))
+            rejected, common, _ = analysis.get(script.name, ([], {}, []))
             if rejected or not common:
                 continue
             numbered = [
@@ -140,8 +139,8 @@ def check_dead_step(context: LintContext, rule: LintRule):
             yield rule.finding(
                 f"sheet:{script.name}",
                 f"step(s) {listed} are dead under stop_on_error: {origin} "
-                f"fails allocation on every registered stand, so execution "
-                f"never reaches them",
+                f"fails allocation on every stand that covers the sheet's "
+                f"methods, so execution never reaches them",
                 hint="fix the unservable action first; the shadowed steps "
                      "are untested until then",
                 dut=dut.name,
@@ -193,7 +192,8 @@ def check_unreachable_open(context: LintContext, rule: LintRule):
 RULES = (
     LintRule(
         "R-UNSERVABLE-STEP", ERROR,
-        "an action is statically unsatisfiable on every registered stand",
+        "an action is statically unsatisfiable on every stand that covers "
+        "its sheet's methods",
         check_unservable_step,
     ),
     LintRule(

@@ -57,6 +57,7 @@ import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import chaos as _chaos
+from . import dut as _dut
 from ._record import Record
 
 from .analysis.campaign import CampaignResult, FaultCampaign
@@ -77,7 +78,6 @@ from .core.script import TestScript
 from .core.signals import Signal, SignalDirection, SignalKind, SignalSet
 from .core.testdef import TestSuite
 from .dut.central_locking import CentralLockingEcu
-from .dut.composition import CompositionHarness, EcuAssembly
 from .dut.exterior_light import ExteriorLightEcu
 from .dut.harness import TestHarness
 from .dut.instrument_cluster import InstrumentClusterEcu
@@ -86,7 +86,6 @@ from .dut.window_lifter import WindowLifterEcu
 from .dut.wiper import WiperEcu
 from .methods import default_registry
 from .paper.cluster import cluster_harness, cluster_signal_set, cluster_suite
-from .paper.composed import COMPOSITION_NAME, composed_suite
 from .paper.example import interior_harness, paper_signal_set
 from .paper.extended import (
     extended_suite,
@@ -123,6 +122,7 @@ from .teststand.stands import (
 from .teststand.verdict import TestResult
 
 if TYPE_CHECKING:
+    from .dut.composition import CompositionHarness, EcuAssembly
     from .teststand.serialize import ScriptKeys
 
 __all__ = [
@@ -800,7 +800,7 @@ class CompositionTarget(Record):
             else:
                 ecu = self.member_fault(member.alias, fault_name).build()
             built.append((member.alias, ecu))
-        return EcuAssembly(built, name=self.name)
+        return _dut.EcuAssembly(built, name=self.name)
 
     def faults_factory(self) -> FaultCatalogue:
         """The composed fault catalogue, addressed per member.
@@ -922,7 +922,7 @@ def _build_composition_harness(composition: str,
         member.alias: target.harness_factory(assembly.member(member.alias))
         for member, target in comp.dut_targets()
     }
-    return CompositionHarness(assembly, harnesses)
+    return _dut.CompositionHarness(assembly, harnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -1635,13 +1635,22 @@ register_dut(DutTarget(
     description="instrument cluster (produces the speed broadcast)",
 ))
 
+
+def _composed_suite() -> TestSuite:
+    """The lock+cluster interaction suite; its module is imported on the
+    first call, which a single-DUT process never makes."""
+    from .paper.composed import composed_suite
+
+    return composed_suite()
+
+
 register_composition(CompositionTarget(
-    name=COMPOSITION_NAME,
+    name="lock+cluster",  # repro.paper.composed.COMPOSITION_NAME
     members=(
         CompositionMember("lock", CentralLockingEcu.NAME),
         CompositionMember("cluster", InstrumentClusterEcu.NAME),
     ),
-    suite_factory=composed_suite,
+    suite_factory=_composed_suite,
     description="central locking fed by the real instrument cluster's "
                 "speed broadcast on one shared CAN bus",
     # The interaction sheets never probe the speedometer gauge, so a

@@ -367,7 +367,7 @@ class TestChaosExecution:
         """Cancelling a job whose schedule is mid-hang propagates the
         cancellation: the job is abandoned, never retried or reported as a
         transient error."""
-        from repro.teststand.executor import _aexecute_with_retries
+        from repro.teststand.backends import _aexecute_with_retries
 
         policy = ResiliencePolicy(
             max_attempts=3, backoff_base=0.0,
@@ -611,14 +611,19 @@ class TestResume:
                 "PRAGMA integrity_check").fetchone()[0] == "ok"
 
     def test_exited_campaign_leaves_only_the_database_file(self, tmp_path):
+        """Also with the heap frozen at exit: the store's exit handler
+        still merges the write-ahead log."""
         path = tmp_path / "exited.db"
         code = ("import sys; from repro.cli import main_campaign; "
                 "sys.exit(main_campaign(sys.argv[1:]))")
-        subprocess.run(
+        child = subprocess.run(
             [sys.executable, "-c", code, "--dut", "wiper_ecu",
              "--store", str(path), "--resume"],
-            capture_output=True, env=_CHILD_ENV, timeout=120, check=True,
+            capture_output=True, text=True, env=_CHILD_ENV, timeout=120,
+            check=True,
         )
+        clean = run_campaign(CampaignSpec(dut="wiper_ecu"))
+        assert child.stdout == f"{clean.table()}\n{clean.summary()}\n"
         assert path.exists()
         assert not Path(f"{path}-wal").exists()
         assert not Path(f"{path}-shm").exists()

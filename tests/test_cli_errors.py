@@ -158,6 +158,14 @@ class TestCampaignExitCodes:
         assert excinfo.value.code == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_lint_without_list_targets_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_campaign(["--dut", "wiper_ecu", "--lint", "--quiet"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--lint" in captured.err and "--list-targets" in captured.err
+        assert captured.out == ""
+
     def test_unknown_composition_is_exit_2(self, capsys):
         assert main_campaign(["--compose", "gone"]) == 2
         assert "unknown composition" in capsys.readouterr().err

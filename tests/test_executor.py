@@ -53,6 +53,7 @@ from repro.teststand import (
     text_report,
 )
 from repro.teststand import executor as executor_mod
+from repro.teststand import transport
 from repro.teststand.profiling import PROFILER
 
 
@@ -431,14 +432,14 @@ class TestSerialParallelEquivalence:
 # ---------------------------------------------------------------------------
 
 def _current_pool():
-    return executor_mod._POOL
+    return transport._POOL
 
 
 def _drop_pool() -> None:
     """Shut the warm pool down, so the next batch forks fresh workers."""
     pool = _current_pool()
     if pool is not None:
-        executor_mod._retire_pool(pool.executor)
+        transport._retire_pool(pool.executor)
 
 
 def _run_in_forked_child(conn) -> None:
@@ -450,7 +451,7 @@ def _run_in_forked_child(conn) -> None:
     conn.send((mine is not inherited, mine.pid == os.getpid(), table))
     # A multiprocessing child joins its own children before the standard
     # library shuts pools down, so it retires the pool itself.
-    executor_mod._retire_pool(mine.executor)
+    transport._retire_pool(mine.executor)
 
 
 class TestWarmProcessPool:

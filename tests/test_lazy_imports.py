@@ -3,10 +3,12 @@
 ``repro``, ``repro.core``, ``repro.teststand``, ``repro.analysis`` and
 ``repro.paper`` resolve their re-exports on first use, and the heavy
 standard-library modules are imported by the functions that use them, so
-a cold serial ``repro-campaign`` loads only what its run executes.  Its
-records are written in source (``repro._record``), so it compiles no
-generated code either.  Each check runs in a fresh interpreter: a module
-that this test session has imported already would hide any regression.
+a cold serial ``repro-campaign`` loads only what its run executes.  Code
+that only other runs call lives in modules of their own, which the
+modules it moved out of resolve on first use.  Its records are written in
+source (``repro._record``), so it compiles no generated code either.  Each
+check runs in a fresh interpreter: a module that this test session has
+imported already would hide any regression.
 """
 
 from __future__ import annotations
@@ -30,6 +32,33 @@ NOT_ON_THE_CAMPAIGN_PATH = (
     "repro.teststand.serialize", "repro.analysis.coverage",
     "dataclasses", "inspect", "json",
 )
+
+#: Imported by no cold single-DUT campaign: the composition, the report
+#: renderer, the thread / process / async backends and the other tools.
+NOT_ON_THE_COLD_DUT_PATH = (
+    "repro.dut.composition", "repro.paper.composed", "repro.teststand.report",
+    "repro.teststand.backends", "repro.teststand.transport", "repro.cli_tools",
+)
+
+#: Names that moved into a module of their own, by the module they were
+#: imported from, with the module that defines them now.
+MOVED_NAMES = {
+    "repro.cli": {
+        "main_compile": "repro.cli_tools", "main_run": "repro.cli_tools",
+        "main_report": "repro.cli_tools",
+    },
+    "repro.teststand.executor": {
+        "ThreadExecutor": "repro.teststand.backends",
+        "AsyncExecutor": "repro.teststand.backends",
+        "aexecute_job": "repro.teststand.backends",
+        "ProcessExecutor": "repro.teststand.transport",
+    },
+    "repro.dut": {
+        "CompositionHarness": "repro.dut.composition",
+        "EcuAssembly": "repro.dut.composition",
+        "merge_databases": "repro.dut.composition",
+    },
+}
 
 #: ``__all__`` of each lazy package, as it was while the packages imported
 #: every submodule eagerly; the public surface must not change.
@@ -155,6 +184,50 @@ def test_a_cold_campaign_imports_only_what_it_runs():
         run_campaign(CampaignSpec(dut="wiper_ecu")).summary(),
         run_campaign(CampaignSpec(composition="lock+cluster")).summary(),
     ]
+
+
+def test_a_cold_dut_campaign_leaves_the_moved_code_unimported():
+    """A composition campaign in the same process then imports what it
+    needs and prints its table."""
+    code = (
+        "import json, sys\n"
+        "from repro.cli import main_campaign\n"
+        "main_campaign(['--dut', 'wiper_ecu', '--quiet'])\n"
+        f"loaded = [m for m in {NOT_ON_THE_COLD_DUT_PATH!r} "
+        "if m in sys.modules]\n"
+        "print(json.dumps(loaded))\n"
+        "main_campaign(['--compose', 'lock+cluster'])\n"
+    )
+    summary, loaded, *composed = _fresh(code).stdout.splitlines()
+    assert json.loads(loaded) == []
+    assert summary == run_campaign(CampaignSpec(dut="wiper_ecu")).summary()
+    result = run_campaign(CampaignSpec(composition="lock+cluster"))
+    assert composed == [*result.table().splitlines(), result.summary()]
+
+
+@pytest.mark.parametrize("module", sorted(MOVED_NAMES))
+def test_moved_names_resolve_where_they_were(module):
+    """Each resolves on first use, from the module that defines it now;
+    the tracer of ``perfbench`` patches each executor class's own
+    ``map_jobs``."""
+    moved = MOVED_NAMES[module]
+    code = f"""
+import json, sys
+import {module} as module
+
+owners = {moved!r}
+early = sorted({{owner for owner in owners.values() if owner in sys.modules}})
+found = {{name: getattr(module, name).__module__ for name in owners}}
+own_map_jobs = [name for name in owners
+                if name.endswith("Executor")
+                and "map_jobs" in vars(getattr(module, name))]
+print(json.dumps([early, found, own_map_jobs, sorted(module.__all__)]))
+"""
+    early, found, own_map_jobs, names = json.loads(_fresh(code).stdout)
+    assert early == []
+    assert found == moved
+    assert own_map_jobs == [name for name in moved if name.endswith("Executor")]
+    assert set(moved) <= set(names)
 
 
 @pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))

@@ -222,6 +222,21 @@ def unservable_before_unknown_suite():
     ], signals=_phantom_signals())
 
 
+#: A current reading: the paper stand has no ammeter, so lint never walks
+#: a sheet holding one on it.
+_DRAW = StatusDefinition.from_cells(
+    "Draw", "get_i", "i", nominal="0,5", minimum="0,1", maximum="2")
+
+
+def unservable_current_suite():
+    """A reading no stand serves (step 0), then a current reading (step
+    1), which the paper stand lacks the method for."""
+    return _toy_suite((_HUGE, _DRAW), [
+        (0.5, {"INT_ILL": "Huge"}),
+        (0.5, {"INT_ILL": "Draw"}),
+    ])
+
+
 def partly_servable_suite():
     """A reading only one eligible stand serves (step 0), then one no
     stand serves (step 1)."""
@@ -492,6 +507,19 @@ def test_action_one_stand_serves_is_not_unservable(toy_dut):
     report = run_lint(duts=["toy_partly"], rules=["R-UNSERVABLE-STEP"])
     assert [f.location for f in _findings(report, "R-UNSERVABLE-STEP")] == [
         "sheet:toy_sheet step:1 int_ill.get_u"]
+
+
+def test_unservable_step_names_only_the_stands_it_walked(toy_dut):
+    toy_dut("toy_uncovered", suite_factory=unservable_current_suite)
+    report = run_lint(duts=["toy_uncovered"], rules=["R-UNSERVABLE-STEP"])
+    findings = _findings(report, "R-UNSERVABLE-STEP")
+    assert [f.location for f in findings] == [
+        "sheet:toy_sheet step:0 int_ill.get_u",
+        "sheet:toy_sheet step:1 int_ill.get_i",
+    ]
+    for finding in findings:
+        assert ("statically unsatisfiable on every stand that covers the "
+                "sheet's methods (big_rack, minimal): ") in finding.message
 
 
 # ---------------------------------------------------------------------------

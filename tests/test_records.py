@@ -70,7 +70,7 @@ def _hand_built() -> list[Record]:
     from repro.store.store import CaseRow, RunDiff, RunInfo, VerdictDelta
     from repro.targets import RunSpec
     from repro.teststand import Connector, DirectWire, ResiliencePolicy
-    from repro.teststand.executor import _Pool
+    from repro.teststand.transport import _Pool
 
     network = Network()
     network.add_resistor("a", "gnd", 10.0)

@@ -319,7 +319,7 @@ def _print_target_listing(*, lint: bool = False) -> None:
         report = run_lint()
     print("registered DUTs:")
     for target in sorted(targets.iter_duts(), key=lambda t: t.key):
-        sheets = len(target.suite_factory()) if target.suite_factory else 0
+        sheets = len(target._bundled[2]) if target.suite_factory else 0
         fault_count = len(target.faults_factory()) if target.faults_factory else 0
         pins = ", ".join(target.pins) if target.pins else "paper default"
         print(f"  {target.name}")
@@ -340,7 +340,7 @@ def _print_target_listing(*, lint: bool = False) -> None:
     if compositions:
         print("registered compositions:")
         for comp in compositions:
-            sheets = len(comp.suite_factory())
+            sheets = len(comp._bundled[2])
             fault_count = len(comp.faults_factory())
             members = ", ".join(
                 f"{member.alias}={member.dut}" for member in comp.members

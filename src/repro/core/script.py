@@ -21,7 +21,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .._record import Record
+from .._record import FrozenInstanceError, Record
 from .errors import ScriptError
 from .values import LimitExpression, compile_expression, format_number
 
@@ -151,15 +151,15 @@ class ScriptStep(Record):
         )
 
 
-def _referenced_variables(actions: Iterable[SignalAction]) -> set[str]:
-    names: set[str] = set()
-    for action in actions:
-        names |= action.call.variables()
-    return names
-
-
 class TestScript:
     """A complete, test-stand-independent test script.
+
+    A script is a value: it is built whole by its constructor and refuses
+    assignment and deletion afterwards, so anything derived from it (an
+    execution plan's fingerprint, the result store's content key) holds
+    for as long as the script lives.  Memos of such derived values are
+    written through ``__dict__``; they stay in their process, because a
+    script pickles and copies its fields only.
 
     Attributes
     ----------
@@ -171,12 +171,12 @@ class TestScript:
         Signal actions establishing the initial statuses from the signal
         definition sheet, performed before step 0.
     steps:
-        The ordered script steps.
+        The script steps, their numbers strictly increasing.
     variables:
         Names of stand-supplied variables (e.g. ``ubatt``) the script's
-        expressions reference.
+        expressions reference, plus any declared ones, sorted.
     metadata:
-        Free-form string metadata recorded in the XML header.
+        Read-only string metadata recorded in the XML header.
     """
 
     __test__ = False  # a domain class, not a pytest test class
@@ -196,54 +196,58 @@ class TestScript:
             raise ScriptError("test script needs a name")
         if not str(dut).strip():
             raise ScriptError("test script needs a DUT name")
-        self.name = str(name).strip()
-        self.dut = str(dut).strip()
-        self.description = description
-        self.setup: tuple[SignalAction, ...] = tuple(setup)
-        declared = {str(v).lower() for v in variables}
-        self._variables = tuple(sorted(declared | _referenced_variables(self.setup)))
-        self._steps: list[ScriptStep] = []
-        for step in steps:
-            self.append(step)
-        self.metadata: dict[str, str] = dict(metadata or {})
+        setup = tuple(setup)
+        steps = tuple(steps)
+        for before, step in zip(steps, steps[1:]):
+            if step.number <= before.number:
+                raise ScriptError(
+                    f"step numbers must increase: {step.number} after {before.number}"
+                )
+        names = {str(v).lower() for v in variables}
+        for actions in (setup, *(step.actions for step in steps)):
+            for action in actions:
+                names |= action.call.variables()
+        self.__dict__.update(
+            name=str(name).strip(), dut=str(dut).strip(),
+            description=description, setup=setup, steps=steps,
+            variables=tuple(sorted(names)),
+            metadata=MappingProxyType(dict(metadata or {})))
 
-    def append(self, step: ScriptStep) -> None:
-        """Append a step; numbers must be strictly increasing.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-        The variables the step references join :attr:`variables`, so a
-        script grown step by step equals one built with all its steps.
-        """
-        if self._steps and step.number <= self._steps[-1].number:
-            raise ScriptError(
-                f"step numbers must increase: {step.number} after {self._steps[-1].number}"
-            )
-        self._steps.append(step)
-        referenced = _referenced_variables(step.actions)
-        if not referenced.issubset(self._variables):
-            self._variables = tuple(sorted(referenced.union(self._variables)))
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        # The fields alone: memos stay in their process, and the metadata
+        # view (which cannot be pickled) travels as a plain dict.
+        return {
+            "name": self.name,
+            "dut": self.dut,
+            "description": self.description,
+            "setup": self.setup,
+            "steps": self.steps,
+            "variables": self.variables,
+            "metadata": dict(self.metadata),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, metadata=MappingProxyType(state["metadata"]))
 
     # -- access --------------------------------------------------------------
 
     @property
-    def steps(self) -> tuple[ScriptStep, ...]:
-        return tuple(self._steps)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """Stand-supplied variables referenced by the script."""
-        return self._variables
-
-    @property
     def total_duration(self) -> float:
         """Sum of all step durations in seconds."""
-        return sum(step.duration for step in self._steps)
+        return sum(step.duration for step in self.steps)
 
     def signals_used(self) -> tuple[str, ...]:
         """All signal names referenced (setup + steps), in first-use order."""
         seen: dict[str, None] = {}
         for action in self.setup:
             seen.setdefault(action.signal, None)
-        for step in self._steps:
+        for step in self.steps:
             for action in step.actions:
                 seen.setdefault(action.signal, None)
         return tuple(seen)
@@ -253,20 +257,20 @@ class TestScript:
         seen: dict[str, None] = {}
         for action in self.setup:
             seen.setdefault(action.method.lower(), None)
-        for step in self._steps:
+        for step in self.steps:
             for action in step.actions:
                 seen.setdefault(action.method.lower(), None)
         return tuple(seen)
 
     def action_count(self) -> int:
         """Total number of signal actions (setup + steps)."""
-        return len(self.setup) + sum(len(step.actions) for step in self._steps)
+        return len(self.setup) + sum(len(step.actions) for step in self.steps)
 
     def __iter__(self) -> Iterator[ScriptStep]:
-        return iter(self._steps)
+        return iter(self.steps)
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self.steps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TestScript):
@@ -281,5 +285,5 @@ class TestScript:
     def __repr__(self) -> str:
         return (
             f"TestScript(name={self.name!r}, dut={self.dut!r}, "
-            f"steps={len(self._steps)}, actions={self.action_count()})"
+            f"steps={len(self.steps)}, actions={self.action_count()})"
         )

@@ -160,7 +160,7 @@ class CampaignApp:
                     "name": target.name,
                     "description": target.description,
                     "campaignable": target.campaignable,
-                    "sheets": len(target.suite_factory())
+                    "sheets": len(target._bundled[2])
                     if target.suite_factory else 0,
                     "faults": len(target.faults_factory())
                     if target.faults_factory else 0,
@@ -174,7 +174,7 @@ class CampaignApp:
                     "description": target.description,
                     "members": {member.alias: member.dut
                                 for member in target.members},
-                    "sheets": len(target.suite_factory()),
+                    "sheets": len(target._bundled[2]),
                     "faults": len(target.faults_factory()),
                 }
                 for target in sorted(targets.iter_compositions(),

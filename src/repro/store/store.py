@@ -27,7 +27,6 @@ the process like any in-memory database.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import functools
 import hashlib
 import json
@@ -47,7 +46,7 @@ from ..teststand.executor import ExecutionReport, JobResult, format_job_id
 from ..teststand.report import format_table
 from ..teststand.serialize import (
     REPORT_SCHEMA,
-    ScriptKeys,
+    _stored_key,
     restored_factory,
     result_to_dict,
 )
@@ -440,9 +439,6 @@ class ResultStore:
         # connection, and a later chdir cannot point it at another file.
         self._key = self.path if self._memory else os.path.realpath(self.path)
         self._memory_link = _Link() if self._memory else None
-        #: The script memo of the campaign under way, if any
-        #: (:meth:`campaign_scripts`).
-        self._scripts: ScriptKeys | None = None
 
         def initialise() -> None:
             with self._connect():
@@ -630,29 +626,12 @@ class ResultStore:
 
     # -- recording ----------------------------------------------------------
 
-    @contextlib.contextmanager
-    def campaign_scripts(self):
-        """Serialise and fingerprint each script once for one campaign.
-
-        Yields the :class:`~repro.teststand.serialize.ScriptKeys` memo that
-        every checkpoint and record made through this store inside the
-        block reuses; the caller builds the campaign's resume key from it
-        too.  Scripts are mutable, so the memo ends with the block: outside
-        one, each write serialises its scripts afresh.
-        """
-        self._scripts = scripts = ScriptKeys()
-        try:
-            yield scripts
-        finally:
-            self._scripts = None
-
-    def _intern_script(self, conn: sqlite3.Connection, script,
-                       scripts: ScriptKeys) -> int:
-        fingerprint = scripts.fingerprint(script)
+    def _intern_script(self, conn: sqlite3.Connection, script) -> int:
+        content, fingerprint = _stored_key(script)
         conn.execute(
             "INSERT OR IGNORE INTO scripts (name, dut, fingerprint, content) "
             "VALUES (?, ?, ?, ?)",
-            (script.name, script.dut, fingerprint, scripts.key(script)),
+            (script.name, script.dut, fingerprint, content),
         )
         row = conn.execute(
             "SELECT id FROM scripts WHERE fingerprint = ?", (fingerprint,)
@@ -733,7 +712,6 @@ class ResultStore:
         (script and all) every ordinal the run already holds."""
         held = {row[0] for row in conn.execute(
             "SELECT ordinal FROM jobs WHERE run_id = ?", (run_id,))}
-        scripts = self._scripts or ScriptKeys()
         script_ids: dict[int, int] = {}
         for ordinal, job_result in job_results:
             job, result = job_result.job, job_result.result
@@ -741,7 +719,7 @@ class ResultStore:
                 continue
             if id(job.script) not in script_ids:
                 script_ids[id(job.script)] = self._intern_script(
-                    conn, job.script, scripts)
+                    conn, job.script)
             job_row = conn.execute(
                 "INSERT INTO jobs (run_id, ordinal, job_index, script_id, "
                 "group_name, stand_label, policy, stop_on_error, "

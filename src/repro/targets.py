@@ -123,7 +123,6 @@ from .teststand.verdict import TestResult
 
 if TYPE_CHECKING:
     from .dut.composition import CompositionHarness, EcuAssembly
-    from .teststand.serialize import ScriptKeys
 
 __all__ = [
     "TargetError",
@@ -221,6 +220,32 @@ class CapabilityGapError(TargetError):
 # Registry model
 # ---------------------------------------------------------------------------
 
+#: A suite as campaigns read it: its DUT name, signal sheet and scripts.
+_CompiledSuite = tuple[str, SignalSet, tuple[TestScript, ...]]
+
+
+def _compile(suite: TestSuite) -> _CompiledSuite:
+    return suite.dut, suite.signals, tuple(Compiler().compile_suite(suite))
+
+
+def _bundled_suite(target: "Target") -> _CompiledSuite:
+    """The target's bundled suite, built and compiled on first read.
+
+    Scripts are values, so every campaign of the target runs the same
+    ones, and the capability negotiation and the target listings read
+    them too; the :class:`~repro.core.testdef.TestSuite` itself is not
+    kept.  A failed build or compile is not kept: the next read tries
+    again.  Two threads reading it first may both compile it
+    (``functools.cached_property`` takes no lock from Python 3.12 on);
+    the results are equal, and the last is kept.
+    """
+    if target.suite_factory is None:
+        raise TargetError(
+            f"DUT {target.name!r} has no bundled test suite; pass a workbook"
+        )
+    return _compile(target.suite_factory())
+
+
 def _suite_methods(target: "Target") -> tuple[str, ...] | None:
     """Methods the target's bundled suite needs a stand resource for.
 
@@ -230,10 +255,8 @@ def _suite_methods(target: "Target") -> tuple[str, ...] | None:
     so registering a target builds no suite.  ``None`` when no suite is
     bundled or it fails to build or compile.
     """
-    if target.suite_factory is None:
-        return None
     try:
-        scripts = Compiler().compile_suite(target.suite_factory())
+        _, _, scripts = target._bundled
     except Exception:
         return None
     return tuple(sorted({
@@ -258,8 +281,9 @@ class DutTarget(Record):
         Builds the DUT's fault catalogue; ``None`` when no seeded defects
         are bundled (the DUT is then not campaignable).
     suite_factory:
-        Builds the DUT's bundled test suite; used by campaigns when no
-        workbook is given.
+        Builds the DUT's bundled test suite, which campaigns run when no
+        suite or workbook is given; the target builds and compiles it
+        once, on first use.
     pins:
         DUT adapter: the pin list configurable stands must be wired to.
         ``None`` means the paper's default pinning, which every bundled
@@ -284,6 +308,7 @@ class DutTarget(Record):
     pins: tuple[str, ...] | None = None
     description: str = ""
 
+    _bundled = functools.cached_property(_bundled_suite)
     required_methods = functools.cached_property(_suite_methods)
 
     def __init__(self, name: str, ecu_factory: Callable[[], object],
@@ -666,6 +691,7 @@ class CompositionTarget(Record):
     description: str = ""
     expected_overrides: tuple[tuple[str, bool], ...] = ()
 
+    _bundled = functools.cached_property(_bundled_suite)
     required_methods = functools.cached_property(_suite_methods)
 
     def __init__(self, name: str, members: Iterable[CompositionMember],
@@ -715,7 +741,7 @@ class CompositionTarget(Record):
 
     def signals_factory(self) -> SignalSet:
         """The interaction sheet of the bundled suite."""
-        return self.suite_factory().signals
+        return self._bundled[1]
 
     def member_for(self, alias: str) -> CompositionMember:
         wanted = str(alias).lower()
@@ -1363,26 +1389,24 @@ class CampaignSpec(Record):
             chaos_profile=chaos_profile)
 
 
-def _resolve_suite(spec: CampaignSpec) -> TestSuite:
+def _resolve_suite(spec: CampaignSpec) -> _CompiledSuite:
+    """The compiled suite a campaign runs: the spec's suite or workbook,
+    compiled afresh, else its target's bundled suite, compiled once."""
     if spec.suite is not None:
-        return spec.suite
+        return _compile(spec.suite)
     if spec.workbook is not None:
         from .sheets.workbook import load_suite
 
         try:
-            return load_suite(spec.workbook)
+            suite = load_suite(spec.workbook)
         except Exception as exc:
             raise TargetError(
                 f"cannot load workbook {spec.workbook!r}: {exc}"
             ) from exc
+        return _compile(suite)
     if spec.dut is None and spec.composition is None:
         raise TargetError("campaign spec needs a dut, a suite or a workbook")
-    target = _spec_target(spec, None)
-    if target.suite_factory is None:
-        raise TargetError(
-            f"DUT {target.name!r} has no bundled test suite; pass a workbook"
-        )
-    return target.suite_factory()
+    return _spec_target(spec, None)._bundled
 
 
 def select_faults(catalogue: FaultCatalogue,
@@ -1430,20 +1454,19 @@ def build_campaign(spec: CampaignSpec, *,
     the expansion's wall time is its ``job_expansion`` phase.
     """
     started = time.perf_counter()
-    suite = _resolve_suite(spec)
-    target = _spec_target(spec, suite.dut)
+    dut, signals, scripts = _resolve_suite(spec)
+    target = _spec_target(spec, dut)
     if target.faults_factory is None:
         raise TargetError(
             f"DUT {target.name!r} has no fault catalogue; campaignable DUTs: "
             f"{list(campaignable_dut_names())}"
         )
-    if suite.dut.lower() != target.key:
+    if dut.lower() != target.key:
         raise TargetError(
-            f"suite is for DUT {suite.dut!r} but the campaign targets "
+            f"suite is for DUT {dut!r} but the campaign targets "
             f"{target.name!r}"
         )
     faults = select_faults(target.faults_factory(), spec.faults)
-    scripts = Compiler().compile_suite(suite)
     stand_target = get_stand(spec.stand or default_stand_for(target))
     stand_factory = stand_factory_for(stand_target, target)
     # Pre-flight capability negotiation: a stand that lacks a resource for
@@ -1465,7 +1488,7 @@ def build_campaign(spec: CampaignSpec, *,
         # The scripts were compiled against the suite's own signal sheet, so
         # execution must use that sheet too - a workbook may rename or remap
         # signals relative to the registered bundled set.
-        suite.signals,
+        signals,
         stand_factory,
         target.harness_factory,
         target.ecu_factory,
@@ -1482,14 +1505,13 @@ def build_campaign(spec: CampaignSpec, *,
 
 
 def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
-                         faults: Sequence[FaultModel],
-                         scripts: ScriptKeys) -> str:
+                         faults: Sequence[FaultModel]) -> str:
     """Content fingerprint naming a resumable campaign's unfinished run.
 
     Built from everything that determines job identities and verdicts -
-    compiled script content (from the campaign's
-    :class:`~repro.teststand.serialize.ScriptKeys` memo *scripts*), fault
-    selection, stand, allocation policy, fast-path switches - and nothing
+    compiled script content (each script's
+    :func:`~repro.teststand.serialize.script_key`), fault selection,
+    stand, allocation policy, fast-path switches - and nothing
     that does not (backend, worker count): a campaign killed on the
     process backend may resume on the serial one and still merge
     byte-identically.  A stand named explicitly that is the target's
@@ -1497,6 +1519,8 @@ def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
     the same run.
     """
     import hashlib
+
+    from .teststand.serialize import script_key
 
     stand = spec.stand
     # The scripts name the target of a spec that names none; a campaign
@@ -1506,7 +1530,7 @@ def _campaign_resume_key(spec: CampaignSpec, campaign: FaultCampaign,
         if get_stand(stand).name == default_stand_for(target):
             stand = None
     document = {
-        "scripts": [scripts.key(script) for script in campaign.scripts],
+        "scripts": [script_key(script) for script in campaign.scripts],
         "faults": [fault.name for fault in faults],
         "dut": spec.dut,
         "composition": spec.composition,
@@ -1550,15 +1574,14 @@ def run_campaign(spec: CampaignSpec, *,
     # setup cost (nor create files) unless a spec actually records.
     from .store import ResultStore
     store = ResultStore(spec.store)
-    with store.campaign_scripts() as scripts:
-        completed = on_result = resume_key = None
-        if spec.resume:
-            resume_key = _campaign_resume_key(spec, campaign, faults, scripts)
-            completed = store.load_checkpoints(resume_key)
-            on_result = functools.partial(store.save_checkpoint, resume_key)
-        result = campaign.run(faults, completed=completed, on_result=on_result)
-        result.store_run_id = store.record_campaign(result, spec,
-                                                    resume_key=resume_key)
+    completed = on_result = resume_key = None
+    if spec.resume:
+        resume_key = _campaign_resume_key(spec, campaign, faults)
+        completed = store.load_checkpoints(resume_key)
+        on_result = functools.partial(store.save_checkpoint, resume_key)
+    result = campaign.run(faults, completed=completed, on_result=on_result)
+    result.store_run_id = store.record_campaign(result, spec,
+                                                resume_key=resume_key)
     return result
 
 

@@ -175,21 +175,6 @@ class _HashedKey:
         return f"_HashedKey({self.value!r})"
 
 
-class _ScriptMemo(tuple):
-    """A script's fingerprint memo, which stays in its process.
-
-    It holds the signal-set object it was computed for, so a pickled
-    script (a process batch ships each one to its workers) would carry a
-    copy of that set, which no job there uses and which the ``is`` guard
-    never matches.  It pickles as an empty memo instead.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return (tuple, ())
-
-
 def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
     """Execution-relevant content identity of (script, resolved signals).
 
@@ -203,18 +188,16 @@ def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
     exactly those step fields.  The spelling is exact because a VM run
     reports the compiled program's own action objects: a script that
     differs only in method case or parameter order must get its own plan,
-    or its results would name the other script's actions.  The result is
-    memoised on the script object, guarded by the step/setup counts (the
-    only way a ``TestScript`` can grow) *and* by the signal-set object:
-    the same script run against a differently-pinned set must fingerprint
-    afresh, or it would alias the other set's plan.  (The memo keeps a
-    strong reference to the set, so an ``is`` guard cannot be fooled by
-    id reuse.)
+    or its results would name the other script's actions.  A script is
+    a value, so the result is memoised on the script object, keyed by the
+    signal-set object: the same script run against a differently-pinned
+    set must fingerprint afresh, or it would alias the other set's plan.
+    (The memo keeps a strong reference to the set, so an ``is`` check
+    cannot be fooled by id reuse; a pickled script leaves it behind.)
     """
-    guard = (len(script.setup), len(script.steps))
     cached = script.__dict__.get("_allocation_fingerprint")
-    if cached and cached[0] == guard and cached[1] is signals:
-        return cached[2]
+    if cached is not None and cached[0] is signals:
+        return cached[1]
 
     actions: list[tuple] = []
     used: dict[str, None] = {}
@@ -256,8 +239,7 @@ def script_fingerprint(script: TestScript, signals: SignalSet) -> "_HashedKey":
         (script.name, script.dut.lower(), tuple(actions), tuple(resolved),
          steps_meta)
     )
-    script.__dict__["_allocation_fingerprint"] = _ScriptMemo(
-        (guard, signals, fingerprint))
+    script.__dict__["_allocation_fingerprint"] = (signals, fingerprint)
     return fingerprint
 
 
@@ -331,18 +313,16 @@ def registry_fingerprint(registry: MethodRegistry) -> "_HashedKey":
     Memoised on the registry object, guarded by the registry's mutation
     revision - ``register(..., replace=True)`` changes a spec without
     changing the length, so counting entries would not be enough.
-    Registries predating the revision counter degrade to recomputing.
     """
-    revision = getattr(registry, "_revision", None)
+    revision = registry._revision
     cached = registry.__dict__.get("_plan_fingerprint")
-    if cached is not None and revision is not None and cached[0] == revision:
+    if cached is not None and cached[0] == revision:
         return cached[1]
     fingerprint = _HashedKey(tuple(
         (spec.key, bool(spec.is_measurement), bool(spec.is_stimulus))
         for spec in registry
     ))
-    if revision is not None:
-        registry.__dict__["_plan_fingerprint"] = (revision, fingerprint)
+    registry.__dict__["_plan_fingerprint"] = (revision, fingerprint)
     return fingerprint
 
 

@@ -123,48 +123,35 @@ def script_from_dict(data: Mapping) -> TestScript:
     )
 
 
+def _stored_key(script: TestScript,
+                document: dict | None = None) -> tuple[str, str]:
+    """*script*'s :func:`script_key` text and its SHA-256, memoised on it.
+
+    A script is a value, so both hold for as long as it lives: a campaign's
+    resume key, every checkpoint and record, and every report document of
+    a long-lived process serialise and hash each script once.  *document*,
+    when given, is the script's :func:`script_to_dict`, reused on a miss.
+    The memo is not pickled with the script.  Two threads that miss on one
+    script both compute the same pair.
+    """
+    memo = script.__dict__.get("_stored_key")
+    if memo is None:
+        text = json.dumps(
+            script_to_dict(script) if document is None else document,
+            sort_keys=True, separators=(",", ":"))
+        memo = script.__dict__["_stored_key"] = (
+            text, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return memo
+
+
 def script_key(script: TestScript) -> str:
     """Content key of a script: scripts with equal keys render identically.
 
-    The key is the canonical JSON of :func:`script_to_dict` - the content
-    the result store keeps in its ``scripts`` table, deduplicated across
-    runs by the key's SHA-256 (:class:`ScriptKeys`).
+    The key is the canonical JSON of :func:`script_to_dict`, built once
+    per script - the content the result store keeps in its ``scripts``
+    table, deduplicated across runs by the key's SHA-256.
     """
-    return json.dumps(script_to_dict(script), sort_keys=True,
-                      separators=(",", ":"))
-
-
-class ScriptKeys:
-    """Each script's :func:`script_key` and its SHA-256, computed once.
-
-    A campaign runs a handful of scripts in many jobs: its resume key,
-    every checkpoint and the final record all need the same key text, and
-    the memo serialises and hashes each script once for all of them.
-    Entries are keyed by script identity and hold the script, so an id is
-    not reused while its entry lives.  Scripts are mutable
-    (:meth:`~repro.core.script.TestScript.append`), so one memo serves one
-    campaign and is then dropped; never keep it across campaigns.  Two
-    threads that miss on one script both compute the same entry.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[int, tuple[TestScript, str, str]] = {}
-
-    def _entry(self, script: TestScript) -> tuple[TestScript, str, str]:
-        entry = self._entries.get(id(script))
-        if entry is None:
-            key = script_key(script)
-            entry = self._entries[id(script)] = (
-                script, key, hashlib.sha256(key.encode("utf-8")).hexdigest())
-        return entry
-
-    def key(self, script: TestScript) -> str:
-        """:func:`script_key` of *script*."""
-        return self._entry(script)[1]
-
-    def fingerprint(self, script: TestScript) -> str:
-        """SHA-256 hex digest of *script*'s key: its row in the store."""
-        return self._entry(script)[2]
+    return _stored_key(script)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +338,20 @@ def report_to_dict(report) -> dict:
     """
     scripts: list[dict] = []
     index_by_key: dict[str, int] = {}
+    # Jobs share script objects: each is serialised once, and its key is
+    # read from (or computed into) its memo.
+    index_by_script: dict[int, int] = {}
     jobs: list[dict] = []
     for job_result in report.results:
         job = job_result.job
-        key = script_key(job.script)
-        script_index = index_by_key.get(key)
+        script_index = index_by_script.get(id(job.script))
         if script_index is None:
-            script_index = index_by_key[key] = len(scripts)
-            scripts.append(script_to_dict(job.script))
+            document = script_to_dict(job.script)
+            key = _stored_key(job.script, document)[0]
+            script_index = index_by_key.setdefault(key, len(scripts))
+            if script_index == len(scripts):
+                scripts.append(document)
+            index_by_script[id(job.script)] = script_index
         jobs.append({
             "index": job.index,
             "script": script_index,

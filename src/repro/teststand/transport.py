@@ -22,7 +22,9 @@ serves of that batch runs the same script object (one plan fingerprint,
 one action index) against the same signal set (one VM signal check).
 Any chunk still runs from its own payload alone, on a worker that never
 saw the batch.  Batches are never matched by script identity, name or
-content: scripts are mutable, so each batch ships its own copy.
+content: a batch's signal sets and factories are its own as much as its
+scripts are, and the next batch may ship other ones under the same
+names, so each batch ships its own copy.
 
 On the way home each action result names its action by position in the
 job's script (setup first, then each step's actions), matched by exact

@@ -172,24 +172,28 @@ class TestXmlRoundtrip:
 
 class TestScriptModel:
     def test_duplicate_step_numbers_rejected(self):
-        script = TestScript("t", "d", [ScriptStep(0, 1.0)])
-        with pytest.raises(ScriptError):
-            script.append(ScriptStep(0, 1.0))
+        """The constructor takes steps in strictly increasing order only."""
+        with pytest.raises(ScriptError,
+                           match="step numbers must increase: 0 after 0"):
+            TestScript("t", "d", [ScriptStep(0, 1.0), ScriptStep(0, 1.0)])
+        with pytest.raises(ScriptError,
+                           match="step numbers must increase: 1 after 2"):
+            TestScript("t", "d", [ScriptStep(0, 1.0), ScriptStep(2, 1.0),
+                                  ScriptStep(1, 1.0)])
 
-    def test_append_keeps_variables_current(self):
-        """A script grown step by step equals one built in one call: the
-        same stand variables, and so the same stored content key."""
-        from repro.teststand.serialize import script_key
-
+    def test_variables_cover_what_the_steps_reference(self):
+        """The stand variables are the declared names plus every one the
+        setup and the steps reference, whichever step references it."""
+        setup = (SignalAction("ds_rl", MethodCall("put_u", {"u": "(1*uref)"})),)
         first = ScriptStep(0, 1.0, (SignalAction("ds_fl", MethodCall(
             "get_u", {"u_min": "(0.7*ubatt)", "u_max": "(1*ubatt)"})),))
         second = ScriptStep(1, 1.0, (SignalAction("ds_fr", MethodCall(
             "get_u", {"u_min": "(0.1*vref)", "u_max": "(0.2*vref)"})),))
-        grown = TestScript("get_u_twice", "some_ecu", [first])
-        grown.append(second)
-        built = TestScript("get_u_twice", "some_ecu", [first, second])
-        assert grown.variables == built.variables == ("ubatt", "vref")
-        assert script_key(grown) == script_key(built)
+        assert TestScript("get_u_twice", "some_ecu", [first, second]
+                          ).variables == ("ubatt", "vref")
+        assert TestScript("get_u_twice", "some_ecu", [first, second],
+                          setup=setup, variables=("Extra",)
+                          ).variables == ("extra", "ubatt", "uref", "vref")
 
     def test_total_duration_and_counts(self, script):
         assert script.total_duration == pytest.approx(309.0)
@@ -236,7 +240,7 @@ class TestValidation:
         script = TestScript("t", "d", [step], variables=("ubatt",))
         # usupply is referenced by the expression, therefore auto-declared by
         # TestScript itself; simulate a hand-written script with a stale header.
-        script._variables = ("ubatt",)
+        script.__dict__["variables"] = ("ubatt",)
         issues = validate_script(script)
         assert any("usupply" in issue.message for issue in issues if issue.is_error)
 

@@ -12,6 +12,7 @@ Covers the four guarantees the compiled path rests on:
 
 from __future__ import annotations
 
+import copy
 import json
 import pickle
 
@@ -22,7 +23,7 @@ from repro.core.errors import ConfigurationError, InstrumentError, ReproError
 from repro.dut import InteriorLightEcu
 from repro.instruments import Dvm
 from repro.paper import interior_harness, paper_signal_set, paper_suite
-from repro.core.script import ScriptStep
+from repro.core.script import ScriptStep, TestScript
 from repro.targets import (
     CampaignSpec,
     build_campaign,
@@ -192,14 +193,78 @@ class TestPlanInvalidation:
         assert script_fingerprint(script, original) == first
 
     def test_fingerprint_memo_stays_in_its_process(self):
-        """A pickled script (a process batch ships each one) leaves its
-        fingerprint memo, and the signal set the memo holds, behind."""
+        """A pickled or copied script (a process batch ships each one)
+        leaves its memos behind: the fingerprint's signal set and the
+        stored key text.  It pickles exactly as a fresh equal script."""
+        from repro.store import ResultStore
+
         script = _paper_script()
         signals = paper_signal_set()
         fingerprint = script_fingerprint(script, signals)
-        clone = pickle.loads(pickle.dumps(script))
-        assert not clone.__dict__.get("_allocation_fingerprint")
+        report = run_jobs(expand_jobs(
+            (script,), signals, {"stand": build_paper_stand},
+            interior_harness, {"baseline": InteriorLightEcu},
+        ))
+        ResultStore(":memory:").record_report(report)
+        assert {"_allocation_fingerprint", "_stored_key"} <= set(vars(script))
+        fresh = _paper_script()
+        assert pickle.dumps(script) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(script)), copy.copy(script),
+                      copy.deepcopy(script)):
+            assert clone == script
+            assert vars(clone).keys() == vars(fresh).keys()
         assert script_fingerprint(clone, signals) == fingerprint
+
+    def test_a_compiled_script_cannot_change_under_its_plan(self):
+        """A run is a plan hit while its script's fingerprint memo stands,
+        so a script changed after its first VM run would replay the old
+        plan (here ``ds_fl: put_r r="INF"``, realised as an open circuit)
+        while the classic walk applied the new action.  A script refuses
+        the change instead, and the two paths agree."""
+        from repro._record import FrozenInstanceError
+        from repro.core.script import MethodCall, SignalAction
+
+        script = _paper_script()
+        signals = paper_signal_set()
+        cache = PlanCache()
+
+        def setup_of(plan_cache):
+            result = TestStandInterpreter(
+                build_paper_stand(), interior_harness(InteriorLightEcu()),
+                signals, plan_cache=plan_cache,
+            ).run(script)
+            return result_to_dict(result)["setup"]
+
+        setup_of(cache)
+        changed = tuple(
+            SignalAction(action.signal, MethodCall(
+                "put_r", {"r": "0", "r_min": "0", "r_max": "10"}))
+            if action.signal.lower() == "ds_fl" else action
+            for action in script.setup
+        )
+        assert len(changed) == len(script.setup) and changed != script.setup
+        refused = False
+        try:
+            script.setup = changed
+        except FrozenInstanceError:
+            refused = True
+        assert setup_of(cache) == setup_of(None)
+        assert cache.stats.plan_hits == 1
+        assert refused
+
+        for name in ("name", "dut", "description", "setup", "steps",
+                     "variables", "metadata", "not_a_field"):
+            with pytest.raises(FrozenInstanceError,
+                               match=f"cannot assign to field '{name}'"):
+                setattr(script, name, None)
+            with pytest.raises(FrozenInstanceError,
+                               match=f"cannot delete field '{name}'"):
+                delattr(script, name)
+        with pytest.raises(TypeError):
+            script.metadata["author"] = "someone"
+        assert script.steps is script.steps
+        assert isinstance(script.steps, tuple)
+        assert not hasattr(script, "append")
 
     def test_registry_replace_invalidates_fingerprint(self):
         """register(..., replace=True) changes content without changing
@@ -407,25 +472,33 @@ class TestProcessChunking:
                 expected.pop("wall_time")
                 assert document == expected, (target, job.job_id)
 
-    def test_a_script_grown_between_batches_ships_again(self):
-        """A worker keeps a batch's scripts for that batch only: a step
-        appended to a script after one batch runs in the next batch that
-        ships the same script object."""
+    def test_each_batch_runs_the_scripts_it_ships(self):
+        """A worker keeps a batch's scripts for that batch only: a second
+        batch shipping another script of the same name runs that script's
+        own steps, not the first one's."""
         script = _paper_script()
-        jobs = expand_jobs(
-            (script,), paper_signal_set(), {"stand": build_paper_stand},
-            interior_harness, {"baseline": InteriorLightEcu},
-        )
-        executor = ProcessExecutor(max_workers=1)  # one worker serves both
-        before = run_jobs(jobs, executor).results[0].result
         last = script.steps[-1]
-        script.append(ScriptStep(last.number + 1, 0.5, last.actions,
-                                 remark="appended"))
-        after = run_jobs(jobs, executor).results[0].result
+        longer = TestScript(
+            script.name, script.dut,
+            (*script.steps, ScriptStep(last.number + 1, 0.5, last.actions,
+                                       remark="appended")),
+            setup=script.setup, metadata=script.metadata,
+            description=script.description,
+        )
+
+        def jobs_of(script):
+            return expand_jobs(
+                (script,), paper_signal_set(), {"stand": build_paper_stand},
+                interior_harness, {"baseline": InteriorLightEcu},
+            )
+
+        executor = ProcessExecutor(max_workers=1)  # one worker serves both
+        before = run_jobs(jobs_of(script), executor).results[0].result
+        after = run_jobs(jobs_of(longer), executor).results[0].result
         assert len(after.steps) == len(before.steps) + 1
         assert after.steps[-1].remark == "appended"
         assert result_to_dict(after)["steps"] == \
-            result_to_dict(run_jobs(jobs).results[0].result)["steps"]
+            result_to_dict(run_jobs(jobs_of(longer)).results[0].result)["steps"]
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):

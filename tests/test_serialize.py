@@ -46,6 +46,31 @@ def test_report_dict_shape_and_schema(campaign_result):
     assert report_to_dict(report) == document
 
 
+def test_report_serialises_each_script_once(campaign_result, monkeypatch):
+    """Jobs share their scripts: ``to_dict`` serialises each distinct
+    script once and takes its content key from the script's memo, however
+    often the report is serialised."""
+    from repro.teststand import serialize
+
+    serialised = []
+    script_to_dict = serialize.script_to_dict
+
+    def counted(script):
+        serialised.append(script.name)
+        return script_to_dict(script)
+
+    monkeypatch.setattr(serialize, "script_to_dict", counted)
+    report = campaign_result.execution
+    document = report.to_dict()
+    assert len(report.results) == 36
+    assert len(document["scripts"]) == 4
+    assert sorted(serialised) == sorted(
+        script["name"] for script in document["scripts"])
+    serialised.clear()
+    assert report.to_dict() == document
+    assert len(serialised) == 4
+
+
 def test_report_round_trip_is_byte_identical(campaign_result):
     report = campaign_result.execution
     document = report.to_dict()

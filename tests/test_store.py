@@ -455,33 +455,47 @@ def test_resume_key_ignores_how_the_default_stand_was_named(store_path,
         == text
 
 
-def test_script_memo_ends_with_its_campaign(store_path):
-    """A script changed after its campaign is stored as it is now: one
-    long-lived store keeps no script memo from one campaign to the next."""
-    from repro.core.script import ScriptStep
-    from repro.teststand.serialize import script_key
+def test_a_long_lived_store_serialises_each_script_once(store_path,
+                                                        monkeypatch):
+    """A script is a value, so its stored key is memoised on it: two
+    checkpointed campaigns of one target into one store serialise each
+    script once, for both resume keys, every checkpoint and both records,
+    and their jobs share one row per script."""
+    from repro import targets
+    from repro._record import replace
+    from repro.teststand import serialize
 
-    result = run_campaign(CampaignSpec(dut="wiper_ecu",
-                                       faults=("motor_stuck_off",)))
-    store = ResultStore(store_path)
-    with store.campaign_scripts():
-        for job_result in result.execution.results:
-            store.save_checkpoint("K1", job_result)
-        store.record_campaign(result, resume_key="K1")
-    job_result = result.execution.results[0]
-    script = job_result.job.script
-    stored_before = script_key(script)
-    script.append(ScriptStep(number=script.steps[-1].number + 1,
-                             duration=0.1, remark="appended"))
-    assert script_key(script) != stored_before
-    assert store.save_checkpoint("K2", job_result)
+    serialised = []
+    script_to_dict = serialize.script_to_dict
+
+    def counted(script):
+        serialised.append(script.name)
+        return script_to_dict(script)
+
+    monkeypatch.setattr(serialize, "script_to_dict", counted)
+    wiper = targets.get_dut("wiper_ecu")
+    # A fresh copy of the target compiles fresh scripts, with no memo yet.
+    targets.register_dut(replace(wiper), replace_existing=True)
+    try:
+        spec = CampaignSpec(dut="wiper_ecu", faults=("motor_stuck_off",),
+                            store=store_path, resume=True)
+        first = run_campaign(spec).execution.results[0].job.script
+        run_campaign(spec)
+    finally:
+        targets.register_dut(wiper, replace_existing=True)
+    names = [script.name for script in
+             targets.build_campaign(spec)[0].scripts]
+    assert sorted(serialised) == sorted(names)
     with sqlite3.connect(store_path) as connection:
-        (content,) = connection.execute(
-            "SELECT scripts.content FROM jobs "
-            "JOIN scripts ON scripts.id = jobs.script_id "
-            "JOIN runs ON runs.id = jobs.run_id "
-            "WHERE runs.resume_key = 'K2'").fetchone()
-    assert content == script_key(script)
+        rows = connection.execute(
+            "SELECT name, content FROM scripts ORDER BY id").fetchall()
+        used: dict[int, set[int]] = {}
+        for run_id, script_id in connection.execute(
+                "SELECT run_id, script_id FROM jobs"):
+            used.setdefault(run_id, set()).add(script_id)
+    assert [name for name, _ in rows] == names
+    assert rows[0][1] == serialize.script_key(first)
+    assert len(used) == 2 and len({frozenset(ids) for ids in used.values()}) == 1
 
 
 def test_unfinished_runs_are_invisible_to_readers(store_path):

@@ -442,6 +442,91 @@ class TestRunCampaign:
         assert result.detected == ("motor_stuck_off",)
 
 
+@pytest.fixture
+def counted_targets(monkeypatch):
+    """``wiper_ecu`` and ``lock+cluster`` swapped for fresh copies whose
+    suite factories count their calls in ``_SUITES_BUILT``; yields the DUT
+    names ``Compiler.compile_suite`` is called for.  The registered
+    targets come back afterwards."""
+    from repro._record import replace
+    from repro.targets import register_composition
+
+    _SUITES_BUILT.clear()
+    compiled: list[str] = []
+    compile_suite = Compiler.compile_suite
+
+    def counted_compile(self, suite):
+        compiled.append(suite.dut)
+        return compile_suite(self, suite)
+
+    monkeypatch.setattr(Compiler, "compile_suite", counted_compile)
+    wiper = targets.get_dut("wiper_ecu")
+    comp = targets.get_composition("lock+cluster")
+    register_dut(replace(wiper, suite_factory=counted_wiper_suite),
+                 replace_existing=True)
+    register_composition(replace(comp, suite_factory=counted_composed_suite),
+                         replace_existing=True)
+    try:
+        yield compiled
+    finally:
+        register_dut(wiper, replace_existing=True)
+        register_composition(comp, replace_existing=True)
+
+
+class TestBundledSuiteCompiledOnce:
+    """A target builds and compiles its bundled suite once, on first use,
+    and every campaign and listing of it reads those scripts."""
+
+    def test_three_campaigns_build_and_compile_it_once(self, counted_targets):
+        spec = CampaignSpec(dut="wiper_ecu", faults=("motor_stuck_off",))
+        scripts = [run_campaign(spec).execution.results[0].job.script
+                   for _ in range(3)]
+        assert _SUITES_BUILT == ["wiper"]
+        assert counted_targets == ["wiper_ecu"]
+        assert scripts[0] is scripts[1] is scripts[2]
+
+    def test_listings_build_each_suite_once(self, counted_targets, capsys):
+        from repro.cli_tools import _print_target_listing
+        from repro.service import CampaignApp, CampaignService
+
+        _print_target_listing()
+        listing = capsys.readouterr().out
+        assert _SUITES_BUILT == ["wiper", "composed"]
+        assert counted_targets.count("wiper_ecu") == 1
+        assert counted_targets.count("lock+cluster") == 1
+        assert f"sheets: {len(wiper_suite())}  faults:" in listing
+        compiled = list(counted_targets)
+        with CampaignService(":memory:") as service:
+            chunks = CampaignApp(service)(
+                {"REQUEST_METHOD": "GET", "PATH_INFO": "/targets"},
+                lambda status, headers: None)
+        assert b'"sheets": ' in b"".join(chunks)
+        assert _SUITES_BUILT == ["wiper", "composed"]
+        assert counted_targets == compiled
+
+    def test_a_failed_build_is_not_kept(self, counted_targets):
+        from repro._record import replace
+
+        builds = []
+
+        def flaky_suite():
+            builds.append(len(builds))
+            if len(builds) == 1:
+                raise RuntimeError("suite source unavailable")
+            return wiper_suite()
+
+        register_dut(replace(targets.get_dut("wiper_ecu"),
+                             suite_factory=flaky_suite),
+                     replace_existing=True)
+        spec = CampaignSpec(dut="wiper_ecu", faults=("motor_stuck_off",))
+        with pytest.raises(RuntimeError, match="unavailable"):
+            run_campaign(spec)
+        assert run_campaign(spec).baseline_clean
+        assert run_campaign(spec).baseline_clean
+        assert builds == [0, 1]
+        assert counted_targets == ["wiper_ecu"]
+
+
 class TestDeprecatedShims:
     """Pre-registry public names must keep resolving (CAMPAIGN_TARGETS era).
 

@@ -18,18 +18,27 @@ test definition and test execution.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .._record import FrozenInstanceError, Record
-from .errors import ScriptError
-from .values import LimitExpression, compile_expression, format_number
+from .errors import ExpressionError, ScriptError
+from .values import LimitExpression, _reading, format_number
 
 __all__ = ["MethodCall", "SignalAction", "ScriptStep", "TestScript"]
 
 
 class MethodCall(Record):
-    """One method statement: a method name plus textual parameters."""
+    """One method statement: a method name plus textual parameters.
+
+    Besides its fields a call carries ``key``, its method lower-cased, and
+    reads its own parameters: the first read builds one table that maps
+    each lower-cased parameter name to its text and to how that text reads
+    (:func:`~repro.core.values.parse_parameter`); when two names differ
+    only in case, the first spelling wins.  Neither travels in a pickle or
+    a copy, which carry the method and the parameters only.
+    """
 
     method: str
     params: Mapping[str, str]  # a new empty mapping by default
@@ -38,51 +47,65 @@ class MethodCall(Record):
         if not str(method).strip():
             raise ScriptError("method call without a method name")
         frozen = MappingProxyType({str(k): str(v) for k, v in dict(params or {}).items()})
-        self.__dict__.update(method=method, params=frozen)
+        self.__dict__.update(method=method, params=frozen,
+                             key=str(method).lower())
 
     def __reduce__(self):
         # The frozen MappingProxyType view cannot be pickled; rebuild from a
         # plain dict so scripts can cross process boundaries (executor jobs).
         return (type(self), (self.method, dict(self.params)))
 
+    @cached_property
+    def _table(self) -> dict[str, tuple[str, float | LimitExpression | str | None]]:
+        # An unreadable text is stored as its ExpressionError message: an
+        # exception would keep its traceback's frames alive with the call.
+        table: dict[str, tuple] = {}
+        for name, text in self.params.items():
+            table.setdefault(name.lower(), (text, _reading(text)))
+        return table
+
     def param(self, name: str, default: str | None = None) -> str | None:
-        """Case-insensitive parameter lookup."""
-        wanted = str(name).lower()
-        for key, value in self.params.items():
-            if key.lower() == wanted:
-                return value
-        return default
+        """Case-insensitive parameter lookup: the text as written."""
+        entry = self._table.get(name.lower())
+        return default if entry is None else entry[0]
+
+    def parsed(self, name: str) -> float | LimitExpression | None:
+        """Parameter *name* as :func:`~repro.core.values.parse_parameter` reads it.
+
+        ``None`` when the call has no such parameter or it is blank.  A text
+        that reads as nothing raises a fresh :class:`ExpressionError` on
+        every read.
+        """
+        entry = self._table.get(name.lower())
+        if entry is None:
+            return None
+        reading = entry[1]
+        if isinstance(reading, str):
+            raise ExpressionError(reading)
+        return reading
 
     def variables(self) -> frozenset[str]:
         """All variables referenced by any expression-valued parameter."""
         names: set[str] = set()
-        for value in self.params.values():
-            try:
-                names |= compile_expression(str(value)).variables
-            except Exception:
-                continue
+        for text in self.params.values():
+            reading = _reading(text)
+            if isinstance(reading, LimitExpression):
+                names |= reading.variables
         return frozenset(names)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
-            # Identity first: cache lookups keyed by long-lived call objects
-            # (repro.methods.base) compare the very same instance on every
-            # hit, and the dict rebuilds below are the expensive part.
+            # Identity first: the dict rebuilds below are the expensive part.
             return True
         if isinstance(other, MethodCall):
-            return (
-                self.method.lower() == other.method.lower()
-                and dict(self.params) == dict(other.params)
-            )
+            return self.key == other.key and dict(self.params) == dict(other.params)
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Memoised: calls are immutable, and the parse caches in
-        # repro.methods.base hash the same long-lived call objects on every
-        # measurement, so the sort-and-lower must only ever run once.
+        # Memoised: calls are immutable, so the sort must only ever run once.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.method.lower(), tuple(sorted(self.params.items()))))
+            cached = hash((self.key, tuple(sorted(self.params.items()))))
             self.__dict__["_hash"] = cached
         return cached
 

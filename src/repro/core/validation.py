@@ -15,10 +15,10 @@ from typing import Iterable
 
 from .._record import Record
 from ..methods import MethodRegistry, default_registry
-from .errors import DefinitionError
+from .errors import DefinitionError, ExpressionError
 from .script import TestScript
 from .testdef import TestSuite
-from .values import LimitExpression
+from .values import LimitExpression, parse_parameter
 
 __all__ = ["Severity", "Issue", "validate_suite", "validate_script", "assert_valid"]
 
@@ -175,10 +175,12 @@ def validate_script(
                 issues.append(_issue(Severity.ERROR, location, str(exc)))
         for name, value in action.call.params.items():
             try:
-                expression = LimitExpression(value)
-            except Exception:
+                reading = parse_parameter(value)
+            except ExpressionError:
                 continue
-            undeclared = expression.variables - declared
+            if not isinstance(reading, LimitExpression):
+                continue
+            undeclared = reading.variables - declared
             if undeclared:
                 issues.append(_issue(
                     Severity.ERROR, location,

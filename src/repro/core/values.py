@@ -22,6 +22,9 @@ built on:
     a tiny, safe arithmetic expression over named variables, used both for
     the XML representation (``(0.7*ubatt)``) and for evaluation on the test
     stand where the concrete ``UBATT`` is known.
+``parse_parameter``
+    the one rule for reading a method parameter's text: blank, number or
+    limit expression.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "Interval",
     "LimitExpression",
     "compile_expression",
+    "parse_parameter",
 ]
 
 #: Canonical representation of an unbounded value (e.g. an open contact).
@@ -192,7 +196,7 @@ class Interval(Record):
     * empty intervals cannot be constructed - ``low > high`` raises
       :class:`~repro.core.errors.ValueError_` at construction (callers
       that want normalisation swap the bounds first, as
-      :func:`repro.methods.base.limits_from_params` does), so an interval
+      :func:`repro.methods.base.limits_for_call` does), so an interval
       that silently never matches anything does not exist;
     * NaN bounds are rejected for the same reason: ``NaN`` compares false
       against everything, so a NaN bound would slip past the ``low >
@@ -458,10 +462,11 @@ class LimitExpression:
 
 @functools.lru_cache(maxsize=4096)
 def _parsed(text: str) -> LimitExpression | str:
-    """*text* parsed, or the message of the :class:`ExpressionError` it raised."""
+    """*text* parsed, or the message of the error it raised."""
     try:
         return LimitExpression(text)
-    except ExpressionError as exc:
+    except (ExpressionError, RecursionError) as exc:
+        # A text nested deeper than the parser can walk is no expression.
         return str(exc)
 
 
@@ -474,7 +479,7 @@ def compile_expression(text: str) -> LimitExpression:
     same handful of script parameters thousands of times per campaign;
     interning the parse step turns each of those into a tree walk instead
     of an ``ast.parse``.  A text that does not parse is remembered too
-    (``MethodCall.variables`` tries every parameter, payload literals such
+    (:func:`parse_parameter` reads every parameter, payload literals such
     as ``0001B`` included), and each call raises a fresh
     :class:`ExpressionError` with the remembered message.
     """
@@ -482,3 +487,30 @@ def compile_expression(text: str) -> LimitExpression:
     if isinstance(parsed, str):
         raise ExpressionError(parsed)
     return parsed
+
+
+@functools.lru_cache(maxsize=4096)
+def _reading(text: str) -> float | LimitExpression | str | None:
+    """*text* read as a parameter, or the message of the error it raised."""
+    if not text.strip():
+        return None
+    try:
+        return parse_number(text)
+    except ValueError_:
+        return _parsed(text)
+
+
+def parse_parameter(text: str) -> float | LimitExpression | None:
+    """Read one method parameter's text the way the test stand does.
+
+    A blank text reads as ``None`` (the caller's default applies), a
+    number as a float (:func:`parse_number`: decimal commas, ``INF``),
+    anything else as its :class:`LimitExpression`.  A text that is none of
+    these raises :class:`ExpressionError`.  Readings are cached by text,
+    so equal texts share one parsed object, and an unreadable text (a
+    payload literal such as ``0001B``) is remembered as its message.
+    """
+    reading = _reading(text)
+    if isinstance(reading, str):
+        raise ExpressionError(reading)
+    return reading

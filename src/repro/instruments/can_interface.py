@@ -58,7 +58,7 @@ class CanInterface(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        method = call.method.lower()
+        method = call.key
         if method == "put_can":
             raw = call.param("data")
             if raw is None:

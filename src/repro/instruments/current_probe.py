@@ -72,7 +72,7 @@ class CurrentProbe(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        if call.method.lower() != "get_i":
+        if call.key != "get_i":
             raise InstrumentError(f"current probe {self.name!r} cannot perform {call.method!r}")
         if not pins:
             raise InstrumentError(f"current probe {self.name!r} has not been routed to any pin")

@@ -46,7 +46,7 @@ class DigitalIo(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        method = call.method.lower()
+        method = call.key
         if not pins:
             raise InstrumentError(f"digital I/O {self.name!r} has not been routed to any pin")
         supply = float(variables.get("ubatt", harness.ubatt))

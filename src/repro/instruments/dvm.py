@@ -59,7 +59,7 @@ class Dvm(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        if call.method.lower() != "get_u":
+        if call.key != "get_u":
             raise InstrumentError(f"DVM {self.name!r} cannot perform {call.method!r}")
         if not pins:
             raise InstrumentError(f"DVM {self.name!r} has not been routed to any pin")

@@ -45,7 +45,7 @@ class OhmMeter(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        if call.method.lower() != "get_r":
+        if call.key != "get_r":
             raise InstrumentError(f"ohm meter {self.name!r} cannot perform {call.method!r}")
         if not pins:
             raise InstrumentError(f"ohm meter {self.name!r} has not been routed to any pin")

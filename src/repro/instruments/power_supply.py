@@ -46,7 +46,7 @@ class PowerSupply(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        if call.method.lower() != "put_u":
+        if call.key != "put_u":
             raise InstrumentError(f"power supply {self.name!r} cannot perform {call.method!r}")
         if not pins:
             raise InstrumentError(f"power supply {self.name!r} has not been routed to any pin")

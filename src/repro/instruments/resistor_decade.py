@@ -63,7 +63,7 @@ class ResistorDecade(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        if call.method.lower() != "put_r":
+        if call.key != "put_r":
             raise InstrumentError(
                 f"resistor decade {self.name!r} cannot perform {call.method!r}"
             )

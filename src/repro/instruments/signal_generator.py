@@ -49,7 +49,7 @@ class SignalGenerator(Instrument):
         *,
         prepared: tuple | None = None,
     ) -> MethodOutcome:
-        method = call.method.lower()
+        method = call.key
         if not pins:
             raise InstrumentError(f"signal generator {self.name!r} has not been routed to any pin")
         if method == "put_u":

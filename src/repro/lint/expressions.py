@@ -1,11 +1,11 @@
 """Rule family E: expression and type checking of compiled limit parameters.
 
-Every limit expression a sheet compiles into its script is parsed through
-:func:`~repro.core.values.compile_expression` and checked against the
-variable environments the registered stands actually provide - so an
-unknown variable, an unparsable limit, an empty acceptance interval or a
-status whose attribute contradicts its method all surface before any
-hardware (or simulated hardware) runs.
+Every parameter a sheet compiles into its script is read through
+:func:`~repro.core.values.parse_parameter`, the test stand's own rule, and
+checked against the variable environments the registered stands actually
+provide - so an unknown variable, an unparsable limit, an empty acceptance
+interval or a status whose attribute contradicts its method all surface
+before any hardware (or simulated hardware) runs.
 
 The E-UNRESOLVED-SIGNAL rule re-derives, at lint time, exactly the
 condition :func:`repro.targets.derive_signal_set` warns about at run time;
@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from ..core.script import SignalAction, TestScript
-from ..core.values import compile_expression, format_number, parse_number
-from ..methods.base import ParameterRole
+from ..core.errors import ExpressionError
+from ..core.script import MethodCall, SignalAction, TestScript
+from ..core.values import format_number, parse_parameter
+from ..methods.base import ParameterRole, evaluate_call_parameter
 from ..targets import unresolved_signal_message
 from .context import LintContext
 from .findings import ERROR, WARNING, LintFinding, LintRule
@@ -47,26 +48,12 @@ def _iter_actions(script: TestScript) -> Iterator[tuple[str, SignalAction]]:
             yield f"step:{step.number}", action
 
 
-def _constant_value(text: str | None) -> float | None:
-    """Evaluate a parameter text statically, ``None`` when not constant."""
-    if text is None:
-        return None
-    stripped = str(text).strip()
-    if not stripped:
-        return None
+def _constant_value(call: MethodCall, name: str) -> float | None:
+    """Parameter *name* of *call* evaluated statically, ``None`` when it
+    is absent, blank, unreadable or not constant."""
     try:
-        return parse_number(stripped)
-    except Exception:
-        pass
-    try:
-        expression = compile_expression(stripped)
-    except Exception:
-        return None
-    if not expression.is_constant:
-        return None
-    try:
-        return expression.evaluate({})
-    except Exception:
+        return evaluate_call_parameter(call, name, {})
+    except (ExpressionError, ArithmeticError):
         return None
 
 
@@ -85,22 +72,14 @@ def check_bad_expression(context: LintContext, rule: LintRule):
                         continue
                     if parameter.role not in _NUMERIC_ROLES:
                         continue
-                    text = str(raw).strip()
-                    if not text:
-                        continue
                     try:
-                        parse_number(text)
-                        continue
-                    except Exception:
-                        pass
-                    try:
-                        compile_expression(text)
-                    except Exception:
+                        parse_parameter(raw)
+                    except ExpressionError:
                         yield rule.finding(
                             f"sheet:{script.name} {label} "
                             f"{action.signal}.{action.method}",
-                            f"parameter {name!r} value {text!r} is neither a "
-                            f"number nor a valid limit expression",
+                            f"parameter {name!r} value {raw.strip()!r} is "
+                            f"neither a number nor a valid limit expression",
                             hint="use a number, INF, or an expression over "
                                  "stand variables like (0.7*ubatt)",
                             dut=dut.name,
@@ -139,7 +118,7 @@ def check_empty_interval(context: LintContext, rule: LintRule):
     """Acceptance intervals that are empty as written (min > max).
 
     Checked both at the status-table level and on the compiled constant
-    parameters - :func:`repro.methods.base.limits_from_params` silently
+    parameters - :func:`repro.methods.base.limits_for_call` silently
     swaps inverted run-time bounds, so without this rule the authoring
     error would never surface.
     """
@@ -173,8 +152,8 @@ def check_empty_interval(context: LintContext, rule: LintRule):
                 attribute = context.registry.get(action.method).attribute
                 if not attribute:
                     continue
-                low = _constant_value(action.call.param(f"{attribute}_min"))
-                high = _constant_value(action.call.param(f"{attribute}_max"))
+                low = _constant_value(action.call, f"{attribute}_min")
+                high = _constant_value(action.call, f"{attribute}_max")
                 if low is None or high is None or not low > high:
                     continue
                 key = (attribute.lower(), low, high)

@@ -163,7 +163,7 @@ def check_unreachable_open(context: LintContext, rule: LintRule):
             continue
         for script in context.scripts(dut):
             for label, action in _iter_actions(script):
-                if action.method.lower() != "put_r":
+                if action.call.key != "put_r":
                     continue
                 try:
                     signal = signals.get(action.signal)
@@ -171,10 +171,10 @@ def check_unreachable_open(context: LintContext, rule: LintRule):
                     continue
                 if signal.is_bus:
                     continue
-                requested = _constant_value(action.call.param("r"))
+                requested = _constant_value(action.call, "r")
                 if requested is None or not math.isinf(requested):
                     continue
-                high = _constant_value(action.call.param("r_max"))
+                high = _constant_value(action.call, "r_max")
                 if high is None or math.isinf(high):
                     continue
                 yield rule.finding(

@@ -7,9 +7,7 @@ from .base import (
     ParameterRole,
     ParameterSpec,
     evaluate_call_parameter,
-    evaluate_parameter,
     limits_for_call,
-    limits_from_params,
 )
 from .bus import BUS_METHODS, GET_CAN, PUT_CAN
 from .electrical import (
@@ -34,9 +32,7 @@ __all__ = [
     "ParameterSpec",
     "MethodRegistry",
     "default_registry",
-    "evaluate_parameter",
     "evaluate_call_parameter",
-    "limits_from_params",
     "limits_for_call",
     "ELECTRICAL_METHODS",
     "BUS_METHODS",

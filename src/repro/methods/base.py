@@ -27,13 +27,7 @@ from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .._record import Record
 from ..core.errors import MethodError
-from ..core.values import (
-    Interval,
-    LimitExpression,
-    compile_expression,
-    format_number,
-    parse_number,
-)
+from ..core.values import Interval, LimitExpression, format_number
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.script import MethodCall
@@ -45,9 +39,7 @@ __all__ = [
     "ParameterSpec",
     "MethodSpec",
     "MethodOutcome",
-    "evaluate_parameter",
     "evaluate_call_parameter",
-    "limits_from_params",
     "limits_for_call",
 ]
 
@@ -261,93 +253,6 @@ class MethodOutcome(Record):
 # Parameter evaluation helpers (used by instruments and the interpreter)
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4096)
-def _parse_or_compile(text: str) -> float | LimitExpression:
-    """Cached numeric parse of one parameter text, expression fallback.
-
-    Campaign runs evaluate the same handful of textual parameters tens of
-    thousands of times; caching by source text turns each evaluation into
-    a dict hit plus (for expressions) a tree walk, and skips the costly
-    raise-and-catch of the plain-number attempt for expression texts.
-    """
-    try:
-        return parse_number(text)
-    except Exception:
-        return compile_expression(text)
-
-
-def evaluate_parameter(
-    params: Mapping[str, str],
-    name: str,
-    variables: Mapping[str, float] | None = None,
-    *,
-    default: float | None = None,
-) -> float | None:
-    """Evaluate a textual parameter (number or limit expression) to a float.
-
-    Returns *default* when the parameter is absent.
-    """
-    wanted = str(name).lower()
-    for key, raw in params.items():
-        if str(key).lower() == wanted:
-            text = str(raw).strip()
-            if not text:
-                return default
-            parsed = _parse_or_compile(text)
-            if isinstance(parsed, LimitExpression):
-                return parsed.evaluate(variables or {})
-            return parsed
-    return default
-
-
-def limits_from_params(
-    params: Mapping[str, str],
-    attribute: str,
-    variables: Mapping[str, float] | None = None,
-) -> Interval:
-    """Build the acceptance interval from ``<attr>_min`` / ``<attr>_max``.
-
-    Missing bounds default to minus/plus infinity so one-sided checks work.
-    Inverted bounds are *normalised* (swapped) rather than rejected:
-    :class:`~repro.core.values.Interval` refuses empty intervals at
-    construction, and run-time limits may legitimately invert when a
-    relative expression is scaled by a negative variable value.  Inverted
-    bounds written directly into a sheet are an authoring error; the static
-    analyzer's E-EMPTY-INTERVAL rule (:mod:`repro.lint`) reports those at
-    lint time, where the swap here would otherwise mask them.
-    """
-    low = evaluate_parameter(params, f"{attribute}_min", variables, default=float("-inf"))
-    high = evaluate_parameter(params, f"{attribute}_max", variables, default=float("inf"))
-    if low is None:
-        low = float("-inf")
-    if high is None:
-        high = float("inf")
-    if low > high:
-        low, high = high, low
-    return Interval(low, high)
-
-
-@functools.lru_cache(maxsize=4096)
-def _call_parameter_program(call: "MethodCall", name: str) -> float | LimitExpression | None:
-    """Resolve one call parameter to its parsed form, once per (call, name).
-
-    ``MethodCall`` is frozen and hashable, so the case-insensitive parameter
-    scan and the number-vs-expression parse only ever run once per distinct
-    call; campaigns re-issue the same handful of calls tens of thousands of
-    times.  ``None`` covers both an absent and an empty parameter (the
-    caller substitutes its default either way, exactly like
-    :func:`evaluate_parameter`).
-    """
-    wanted = str(name).lower()
-    for key, raw in call.params.items():
-        if str(key).lower() == wanted:
-            text = str(raw).strip()
-            if not text:
-                return None
-            return _parse_or_compile(text)
-    return None
-
-
 @functools.lru_cache(maxsize=8192)
 def _evaluate_expression_cached(expr: LimitExpression, vars_items: tuple) -> float:
     """One expression evaluation per distinct (expression, variable values).
@@ -367,14 +272,14 @@ def evaluate_call_parameter(
     *,
     default: float | None = None,
 ) -> float | None:
-    """:func:`evaluate_parameter` for a :class:`MethodCall`, parse-cached.
+    """Evaluate one parameter of *call* (number or limit expression).
 
-    Byte-identical results to ``evaluate_parameter(dict(call.params), ...)``
-    - same first-match scan order, same expression semantics - minus the
-    per-call dict build, scan, parse and (for repeated variable values)
-    expression tree walk.
+    Returns *default* when the parameter is absent or blank.  The call
+    reads its own parameters (:meth:`~repro.core.script.MethodCall.parsed`);
+    an expression is evaluated against *variables*, once per distinct
+    variable values.
     """
-    parsed = _call_parameter_program(call, name)
+    parsed = call.parsed(name)
     if parsed is None:
         return default
     if isinstance(parsed, LimitExpression):
@@ -383,47 +288,26 @@ def evaluate_call_parameter(
     return parsed
 
 
-@functools.lru_cache(maxsize=4096)
-def _call_limits_constant(call: "MethodCall", attribute: str):
-    """The ready :class:`Interval` when both bounds are plain numbers.
-
-    Returns the (frozen, shareable) interval, or ``None`` when either bound
-    is expression-valued and therefore needs the run variables.
-    """
-    low = _call_parameter_program(call, f"{attribute}_min")
-    high = _call_parameter_program(call, f"{attribute}_max")
-    if isinstance(low, LimitExpression) or isinstance(high, LimitExpression):
-        return None
-    low = float("-inf") if low is None else low
-    high = float("inf") if high is None else high
-    if low > high:
-        low, high = high, low
-    return Interval(low, high)
-
-
 def limits_for_call(
     call: "MethodCall",
     attribute: str,
     variables: Mapping[str, float] | None = None,
 ) -> Interval:
-    """:func:`limits_from_params` for a :class:`MethodCall`, parse-cached.
+    """Build the acceptance interval from ``<attr>_min`` / ``<attr>_max``.
 
-    Constant bounds short-circuit to one cached frozen interval; expression
-    bounds re-evaluate with *variables* every call (run-dependent limits
-    must track the live values), with the same normalisation as
-    :func:`limits_from_params`.
+    Missing bounds default to minus/plus infinity so one-sided checks work.
+    Inverted bounds are *normalised* (swapped) rather than rejected:
+    :class:`~repro.core.values.Interval` refuses empty intervals at
+    construction, and run-time limits may legitimately invert when a
+    relative expression is scaled by a negative variable value.  Inverted
+    bounds written directly into a sheet are an authoring error; the static
+    analyzer's E-EMPTY-INTERVAL rule (:mod:`repro.lint`) reports those at
+    lint time, where the swap here would otherwise mask them.
     """
-    constant = _call_limits_constant(call, attribute)
-    if constant is not None:
-        return constant
     low = evaluate_call_parameter(
         call, f"{attribute}_min", variables, default=float("-inf"))
     high = evaluate_call_parameter(
         call, f"{attribute}_max", variables, default=float("inf"))
-    if low is None:
-        low = float("-inf")
-    if high is None:
-        high = float("inf")
     if low > high:
         low, high = high, low
     return Interval(low, high)

@@ -25,9 +25,9 @@ class MethodRegistry:
 
     def __init__(self, methods: Iterable[MethodSpec] = ()):
         self._methods: dict[str, MethodSpec] = {}
-        #: Bumped on every mutation; lets content caches (execution plans,
-        #: step-split memos) detect ``replace=True`` updates that change a
-        #: spec without changing the registry's length.
+        #: Bumped on every mutation; lets content caches (execution plans)
+        #: detect ``replace=True`` updates that change a spec without
+        #: changing the registry's length.
         self._revision = 0
         for method in methods:
             self.register(method)

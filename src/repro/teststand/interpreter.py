@@ -28,7 +28,7 @@ import time as _time
 from typing import Mapping
 
 from ..core.errors import AllocationError, ExecutionError, TransientError
-from ..core.script import ScriptStep, SignalAction, TestScript
+from ..core.script import SignalAction, TestScript
 from ..core.signals import SignalSet
 from ..dut.harness import TestHarness
 from ..instruments.base import Core, adrive, drive
@@ -39,7 +39,6 @@ from .plan import (
     PlanCache,
     open_circuit_outcome,
     open_circuit_requested,
-    registry_fingerprint,
     split_step,
 )
 from .profiling import PROFILER
@@ -210,26 +209,6 @@ class TestStandInterpreter:
         variables["ubatt"] = self.stand.supply_voltage
         return variables
 
-    def _split_step(
-        self, step: ScriptStep
-    ) -> tuple[tuple[SignalAction, ...], tuple[SignalAction, ...]]:
-        """:func:`~repro.teststand.plan.split_step`, memoised on the step.
-
-        The split depends only on (step, registry), and campaign runs walk
-        the same steps thousands of times with the same registry.
-        """
-        # Keyed by registry *content*: every stand carries its own
-        # default_registry() instance, so an identity key would thrash
-        # across workers - and the fingerprint (unlike a registry) adds
-        # nothing noticeable to a pickled step.
-        registry_key = registry_fingerprint(self.registry)
-        cached = step.__dict__.get("_split_memo")
-        if cached is not None and cached[0] == registry_key:
-            return cached[1], cached[2]
-        stimuli, expectations = split_step(step, self.registry)
-        step.__dict__["_split_memo"] = (registry_key, stimuli, expectations)
-        return stimuli, expectations
-
     def _walk(
         self, script: TestScript, variables: Mapping[str, float]
     ) -> Core[tuple[list[ActionResult], list[StepResult]]]:
@@ -246,7 +225,7 @@ class TestStandInterpreter:
         steps: list[StepResult] = []
         for step in script.steps:
             start_time = self.harness.now
-            stimuli, expectations = self._split_step(step)
+            stimuli, expectations = split_step(step, self.registry)
             results: list[ActionResult] = []
             for action in stimuli:
                 results.append((yield from self._perform_action(action, variables)))
@@ -276,7 +255,7 @@ class TestStandInterpreter:
         except Exception as exc:
             return ActionResult(action, Verdict.ERROR, error=f"unknown signal: {exc}")
 
-        if action.method.lower() == "wait":
+        if action.call.key == "wait":
             duration = float(action.call.param("t", "0") or 0)
             self.harness.advance(duration)
             return ActionResult(action, Verdict.PASS)

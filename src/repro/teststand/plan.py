@@ -108,7 +108,7 @@ def open_circuit_requested(
     the same call (and apply the same release) to keep its scratch
     allocator state in lock-step with the real run.
     """
-    if action.method.lower() != "put_r" or signal.is_bus:
+    if action.call.key != "put_r" or signal.is_bus:
         return False
     try:
         requested = evaluate_call_parameter(action.call, "r", variables)
@@ -166,9 +166,9 @@ class _HashedKey:
 
     def __reduce__(self):
         # String hashes are salted per process (PYTHONHASHSEED): a key
-        # pickled into a worker (e.g. riding a step's split memo) must
-        # recompute its hash there, or equal-content keys from the
-        # parent and the worker would never compare equal.
+        # pickled into a worker must recompute its hash there, or
+        # equal-content keys from the parent and the worker would never
+        # compare equal.
         return (type(self), (self.value,))
 
     def __repr__(self) -> str:

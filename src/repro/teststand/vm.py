@@ -65,9 +65,10 @@ from collections import OrderedDict
 from typing import Iterator, Mapping
 
 from .. import chaos as _chaos
-from ..core.errors import AllocationError, TransientError
-from ..core.script import ScriptStep, SignalAction, TestScript
+from ..core.errors import AllocationError, ExpressionError, TransientError
+from ..core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from ..core.signals import Signal, SignalSet
+from ..core.values import LimitExpression
 from ..instruments.base import Core, drive
 from ..methods import MethodRegistry, evaluate_call_parameter, limits_for_call
 from .allocator import Allocator
@@ -109,15 +110,17 @@ class VmCompileError(Exception):
         super().__init__(f"{op}: {reason}")
 
 
-def _window_is_dynamic(action: SignalAction, attribute: str) -> bool:
-    """Whether the action's window parameters reference stand variables."""
+def _window_is_dynamic(call: MethodCall, attribute: str) -> bool:
+    """Whether the call's window parameters may reference stand variables.
+
+    A bound that reads as an expression is dynamic, and so is one that
+    cannot be read: only a run can tell how it fails.
+    """
     for suffix in ("", "_min", "_max"):
-        raw = action.call.param(attribute + suffix)
-        if raw is None:
-            continue
         try:
-            float(raw)
-        except (TypeError, ValueError):
+            if isinstance(call.parsed(attribute + suffix), LimitExpression):
+                return True
+        except ExpressionError:
             return True
     return False
 
@@ -129,7 +132,7 @@ class VmIoItem:
                  "attribute")
 
     def __init__(self, action: SignalAction, signal: Signal, allocation,
-                 attribute: str | None = None, window: tuple | None = None):
+                 attribute: str, window: tuple | None = None):
         self.action = action
         self.signal = signal
         self.allocation = allocation
@@ -141,11 +144,11 @@ class VmIoItem:
         #: re-evaluated in each run's prologue; a constant window is
         #: checked once, when the program binds to a stand.
         self.dynamic = (window is not None
-                        and _window_is_dynamic(action, window[0].attribute))
-        #: The method's principal attribute (``"u"``, ``"r"``, ...) from
-        #: the registry, used to pre-evaluate the call's nominal value and
-        #: acceptance limits per run; ``None`` when the registry does not
-        #: know the method (the instrument then evaluates on its own).
+                        and _window_is_dynamic(action.call, attribute))
+        #: The principal attribute (``"u"``, ``"r"``, ...) of the serving
+        #: resource's capability for the method, the one its instrument
+        #: and the capability window read; used to pre-evaluate the call's
+        #: nominal value and acceptance limits per run.
         self.attribute = attribute
 
     def __repr__(self) -> str:
@@ -277,7 +280,7 @@ def walk_program(
     )
 
     def compile_action(action: SignalAction) -> VmOp | VmCompileError:
-        method_key = action.method.lower()
+        method_key = action.call.key
         opname = "GET" if action_is_measurement(registry, action.method) else "SET"
         where = f"{opname} {str(action.signal).lower()}:{method_key}"
         try:
@@ -308,12 +311,9 @@ def walk_program(
             )
             error.__cause__ = exc
             return error
-        window = allocator.capability_window(
-            stand.resources.get(allocation.resource), action.call, variables)
-        try:
-            attribute = registry.get(action.method).attribute
-        except Exception:
-            attribute = None
+        resource = stand.resources.get(allocation.resource)
+        window = allocator.capability_window(resource, action.call, variables)
+        attribute = resource.capability_for(action.method).attribute
         item = VmIoItem(action, signal, allocation, attribute, window)
         return VmOp(opname, resource_key=allocation.resource, items=(item,))
 
@@ -423,10 +423,10 @@ class VmBinding:
 def _prepare_operands(binding: "VmBinding", variables: Mapping[str, float]) -> tuple:
     """Pre-evaluate every I/O item's ``(nominal, limits)`` pair.
 
-    One entry per item in flat stream order, ``None`` when the registry
-    does not know the item's method or nothing evaluates.  Evaluation
-    errors leave the slot ``None`` so the instrument re-runs the
-    evaluation itself and raises exactly like the classic path.
+    One entry per item in flat stream order, ``None`` when nothing
+    evaluates.  Evaluation errors leave the slot ``None`` so the
+    instrument re-runs the evaluation itself and raises exactly like the
+    classic path.
     """
     out = []
     for op in binding.ops:
@@ -434,9 +434,6 @@ def _prepare_operands(binding: "VmBinding", variables: Mapping[str, float]) -> t
             continue
         for item in op[4]:
             attribute = item[8]
-            if attribute is None:
-                out.append(None)
-                continue
             call = item[1]
             try:
                 nominal = evaluate_call_parameter(call, attribute, variables)

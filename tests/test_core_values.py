@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import ExpressionError, ValueError_
+from repro.core.script import MethodCall
 from repro.core.values import (
     INFINITY,
     Interval,
@@ -21,6 +22,7 @@ from repro.core.values import (
     format_number,
     parse_binary,
     parse_number,
+    parse_parameter,
 )
 
 
@@ -243,6 +245,24 @@ class TestLimitExpression:
 
     def test_constant_constructor(self):
         assert LimitExpression.constant(5.0).text == "5"
+
+    def test_parse_parameter_reads_blank_number_or_expression(self):
+        assert parse_parameter("") is None and parse_parameter("  ") is None
+        assert parse_parameter(" 0,5 ") == 0.5
+        assert parse_parameter("INF") == math.inf
+        expression = parse_parameter("(0.7*ubatt)")
+        assert expression.variables == frozenset({"ubatt"})
+        assert parse_parameter("(0.7*ubatt)") is expression
+        with pytest.raises(ExpressionError, match="0110B"):
+            parse_parameter("0110B")
+
+    def test_parse_parameter_too_deeply_nested_is_unreadable(self):
+        """Nesting deeper than the parser can walk reads as no expression,
+        not as a ``RecursionError`` out of every reader of the text."""
+        text = "-" * 5000 + "1"
+        with pytest.raises(ExpressionError):
+            parse_parameter(text)
+        assert MethodCall("get_u", {"u_min": text}).variables() == frozenset()
 
     def test_inf_token(self):
         assert LimitExpression("INF").evaluate() == math.inf

@@ -20,10 +20,12 @@ leaves out (setup actions, allocations, step start times, and each
 action exactly as spelled).  The classic walk then runs once more with the
 harness's reading cache bypassed (``node_voltages.__wrapped__``), and must
 again produce the same results.  Each script then has a respelled twin:
-the same name, every method's case swapped and every parameter list
-reversed.  The twin runs on the VM against the plan cache that already
-holds the original's plan, and must report its own spelling, as the
-classic walk does.
+the same name, every method's case swapped, every parameter list reversed
+with its names upper-cased, and every plain-number bound (and ``put_r``'s
+``r``) written with a decimal comma between blanks.  The twin runs on the
+VM against the plan cache that already holds the original's plan, and
+must report its own spelling, as the classic walk does, and the
+original's step and action verdicts.
 
 Each script also runs, VM against classic, on a *generated stand*: the
 target's stand put through one seeded transform that keeps verdicts -
@@ -48,8 +50,9 @@ import random
 
 import pytest
 
-from repro.core.errors import AllocationError
+from repro.core.errors import AllocationError, ValueError_
 from repro.core.script import MethodCall, ScriptStep, SignalAction, TestScript
+from repro.core.values import parse_number
 from repro.dut import harness as harness_module
 from repro.targets import (
     CampaignSpec,
@@ -159,12 +162,28 @@ def _generate(rng: random.Random, scripts, index: int) -> TestScript:
 
 
 def _respelled(script: TestScript) -> TestScript:
-    """*script* under its own name, each method's case swapped and each
-    action's parameters in reverse order: the same test, spelled apart."""
+    """*script* under its own name, each method's case swapped, each
+    action's parameters in reverse order with their names upper-cased, and
+    every plain-number bound (``*_min``, ``*_max``) and ``put_r``'s ``r``
+    written with a decimal comma and padded with blanks (``" 0,5 "``): the
+    same test, spelled apart.  ``wait``'s ``t`` and payload literals stay
+    as written."""
+    def respelled_text(method: str, name: str, text: str) -> str:
+        if not (name.endswith(("_min", "_max"))
+                or (method == "put_r" and name == "r")):
+            return text
+        try:
+            parse_number(text)
+        except ValueError_:
+            return text  # an expression
+        return f" {text.replace('.', ',')} "
+
     def respell(action: SignalAction) -> SignalAction:
+        method = action.call.key
         return SignalAction(action.signal, MethodCall(
             action.method.swapcase(),
-            dict(reversed(action.call.params.items()))))
+            {name.upper(): respelled_text(method, name.lower(), text)
+             for name, text in reversed(action.call.params.items())}))
 
     steps = [ScriptStep(step.number, step.duration,
                         tuple(respell(action) for action in step.actions),
@@ -288,6 +307,13 @@ def _observed(campaign, script: TestScript, ecu_factory, *,
     return report, result.setup, tuple(result.steps), spellings
 
 
+def _verdicts(observed: tuple) -> list[tuple]:
+    """Each step's verdict with the verdicts of its actions."""
+    _, _, steps, _ = observed
+    return [(step.verdict, [result.verdict for result in step.actions])
+            for step in steps]
+
+
 def _allocation_errors(observed: tuple) -> list[tuple]:
     """(action, message) of each classic result that is an allocation
     ERROR: an ERROR with no allocation that is not an unknown signal."""
@@ -362,6 +388,8 @@ def test_vm_matches_classic_on_generated_scripts(target, monkeypatch):
         twin_classic = _observed(campaign, twin, ecu, stop_on_error=stop,
                                  plan_cache=None)
         assert twin_vm == twin_classic, f"{target} seed {SEED} twin {index}"
+        assert _verdicts(twin_vm) == _verdicts(vm), \
+            f"{target} seed {SEED} twin {index}"
     # Guard against comparing classic with classic: the VM must have served
     # most scripts, and a script it compiled must never degrade.
     stats = cache.stats.snapshot()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
-from repro.core.errors import MethodError
+from repro.core.errors import ExpressionError, MethodError
+from repro.core.script import MethodCall
 from repro.core.status import StatusDefinition
-from repro.core.values import Interval
+from repro.core.values import Interval, LimitExpression
 from repro.methods import (
     GET_U,
     PUT_CAN,
@@ -18,8 +22,8 @@ from repro.methods import (
     ParameterRole,
     ParameterSpec,
     default_registry,
-    evaluate_parameter,
-    limits_from_params,
+    evaluate_call_parameter,
+    limits_for_call,
 )
 
 
@@ -120,32 +124,77 @@ class TestRegistry:
 
 
 class TestParameterHelpers:
-    def test_evaluate_parameter_number(self):
-        assert evaluate_parameter({"r": "0,5"}, "r") == 0.5
+    def test_evaluate_call_parameter_number(self):
+        assert evaluate_call_parameter(MethodCall("put_r", {"r": "0,5"}), "r") == 0.5
 
-    def test_evaluate_parameter_expression(self):
-        assert evaluate_parameter({"u_min": "(0.7*ubatt)"}, "u_min", {"ubatt": 10}) == pytest.approx(7)
+    def test_evaluate_call_parameter_expression(self):
+        call = MethodCall("get_u", {"u_min": "(0.7*ubatt)"})
+        assert evaluate_call_parameter(call, "u_min", {"ubatt": 10}) == pytest.approx(7)
 
-    def test_evaluate_parameter_missing_returns_default(self):
-        assert evaluate_parameter({}, "r", default=3.0) == 3.0
-        assert evaluate_parameter({}, "r") is None
+    def test_evaluate_call_parameter_missing_returns_default(self):
+        call = MethodCall("put_r")
+        assert evaluate_call_parameter(call, "r", default=3.0) == 3.0
+        assert evaluate_call_parameter(call, "r") is None
 
-    def test_evaluate_parameter_case_insensitive(self):
-        assert evaluate_parameter({"R_MAX": "10"}, "r_max") == 10
+    def test_evaluate_call_parameter_case_insensitive(self):
+        assert evaluate_call_parameter(MethodCall("get_r", {"R_MAX": "10"}), "r_max") == 10
 
-    def test_limits_from_params(self):
-        limits = limits_from_params({"u_min": "(0.7*ubatt)", "u_max": "(1.1*ubatt)"}, "u",
-                                    {"ubatt": 12})
+    def test_limits_for_call(self):
+        call = MethodCall("get_u", {"u_min": "(0.7*ubatt)", "u_max": "(1.1*ubatt)"})
+        limits = limits_for_call(call, "u", {"ubatt": 12})
         assert limits.low == pytest.approx(8.4)
         assert limits.high == pytest.approx(13.2)
 
     def test_limits_one_sided(self):
-        limits = limits_from_params({"r_min": "5000"}, "r")
+        limits = limits_for_call(MethodCall("get_r", {"r_min": "5000"}), "r")
         assert limits.low == 5000 and limits.high == float("inf")
 
     def test_limits_swapped_bounds_normalised(self):
-        limits = limits_from_params({"u_min": "10", "u_max": "5"}, "u")
+        limits = limits_for_call(MethodCall("get_u", {"u_min": "10", "u_max": "5"}), "u")
         assert limits.low == 5 and limits.high == 10
+
+
+class TestCallReadsItsParameters:
+    """A call reads each parameter once, into one table of its own."""
+
+    def test_one_reading_per_name_first_spelling_wins(self):
+        call = MethodCall("get_u", {"U_MIN": " 0,5 ", "u_min": "9",
+                                    "u_max": "(1.1*ubatt)", "note": ""})
+        assert call.param("u_min") == " 0,5 "
+        assert call.parsed("U_Min") == 0.5
+        assert isinstance(call.parsed("u_max"), LimitExpression)
+        assert call.parsed("note") is None and call.param("note") == ""
+        assert call.parsed("absent") is None
+        assert call.param("absent", "x") == "x"
+        assert call.key == "get_u" and MethodCall("GET_U").key == "get_u"
+
+    def test_unreadable_parameter_raises_afresh_and_stores_no_exception(self):
+        call = MethodCall("get_can", {"data": "0110B"})
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ExpressionError) as info:
+                call.parsed("data")
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
+        with pytest.raises(ExpressionError) as info:
+            evaluate_call_parameter(call, "data")
+        assert str(info.value) == str(raised[0])
+        assert call.param("data") == "0110B"
+        readings = [reading for _, reading in vars(call)["_table"].values()]
+        assert readings == [str(raised[0])]
+
+    def test_table_never_leaves_its_call(self):
+        """Pickles and copies carry the method and parameters only."""
+        params = {"u_min": "(0.7*ubatt)", "u_max": "0110B"}
+        call, fresh = MethodCall("get_u", params), MethodCall("get_u", params)
+        call.param("u_min")
+        assert "_table" in vars(call)
+        assert pickle.dumps(call) == pickle.dumps(fresh)
+        for clone, twin in ((copy.deepcopy(call), copy.deepcopy(fresh)),
+                            (pickle.loads(pickle.dumps(call)), fresh)):
+            assert clone == call
+            assert vars(clone) == vars(twin)
 
 
 class TestMethodOutcome:

@@ -195,7 +195,9 @@ class TestPlanInvalidation:
     def test_fingerprint_memo_stays_in_its_process(self):
         """A pickled or copied script (a process batch ships each one)
         leaves its memos behind: the fingerprint's signal set and the
-        stored key text.  It pickles exactly as a fresh equal script."""
+        stored key text.  Its steps and calls keep nothing either after a
+        VM run and a classic one, so it pickles exactly as a fresh equal
+        script."""
         from repro.store import ResultStore
 
         script = _paper_script()
@@ -206,6 +208,10 @@ class TestPlanInvalidation:
             interior_harness, {"baseline": InteriorLightEcu},
         ))
         ResultStore(":memory:").record_report(report)
+        TestStandInterpreter(
+            build_paper_stand(), interior_harness(InteriorLightEcu()),
+            signals, use_vm=False,
+        ).run(script)
         assert {"_allocation_fingerprint", "_stored_key"} <= set(vars(script))
         fresh = _paper_script()
         assert pickle.dumps(script) == pickle.dumps(fresh)

@@ -7,8 +7,8 @@ Covers the guarantees the VM fast path rests on:
   campaign verdict tables agree on all four executor backends,
 * I/O batching merges calls on one resource without any verdict drift,
 * the one compile pass: every I/O item carries its allocation and window,
-  and each uncompilable sheet raises :class:`VmCompileError` with the
-  right cause,
+  its prepared operands read the serving capability's attribute, and each
+  uncompilable sheet raises :class:`VmCompileError` with the right cause,
 * self-distrust: a binding or prologue mismatch degrades the run to the
   classic interpreter before anything executes,
 * either knob off (``use_plans`` or ``use_vm``) runs the classic walk,
@@ -114,7 +114,7 @@ def _io_op(code: str, resource: str, signal_name: str, method: str) -> VmOp:
     signal = Signal(signal_name, SignalDirection.INPUT, SignalKind.ANALOG,
                     pins=(signal_name,))
     action = SignalAction(signal_name, MethodCall(method, {"u": "1"}))
-    item = VmIoItem(action, signal, _StubAllocation())
+    item = VmIoItem(action, signal, _StubAllocation(), "u")
     return VmOp(code, resource_key=resource, items=(item,))
 
 
@@ -255,6 +255,36 @@ class TestOnePassCompiler:
         assert isinstance(ops[4], VmCompileError)
         assert "unknown signal" in ops[4].reason
         assert ops[5].code == "END_STEP"
+
+
+    def test_operands_read_the_serving_capability(self):
+        """The VM pre-evaluates each call's limits for the attribute its
+        instrument reads, the serving capability's (the DVM's ``u``), not
+        the registry's: a registry whose ``get_u`` names another principal
+        attribute must not turn the classic walk's FAILs into PASSes."""
+        from repro._record import replace
+        from repro.methods import GET_U, default_registry
+
+        registry = default_registry().copy()
+        registry.register(replace(GET_U, attribute="volts"), replace=True)
+        dut = get_dut("interior_light_ecu")
+        broken = dut.faults_factory().get("lamp_stuck_off")
+        scripts = Compiler().compile_suite(dut.suite_factory())
+        verdicts = {}
+        for use_vm in (True, False):
+            cache = PlanCache()
+            interpreter = TestStandInterpreter(
+                build_paper_stand(), dut.harness_factory(broken.build()),
+                dut.signals_factory(), registry=registry, plan_cache=cache,
+                use_vm=use_vm,
+            )
+            verdicts[use_vm] = [interpreter.run(script).verdict.name
+                                for script in scripts]
+            if use_vm:
+                assert cache.stats.snapshot()["vm_runs"] == len(scripts)
+        assert len(scripts) == 4
+        assert verdicts[False] == ["FAIL"] * 4
+        assert verdicts[True] == verdicts[False]
 
 
 # ---------------------------------------------------------------------------

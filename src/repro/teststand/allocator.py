@@ -209,9 +209,9 @@ class Allocator:
         acceptance interval - or ``None`` when there is nothing to
         range-check (e.g. ``put_can`` payloads: supporting the method is
         enough).  This is the *variable-dependent* half of a capability
-        check; execution plans store it per entry, and the bytecode VM
-        re-evaluates it in its run prologue for windows that reference
-        stand variables.
+        check: the VM compiler stores it on each I/O item, evaluated for
+        the program's variables, and a program's binding to a stand checks
+        it against that stand's capability row.
         """
         capability = resource.capability_for(call.method)
         attribute = capability.attribute

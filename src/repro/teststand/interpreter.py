@@ -40,6 +40,7 @@ from .plan import (
     open_circuit_outcome,
     open_circuit_requested,
     split_step,
+    wait_duration,
 )
 from .profiling import PROFILER
 from .stands import TestStand
@@ -142,9 +143,11 @@ class TestStandInterpreter:
             provided = {str(name).lower() for name in variables}
             missing = [name for name in missing if name.lower() not in provided]
         if missing:
-            raise ExecutionError(
+            error = ExecutionError(
                 f"test stand {self.stand.name!r} does not provide variables {missing}"
             )
+            error.transient = False  # no retry can give the stand them
+            raise error
         cursor = None
         if self.use_vm:
             # One cache lookup per run; the first run of a combination pays
@@ -160,10 +163,10 @@ class TestStandInterpreter:
                 plan = None
             if plan is not None and plan.program is not None:
                 # Bind the program to this stand and run its prologue
-                # self-check.  Any mismatch - a live signal pinned
-                # differently than compiled, a variable-dependent window
-                # that no longer fits - degrades this whole run to the
-                # classic walk before anything has executed.
+                # self-check.  Any mismatch - a window this stand cannot
+                # serve, other variables than compiled for, a live signal
+                # pinned differently than compiled - degrades this whole
+                # run to the classic walk before anything has executed.
                 cursor = VmCursor(
                     plan.program, self.stand,
                     signals=self.signals, allocator=self.allocator,
@@ -256,8 +259,7 @@ class TestStandInterpreter:
             return ActionResult(action, Verdict.ERROR, error=f"unknown signal: {exc}")
 
         if action.call.key == "wait":
-            duration = float(action.call.param("t", "0") or 0)
-            self.harness.advance(duration)
+            self.harness.advance(wait_duration(action.call))
             return ActionResult(action, Verdict.PASS)
 
         if open_circuit_requested(action, signal, variables):

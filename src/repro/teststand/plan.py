@@ -35,7 +35,8 @@ import threading
 from collections import OrderedDict
 from typing import Mapping
 
-from ..core.script import ScriptStep, SignalAction, TestScript
+from ..core.errors import ExpressionError, ScriptError
+from ..core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from ..core.signals import Signal, SignalSet
 from ..methods import (
     MethodOutcome,
@@ -56,6 +57,7 @@ __all__ = [
     "split_step",
     "open_circuit_requested",
     "open_circuit_outcome",
+    "wait_duration",
     "script_fingerprint",
     "stand_fingerprint",
     "registry_fingerprint",
@@ -134,6 +136,27 @@ def open_circuit_outcome(action: SignalAction, signal: Signal) -> MethodOutcome:
         unit="Ohm",
         detail=f"realised as open circuit at {'/'.join(signal.pins)}",
     )
+
+
+def wait_duration(call: MethodCall) -> float:
+    """The seconds a ``wait`` action waits: its ``t``, read as a number.
+
+    ``t`` is read like every other parameter (:meth:`MethodCall.parsed`:
+    decimal commas, ``INF``); a blank or missing ``t`` waits 0.  Any other
+    text raises :class:`~repro.core.errors.ScriptError`, which the executor
+    does not retry: no attempt could wait for it.  Single source for the
+    VM compiler, whose ``VmCompileError`` carries the same reason, and the
+    classic walk.
+    """
+    try:
+        duration = call.parsed("t")
+        if duration is None:
+            return 0.0
+        if isinstance(duration, float):
+            return duration
+    except ExpressionError:
+        pass
+    raise ScriptError(f"duration t={call.param('t')!r} is not numeric")
 
 
 # ---------------------------------------------------------------------------

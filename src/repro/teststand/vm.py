@@ -33,15 +33,18 @@ Adjacent ``WAIT`` ops stay separate: one summed clock advance rounds
 differently from two, and fires ECU timers and CAN flushes at other
 instants than the classic walk does.
 
+A program keeps the variables it was compiled for: which resource the
+search picks for a relative limit such as ``(0.7*ubatt)`` depends on them.
 Execution is deliberately paranoid: a program **binds** to a concrete
-stand instance (resolving resource keys to live instruments and re-checking
-every constant capability window against *that* stand's capability rows),
-and every run starts with a prologue that re-checks the live signal pinning
-and the variable-dependent windows.  Any mismatch at any of those points
-degrades **the whole run** to the classic interpreter before a single
-instruction has touched the harness - so verdict tables are byte-identical
-with the VM on or off.  Scripts the compiler cannot express (an allocation
-that fails at compile time, a non-numeric ``wait`` duration, an unknown
+stand instance (resolving resource keys to live instruments, re-checking
+every capability window against *that* stand's capability rows and
+preparing every call's operands, all for the program's variables), and
+every run starts with a prologue that refuses other variables and re-checks
+the live signal pinning.  Any mismatch at any of those points degrades
+**the whole run** to the classic interpreter before a single instruction
+has touched the harness - so verdict tables are byte-identical with the VM
+on or off.  Scripts the compiler cannot express (an allocation that fails
+at compile time, a ``wait`` duration that is not a number, an unknown
 signal) raise :class:`VmCompileError`; the plan then carries no program and
 every run of the combination takes the classic path, which the
 ``X-UNCOMPILABLE-SCRIPT`` lint rule surfaces pre-flight.  Composed sheets
@@ -65,10 +68,9 @@ from collections import OrderedDict
 from typing import Iterator, Mapping
 
 from .. import chaos as _chaos
-from ..core.errors import AllocationError, ExpressionError, TransientError
+from ..core.errors import AllocationError, ScriptError, TransientError
 from ..core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from ..core.signals import Signal, SignalSet
-from ..core.values import LimitExpression
 from ..instruments.base import Core, drive
 from ..methods import MethodRegistry, evaluate_call_parameter, limits_for_call
 from .allocator import Allocator
@@ -110,45 +112,25 @@ class VmCompileError(Exception):
         super().__init__(f"{op}: {reason}")
 
 
-def _window_is_dynamic(call: MethodCall, attribute: str) -> bool:
-    """Whether the call's window parameters may reference stand variables.
-
-    A bound that reads as an expression is dynamic, and so is one that
-    cannot be read: only a run can tell how it fails.
-    """
-    for suffix in ("", "_min", "_max"):
-        try:
-            if isinstance(call.parsed(attribute + suffix), LimitExpression):
-                return True
-        except ExpressionError:
-            return True
-    return False
-
-
 class VmIoItem:
     """One pre-resolved instrument call inside a ``SET`` / ``GET`` op."""
 
-    __slots__ = ("action", "signal", "allocation", "window", "dynamic",
-                 "attribute")
+    __slots__ = ("action", "signal", "allocation", "window", "attribute")
 
     def __init__(self, action: SignalAction, signal: Signal, allocation,
                  attribute: str, window: tuple | None = None):
         self.action = action
         self.signal = signal
         self.allocation = allocation
-        #: Pre-evaluated capability window (``(capability, nominal,
-        #: acceptance)``) of the allocated resource, or ``None`` when the
+        #: Capability window (``(capability, nominal, acceptance)``) of the
+        #: allocated resource, evaluated for the program's variables and
+        #: checked when the program binds to a stand, or ``None`` when the
         #: call carries nothing to range-check.
         self.window = window
-        #: ``True`` when the window references stand variables and must be
-        #: re-evaluated in each run's prologue; a constant window is
-        #: checked once, when the program binds to a stand.
-        self.dynamic = (window is not None
-                        and _window_is_dynamic(action.call, attribute))
         #: The principal attribute (``"u"``, ``"r"``, ...) of the serving
         #: resource's capability for the method, the one its instrument
-        #: and the capability window read; used to pre-evaluate the call's
-        #: nominal value and acceptance limits per run.
+        #: and the capability window read; the binding prepares the call's
+        #: nominal value and acceptance limits for it.
         self.attribute = attribute
 
     def __repr__(self) -> str:
@@ -190,17 +172,20 @@ class VmProgram:
 
     ``ops`` is the flat stream; ``setup_size`` many leading instructions
     belong to the script's setup segment, the rest are step segments each
-    closed by an ``END_STEP``.  Programs hold only content-safe operands
-    (signals, calls, allocations, windows) - live instruments are resolved
-    per stand instance by the binding step.
+    closed by an ``END_STEP``.  ``variables`` are the stand variables the
+    program was compiled for: its allocations and windows hold for them
+    only, so it serves no run with other variables.  Programs hold only
+    content-safe operands (signals, calls, allocations, windows) - live
+    instruments are resolved per stand instance by the binding step.
     """
 
-    __slots__ = ("ops", "setup_size", "key")
+    __slots__ = ("ops", "setup_size", "variables", "key")
 
-    def __init__(self, ops: tuple[VmOp, ...], setup_size: int, *,
-                 key: tuple = ()):
+    def __init__(self, ops: tuple[VmOp, ...], setup_size: int,
+                 variables: Mapping[str, float], *, key: tuple = ()):
         self.ops = tuple(ops)
         self.setup_size = int(setup_size)
+        self.variables = dict(variables)
         self.key = key
 
     def __len__(self) -> int:
@@ -254,17 +239,17 @@ def walk_program(
     stimuli, the settle, all expectations) against a scratch
     :class:`~repro.teststand.allocator.Allocator` with the runs' policy,
     registry and variables, so each ``SET`` / ``GET`` op carries the
-    allocation, capability window and ``dynamic`` flag a run would see.
+    allocation and capability window a run with those variables would see.
     Open circuits release as they do at run time.  ``step`` is ``None`` in
     the setup; ``action`` is ``None`` for a step's settle ``WAIT`` and its
     ``END_STEP``.
 
     An action the VM cannot express yields its :class:`VmCompileError` in
     place of the op: an unknown signal (the run gives the classic
-    per-action ERROR), a non-numeric ``wait`` duration (the run raises
-    like the classic walk), or a failed allocation (``__cause__`` is the
-    :class:`~repro.core.errors.AllocationError`, whose message the run
-    reproduces).  The walk goes on after an error, the scratch holds as
+    per-action ERROR), a ``wait`` duration that is not a number (the
+    classic walk raises the same reason), or a failed allocation
+    (``__cause__`` is the :class:`~repro.core.errors.AllocationError`,
+    whose message the run reproduces).  The walk goes on after an error, the scratch holds as
     the failure left them, so it yields every allocation a run ends in an
     ERROR.  :func:`compile_program` and the lint rules R-UNSERVABLE-STEP,
     R-DEAD-STEP and X-UNCOMPILABLE-SCRIPT read it.
@@ -272,7 +257,7 @@ def walk_program(
     # Imported lazily: plan.py imports this module at its top level.
     from .plan import (
         action_is_measurement, open_circuit_outcome, open_circuit_requested,
-        split_step,
+        split_step, wait_duration,
     )
 
     allocator = Allocator(
@@ -288,14 +273,10 @@ def walk_program(
         except Exception as exc:
             return VmCompileError(where, f"unknown signal: {exc}")
         if method_key == "wait":
-            raw = action.call.param("t", "0") or 0
             try:
-                duration = float(raw)
-            except (TypeError, ValueError):
-                return VmCompileError(
-                    f"WAIT {signal.key}:wait",
-                    f"duration t={raw!r} is not numeric",
-                )
+                duration = wait_duration(action.call)
+            except ScriptError as exc:
+                return VmCompileError(f"WAIT {signal.key}:wait", str(exc))
             return VmOp("WAIT", duration=duration, action=action)
         if open_circuit_requested(action, signal, variables):
             allocator.release(signal.key)
@@ -343,9 +324,10 @@ def compile_program(
     """Compile *script* on *stand* into a :class:`VmProgram` in one walk.
 
     Reads :func:`walk_program` and raises its first
-    :class:`VmCompileError`.  The compiled windows are sound across runs
-    because the variables they depend on are part of the plan-cache key,
-    and the run prologue re-checks the variable-dependent ones anyway.
+    :class:`VmCompileError`.  The program keeps *variables*: its
+    allocations and windows hold for them only, and its run prologue
+    refuses any other variables (the plan-cache key holds them, so a cached
+    program never meets others).
 
     :func:`batch_io` runs per segment (setup and each step separately), so
     batches never cross a segment boundary.
@@ -369,7 +351,7 @@ def compile_program(
     ops = batch_io(setup)
     setup_size = len(ops)
     ops.extend(steps)
-    return VmProgram(tuple(ops), setup_size, key=key)
+    return VmProgram(tuple(ops), setup_size, variables, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +371,20 @@ class VmBinding:
     """One program resolved against one concrete stand instance.
 
     ``ops`` is the executable stream: plain tuples whose first element is
-    an ``_X_*`` opcode, with live instrument references and pre-computed
-    bookkeeping operands; an ``_X_STEPS`` op separates the setup segment
-    from the steps.  ``signal_shapes`` holds the compiled pinning
-    the run prologue re-checks against the live signal set;
-    ``dynamic_guards`` the variable-dependent windows re-evaluated against
-    the run's variables (``guard_memo`` caches the verdict per variables
-    shape - campaign runs repeat the same variables, so the evaluation
-    happens once, while a genuinely new shape re-evaluates).
+    an ``_X_*`` opcode, with live instrument references, each I/O item's
+    prepared operands and pre-computed bookkeeping operands; an
+    ``_X_STEPS`` op separates the setup segment from the steps.
+    ``variables`` are the program's, the only ones a run of the binding
+    may have; ``signal_shapes`` holds the compiled pinning the run
+    prologue re-checks against the live signal set.
     """
 
-    __slots__ = ("ops", "signal_shapes", "dynamic_guards",
-                 "guard_memo", "signals_ok", "prepared_memo")
+    __slots__ = ("ops", "variables", "signal_shapes", "signals_ok")
 
-    def __init__(self, ops, signal_shapes, dynamic_guards):
+    def __init__(self, ops, variables, signal_shapes):
         self.ops = ops
+        self.variables = variables
         self.signal_shapes = signal_shapes
-        self.dynamic_guards = dynamic_guards
-        self.guard_memo: dict[tuple, bool] = {}
-        #: Pre-evaluated ``(nominal, limits)`` operand pairs per variables
-        #: shape, aligned with the flat I/O item order; handed to
-        #: ``Instrument._perform`` so instruments skip re-evaluating the
-        #: same parameter expressions on every run.
-        self.prepared_memo: dict[tuple, tuple] = {}
         #: Signal sets whose live pinning already matched ``signal_shapes``.
         #: Sound as an identity memo: ``Signal`` is frozen and a
         #: ``SignalSet`` only ever *gains* keys (duplicates raise), so a
@@ -420,48 +393,41 @@ class VmBinding:
         self.signals_ok: list = []
 
 
-def _prepare_operands(binding: "VmBinding", variables: Mapping[str, float]) -> tuple:
-    """Pre-evaluate every I/O item's ``(nominal, limits)`` pair.
+def _prepare_operands(call: MethodCall, attribute: str,
+                      variables: Mapping[str, float]) -> tuple | None:
+    """Pre-evaluate one call's ``(nominal, limits)`` pair for *variables*.
 
-    One entry per item in flat stream order, ``None`` when nothing
-    evaluates.  Evaluation errors leave the slot ``None`` so the
+    Handed to ``Instrument._perform`` so instruments skip re-evaluating
+    the same parameter expressions on every run; ``None`` when nothing
+    evaluates.  A half whose evaluation fails stays ``None``, so the
     instrument re-runs the evaluation itself and raises exactly like the
     classic path.
     """
-    out = []
-    for op in binding.ops:
-        if op[0] != _X_IO:
-            continue
-        for item in op[4]:
-            attribute = item[8]
-            call = item[1]
-            try:
-                nominal = evaluate_call_parameter(call, attribute, variables)
-            except Exception:
-                nominal = None
-            try:
-                limits = limits_for_call(call, attribute, variables)
-            except Exception:
-                limits = None
-            if nominal is None and limits is None:
-                out.append(None)
-            else:
-                out.append((nominal, limits))
-    return tuple(out)
+    try:
+        nominal = evaluate_call_parameter(call, attribute, variables)
+    except Exception:
+        nominal = None
+    try:
+        limits = limits_for_call(call, attribute, variables)
+    except Exception:
+        limits = None
+    if nominal is None and limits is None:
+        return None
+    return (nominal, limits)
 
 
 def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
     """Resolve *program* against *stand*, or ``None`` when it does not fit.
 
-    Re-checks, against this concrete stand instance, everything that is
-    constant per (program x stand): every resource key resolves, every
-    instrument still supports its method, and every constant capability
-    window still fits the instrument's capability row.  Variable-dependent
-    (``dynamic``) windows are collected for the per-run prologue instead.
+    Re-checks, against this concrete stand instance, everything a run of
+    the program relies on: every resource key resolves, every instrument
+    still supports its method, and every capability window, evaluated for
+    the program's variables, still fits the instrument's capability row.
+    Each I/O item carries its operands, prepared for those variables.
     """
+    variables = program.variables
     bound: list[tuple] = []
     signal_shapes: dict[str, tuple] = {}
-    dynamic_guards: list[tuple] = []
 
     def note_signal(signal: Signal) -> None:
         signal_shapes.setdefault(signal.key, (
@@ -493,23 +459,21 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
             items = []
             for item in op.items:
                 note_signal(item.signal)
-                if item.dynamic:
-                    dynamic_guards.append(
-                        (resource, item.action.call, item.window))
-                elif not check_window(item.window, resource,
-                                      item.action.method):
+                if not check_window(item.window, resource,
+                                    item.action.method):
                     return None
                 allocation = item.allocation
+                call = item.action.call
                 items.append((
                     item.action,
-                    item.action.call,
+                    call,
                     item.signal,
                     allocation.pins,
                     item.signal.key,
                     allocation.routes,
                     allocation.persistent,
                     allocation,
-                    item.attribute,
+                    _prepare_operands(call, item.attribute, variables),
                 ))
             bound.append((_X_IO, instrument, instrument._perform,
                           resource.key, tuple(items)))
@@ -523,7 +487,7 @@ def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
             bound.append((_X_END, op.number, op.duration, op.remark))
         else:  # pragma: no cover - unknown op means a compiler bug
             return None
-    return VmBinding(tuple(bound), signal_shapes, tuple(dynamic_guards))
+    return VmBinding(tuple(bound), variables, signal_shapes)
 
 
 def binding_for(program: VmProgram, stand: TestStand) -> VmBinding | None:
@@ -557,16 +521,16 @@ class VmCursor:
     """Executes one bound program for one run, self-distrusting throughout.
 
     :meth:`validate` is the run prologue: it re-checks everything the
-    compiled operands assume about *this* run (live signal pinning,
-    variable-dependent capability windows) and returns ``False`` - before
-    any instruction has executed - when the program cannot be trusted; the
+    compiled operands assume about *this* run (the program's variables,
+    the live signal pinning) and returns ``False`` - before any
+    instruction has executed - when the program cannot be trusted; the
     interpreter then runs the classic walk and the verdicts stay
     byte-identical.  :meth:`run` is the instruction loop as a generator
     core, :meth:`execute` its blocking driver.
     """
 
     __slots__ = ("binding", "allocator", "harness", "signals",
-                 "stop_on_error", "_prepared")
+                 "stop_on_error")
 
     def __init__(
         self,
@@ -583,24 +547,21 @@ class VmCursor:
         self.allocator = allocator
         self.harness = harness
         self.stop_on_error = bool(stop_on_error)
-        self._prepared: tuple = ()
 
     def validate(self, variables: Mapping[str, float]) -> bool:
         """Run prologue: may this run trust the compiled operands?
 
+        Refuses a run whose variables differ from the program's: the
+        search could pick other resources for them, and the windows and
+        prepared operands hold for the program's only.  (The plan-cache
+        key holds the variables, so a cached program never meets others.)
         Checks the live signal pinning against the compiled shapes (a
         re-pinned adapter must degrade); a :class:`SignalSet` *instance*
         that matched once is memoised by identity, which is sound because
-        signal sets are grow-only and signals immutable.  Checks the
-        variable-dependent windows once per distinct variables shape: their
-        limit expressions are re-evaluated through
-        :meth:`~repro.teststand.allocator.Allocator.capability_window`
-        with the live variables and the verdict memoised - all runs served
-        by one cached plan share the variables that are part of its cache
-        key, so campaigns pay the evaluation once per binding.
+        signal sets are grow-only and signals immutable.
         """
         binding = self.binding
-        if binding is None:
+        if binding is None or variables != binding.variables:
             return False
         signals = self.signals
         for seen in binding.signals_ok:
@@ -619,35 +580,6 @@ class VmCursor:
             if len(binding.signals_ok) >= 4:
                 del binding.signals_ok[0]
             binding.signals_ok.append(signals)
-        memo_key = tuple(sorted(variables.items()))
-        if binding.dynamic_guards:
-            verdict = binding.guard_memo.get(memo_key)
-            if verdict is None:
-                verdict = self._evaluate_guards(variables)
-                if len(binding.guard_memo) >= 8:
-                    binding.guard_memo.clear()
-                binding.guard_memo[memo_key] = verdict
-            if not verdict:
-                return False
-        prepared = binding.prepared_memo.get(memo_key)
-        if prepared is None:
-            prepared = _prepare_operands(binding, variables)
-            if len(binding.prepared_memo) >= 8:
-                binding.prepared_memo.clear()
-            binding.prepared_memo[memo_key] = prepared
-        self._prepared = prepared
-        return True
-
-    def _evaluate_guards(self, variables: Mapping[str, float]) -> bool:
-        """Re-evaluate every variable-dependent window with *variables*."""
-        for resource, call, _window in self.binding.dynamic_guards:
-            window = self.allocator.capability_window(
-                resource, call, variables)
-            if window is None:
-                continue  # nothing to range-check: the classic path passes
-            capability, nominal, acceptance = window
-            if not capability.can_serve(nominal, acceptance):
-                return False
         return True
 
     def execute(
@@ -680,8 +612,6 @@ class VmCursor:
         error = Verdict.ERROR
         passed = Verdict.PASS
         failed = Verdict.FAIL
-        prepared = self._prepared
-        pi = 0
 
         setup_results: list[ActionResult] = []
         steps: list[StepResult] = []
@@ -696,9 +626,7 @@ class VmCursor:
                 if delay > 0.0:
                     yield delay
                 for (action, call, signal, pins, signal_key, routes,
-                     persistent, allocation, _attr) in items:
-                    pre = prepared[pi]
-                    pi += 1
+                     persistent, allocation, prepared) in items:
                     register(signal_key, resource_key, routes, persistent)
                     glitch = False
                     if chaos_on:
@@ -707,7 +635,7 @@ class VmCursor:
                             yield hang
                     try:
                         outcome = perform(call, signal, pins, harness,
-                                          run_vars, prepared=pre)
+                                          run_vars, prepared=prepared)
                     except TransientError:
                         raise  # to the executor's retry layer, not a verdict
                     except Exception as exc:

@@ -265,6 +265,23 @@ class TestExecutorEngine:
         assert report.results[0].attempts == 2
         assert report.results[0].result.passed
 
+    def test_missing_stand_variable_fails_on_first_attempt(self):
+        """A stand cannot gain a variable between attempts."""
+        reading = SignalAction("INT_ILL", MethodCall(
+            "get_u", {"u": "0", "u_min": "(-0.1*vref)", "u_max": "1"}))
+        script = TestScript("needs_vref", "interior_light_ecu",
+                            [ScriptStep(0, 0.5, (reading,))])
+        jobs = expand_jobs([script], paper_signal_set(),
+                           {"": build_paper_stand}, interior_harness,
+                           {"": InteriorLightEcu})
+        report = run_jobs(jobs, SerialExecutor(), resilience=ResiliencePolicy(
+            max_attempts=3, backoff_base=0.0))
+        (job_result,) = report.results
+        assert job_result.attempts == 1
+        assert job_result.error == (
+            "ExecutionError: test stand 'paper_stand' does not provide "
+            "variables ['vref']")
+
     def test_terminal_error_is_reported_not_raised(self):
         def broken_ecu():
             raise RuntimeError("stand on fire")

@@ -10,7 +10,10 @@ Covers the guarantees the VM fast path rests on:
   its prepared operands read the serving capability's attribute, and each
   uncompilable sheet raises :class:`VmCompileError` with the right cause,
 * self-distrust: a binding or prologue mismatch degrades the run to the
-  classic interpreter before anything executes,
+  classic interpreter before anything executes, and a program serves only
+  the variables it was compiled for; each stand binds a program once,
+* ``wait`` durations read like every other parameter on both walks, and
+  one that is not a number fails its job on the first attempt,
 * either knob off (``use_plans`` or ``use_vm``) runs the classic walk,
 * the ``prepared`` contract: an instrument whose ``_perform`` cannot take
   the keyword (neither a ``prepared`` parameter nor ``**``) is rejected
@@ -36,14 +39,21 @@ from repro.targets import CampaignSpec, get_dut, iter_duts, run_campaign
 from repro.teststand import (
     GLOBAL_PLAN_CACHE,
     Allocator,
+    ConnectionMatrix,
     PlanCache,
+    ResiliencePolicy,
     Resource,
     ResourceTable,
+    Route,
+    SerialExecutor,
+    Switch,
     TestStand,
     TestStandInterpreter,
     VmCursor,
     build_paper_stand,
     compile_plan,
+    expand_jobs,
+    run_jobs,
     text_report,
 )
 from repro.teststand import json_report
@@ -186,23 +196,66 @@ def _cursor(program, stand, signals) -> VmCursor:
     )
 
 
-def _compile_one_step(action: SignalAction):
+def _one_step(action: SignalAction) -> TestScript:
+    return TestScript("one_step", "interior_light_ecu",
+                      [ScriptStep(0, 0.5, (action,))])
+
+
+def _compile_one_step(action: SignalAction, key: tuple = ()):
     stand = build_paper_stand()
-    script = TestScript("one_step", "interior_light_ecu",
-                        [ScriptStep(0, 0.5, (action,))])
     return compile_program(
-        script, paper_signal_set(), stand,
+        _one_step(action), paper_signal_set(), stand,
         policy="first_fit", registry=stand.registry,
-        variables={"ubatt": stand.supply_voltage, "t": 0.0},
+        variables={"ubatt": stand.supply_voltage, "t": 0.0}, key=key,
     )
+
+
+def _two_dvm_stand() -> TestStand:
+    """A NARROW (±20 V) and then a WIDE (±100 V) DVM, both on the lamp."""
+    connections = ConnectionMatrix()
+    for key in ("NARROW", "WIDE"):
+        connections.add(Route(key, "hi", "INT_ILL_F", Switch(f"{key}.1")))
+        connections.add(Route(key, "lo", "INT_ILL_R", Switch(f"{key}.2")))
+    return TestStand("two_dvm", ResourceTable((
+        Resource("NARROW", Dvm("narrow", u_min=-20.0, u_max=20.0)),
+        Resource("WIDE", Dvm("wide", u_min=-100.0, u_max=100.0)),
+    )), connections)
+
+
+def _relative_reading_script() -> TestScript:
+    return _one_step(SignalAction("INT_ILL", MethodCall("get_u", {
+        "u": "(0.7*ubatt)", "u_min": "(0.6*ubatt)", "u_max": "(0.8*ubatt)"})))
+
+
+def _unbindable_program() -> vm.VmProgram:
+    item = _io_op("SET", "no_such_resource", "A", "put_u").items[0]
+    return vm.VmProgram(
+        (VmOp("SET", resource_key="no_such_resource", items=(item,)),),
+        0, {"ubatt": 12.0, "t": 0.0}, key=("toy",),
+    )
+
+
+def _count_binds(monkeypatch) -> list:
+    """Record the program of every bind no stand's cache could answer."""
+    binds = []
+    bind = vm._bind
+
+    def counting(program, stand):
+        binds.append(program)
+        return bind(program, stand)
+
+    monkeypatch.setattr(vm, "_bind", counting)
+    return binds
 
 
 class TestOnePassCompiler:
     def test_every_paper_get_item_carries_its_window(self):
-        """Windows live on the I/O items: each DVM reading of the paper
-        program is range-checked at bind time or in the run prologue."""
+        """Windows live on the I/O items, evaluated for the variables the
+        program keeps: each DVM reading of the paper program is
+        range-checked when the program binds to a stand."""
         plan = _paper_plan()
         assert plan.program is not None, plan.vm_reason
+        assert plan.program.variables == {"ubatt": 12.0, "t": 0.0}
         gets = [op for op in plan.program.ops if op.code == "GET"]
         assert gets
         for op in gets:
@@ -210,8 +263,10 @@ class TestOnePassCompiler:
                 assert item.allocation.resource == op.resource_key
                 assert item.window is not None
                 assert item.window[0].method == "get_u"
-        # The paper's limits are relative to ``ubatt``: re-checked per run.
-        assert any(item.dynamic for op in gets for item in op.items)
+        # The paper's limits are relative to ``ubatt``, here 12 V.
+        assert {(item.window[2].low, item.window[2].high)
+                for op in gets for item in op.items} == {
+            (0.0, 0.3 * 12.0), (0.7 * 12.0, 1.1 * 12.0)}
 
     def test_unservable_sheet_raises_from_its_allocation_error(self):
         action = SignalAction("INT_ILL", MethodCall(
@@ -319,17 +374,81 @@ class TestVmDegrade:
         assert cursor.validate({"ubatt": 12.0, "t": 0.0})
         assert not cursor.validate({"ubatt": 1000.0, "t": 0.0})
 
-    def test_unresolvable_resource_fails_binding(self):
-        program = vm.VmProgram(
-            (VmOp("SET", resource_key="no_such_resource",
-                  items=(_io_op("SET", "no_such_resource", "A",
-                                "put_u").items[0],)),),
-            0, key=("toy",),
+    def test_program_compiled_for_other_variables_does_not_validate(self):
+        """At 40 V only WIDE can serve ``(0.7*ubatt)``; at 12 V the search
+        picks NARROW.  WIDE could serve the 12 V window too, but the 40 V
+        program must not serve a 12 V run: the run takes the classic walk,
+        which reads on NARROW."""
+        stand = _two_dvm_stand()
+        script = _relative_reading_script()
+        plan = compile_plan(
+            script, paper_signal_set(), stand, policy="first_fit",
+            registry=stand.registry, variables={"ubatt": 40.0, "t": 0.0},
         )
+        assert [op.resource_key for op in plan.program.ops
+                if op.code == "GET"] == ["WIDE"]
+        variables = {"ubatt": 12.0, "t": 0.0}
+        cursor = _cursor(plan.program, stand, paper_signal_set())
+        assert cursor.binding is not None
+        assert not cursor.validate(variables)
+        classic = TestStandInterpreter(
+            stand, interior_harness(InteriorLightEcu()), paper_signal_set(),
+            use_vm=False,
+        ).run(script)
+        assert [a.allocation.resource for a in classic.steps[0].actions] \
+            == ["NARROW"]
+
+    def test_prologue_refuses_other_variables_even_when_windows_fit(self):
+        """Every window of the 12 V paper program still fits at 12.5 V, but
+        the program was compiled for 12 V."""
+        plan = _paper_plan()
+        cursor = _cursor(plan.program, build_paper_stand(), paper_signal_set())
+        assert cursor.validate({"ubatt": 12.0, "t": 0.0})
+        assert not cursor.validate({"ubatt": 12.5, "t": 0.0})
+
+    def test_unresolvable_resource_fails_binding(self):
+        program = _unbindable_program()
         stand = build_paper_stand()
         cursor = _cursor(program, stand, paper_signal_set())
         assert cursor.binding is None
         assert not cursor.validate({"ubatt": 12.0, "t": 0.0})
+
+    def test_a_program_binds_once_per_stand(self, monkeypatch):
+        binds = _count_binds(monkeypatch)
+        program = _paper_plan().program
+        stands = (build_paper_stand(), build_paper_stand())
+        for stand in stands + stands:
+            assert vm.binding_for(program, stand) is not None
+        assert binds == [program] * 2
+        for stand in stands:
+            assert vm.binding_for(program, stand) \
+                is stand.__dict__["_vm_bindings"][program.key][1]
+
+    def test_a_recompiled_program_takes_its_keys_slot(self, monkeypatch):
+        """A program compiled again under the same plan key (its plan was
+        evicted or the cache cleared) re-binds, and the stand keeps one
+        binding for that key."""
+        binds = _count_binds(monkeypatch)
+        stand = build_paper_stand()
+        first, second = (_compile_one_step(
+            SignalAction("DS_FL", MethodCall("put_r", {"r": "0.5"})),
+            key=("plan",)) for _ in range(2))
+        old = vm.binding_for(first, stand)
+        new = vm.binding_for(second, stand)
+        assert binds == [first, second]
+        assert new is not old
+        bindings = stand.__dict__["_vm_bindings"]
+        assert list(bindings) == [("plan",)]
+        assert bindings[("plan",)] == (second, new)
+
+    def test_a_failed_bind_is_memoised(self, monkeypatch):
+        binds = _count_binds(monkeypatch)
+        program = _unbindable_program()
+        stand = build_paper_stand()
+        assert vm.binding_for(program, stand) is None
+        assert vm.binding_for(program, stand) is None
+        assert binds == [program]
+        assert stand.__dict__["_vm_bindings"][program.key] == (program, None)
 
     @pytest.mark.parametrize("knob", ("use_plans", "use_vm"))
     def test_either_knob_off_runs_classic(self, knob):
@@ -341,6 +460,48 @@ class TestVmDegrade:
         result = run_campaign(spec)
         assert result.baseline_clean
         assert GLOBAL_PLAN_CACHE.stats.snapshot()["vm_runs"] == before
+
+
+# ---------------------------------------------------------------------------
+# ``wait`` durations: read like every other parameter, on both walks
+# ---------------------------------------------------------------------------
+
+def _wait_step(duration: str) -> TestScript:
+    return _one_step(SignalAction("NIGHT", MethodCall("wait", {"t": duration})))
+
+
+class TestWaitDuration:
+    def test_decimal_comma_wait_runs_on_both_walks(self):
+        """``t="0,3"`` reads as 0.3 s, as lint reads it: the run waits
+        0.3 s plus the step's 0.5 s, with the same report on both walks."""
+        reports = {}
+        for use_vm in (True, False):
+            cache = PlanCache()
+            result = TestStandInterpreter(
+                build_paper_stand(), interior_harness(InteriorLightEcu()),
+                paper_signal_set(), plan_cache=cache, use_vm=use_vm,
+            ).run(_wait_step("0,3"))
+            assert result.duration == pytest.approx(0.8)
+            assert cache.stats.snapshot()["vm_runs"] == int(use_vm)
+            reports[use_vm] = json.loads(json_report(result))
+            reports[use_vm].pop("wall_time_s")
+        assert reports[True] == reports[False]
+
+    @pytest.mark.parametrize("use_vm", (True, False), ids=("vm", "classic"))
+    def test_expression_wait_fails_on_first_attempt(self, use_vm):
+        """No attempt can wait an expression's time, so the job fails
+        once, with the reason the VM compiler gives."""
+        jobs = expand_jobs(
+            [_wait_step("(0.01*ubatt)")], paper_signal_set(),
+            {"": build_paper_stand}, interior_harness,
+            {"": InteriorLightEcu}, use_vm=use_vm,
+        )
+        report = run_jobs(jobs, SerialExecutor(), resilience=ResiliencePolicy(
+            max_attempts=3, backoff_base=0.0))
+        (job,) = report.results
+        assert job.attempts == 1
+        assert job.error == (
+            "ScriptError: duration t='(0.01*ubatt)' is not numeric")
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ from ..teststand.report import format_table
 from ..teststand.serialize import (
     REPORT_SCHEMA,
     _stored_key,
+    action_results_text,
     restored_factory,
-    result_to_dict,
 )
 from .schema import DDL, STORE_SCHEMA
 
@@ -733,14 +733,14 @@ class ResultStore:
             ).lastrowid
             if result is None:
                 continue
-            document, verdict = result_to_dict(result), result.verdict
+            verdict = result.verdict
             case_id = conn.execute(
                 "INSERT INTO case_results (job_id, stand, verdict, "
                 "passed, duration, wall_time, setup) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (job_row, result.stand, verdict.value, int(verdict.ok),
                  result.duration, result.wall_time,
-                 json.dumps(document["setup"])),
+                 action_results_text(result.setup)),
             ).lastrowid
             conn.executemany(
                 "INSERT INTO step_results (case_id, ordinal, number, "
@@ -748,9 +748,8 @@ class ResultStore:
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 [(case_id, step_ordinal, step.number, step.duration,
                   step.start_time, step.remark, step.verdict.value,
-                  json.dumps(step_doc["actions"]))
-                 for step_ordinal, (step, step_doc) in enumerate(
-                     zip(result.steps, document["steps"]))],
+                  action_results_text(step.actions))
+                 for step_ordinal, step in enumerate(result.steps)],
             )
 
     def record_report(

@@ -54,8 +54,8 @@ class TestStandInterpreter:
     """Executes :class:`~repro.core.script.TestScript` objects on a stand.
 
     ``use_vm`` (default on) selects the bytecode fast path: every run looks
-    the (script x stand-topology x policy x variables) combination up in
-    ``plan_cache``, compiles its
+    the (script x stand-topology x policy x values of the variables the
+    script reads) combination up in ``plan_cache``, compiles its
     :class:`~repro.teststand.plan.ExecutionPlan` and VM program on first
     use, binds the program to the stand, self-checks it in a prologue and -
     if everything matches - executes the flat instruction stream (see
@@ -164,9 +164,10 @@ class TestStandInterpreter:
             if plan is not None and plan.program is not None:
                 # Bind the program to this stand and run its prologue
                 # self-check.  Any mismatch - a window this stand cannot
-                # serve, other variables than compiled for, a live signal
-                # pinned differently than compiled - degrades this whole
-                # run to the classic walk before anything has executed.
+                # serve, other values of the variables compiled for, a
+                # live signal pinned differently than compiled - degrades
+                # this whole run to the classic walk before anything has
+                # executed.
                 cursor = VmCursor(
                     plan.program, self.stand,
                     signals=self.signals, allocator=self.allocator,

@@ -58,6 +58,7 @@ __all__ = [
     "open_circuit_requested",
     "open_circuit_outcome",
     "wait_duration",
+    "script_variables",
     "script_fingerprint",
     "stand_fingerprint",
     "registry_fingerprint",
@@ -157,6 +158,22 @@ def wait_duration(call: MethodCall) -> float:
     except ExpressionError:
         pass
     raise ScriptError(f"duration t={call.param('t')!r} is not numeric")
+
+
+def script_variables(script: TestScript,
+                     variables: Mapping[str, float]) -> dict[str, float]:
+    """The values of the variables *script* reads, by lower-case name.
+
+    Read as expressions read them: names match case-insensitively and,
+    of two spellings of one name, the later wins.  Every value must be a
+    number, as expressions need.  A plan compiled for these values serves
+    every run that has them, whatever else the run brings (the harness
+    clock ``t`` of a stand that outlives its runs, say).
+    """
+    lowered = {str(name).lower(): float(value)
+               for name, value in variables.items()}
+    return {name: lowered[name] for name in script.variables
+            if name in lowered}
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +510,12 @@ class PlanCache:
         A compile failure of any kind caches a plan without a program, so
         every run of the combination takes the classic walk.
         """
+        read = script_variables(script, variables)
         key = (
             script_fingerprint(script, signals),
             stand_fingerprint(stand),
             str(policy),
-            tuple(sorted((str(k).lower(), float(v)) for k, v in variables.items())),
+            tuple(read.items()),
             registry_fingerprint(registry),
         )
         with self._lock:
@@ -516,7 +534,7 @@ class PlanCache:
         try:
             plan = compile_plan(
                 script, signals, stand,
-                policy=policy, registry=registry, variables=variables, key=key,
+                policy=policy, registry=registry, variables=read, key=key,
             )
             compiled = True
         except Exception:

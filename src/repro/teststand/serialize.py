@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..core.errors import ReproError
 from ..core.script import MethodCall, ScriptStep, SignalAction, TestScript
@@ -49,6 +49,7 @@ __all__ = [
     "script_from_dict",
     "result_to_dict",
     "result_from_dict",
+    "action_results_text",
     "report_to_dict",
     "report_from_dict",
 ]
@@ -56,6 +57,10 @@ __all__ = [
 #: Version of the report dict schema.  Bump on any key change and keep
 #: :func:`report_from_dict` accepting every version ever written.
 REPORT_SCHEMA = 1
+
+#: How many texts :func:`action_results_text` keeps per process.  A full
+#: table stops learning; a list it lacks is encoded on each use.
+TEXTS_MAX = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +230,90 @@ def result_to_dict(result: TestResult) -> dict:
         "setup": [_action_result_to_dict(action) for action in result.setup],
         "steps": [_step_result_to_dict(step) for step in result.steps],
     }
+
+
+#: Exact key of an action-result list -> its :func:`action_results_text`.
+_TEXTS: dict[tuple, str] = {}
+_TRUE, _FALSE = (bool, True), (bool, False)
+
+
+def _exact(value):
+    """Key part of one scalar: two are equal only when both write one text.
+
+    An exact ``str`` or ``None`` stands for itself, and so does a float,
+    except where float equality and JSON text part: ``0.0 == -0.0`` writes
+    two texts, and every NaN writes ``NaN`` but equals nothing, so those
+    are keyed by their ``repr``.  Bools and ints carry their type, since
+    ``True == 1 == 1.0``.  Any other type raises ``TypeError``.
+    """
+    cls = value.__class__
+    if cls is str or value is None:
+        return value
+    if cls is float:
+        return value if value and value == value else (float, repr(value))
+    if cls is bool:
+        return _TRUE if value else _FALSE
+    if cls is int:
+        return (int, value)
+    raise TypeError(f"no exact key for {cls.__name__}")
+
+
+def _results_key(results: Sequence[ActionResult]) -> tuple:
+    """Every field :func:`_action_result_to_dict` writes of *results*,
+    exactly, in one flat tuple.
+
+    One tuple per list keeps the table lean, and its layout reads back one
+    way only: each result's part starts with its parameter count, and a
+    ``True`` or ``None`` says whether an outcome, and then its limits,
+    follow.
+    """
+    key = []
+    for result in results:
+        action, outcome, allocation = result.action, result.outcome, result.allocation
+        params = action.call.params
+        # Exact str -> str (MethodCall makes them so), in the order the
+        # text keeps and SignalAction equality ignores.
+        key.append(len(params))
+        for item in params.items():
+            key += item
+        key += (_exact(action.signal), _exact(action.call.method),
+                _exact(result.verdict.value), _exact(result.error),
+                _exact(allocation.resource) if allocation else None,
+                _exact(allocation.persistent) if allocation else _FALSE)
+        if outcome is None:
+            key.append(None)
+            continue
+        limits = outcome.limits
+        key += (True, _exact(outcome.method), _exact(outcome.passed),
+                _exact(outcome.observed), _exact(outcome.unit),
+                _exact(outcome.detail))
+        key += ((None,) if limits is None
+                else (True, _exact(limits.low), _exact(limits.high)))
+    return tuple(key)
+
+
+def action_results_text(results: Sequence[ActionResult]) -> str:
+    """``json.dumps`` of the documents of *results*, an action-result list.
+
+    The result store keeps this text for a run's setup and for each of its
+    steps, and most lists repeat one the process has written before.  So
+    each distinct list is encoded once: its text is kept in a process-wide
+    table under a key of every field the text shows (:func:`_exact`), up
+    to :data:`TEXTS_MAX` of them.  Nothing is kept on the results, which
+    travel to process workers.  There is no lock: two threads that miss on
+    one key compute the same text, and threads that miss at once next to
+    a full table may each add one more.
+    """
+    try:
+        key = _results_key(results)
+    except TypeError:  # a value the key does not cover: encoded each time
+        key = None
+    text = None if key is None else _TEXTS.get(key)
+    if text is None:
+        text = json.dumps([_action_result_to_dict(item) for item in results])
+        if key is not None and len(_TEXTS) < TEXTS_MAX:
+            _TEXTS[key] = text
+    return text
 
 
 class _Restorer:

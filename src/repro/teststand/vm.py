@@ -35,18 +35,18 @@ instants than the classic walk does.
 
 A program keeps the variables it was compiled for: which resource the
 search picks for a relative limit such as ``(0.7*ubatt)`` depends on them.
-Execution is deliberately paranoid: a program **binds** to a concrete
-stand instance (resolving resource keys to live instruments, re-checking
-every capability window against *that* stand's capability rows and
-preparing every call's operands, all for the program's variables), and
-every run starts with a prologue that refuses other variables and re-checks
-the live signal pinning.  Any mismatch at any of those points degrades
-**the whole run** to the classic interpreter before a single instruction
-has touched the harness - so verdict tables are byte-identical with the VM
-on or off.  Scripts the compiler cannot express (an allocation that fails
-at compile time, a ``wait`` duration that is not a number, an unknown
-signal) raise :class:`VmCompileError`; the plan then carries no program and
-every run of the combination takes the classic path, which the
+Execution is deliberately paranoid: a program **binds** to a concrete stand
+instance (resolving resource keys to live instruments, re-checking every
+capability window against *that* stand's capability rows and preparing
+every call's operands, all for the program's variables), and every run
+starts with a prologue that refuses other values of those variables and
+re-checks the live signal pinning.  Any mismatch at any of those points
+degrades **the whole run** to the classic interpreter before a single
+instruction has touched the harness - so verdict tables are byte-identical
+with the VM on or off.  Scripts the compiler cannot express (an allocation
+that fails at compile time, a ``wait`` duration that is not a number, an
+unknown signal) raise :class:`VmCompileError`; the plan then carries no
+program and every run of the combination takes the classic path, which the
 ``X-UNCOMPILABLE-SCRIPT`` lint rule surfaces pre-flight.  Composed sheets
 compile like any other: a composed run is its members' runs on one bus, and
 the composition harness routes every instrument call the VM makes.
@@ -173,10 +173,11 @@ class VmProgram:
     ``ops`` is the flat stream; ``setup_size`` many leading instructions
     belong to the script's setup segment, the rest are step segments each
     closed by an ``END_STEP``.  ``variables`` are the stand variables the
-    program was compiled for: its allocations and windows hold for them
-    only, so it serves no run with other variables.  Programs hold only
-    content-safe operands (signals, calls, allocations, windows) - live
-    instruments are resolved per stand instance by the binding step.
+    program was compiled for, by lower-case name: its allocations and
+    windows hold for their values only, so it serves no run with other
+    values of them.  Programs hold only content-safe operands (signals,
+    calls, allocations, windows) - live instruments are resolved per stand
+    instance by the binding step.
     """
 
     __slots__ = ("ops", "setup_size", "variables", "key")
@@ -185,7 +186,8 @@ class VmProgram:
                  variables: Mapping[str, float], *, key: tuple = ()):
         self.ops = tuple(ops)
         self.setup_size = int(setup_size)
-        self.variables = dict(variables)
+        self.variables = {str(name).lower(): value
+                          for name, value in variables.items()}
         self.key = key
 
     def __len__(self) -> int:
@@ -326,8 +328,8 @@ def compile_program(
     Reads :func:`walk_program` and raises its first
     :class:`VmCompileError`.  The program keeps *variables*: its
     allocations and windows hold for them only, and its run prologue
-    refuses any other variables (the plan-cache key holds them, so a cached
-    program never meets others).
+    refuses other values of them (the plan-cache key holds the values of
+    the variables the script reads, and compiles for those).
 
     :func:`batch_io` runs per segment (setup and each step separately), so
     batches never cross a segment boundary.
@@ -551,18 +553,25 @@ class VmCursor:
     def validate(self, variables: Mapping[str, float]) -> bool:
         """Run prologue: may this run trust the compiled operands?
 
-        Refuses a run whose variables differ from the program's: the
-        search could pick other resources for them, and the windows and
-        prepared operands hold for the program's only.  (The plan-cache
-        key holds the variables, so a cached program never meets others.)
+        Refuses a run whose values of the program's variables differ from
+        the program's (names match case-insensitively; the run may bring
+        others): the search could pick other resources for them, and the
+        windows and prepared operands hold for the program's only.  (The
+        plan-cache key holds the values of the variables the script reads,
+        and the program keeps those, so a cached program never meets
+        others.)
         Checks the live signal pinning against the compiled shapes (a
         re-pinned adapter must degrade); a :class:`SignalSet` *instance*
         that matched once is memoised by identity, which is sound because
         signal sets are grow-only and signals immutable.
         """
         binding = self.binding
-        if binding is None or variables != binding.variables:
+        if binding is None:
             return False
+        lowered = {str(name).lower(): value for name, value in variables.items()}
+        for name, value in binding.variables.items():
+            if lowered.get(name) != value:
+                return False
         signals = self.signals
         for seen in binding.signals_ok:
             if seen is signals:

@@ -95,6 +95,30 @@ class TestPlanDeterminism:
         assert stats["plan_hits"] == 2
         assert stats["vm_runs"] == 3
 
+    def test_runs_on_one_interpreter_share_a_plan(self):
+        """The harness clock ``t`` runs on between the runs of one
+        interpreter, but the script reads only ``ubatt``: the plan is keyed
+        on that, so one plan serves all five runs, with the same reports
+        as the classic walk."""
+        cache = PlanCache()
+        script = _paper_script()
+        assert script.variables == ("ubatt",)
+        compiled = _interpreter(plan_cache=cache)
+        classic = _interpreter(plan_cache=None)
+        clocks = []
+        for _ in range(5):
+            clocks.append(compiled.harness.now)
+            a = json.loads(json_report(compiled.run(script)))
+            b = json.loads(json_report(classic.run(script)))
+            a.pop("wall_time_s", None), b.pop("wall_time_s", None)
+            assert a == b
+        assert len(set(clocks)) == 5
+        stats = cache.stats.snapshot()
+        assert stats["plans_compiled"] == 1
+        assert stats["plan_hits"] == 4
+        assert stats["vm_runs"] == 5
+        assert stats["vm_degraded"] == 0
+
 
 # ---------------------------------------------------------------------------
 # Fallback: the safety net the byte-identity rests on

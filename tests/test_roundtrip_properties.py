@@ -187,3 +187,73 @@ class TestSerializeRoundTrip:
         restored = report_from_dict(first)
         assert restored.verdict_table() == report.verdict_table()
         assert report_to_dict(restored) == first
+
+
+# ---------------------------------------------------------------------------
+# teststand.serialize: the stored text of an action-result list
+# ---------------------------------------------------------------------------
+
+#: The fields a random action result may vary, each from values that
+#: compare equal across types or signs but write differently (and NaN,
+#: which writes one text but equals nothing).  The first is the default.
+_AWKWARD = {
+    "observed": (1.5, None, 0.0, -0.0, 0, False, 1, 1.0, True, float("nan"),
+                 float("inf"), -float("inf"), "1.0"),
+    "passed": (True, 1, False, 0),
+    "limits": (None, (-0.0, 1.0), (0.0, 1.0), (0, 1)),
+    "persistent": (False, 0, True, 1),
+    "params": (("u", "ri"), ("ri", "u"), ("u",), ()),
+    "method": ("get_u", "GET_U"),
+    "outcome": (True, False),
+    "allocation": (True, False),
+}
+
+
+def _random_action_result(rng: random.Random):
+    """A ``get_u`` result with up to two fields drawn from :data:`_AWKWARD`."""
+    from repro.core.values import Interval
+    from repro.methods import MethodOutcome
+    from repro.teststand.allocator import Allocation
+    from repro.teststand.verdict import ActionResult, Verdict
+
+    value = {name: choices[0] for name, choices in _AWKWARD.items()}
+    for name in rng.sample(sorted(_AWKWARD), rng.randint(0, 2)):
+        value[name] = rng.choice(_AWKWARD[name])
+    call = MethodCall(value["method"],
+                      {name: "1" for name in value["params"]})
+    limits = value["limits"]
+    outcome = MethodOutcome(
+        call.method, value["passed"], value["observed"],
+        None if limits is None else Interval(*limits), "V", "ok")
+    allocation = Allocation("INT_ILL", call.method, "DVM_1",
+                            persistent=value["persistent"])
+    return ActionResult(
+        SignalAction("INT_ILL", call), Verdict.PASS,
+        outcome=outcome if value["outcome"] else None,
+        allocation=allocation if value["allocation"] else None)
+
+
+class TestActionResultsText:
+    def test_random_lists_write_their_reference_text(self, monkeypatch):
+        """Whatever the table has seen before, the text of a list is
+        ``json.dumps`` of its documents, for hundreds of random lists
+        whose fields compare equal but write differently."""
+        from repro.teststand import serialize
+        from repro.teststand.verdict import TestResult
+
+        table: dict = {}
+        monkeypatch.setattr(serialize, "_TEXTS", table)
+        monkeypatch.setattr(serialize, "TEXTS_MAX", 128)
+        script = TestScript("t", "interior_light_ecu")
+        rng = random.Random(SEED + 6)
+        texts = set()
+        for _ in range(600):
+            results = tuple(_random_action_result(rng)
+                            for _ in range(rng.randint(1, 2)))
+            reference = json.dumps(serialize.result_to_dict(
+                TestResult(script, "paper", setup=results))["setup"])
+            assert serialize.action_results_text(results) == reference
+            texts.add(reference)
+        # Lists repeat, and the table filled and stopped growing.
+        assert len(texts) < 600
+        assert len(table) == 128

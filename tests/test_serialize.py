@@ -121,3 +121,153 @@ def test_campaign_cli_json_format(capsys):
     assert main_campaign(["--dut", "wiper_ecu"]) == 0
     text_out = capsys.readouterr().out
     assert text_out == document["table"] + "\n" + document["summary"] + "\n"
+
+
+# ---------------------------------------------------------------------------
+# action_results_text: each distinct list encoded once, exactly
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def texts(monkeypatch):
+    """An empty text table for one test; returns it."""
+    from repro.teststand import serialize
+
+    table: dict = {}
+    monkeypatch.setattr(serialize, "_TEXTS", table)
+    return table
+
+
+def _reading(observed=1.5, *, passed=True, limits=None, params=None,
+             persistent=False):
+    """One ``get_u`` action result with the given fields."""
+    from repro.core.script import MethodCall, SignalAction
+    from repro.methods import MethodOutcome
+    from repro.teststand.allocator import Allocation
+    from repro.teststand.verdict import ActionResult, Verdict
+
+    call = MethodCall("get_u", {"u_min": "1", "u_max": "2"}
+                      if params is None else params)
+    return ActionResult(
+        SignalAction("INT_ILL", call), Verdict.PASS,
+        outcome=MethodOutcome("get_u", passed, observed, limits, "V", "ok"),
+        allocation=Allocation("INT_ILL", "get_u", "DVM_1",
+                              persistent=persistent),
+    )
+
+
+def _reference(results) -> str:
+    """What the store wrote before the table: ``json.dumps`` of the
+    ``setup`` documents of a result holding *results*."""
+    from repro.core.script import TestScript
+    from repro.teststand.serialize import result_to_dict
+    from repro.teststand.verdict import TestResult
+
+    result = TestResult(TestScript("t", "interior_light_ecu"), "paper",
+                        setup=results)
+    return json.dumps(result_to_dict(result)["setup"])
+
+
+def _exactness_cases() -> dict:
+    from repro.core.values import Interval
+
+    return {
+        "signed zero": [_reading(0.0), _reading(-0.0)],
+        "one, 1.0 and True": [_reading(1), _reading(1.0), _reading(True)],
+        "passed True and 1": [_reading(passed=True), _reading(passed=1)],
+        "signed zero bound": [_reading(limits=Interval(-0.0, 1.0)),
+                              _reading(limits=Interval(0.0, 1.0))],
+        "param order": [_reading(params={"u": "1", "ri": "2"}),
+                        _reading(params={"ri": "2", "u": "1"})],
+        "persistent False and 0": [_reading(persistent=False),
+                                   _reading(persistent=0)],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_exactness_cases()))
+def test_equal_results_that_write_differently_keep_their_own_text(case,
+                                                                   texts):
+    """Results that compare equal, or whose fields do, but write different
+    JSON each get their own reference text, whichever the table sees
+    first."""
+    import itertools
+
+    from repro.teststand.serialize import action_results_text
+
+    variants = _exactness_cases()[case]
+    assert len({_reference((result,)) for result in variants}) \
+        == len(variants)
+    for order in itertools.permutations(variants):
+        texts.clear()
+        for result in order:
+            assert action_results_text((result,)) == _reference((result,))
+        assert len(texts) == len(variants)
+
+
+def test_reordered_params_make_equal_actions():
+    """The param-order case above is not vacuous: SignalAction equality
+    ignores the order that the text keeps."""
+    first = _reading(params={"u": "1", "ri": "2"})
+    second = _reading(params={"ri": "2", "u": "1"})
+    assert first.action == second.action
+    assert first == second
+
+
+def test_nan_readings_share_one_text(texts):
+    """Every NaN writes ``NaN``, although no NaN equals another."""
+    from repro.teststand.serialize import action_results_text
+
+    first, second = _reading(float("nan")), _reading(float("nan"))
+    assert first.outcome.observed is not second.outcome.observed
+    assert action_results_text((first,)) == _reference((first,))
+    assert action_results_text((second,)) == _reference((second,))
+    assert '"observed": NaN' in _reference((second,))
+    assert len(texts) == 1
+
+
+def test_a_list_is_encoded_once(texts, monkeypatch):
+    """A list equal in every field to one seen before reuses its text."""
+    from repro.teststand import serialize
+
+    first = (_reading(0.5), _reading(1.5, passed=False))
+    again = (_reading(0.5), _reading(1.5, passed=False))
+    expected = _reference(first)
+    encoded = []
+    to_dict = serialize._action_result_to_dict
+
+    def counted(result):
+        encoded.append(result)
+        return to_dict(result)
+
+    monkeypatch.setattr(serialize, "_action_result_to_dict", counted)
+    assert serialize.action_results_text(first) == expected
+    assert serialize.action_results_text(again) == expected
+    assert serialize.action_results_text(()) == "[]"
+    assert len(encoded) == 2
+    assert len(texts) == 2
+
+
+def test_a_full_table_stops_growing_and_stays_exact(texts, monkeypatch):
+    from repro.teststand import serialize
+
+    monkeypatch.setattr(serialize, "TEXTS_MAX", 2)
+    readings = [_reading(float(volts)) for volts in range(1, 6)]
+    for _ in range(2):
+        for result in readings:
+            assert serialize.action_results_text((result,)) \
+                == _reference((result,))
+        assert len(texts) == 2
+
+
+def test_a_value_without_an_exact_key_is_encoded_each_time(texts):
+    """A type the key does not cover (here a float subclass that prints
+    itself differently from the text json writes) is never kept."""
+    from repro.teststand.serialize import action_results_text
+
+    class Volts(float):
+        def __repr__(self) -> str:
+            return "Volts"
+
+    for observed in (Volts(0.0), Volts(-0.0)):
+        result = _reading(observed)
+        assert action_results_text((result,)) == _reference((result,))
+    assert texts == {}

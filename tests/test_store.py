@@ -758,3 +758,36 @@ def test_two_records_start_git_at_most_once(store_path, tmp_path,
     store.record_campaign(result)
     store.record_campaign(result)
     assert len(started) <= 1
+
+
+@pytest.mark.parametrize("backend, jobs", [("serial", 1), ("process", 2)])
+def test_stored_texts_are_json_of_the_live_documents(tmp_path, backend, jobs):
+    """Every stored setup and step-actions text of a checkpointed campaign
+    is ``json.dumps`` of the live result's documents, for every target."""
+    from repro.teststand.serialize import result_to_dict
+
+    targets = [{"dut": name} for name in campaignable_dut_names()]
+    targets.append({"composition": "lock+cluster"})
+    for number, fields in enumerate(targets):
+        path = str(tmp_path / f"{number}.db")
+        result = run_campaign(CampaignSpec(
+            backend=backend, jobs=jobs, store=path, resume=True, **fields))
+        setups, actions = {}, {}
+        for ordinal, job_result in enumerate(result.execution.results):
+            document = result_to_dict(job_result.result)
+            setups[ordinal] = json.dumps(document["setup"])
+            for step, step_document in enumerate(document["steps"]):
+                actions[ordinal, step] = json.dumps(step_document["actions"])
+        with sqlite3.connect(path) as connection:
+            stored_setups = dict(connection.execute(
+                "SELECT j.ordinal, c.setup FROM jobs j "
+                "JOIN case_results c ON c.job_id = j.id WHERE j.run_id = ?",
+                (result.store_run_id,)))
+            stored_actions = {
+                (job, step): text for job, step, text in connection.execute(
+                    "SELECT j.ordinal, s.ordinal, s.actions FROM jobs j "
+                    "JOIN case_results c ON c.job_id = j.id "
+                    "JOIN step_results s ON s.case_id = c.id "
+                    "WHERE j.run_id = ?", (result.store_run_id,))}
+        assert stored_setups == setups, fields
+        assert stored_actions == actions, fields

@@ -406,6 +406,24 @@ class TestVmDegrade:
         assert cursor.validate({"ubatt": 12.0, "t": 0.0})
         assert not cursor.validate({"ubatt": 12.5, "t": 0.0})
 
+    def test_a_cached_program_compares_only_the_variables_its_script_reads(
+            self):
+        """The plan cache compiles for the variables the script reads
+        (``ubatt``), so the prologue compares that name, in any spelling,
+        and ignores the rest of the run's variables."""
+        from repro.teststand.plan import PlanCache
+
+        stand = build_paper_stand()
+        plan = PlanCache().plan_for(
+            _paper_script(), paper_signal_set(), stand, policy="first_fit",
+            registry=stand.registry, variables={"ubatt": 12.0, "t": 7.5})
+        assert plan.program.variables == {"ubatt": 12.0}
+        cursor = _cursor(plan.program, stand, paper_signal_set())
+        assert cursor.validate({"ubatt": 12.0, "t": 0.0, "vref": 5.0})
+        assert cursor.validate({"UBATT": 12})
+        assert not cursor.validate({"ubatt": 12.5, "t": 7.5})
+        assert not cursor.validate({"t": 7.5})
+
     def test_unresolvable_resource_fails_binding(self):
         program = _unbindable_program()
         stand = build_paper_stand()

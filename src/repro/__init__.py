@@ -14,7 +14,7 @@ modules it executes.
 
 ``repro.core``
     signal / status / test-definition model, compiler, XML generation and
-    parsing, validation - the paper's contribution.
+    parsing - the paper's contribution.
 ``repro.sheets``
     the worksheet front-end (three sheet types, CSV persistence).
 ``repro.methods``
@@ -82,9 +82,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "core": (
         "Signal", "SignalDirection", "SignalKind", "SignalSet",
         "StatusDefinition", "StatusTable", "TestDefinition", "TestSuite",
-        "TestScript", "Compiler", "CompileOptions", "compile_test",
-        "compile_suite", "script_to_string", "write_script", "parse_script",
-        "read_script",
+        "TestScript", "Compiler", "compile_test", "compile_suite",
+        "script_to_string", "write_script", "read_script",
     ),
     "teststand": (
         "TestStand", "TestStandInterpreter", "run_script",

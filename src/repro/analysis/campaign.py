@@ -90,6 +90,22 @@ class CampaignResult:
         #: assembled outside the executor.
         self.execution = execution
 
+    @classmethod
+    def from_report(cls, report: ExecutionReport,
+                    faults: Iterable[FaultModel]) -> "CampaignResult":
+        """Group *report*'s jobs into the baseline and one outcome per
+        fault of *faults*, in catalogue order."""
+        by_group = report.by_group()
+
+        def results(group: str) -> tuple[TestResult, ...]:
+            return tuple(jr.result for jr in by_group.get(group, ()))
+
+        return cls(
+            results(BASELINE_GROUP),
+            [FaultRunOutcome(fault, results(fault.name)) for fault in faults],
+            execution=report,
+        )
+
     @property
     def baseline_clean(self) -> bool:
         """Whether the healthy ECU passes every test (sanity precondition)."""
@@ -222,12 +238,4 @@ class FaultCampaign:
             on_result=on_result,
         )
         report.test_results()  # raise early when a job failed terminally
-        by_group = report.by_group()
-        baseline = tuple(jr.result for jr in by_group.get(BASELINE_GROUP, ()))
-        outcomes = [
-            FaultRunOutcome(
-                fault, tuple(jr.result for jr in by_group.get(fault.name, ()))
-            )
-            for fault in catalogue
-        ]
-        return CampaignResult(baseline, outcomes, execution=report)
+        return CampaignResult.from_report(report, catalogue)

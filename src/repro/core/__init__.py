@@ -1,14 +1,16 @@
 """Core test-definition model and tool chain (the paper's contribution).
 
 Every name below is imported from its submodule on first use (see
-:mod:`repro._lazy`), so reading a script does not load the compiler,
-the XML generator or the validator.
+:mod:`repro._lazy`), so reading a script does not load the compiler or
+the XML generator.  A definition is checked once, where it enters: a
+sheet by the :class:`~repro.core.compiler.Compiler`, an XML script by
+:func:`repro.targets.run_single` before it runs.
 """
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "compiler": ("CompileOptions", "Compiler", "compile_suite", "compile_test"),
+    "compiler": ("Compiler", "compile_suite", "compile_test"),
     "errors": (
         "AllocationError", "CapabilityError", "CompileError", "DefinitionError",
         "ExecutionError", "ExpressionError", "HarnessError", "InstrumentError",
@@ -19,13 +21,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "signals": ("Signal", "SignalDirection", "SignalKind", "SignalSet"),
     "status": ("StatusDefinition", "StatusTable"),
     "testdef": ("StatusAssignment", "TestDefinition", "TestStep", "TestSuite"),
-    "validation": (
-        "Issue", "Severity", "assert_valid", "validate_script", "validate_suite",
-    ),
     "values": (
         "INFINITY", "Interval", "LimitExpression", "Quantity",
         "format_binary", "format_number", "parse_binary", "parse_number",
     ),
     "xmlgen": ("script_to_string", "signal_fragment", "write_script"),
-    "xmlparse": ("parse_script", "read_script", "script_from_string"),
+    "xmlparse": ("read_script", "script_from_string"),
 })

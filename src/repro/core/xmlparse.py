@@ -7,9 +7,11 @@ interpreter (:mod:`repro.teststand.interpreter`) executes.
 
 The parser is strict about structure (every ``<signal>`` must contain
 exactly one method element, steps must be numbered increasingly) but liberal
-about unknown method names: they are preserved verbatim so that a stand with
-proprietary methods can still run scripts mentioning them, and so that
-round-tripping a script through XML is loss-free.
+about method names and their parameters: both are preserved verbatim so
+that a stand with proprietary methods can still run scripts mentioning
+them, and so that round-tripping a script through XML is loss-free.  The
+parameters are checked where a script is run: :func:`repro.targets.run_single`
+refuses a call that breaks its registered method's parameter schema.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import ScriptError
 from .script import MethodCall, ScriptStep, SignalAction, TestScript
 from .values import parse_number
 
-__all__ = ["parse_script", "script_from_element", "script_from_string", "read_script"]
+__all__ = ["script_from_element", "script_from_string", "read_script"]
 
 
 def _parse_signal(element: ET.Element, *, context: str) -> SignalAction:
@@ -136,12 +138,3 @@ def read_script(source: str | IO[str]) -> TestScript:
     with open(source, "r", encoding="utf-8") as handle:
         return script_from_string(handle.read())
 
-
-#: Backwards-compatible alias: ``parse_script`` accepts either XML text or a path.
-def parse_script(source: str) -> TestScript:
-    """Parse XML text (or, when the string names an existing file, that file)."""
-    import os
-
-    if os.path.exists(source) and not source.lstrip().startswith("<"):
-        return read_script(source)
-    return script_from_string(source)

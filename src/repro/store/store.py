@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .. import chaos as _chaos
 from .._record import Record
-from ..analysis.campaign import BASELINE_GROUP, CampaignResult, FaultRunOutcome
+from ..analysis.campaign import CampaignResult
 from ..analysis.faults import FaultModel
 from ..core.errors import ReproError
 from ..teststand.executor import ExecutionReport, JobResult, format_job_id
@@ -377,17 +377,8 @@ class StoredRun:
                 f"run {self.run_id} contains terminally failed job(s); "
                 "a fault table cannot be rebuilt from a partial campaign"
             )
-        by_group = report.by_group()
-        baseline = tuple(
-            jr.result for jr in by_group.get(BASELINE_GROUP, ())
-        )
-        outcomes = [
-            FaultRunOutcome(
-                fault, tuple(jr.result for jr in by_group.get(fault.name, ()))
-            )
-            for fault in _restored_faults(self.catalogue)
-        ]
-        self._result = CampaignResult(baseline, outcomes, execution=report)
+        self._result = CampaignResult.from_report(
+            report, _restored_faults(self.catalogue))
         return self._result
 
     def verdict_table(self) -> str:

@@ -72,7 +72,7 @@ from .analysis.faults import (
     window_lifter_faults,
     wiper_faults,
 )
-from .core.errors import ConfigurationError, ReproError
+from .core.errors import ConfigurationError, MethodError, ReproError
 from .core.compiler import Compiler
 from .core.script import TestScript
 from .core.signals import Signal, SignalDirection, SignalKind, SignalSet
@@ -968,6 +968,27 @@ def _require_method_coverage(stand_target: StandTarget,
         )
 
 
+def _require_valid_params(script: TestScript) -> None:
+    """Raise :class:`TargetError` when an action of *script* breaks the
+    parameter schema of its registered method: a parameter the method
+    does not take, or one it requires that is missing.  A method the
+    registry does not know (a stand's own) is not checked."""
+    registry = default_registry()
+    blocks = [("setup", script.setup)]
+    blocks.extend((f"step {step.number}", step.actions) for step in script.steps)
+    for where, actions in blocks:
+        for action in actions:
+            if action.method not in registry:
+                continue
+            try:
+                registry.get(action.method).validate_params(action.call.params)
+            except MethodError as exc:
+                raise TargetError(
+                    f"script {script.name!r}, {where}, signal "
+                    f"{action.signal!r}: {exc}"
+                ) from None
+
+
 def method_coverage(dut: str | Target) -> dict[str, tuple[str, ...] | None]:
     """Per-stand method coverage for *dut*'s bundled suite.
 
@@ -1222,8 +1243,10 @@ def run_single(spec: RunSpec) -> TestResult:
         )
     stand_target = get_stand(spec.stand or default_stand_for(target))
     stand_factory = stand_factory_for(stand_target, target)
-    # Pre-flight capability negotiation: reject the run before anything is
-    # built when the stand cannot serve a method the script needs.
+    # Pre-flight: reject the run before anything is built when a call
+    # breaks its method's parameter schema or the stand cannot serve a
+    # method the script needs.
+    _require_valid_params(script)
     _require_method_coverage(stand_target, script.methods_used(),
                              dut=target.name)
     if spec.preflight == "lint":

@@ -43,8 +43,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "profiling": ("PROFILER", "PhaseProfiler"),
     "vm": ("VmCompileError", "VmCursor", "VmProgram", "compile_program"),
     "report": (
-        "campaign_summary", "format_table", "json_report", "summary_line",
-        "text_report",
+        "campaign_summary", "format_table", "summary_line", "text_report",
     ),
     "resources": ("Resource", "ResourceTable"),
     "serialize": (

@@ -334,8 +334,7 @@ def _interpreter_for(job: Job, stand: TestStand) -> TestStandInterpreter:
     return TestStandInterpreter(
         stand, harness, job.signals,
         policy=job.policy, stop_on_error=job.stop_on_error,
-        plan_cache=GLOBAL_PLAN_CACHE if job.use_plans else None,
-        use_vm=job.use_vm,
+        plan_cache=GLOBAL_PLAN_CACHE if job.use_plans and job.use_vm else None,
     )
 
 

@@ -53,17 +53,17 @@ __all__ = ["TestStandInterpreter", "run_script"]
 class TestStandInterpreter:
     """Executes :class:`~repro.core.script.TestScript` objects on a stand.
 
-    ``use_vm`` (default on) selects the bytecode fast path: every run looks
-    the (script x stand-topology x policy x values of the variables the
-    script reads) combination up in ``plan_cache``, compiles its
-    :class:`~repro.teststand.plan.ExecutionPlan` and VM program on first
-    use, binds the program to the stand, self-checks it in a prologue and -
-    if everything matches - executes the flat instruction stream (see
-    :mod:`repro.teststand.vm`).  Otherwise the run takes the classic walk,
-    a full allocator search per action, with byte-identical verdicts.
-    ``plan_cache`` defaults to the process-wide
-    :data:`~repro.teststand.plan.GLOBAL_PLAN_CACHE`; ``None`` or
-    ``use_vm=False`` selects the classic walk for every run.
+    ``plan_cache`` (default the process-wide
+    :data:`~repro.teststand.plan.GLOBAL_PLAN_CACHE`) selects the bytecode
+    fast path: every run looks the (script x stand-topology x policy x
+    values of the variables the script reads) combination up in it,
+    compiles its :class:`~repro.teststand.plan.ExecutionPlan` and VM
+    program on first use, binds the program to the stand, self-checks it
+    in a prologue and - if everything matches - executes the flat
+    instruction stream (see :mod:`repro.teststand.vm`).  Otherwise the run
+    takes the classic walk, a full allocator search per action, with
+    byte-identical verdicts.  ``plan_cache=None`` selects the classic walk
+    for every run.
     """
 
     __test__ = False  # a domain class, not a pytest test class
@@ -78,7 +78,6 @@ class TestStandInterpreter:
         registry: MethodRegistry | None = None,
         stop_on_error: bool = False,
         plan_cache: PlanCache | None = GLOBAL_PLAN_CACHE,
-        use_vm: bool = True,
     ):
         self.stand = stand
         self.harness = harness
@@ -87,7 +86,6 @@ class TestStandInterpreter:
         self.policy = policy
         self.stop_on_error = stop_on_error
         self.plan_cache = plan_cache
-        self.use_vm = bool(use_vm) and plan_cache is not None
         self.allocator = Allocator(
             stand.resources, stand.connections, policy=policy, registry=self.registry
         )
@@ -149,7 +147,7 @@ class TestStandInterpreter:
             error.transient = False  # no retry can give the stand them
             raise error
         cursor = None
-        if self.use_vm:
+        if self.plan_cache is not None:
             # One cache lookup per run; the first run of a combination pays
             # the compile.  Plan trouble of any kind silently degrades to
             # the classic walk.

@@ -1,12 +1,13 @@
-"""Test reports: turning execution results into human- and machine-readable form."""
+"""Test reports: execution results as text (the machine-readable document
+is :func:`repro.teststand.serialize.result_to_dict`)."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .verdict import TestResult, Verdict
+from .verdict import TestResult
 
-__all__ = ["format_table", "text_report", "summary_line", "json_report", "campaign_summary"]
+__all__ = ["format_table", "text_report", "summary_line", "campaign_summary"]
 
 
 def format_table(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
@@ -79,48 +80,6 @@ def text_report(result: TestResult, *, verbose: bool = True) -> str:
             for action in step.actions:
                 lines.append(f"  {action.describe()}")
     return "\n".join(lines)
-
-
-def json_report(result: TestResult) -> str:
-    """Machine-readable JSON report of one test run."""
-    import json
-
-    payload = {
-        "script": result.script.name,
-        "dut": result.script.dut,
-        "stand": result.stand,
-        "verdict": result.verdict.value,
-        "duration_s": result.duration,
-        "wall_time_s": result.wall_time,
-        "counts": result.counts(),
-        "steps": [
-            {
-                "number": step.number,
-                "dt": step.duration,
-                "verdict": step.verdict.value,
-                "remark": step.remark,
-                "actions": [
-                    {
-                        "signal": action.signal,
-                        "method": action.method,
-                        "verdict": action.verdict.value,
-                        "resource": action.resource,
-                        "observed": action.outcome.observed if action.outcome else None,
-                        "unit": action.outcome.unit if action.outcome else "",
-                        "limits": (
-                            [action.outcome.limits.low, action.outcome.limits.high]
-                            if action.outcome and action.outcome.limits
-                            else None
-                        ),
-                        "error": action.error,
-                    }
-                    for action in step.actions
-                ],
-            }
-            for step in result.steps
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def campaign_summary(results: Iterable[TestResult]) -> str:

@@ -8,7 +8,8 @@ both, turned the compiled path off.  ``test_parity_matrix.py`` asserts
 that contract for every registered campaignable target - each bundled DUT
 and each multi-ECU composition - in one place; the per-feature test modules
 (``test_executor``, ``test_async_executor``, ``test_plan``, ``test_vm``)
-keep only their feature-specific assertions.
+keep only their feature-specific assertions, and compare single runs by
+:func:`result_document`.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from repro.targets import (
     get_dut,
     run_campaign,
 )
+from repro.teststand.serialize import result_to_dict
 
 __all__ = [
     "BACKENDS",
     "chaos_spec_for",
     "parity_faults",
+    "result_document",
     "spec_for",
     "target_names",
     "verdict_tables",
@@ -125,3 +128,11 @@ def verdict_tables(spec: CampaignSpec) -> tuple[str, str]:
     """Run *spec*; the byte-comparable stdout renderings of the result."""
     result = run_campaign(spec)
     return result.table(), result.execution.verdict_table()
+
+
+def result_document(result) -> dict:
+    """*result* as the store and ``--format json`` write it, without its
+    wall time: the document the VM and the classic walk must agree on."""
+    document = result_to_dict(result)
+    del document["wall_time"]
+    return document

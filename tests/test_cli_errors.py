@@ -21,6 +21,7 @@ from repro.core.script import MethodCall, ScriptStep, SignalAction, TestScript
 from repro.core.status import StatusDefinition, StatusTable
 from repro.core.testdef import TestDefinition, TestSuite
 from repro.paper import paper_signal_set, paper_status_table, wiper_suite
+from repro.paper.example import compile_paper_script
 from repro.sheets import save_suite
 
 
@@ -91,6 +92,28 @@ class TestRunExitCodes:
             assert main_run([path, "--stand", "big_rack", "--quiet"]) == 2
         captured = capsys.readouterr()
         assert "ERROR" in captured.out
+
+    def test_misspelled_parameter_is_exit_2(self, tmp_path, capsys):
+        """A partner script whose ``get_u`` misspells its bounds would pass
+        with no window at all; spelled right, the same window ERRORs.  It is
+        refused before it runs, naming the script, signal and parameter."""
+        path = tmp_path / "interior_illumination.xml"
+        write_script(compile_paper_script(), str(path))
+        bounds = 'u_min="(0*ubatt)" u_max="(0.3*ubatt)"'
+        text = path.read_text()
+        assert bounds in text
+        path.write_text(text.replace(bounds, bounds.replace("0*", "8*")
+                                     .replace("0.3*", "9*")))
+        assert main_run([str(path), "--quiet"]) == 2
+        assert "ERROR" in capsys.readouterr().out
+        path.write_text(text.replace(bounds,
+                                     'u_mn="(8*ubatt)" u_mx="(9*ubatt)"'))
+        assert main_run([str(path), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: script 'interior_illumination', step 0, signal "
+            "'int_ill': method 'get_u' does not accept parameter 'u_mn'\n")
 
     def test_passing_script_is_exit_0(self, tmp_path):
         script = Compiler().compile_test(wiper_suite(), "continuous_wiping")

@@ -1,4 +1,4 @@
-"""Tests for the compiler, XML generation/parsing and script validation."""
+"""Tests for the compiler (the one check of a sheet) and XML generation/parsing."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from repro.core import (
     CompileError,
-    CompileOptions,
     Compiler,
     MethodCall,
     ScriptError,
@@ -19,8 +18,6 @@ from repro.core import (
     script_from_string,
     script_to_string,
     signal_fragment,
-    validate_script,
-    validate_suite,
 )
 from repro.core.testdef import TestDefinition, TestSuite
 from repro.core.xmlgen import write_script
@@ -73,35 +70,44 @@ class TestCompiler:
         with pytest.raises(CompileError):
             Compiler().compile_test(broken, "bad")
 
-    def test_direction_check_can_be_disabled(self):
-        bad = TestDefinition("bad")
-        bad.add_step(0.5, {"DS_FL": "Lo"})
-        broken = TestSuite("interior_light_ecu", paper_signal_set(), paper_status_table(), (bad,))
-        options = CompileOptions(check_directions=False)
-        script = Compiler(options=options).compile_test(broken, "bad")
-        assert script.steps[0].actions[0].method == "get_u"
+    def test_undefined_initial_status_is_refused(self, suite):
+        """The signal sheet's initial statuses become the setup block, so
+        one the status table does not define is refused at compile time."""
+        from repro._record import replace
+        from repro.core import DefinitionError, SignalSet
+
+        signals = SignalSet(tuple(
+            replace(signal, initial_status="HalfOpen")
+            if signal.key == "ds_fl" else signal
+            for signal in suite.signals
+        ), dut=suite.signals.dut)
+        broken = TestSuite(suite.dut, signals, suite.statuses, tuple(suite))
+        with pytest.raises(DefinitionError, match="'HalfOpen' is not defined"):
+            Compiler().compile_suite(broken)
 
     def test_unknown_status_method_strictness(self):
-        from repro.core.status import StatusDefinition, StatusTable
+        """A status whose method the registry does not know is refused; a
+        stand that brings the method registers it in the registry it
+        passes to the compiler."""
+        from repro._record import replace
+        from repro.core.status import StatusDefinition
+        from repro.methods import PUT_CAN, default_registry
 
         statuses = paper_status_table()
         statuses.add(StatusDefinition.from_cells("Weird", "put_lin", "data", nominal="1"))
         test = TestDefinition("t")
         test.add_step(0.5, {"NIGHT": "Weird"})
         suite = TestSuite("interior_light_ecu", paper_signal_set(), statuses, (test,))
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError, match="unknown method 'put_lin'"):
             Compiler().compile_test(suite, "t")
-        script = Compiler(options=CompileOptions(strict_statuses=False)).compile_test(suite, "t")
-        assert script.steps[0].actions[0].method == "put_lin"
+        registry = default_registry().copy()
+        registry.register(replace(PUT_CAN, name="put_lin"))
+        script = Compiler(registry).compile_test(suite, "t")
+        assert script.steps[0].actions[0].call == MethodCall("put_lin", {"data": "1"})
 
     def test_compile_suite_compiles_all(self, suite):
         scripts = Compiler().compile_suite(suite)
         assert len(scripts) == len(suite)
-
-    def test_no_setup_option(self, suite):
-        script = Compiler(options=CompileOptions(emit_setup=False)).compile_test(
-            suite, "interior_illumination")
-        assert script.setup == ()
 
 
 class TestXmlRoundtrip:
@@ -209,43 +215,3 @@ class TestScriptModel:
         with pytest.raises(TypeError):
             call.params["u_min"] = "1"  # type: ignore[index]
 
-
-class TestValidation:
-    def test_paper_suite_is_clean_of_errors(self, suite):
-        issues = validate_suite(suite)
-        assert not [issue for issue in issues if issue.is_error]
-
-    def test_paper_script_is_clean_of_errors(self, script):
-        issues = validate_script(script)
-        assert not [issue for issue in issues if issue.is_error]
-
-    def test_unknown_status_reported(self, suite):
-        bad = TestDefinition("bad")
-        bad.add_step(0.5, {"DS_FL": "HalfOpen"})
-        broken = TestSuite("x", paper_signal_set(), paper_status_table(), (bad,))
-        issues = validate_suite(broken)
-        assert any("HalfOpen" in issue.message for issue in issues if issue.is_error)
-
-    def test_direction_mismatch_reported(self):
-        bad = TestDefinition("bad")
-        bad.add_step(0.5, {"INT_ILL": "Open"})
-        broken = TestSuite("x", paper_signal_set(), paper_status_table(), (bad,))
-        issues = validate_suite(broken)
-        assert any("stimulus" in issue.message for issue in issues if issue.is_error)
-
-    def test_undeclared_variable_reported(self):
-        step = ScriptStep(0, 1.0, (SignalAction("int_ill",
-                                                MethodCall("get_u", {"u_min": "(0.7*usupply)",
-                                                                     "u_max": "12"})),))
-        script = TestScript("t", "d", [step], variables=("ubatt",))
-        # usupply is referenced by the expression, therefore auto-declared by
-        # TestScript itself; simulate a hand-written script with a stale header.
-        script.__dict__["variables"] = ("ubatt",)
-        issues = validate_script(script)
-        assert any("usupply" in issue.message for issue in issues if issue.is_error)
-
-    def test_unknown_method_is_warning_not_error(self):
-        step = ScriptStep(0, 1.0, (SignalAction("x", MethodCall("put_lin", {"data": "1"})),))
-        script = TestScript("t", "d", [step])
-        issues = validate_script(script)
-        assert issues and all(not issue.is_error for issue in issues)

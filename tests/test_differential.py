@@ -45,7 +45,6 @@ are fixed, so a failure reproduces exactly.
 from __future__ import annotations
 
 import copy
-import json
 import random
 
 import pytest
@@ -71,9 +70,10 @@ from repro.teststand import (
     TestStand,
     TestStandInterpreter,
     Verdict,
-    json_report,
 )
 from repro.teststand.vm import VmCompileError, walk_program
+
+from parity import result_document
 
 SEED = 1729
 
@@ -288,17 +288,17 @@ def _generated_stands(target: str, campaign) -> list[_GeneratedStand]:
 def _observed(campaign, script: TestScript, ecu_factory, *,
               stop_on_error: bool, plan_cache: PlanCache | None,
               stand_factory=None) -> tuple:
-    """The run's JSON report without its wall time, plus what that report
-    leaves out: setup results, allocations (routes included), step start
-    times and each action result's action exactly as spelled."""
+    """The run's result document without its wall time, plus what that
+    document leaves out: the setup and step records with their allocations
+    (routes included) and each action result's action exactly as
+    spelled."""
     interpreter = TestStandInterpreter(
         (stand_factory or campaign.stand_factory)(),
         campaign.harness_factory(ecu_factory()),
         campaign.signals, stop_on_error=stop_on_error, plan_cache=plan_cache,
     )
     result = interpreter.run(script)
-    report = json.loads(json_report(result))
-    report.pop("wall_time_s")
+    report = result_document(result)
     spellings = tuple(
         (item.action.signal, item.action.call.method,
          tuple(item.action.call.params.items()))

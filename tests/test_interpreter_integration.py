@@ -7,8 +7,6 @@ simulated ECU, on all three bundled stands.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core import Compiler, script_from_string, script_to_string
@@ -28,10 +26,11 @@ from repro.teststand import (
     build_big_rack,
     build_minimal_bench,
     build_paper_stand,
-    json_report,
     summary_line,
     text_report,
 )
+
+from parity import result_document
 
 
 class TestPaperExampleExecution:
@@ -157,13 +156,12 @@ class TestFailureAndErrorPaths:
             interpreter = TestStandInterpreter(
                 stand, build_paper_harness(), paper_signal_set(),
                 plan_cache=cache)
-            document = json.loads(json_report(interpreter.run(script)))
-            document.pop("wall_time_s")
-            return document
+            result = interpreter.run(script)
+            assert result.passed
+            return result_document(result)
 
         cache = PlanCache()
         reference = report("vref", None)
-        assert reference["verdict"] == "pass"
         assert report("Vref", cache) == reference
         assert report("Vref", None) == reference
         assert report("vref", cache) == reference
@@ -200,15 +198,6 @@ class TestReports:
         _, result = run_paper_example()
         line = summary_line(result)
         assert "10 steps" in line and "PASS" in line
-
-    def test_json_report_parses(self):
-        import json
-
-        _, result = run_paper_example()
-        payload = json.loads(json_report(result))
-        assert payload["verdict"] == "pass"
-        assert len(payload["steps"]) == 10
-        assert payload["counts"]["fail"] == 0
 
 
 class TestFullToolchainFromCsv:

@@ -13,7 +13,6 @@ Covers the four guarantees the compiled path rests on:
 from __future__ import annotations
 
 import copy
-import json
 import pickle
 
 import pytest
@@ -41,13 +40,14 @@ from repro.teststand import (
     build_paper_stand,
     compile_plan,
     expand_jobs,
-    json_report,
     make_executor,
     run_jobs,
 )
 from repro.teststand.executor import execute_job
 from repro.teststand.plan import script_fingerprint, stand_fingerprint
 from repro.teststand.serialize import result_to_dict
+
+from parity import result_document
 
 
 def _paper_script():
@@ -76,10 +76,7 @@ class TestPlanDeterminism:
         script = _paper_script()
         with_plans = _interpreter().run(script)
         without = _interpreter(plan_cache=None).run(script)
-        a = json.loads(json_report(with_plans))
-        b = json.loads(json_report(without))
-        a.pop("wall_time_s", None), b.pop("wall_time_s", None)
-        assert a == b
+        assert result_document(with_plans) == result_document(without)
 
     def test_vm_runs_are_counted(self):
         cache = PlanCache()
@@ -108,10 +105,8 @@ class TestPlanDeterminism:
         clocks = []
         for _ in range(5):
             clocks.append(compiled.harness.now)
-            a = json.loads(json_report(compiled.run(script)))
-            b = json.loads(json_report(classic.run(script)))
-            a.pop("wall_time_s", None), b.pop("wall_time_s", None)
-            assert a == b
+            assert result_document(compiled.run(script)) == \
+                result_document(classic.run(script))
         assert len(set(clocks)) == 5
         stats = cache.stats.snapshot()
         assert stats["plans_compiled"] == 1
@@ -150,9 +145,7 @@ class TestPlanFallback:
             plan_cache=cache,
         ).run(script)
         clean = _interpreter(plan_cache=None).run(script)
-        a, b = json.loads(json_report(poisoned)), json.loads(json_report(clean))
-        a.pop("wall_time_s", None), b.pop("wall_time_s", None)
-        assert a == b
+        assert result_document(poisoned) == result_document(clean)
         assert cache.stats.plan_hits == 1
         assert cache.stats.vm_runs == 0
 
@@ -234,7 +227,7 @@ class TestPlanInvalidation:
         ResultStore(":memory:").record_report(report)
         TestStandInterpreter(
             build_paper_stand(), interior_harness(InteriorLightEcu()),
-            signals, use_vm=False,
+            signals, plan_cache=None,
         ).run(script)
         assert {"_allocation_fingerprint", "_stored_key"} <= set(vars(script))
         fresh = _paper_script()
@@ -354,9 +347,7 @@ class TestStandReuse:
         first = _interpreter(stand).run(script)
         stand.reset()
         second = _interpreter(stand).run(script)
-        a, b = json.loads(json_report(first)), json.loads(json_report(second))
-        a.pop("wall_time_s", None), b.pop("wall_time_s", None)
-        assert a == b
+        assert result_document(first) == result_document(second)
 
     def test_no_allocation_or_mux_state_leaks(self):
         script = _paper_script()
@@ -496,11 +487,8 @@ class TestProcessChunking:
                            for action in step.actions)
                 for item in job_result.result.action_results:
                     assert id(item.action) in own, (target, job.job_id, item)
-                document = result_to_dict(job_result.result)
-                expected = result_to_dict(reference.result)
-                document.pop("wall_time")
-                expected.pop("wall_time")
-                assert document == expected, (target, job.job_id)
+                assert result_document(job_result.result) == \
+                    result_document(reference.result), (target, job.job_id)
 
     def test_each_batch_runs_the_scripts_it_ships(self):
         """A worker keeps a batch's scripts for that batch only: a second

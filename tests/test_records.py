@@ -59,8 +59,6 @@ def _hand_built() -> list[Record]:
         trace_requirements,
     )
     from repro.chaos import ChaosPolicy
-    from repro.core.compiler import CompileOptions
-    from repro.core.validation import Issue, Severity
     from repro.core.values import Quantity
     from repro.dut.network import Network
     from repro.lint.engine import LintReport
@@ -87,8 +85,7 @@ def _hand_built() -> list[Record]:
         trace_requirements(suite, RequirementCatalogue([requirement])),
         chaos, ResiliencePolicy(chaos=chaos, deadline=30.0),
         _Pool(os.getpid(), 1, 0, None),
-        CompileOptions(emit_setup=False), Quantity(1.5, "V"),
-        Issue(Severity.WARNING, "sheet:s", "unused status"),
+        Quantity(1.5, "V"),
         *network._resistors, *network._sources,
         finding, LintReport((finding,), ("E-X",)),
         RunInfo(1, 0.5, "wiper_ecu", "big_rack", "serial", 1, 0.1, 36,
@@ -127,7 +124,7 @@ def _values(record: Record) -> tuple:
 
 
 def test_every_record_is_covered(samples):
-    assert len(RECORDS) >= 58
+    assert len(RECORDS) >= 56
     assert [cls.__qualname__ for cls in RECORDS if not samples[cls]] == []
 
 

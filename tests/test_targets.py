@@ -25,7 +25,16 @@ from repro.targets import (
     unregister_dut,
     unregister_stand,
 )
-from repro.teststand import TestStand, build_minimal_bench
+from repro.instruments import CanInterface
+from repro.instruments.base import Capability
+from repro.paper.example import compile_paper_script
+from repro.teststand import (
+    Resource,
+    ResourceTable,
+    TestStand,
+    build_minimal_bench,
+    build_paper_stand,
+)
 
 
 ALL_DUTS = ("central_locking_ecu", "exterior_light_ecu",
@@ -269,6 +278,48 @@ class TestDeriveSignalSet:
         assert not caught
 
 
+class _GatewayCan(CanInterface):
+    """A stand's own CAN gateway: besides ``put_can`` it serves
+    ``put_gw``, a method the default registry does not know, by sending
+    the same frame."""
+
+    def capabilities(self):
+        return (*super().capabilities(),
+                Capability("put_gw", "data", 0.0, float(2**64 - 1)))
+
+    def _perform(self, call, signal, pins, harness, variables, *,
+                 prepared=None):
+        if call.key == "put_gw":
+            call = MethodCall("put_can", call.params)
+        return super()._perform(call, signal, pins, harness, variables,
+                                prepared=prepared)
+
+
+def build_gateway_stand() -> TestStand:
+    """The paper stand with its CAN interface swapped for the gateway."""
+    paper = build_paper_stand()
+    resources = ResourceTable(tuple(
+        Resource(r.name, _GatewayCan("gw1"), r.description)
+        if r.name == "Ress4" else r
+        for r in paper.resources
+    ))
+    return TestStand("gateway_stand", resources, paper.connections)
+
+
+def _sent_as(script: TestScript, method: str, other: str) -> TestScript:
+    """*script* with every *method* call sent as *other*, same parameters."""
+    def action(item: SignalAction) -> SignalAction:
+        if item.method != method:
+            return item
+        return SignalAction(item.signal, MethodCall(other, item.call.params))
+
+    steps = [ScriptStep(step.number, step.duration,
+                        tuple(map(action, step.actions)), step.remark)
+             for step in script.steps]
+    return TestScript(script.name, script.dut, steps,
+                      setup=tuple(map(action, script.setup)))
+
+
 class TestRunSingle:
     def test_run_single_with_registered_signals(self):
         suite = wiper_suite()
@@ -299,6 +350,42 @@ class TestRunSingle:
         script = Compiler().compile_test(wiper_suite(), "continuous_wiping")
         with pytest.raises(TargetError, match="run\\s+spec targets"):
             run_single(RunSpec(script=script, dut="interior_light_ecu"))
+
+    def test_run_single_refuses_a_call_missing_a_required_parameter(self):
+        """A ``get_u`` with only ``u_min`` is refused before anything is
+        built, naming the script, the step, the signal and the parameter."""
+        step = ScriptStep(0, 0.1, (SignalAction(
+            "int_ill", MethodCall("get_u", {"u_min": "0"})),))
+        script = TestScript("half_window", "interior_light_ecu", [step])
+        with pytest.raises(TargetError) as caught:
+            run_single(RunSpec(script=script))
+        assert str(caught.value) == (
+            "script 'half_window', step 0, signal 'int_ill': method 'get_u' "
+            "requires parameter 'u_max'")
+
+    def test_run_single_runs_a_method_the_registry_does_not_know(self):
+        """A stand's own method meets no schema: the paper script with
+        every ``put_can`` sent as ``put_gw`` runs, and passes, on a stand
+        that serves ``put_gw``."""
+        script = _sent_as(compile_paper_script(), "put_can", "put_gw")
+        assert "put_gw" in script.methods_used()
+        assert "put_can" not in script.methods_used()
+        register_stand("gateway_stand", build_gateway_stand)
+        try:
+            result = run_single(RunSpec(script=script, stand="gateway_stand"))
+        finally:
+            unregister_stand("gateway_stand")
+        assert result.passed
+        assert {item.resource for item in result.action_results
+                if item.method == "put_gw"} == {"Ress4"}
+
+    @pytest.mark.parametrize("name", ALL_DUTS + ("lock+cluster",))
+    def test_bundled_scripts_meet_their_methods_schemas(self, name):
+        """The pre-flight parameter check refuses no compiled bundled
+        script."""
+        target = targets.get_target(name)
+        for script in Compiler().compile_suite(target.suite_factory()):
+            targets._require_valid_params(script)
 
 
 class TestRunCampaign:

@@ -23,7 +23,6 @@ Covers the guarantees the VM fast path rests on:
 from __future__ import annotations
 
 import functools
-import json
 import re
 
 import pytest
@@ -56,7 +55,6 @@ from repro.teststand import (
     run_jobs,
     text_report,
 )
-from repro.teststand import json_report
 from repro.teststand import vm
 from repro.teststand.vm import (
     VmCompileError,
@@ -65,6 +63,8 @@ from repro.teststand.vm import (
     batch_io,
     compile_program,
 )
+
+from parity import result_document
 
 
 SUITE_DUTS = tuple(d.name for d in iter_duts() if d.suite_factory is not None)
@@ -76,15 +76,16 @@ def _strip_wall(report: str) -> str:
     )
 
 
-def _run_suite(dut, *, use_vm: bool, cache: PlanCache):
-    """Run the DUT's full bundled suite serially on its default stand."""
+def _run_suite(dut, *, cache: PlanCache | None):
+    """Run the DUT's full bundled suite serially on its default stand, on
+    the VM with *cache*, on the classic walk without."""
     from repro.targets import default_stand_for, stand_factory_for
 
     scripts = Compiler().compile_suite(dut.suite_factory())
     stand = stand_factory_for(default_stand_for(dut), dut)()
     interpreter = TestStandInterpreter(
         stand, dut.build_harness(), dut.signals_factory(),
-        plan_cache=cache, use_vm=use_vm,
+        plan_cache=cache,
     )
     return [interpreter.run(script) for script in scripts]
 
@@ -98,16 +99,14 @@ class TestVmParity:
     def test_full_suite_reports_identical(self, dut_name):
         """Property over every bundled DUT: rendered reports match."""
         dut = get_dut(dut_name)
-        cache_on, cache_off = PlanCache(), PlanCache()
-        with_vm = _run_suite(dut, use_vm=True, cache=cache_on)
+        cache_on = PlanCache()
+        with_vm = _run_suite(dut, cache=cache_on)
         # Warm pass so the VM path actually executes (first runs compile).
-        with_vm = _run_suite(dut, use_vm=True, cache=cache_on)
-        without = _run_suite(dut, use_vm=False, cache=cache_off)
+        with_vm = _run_suite(dut, cache=cache_on)
+        without = _run_suite(dut, cache=None)
         for a, b in zip(with_vm, without):
             assert _strip_wall(text_report(a)) == _strip_wall(text_report(b))
-            ja, jb = json.loads(json_report(a)), json.loads(json_report(b))
-            ja.pop("wall_time_s", None), jb.pop("wall_time_s", None)
-            assert ja == jb
+            assert result_document(a) == result_document(b)
         # Guard against silently comparing classic with classic: the warm
         # pass must have been served by the VM.
         assert cache_on.stats.snapshot()["vm_runs"] >= len(with_vm)
@@ -157,15 +156,14 @@ class TestPeephole:
             ScriptStep(0, 0.1), ScriptStep(1, 0.3, (wait, wait)),
         ])
         reports = {}
-        for use_vm in (True, False):
+        for on_vm in (True, False):
             cache = PlanCache()
             result = TestStandInterpreter(
                 build_paper_stand(), interior_harness(InteriorLightEcu()),
-                paper_signal_set(), plan_cache=cache, use_vm=use_vm,
+                paper_signal_set(), plan_cache=cache if on_vm else None,
             ).run(script)
-            reports[use_vm] = json.loads(json_report(result))
-            reports[use_vm].pop("wall_time_s")
-            if use_vm:
+            reports[on_vm] = result_document(result)
+            if on_vm:
                 assert cache.stats.snapshot()["vm_runs"] == 1
         assert reports[True] == reports[False]
 
@@ -326,16 +324,16 @@ class TestOnePassCompiler:
         broken = dut.faults_factory().get("lamp_stuck_off")
         scripts = Compiler().compile_suite(dut.suite_factory())
         verdicts = {}
-        for use_vm in (True, False):
+        for on_vm in (True, False):
             cache = PlanCache()
             interpreter = TestStandInterpreter(
                 build_paper_stand(), dut.harness_factory(broken.build()),
-                dut.signals_factory(), registry=registry, plan_cache=cache,
-                use_vm=use_vm,
+                dut.signals_factory(), registry=registry,
+                plan_cache=cache if on_vm else None,
             )
-            verdicts[use_vm] = [interpreter.run(script).verdict.name
+            verdicts[on_vm] = [interpreter.run(script).verdict.name
                                 for script in scripts]
-            if use_vm:
+            if on_vm:
                 assert cache.stats.snapshot()["vm_runs"] == len(scripts)
         assert len(scripts) == 4
         assert verdicts[False] == ["FAIL"] * 4
@@ -393,7 +391,7 @@ class TestVmDegrade:
         assert not cursor.validate(variables)
         classic = TestStandInterpreter(
             stand, interior_harness(InteriorLightEcu()), paper_signal_set(),
-            use_vm=False,
+            plan_cache=None,
         ).run(script)
         assert [a.allocation.resource for a in classic.steps[0].actions] \
             == ["NARROW"]
@@ -493,16 +491,15 @@ class TestWaitDuration:
         """``t="0,3"`` reads as 0.3 s, as lint reads it: the run waits
         0.3 s plus the step's 0.5 s, with the same report on both walks."""
         reports = {}
-        for use_vm in (True, False):
+        for on_vm in (True, False):
             cache = PlanCache()
             result = TestStandInterpreter(
                 build_paper_stand(), interior_harness(InteriorLightEcu()),
-                paper_signal_set(), plan_cache=cache, use_vm=use_vm,
+                paper_signal_set(), plan_cache=cache if on_vm else None,
             ).run(_wait_step("0,3"))
             assert result.duration == pytest.approx(0.8)
-            assert cache.stats.snapshot()["vm_runs"] == int(use_vm)
-            reports[use_vm] = json.loads(json_report(result))
-            reports[use_vm].pop("wall_time_s")
+            assert cache.stats.snapshot()["vm_runs"] == int(on_vm)
+            reports[on_vm] = result_document(result)
         assert reports[True] == reports[False]
 
     @pytest.mark.parametrize("use_vm", (True, False), ids=("vm", "classic"))
@@ -587,17 +584,14 @@ class TestPreparedKeyword:
         scripts = Compiler().compile_suite(paper_suite())
         cache = PlanCache()
         reports = {}
-        for use_vm in (True, False):
+        for on_vm in (True, False):
             interpreter = TestStandInterpreter(
                 _paper_stand_with_dvm(_OptionsDvm("dvm1", u_min=-60.0,
                                                   u_max=60.0)),
                 interior_harness(InteriorLightEcu()), paper_signal_set(),
-                plan_cache=cache, use_vm=use_vm,
+                plan_cache=cache if on_vm else None,
             )
-            runs = [json.loads(json_report(interpreter.run(script)))
-                    for script in scripts]
-            for run in runs:
-                run.pop("wall_time_s")
-            reports[use_vm] = runs
+            reports[on_vm] = [result_document(interpreter.run(script))
+                               for script in scripts]
         assert cache.stats.snapshot()["vm_runs"] == len(scripts)
         assert reports[True] == reports[False]

@@ -161,6 +161,22 @@ class TestFaultCampaign:
         assert "lamp_stuck_off" in table
         assert "fault campaign" in paper_campaign_result.summary()
 
+    def test_from_report_groups_jobs_in_catalogue_order(self, paper_campaign_result):
+        """One grouping serves the campaign and the store: the baseline,
+        then one outcome per fault in the order the catalogue gives."""
+        from repro.analysis import CampaignResult
+
+        report = paper_campaign_result.execution
+        outcomes = paper_campaign_result.outcomes
+        faults = [outcome.fault for outcome in outcomes]
+        regrouped = CampaignResult.from_report(report, reversed(faults))
+        assert regrouped.execution is report
+        assert regrouped.baseline == paper_campaign_result.baseline
+        assert len(regrouped.baseline) == 1
+        assert [outcome.fault for outcome in regrouped.outcomes] == faults[::-1]
+        assert [outcome.results for outcome in regrouped.outcomes] == [
+            outcome.results for outcome in reversed(outcomes)]
+
     def test_fault_catalogue_api(self):
         catalogue = interior_light_faults()
         assert len(catalogue) == 9

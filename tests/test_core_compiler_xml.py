@@ -56,11 +56,23 @@ class TestCompiler:
     def test_variables_declared(self, script):
         assert "ubatt" in script.variables
 
+    def test_setup_block_sets_each_input_to_its_initial_status(self, suite, script):
+        """The setup block is always emitted: one stimulus per input signal,
+        in sheet order, calling its initial status's method."""
+        inputs = [signal for signal in suite.signals if signal.is_input]
+        assert [action.signal for action in script.setup] == [
+            signal.key for signal in inputs]
+        assert [action.method for action in script.setup] == [
+            suite.statuses.get(signal.initial_status).method for signal in inputs]
+        assert script.setup[1].call == MethodCall(
+            "put_r", {"r": "INF", "r_min": "5000", "r_max": "INF"})
+
     def test_direction_check_rejects_stimulus_on_output(self, suite):
         bad = TestDefinition("bad")
         bad.add_step(0.5, {"INT_ILL": "Open"})   # put_r on an output signal
         broken = TestSuite("interior_light_ecu", paper_signal_set(), paper_status_table(), (bad,))
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError,
+                           match="stimulus method 'put_r' applied to DUT output 'INT_ILL'"):
             Compiler().compile_test(broken, "bad")
 
     def test_direction_check_rejects_measurement_on_input(self):
@@ -84,6 +96,21 @@ class TestCompiler:
         broken = TestSuite(suite.dut, signals, suite.statuses, tuple(suite))
         with pytest.raises(DefinitionError, match="'HalfOpen' is not defined"):
             Compiler().compile_suite(broken)
+
+    @pytest.mark.parametrize("signal, status, message", [
+        ("DS_FL", "HalfOpen", "references unknown status 'HalfOpen'"),
+        ("NO_SUCH", "Open", "references unknown signal 'NO_SUCH'"),
+    ], ids=("status", "signal"))
+    def test_unknown_name_in_a_step_is_refused(self, signal, status, message):
+        """A step naming a status or signal the sheets do not define is
+        refused at compile time, naming the test and the step."""
+        from repro.core import DefinitionError
+
+        bad = TestDefinition("bad")
+        bad.add_step(0.5, {signal: status})
+        broken = TestSuite("interior_light_ecu", paper_signal_set(), paper_status_table(), (bad,))
+        with pytest.raises(DefinitionError, match=f"test 'bad' step 0 {message}"):
+            Compiler().compile_test(broken, "bad")
 
     def test_unknown_status_method_strictness(self):
         """A status whose method the registry does not know is refused; a
@@ -155,6 +182,18 @@ class TestXmlRoundtrip:
         with pytest.raises(ScriptError):
             script_from_string(text)
 
+    def test_reader_keeps_a_parameter_no_method_takes(self, script):
+        """The reader is liberal and loss-free: a misspelled bound is read
+        as written (``run_single`` checks parameters, not the reader)."""
+        bounds = 'u_min="(0*ubatt)" u_max="(0.3*ubatt)"'
+        text = script_to_string(script)
+        assert bounds in text
+        misspelled = text.replace(bounds, 'u_mn="(8*ubatt)" u_mx="(9*ubatt)"', 1)
+        parsed = script_from_string(misspelled)
+        assert parsed.steps[0].actions_for("int_ill")[0].call == MethodCall(
+            "get_u", {"u_mn": "(8*ubatt)", "u_mx": "(9*ubatt)"})
+        assert script_to_string(parsed) == misspelled
+
     @given(st.lists(
         st.tuples(
             st.sampled_from(["ds_fl", "ds_fr", "night", "int_ill"]),
@@ -186,6 +225,17 @@ class TestScriptModel:
                            match="step numbers must increase: 1 after 2"):
             TestScript("t", "d", [ScriptStep(0, 1.0), ScriptStep(2, 1.0),
                                   ScriptStep(1, 1.0)])
+
+    def test_negative_step_number_or_duration_rejected(self):
+        """A step cannot carry a negative number or duration, whether built
+        or read from XML."""
+        with pytest.raises(ScriptError, match="step number must be >= 0, got -1"):
+            ScriptStep(-1, 1.0)
+        with pytest.raises(ScriptError, match="step duration must be >= 0, got -0.5"):
+            ScriptStep(0, -0.5)
+        with pytest.raises(ScriptError, match="step duration must be >= 0"):
+            script_from_string('<testscript name="t" dut="d"><steps>'
+                               '<step number="0" dt="-0.5"/></steps></testscript>')
 
     def test_variables_cover_what_the_steps_reference(self):
         """The stand variables are the declared names plus every one the

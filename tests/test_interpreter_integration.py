@@ -7,6 +7,8 @@ simulated ECU, on all three bundled stands.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import Compiler, script_from_string, script_to_string
@@ -26,6 +28,8 @@ from repro.teststand import (
     build_big_rack,
     build_minimal_bench,
     build_paper_stand,
+    result_from_dict,
+    result_to_dict,
     summary_line,
     text_report,
 )
@@ -198,6 +202,18 @@ class TestReports:
         _, result = run_paper_example()
         line = summary_line(result)
         assert "10 steps" in line and "PASS" in line
+
+    def test_result_document_parses(self):
+        """The document the store and ``--format json`` write survives JSON
+        and restores the verdict, the steps and the counts."""
+        _, result = run_paper_example()
+        document = json.loads(json.dumps(result_to_dict(result)))
+        assert len(document["steps"]) == 10
+        restored = result_from_dict(document, result.script)
+        assert restored.verdict is Verdict.PASS
+        assert restored.counts() == result.counts()
+        assert restored.counts()["fail"] == 0
+        assert result_to_dict(restored) == document
 
 
 class TestFullToolchainFromCsv:

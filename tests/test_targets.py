@@ -363,6 +363,22 @@ class TestRunSingle:
             "script 'half_window', step 0, signal 'int_ill': method 'get_u' "
             "requires parameter 'u_max'")
 
+    def test_run_single_checks_the_setup_block(self):
+        """The setup block meets the same schemas as the steps: a misspelled
+        ``put_r`` bound there is refused, naming the setup."""
+        script = compile_paper_script()
+        setup = tuple(
+            SignalAction(action.signal, MethodCall("put_r", {"r": "INF", "rmin": "5000"}))
+            if action.signal == "ds_fr" else action
+            for action in script.setup
+        )
+        broken = TestScript(script.name, script.dut, script.steps, setup=setup)
+        with pytest.raises(TargetError) as caught:
+            run_single(RunSpec(script=broken))
+        assert str(caught.value) == (
+            "script 'interior_illumination', setup, signal 'ds_fr': method "
+            "'put_r' does not accept parameter 'rmin'")
+
     def test_run_single_runs_a_method_the_registry_does_not_know(self):
         """A stand's own method meets no schema: the paper script with
         every ``put_can`` sent as ``put_gw`` runs, and passes, on a stand

@@ -188,7 +188,7 @@ class Instrument(abc.ABC):
     yields from) or its driven forms :meth:`execute` (blocks for
     :attr:`io_delay`) and :meth:`aexecute` (yields the event loop for
     :attr:`io_delay`), so the instrument's I/O latency is paid exactly once
-    per call on every path.  The bytecode VM is the one caller that binds
+    per call on every path.  The bytecode VM is the one caller that calls
     ``_perform`` directly: it pays ``io_delay`` once per batch of calls.
     """
 

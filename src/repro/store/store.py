@@ -327,11 +327,6 @@ class StoredRun:
         self.backend = row["backend"]
         self.workers = int(row["workers"])
         self.wall_time = float(row["wall_time"])
-        #: Plan-cache statistics snapshot of the producing process (dict),
-        #: or None when none was recorded.
-        self.plan_cache = (
-            json.loads(row["plan_cache"]) if row["plan_cache"] else None
-        )
         #: Campaign configuration metadata (dict) or None for bare reports.
         self.campaign = dict(campaign) if campaign is not None else None
         #: Selected fault-catalogue metadata (list of dicts) or None.
@@ -749,9 +744,6 @@ class ResultStore:
         spec=None,
         *,
         faults: Sequence[FaultModel] | None = None,
-        plan_cache: Mapping | None = None,
-        git_sha: str | None = None,
-        created_at: float | None = None,
         resume_key: str | None = None,
     ) -> int:
         """Record one execution report; returns its run id.
@@ -760,8 +752,8 @@ class ResultStore:
         any object with its fields), *faults* the selected fault models in
         catalogue order - both optional, but required for
         :meth:`StoredRun.campaign_result` / fault-table re-rendering.
-        *git_sha* defaults to :func:`current_git_sha`, *created_at* to now;
-        *plan_cache* may carry a plan-cache statistics snapshot.
+        The run is stamped with :func:`current_git_sha` and the time of
+        recording.
 
         *resume_key* finishes the unfinished run that
         :meth:`save_checkpoint` has been filling under that key: the
@@ -770,19 +762,17 @@ class ResultStore:
         """
         from .. import __version__
 
-        if git_sha is None:
-            git_sha = current_git_sha()
-        if created_at is None:
-            created_at = time.time()
+        git_sha = current_git_sha()
+        created_at = time.time()
         return self._with_write_retry(
             lambda: self._record_report_txn(
-                report, spec, faults, plan_cache,
+                report, spec, faults,
                 git_sha, created_at, __version__, resume_key,
             )
         )
 
     def _record_report_txn(
-        self, report, spec, faults, plan_cache,
+        self, report, spec, faults,
         git_sha, created_at, version, resume_key,
     ) -> int:
         """One recording transaction (retried by :meth:`record_report`)."""
@@ -807,12 +797,10 @@ class ResultStore:
             conn.execute(
                 "UPDATE runs SET created_at = ?, git_sha = ?, "
                 "repro_version = ?, backend = ?, workers = ?, wall_time = ?, "
-                "plan_cache = ?, campaign_id = ?, resume_key = NULL "
+                "campaign_id = ?, resume_key = NULL "
                 "WHERE id = ?",
                 (created_at, git_sha, version, report.backend, report.workers,
-                 report.wall_time,
-                 json.dumps(dict(plan_cache)) if plan_cache else None,
-                 campaign_id, run_id),
+                 report.wall_time, campaign_id, run_id),
             )
             self._write_jobs(conn, run_id, enumerate(report.results))
         return run_id

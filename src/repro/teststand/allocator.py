@@ -26,8 +26,8 @@ benchmark:
     prefer the suitable resource with the *smallest* capability span, keeping
     wide-range instruments free for demanding later requests,
 ``least_used``
-    prefer the resource with the fewest allocations so far (load balancing,
-    relevant for parallelised stands).
+    prefer the resource with the fewest allocations so far in the run (load
+    balancing, relevant for parallelised stands).
 """
 
 from __future__ import annotations
@@ -98,11 +98,9 @@ class Allocator:
         self._held_terminals: dict[tuple[str, str], str] = {}
         # mux group -> (channel label, signal key) currently selected.
         self._mux_selection: dict[str, tuple[str, str]] = {}
-        # statistics: ``attempts`` / ``failures`` count searches; the VM's
-        # compiled allocations skip the search and book through _register.
+        # resource key -> allocations since the last release_all, which
+        # the least_used policy reads.
         self._allocation_counts: dict[str, int] = {}
-        self.attempts = 0
-        self.failures = 0
 
     # -- public API -----------------------------------------------------------------
 
@@ -118,7 +116,6 @@ class Allocator:
         at all and :class:`RoutingError` when capable resources exist but
         none can be connected to the signal's pins right now.
         """
-        self.attempts += 1
         variables = dict(variables or {})
         persistent = self._is_persistent(call.method)
 
@@ -128,7 +125,6 @@ class Allocator:
             if self._capability_fits(resource, call, variables)
         ]
         if not candidates:
-            self.failures += 1
             supported = self.resources.supporting(call.method)
             if supported:
                 raise CapabilityError(
@@ -157,7 +153,6 @@ class Allocator:
                 continue
             return self._commit(signal, call, resource, routes, persistent)
 
-        self.failures += 1
         raise RoutingError(
             "no suitable resource can be connected to the signal pins "
             f"({'; '.join(routing_failures)})",
@@ -178,9 +173,14 @@ class Allocator:
         }
 
     def release_all(self) -> None:
-        """Release every hold (end of a test run)."""
+        """Release every hold and forget the allocation counts.
+
+        Called at the start and the end of every test run, so a run's
+        ``least_used`` choices never depend on the runs before it.
+        """
         self._held_terminals.clear()
         self._mux_selection.clear()
+        self._allocation_counts.clear()
 
     @property
     def held_terminals(self) -> dict[tuple[str, str], str]:
@@ -189,7 +189,8 @@ class Allocator:
 
     @property
     def allocation_counts(self) -> dict[str, int]:
-        """Number of successful allocations per resource."""
+        """Number of successful allocations per resource since the last
+        :meth:`release_all`."""
         return dict(self._allocation_counts)
 
     # -- internals ---------------------------------------------------------------------
@@ -199,23 +200,17 @@ class Allocator:
             return self.registry.get(method).is_stimulus
         return str(method).lower().startswith("put")
 
-    def capability_window(
+    def _capability_fits(
         self, resource: Resource, call: MethodCall, variables: Mapping[str, float]
-    ) -> tuple | None:
-        """The evaluated range-check inputs of *call* against *resource*.
+    ) -> bool:
+        """Whether *resource*'s capability row can serve *call*.
 
-        Returns ``(capability, nominal, acceptance)`` - the resource's
-        capability row plus the call's evaluated nominal value and
-        acceptance interval - or ``None`` when there is nothing to
-        range-check (e.g. ``put_can`` payloads: supporting the method is
-        enough).  This is the *variable-dependent* half of a capability
-        check: the VM compiler stores it on each I/O item, evaluated for
-        the program's variables, and a program's binding to a stand checks
-        it against that stand's capability row.
+        Evaluates the call's nominal value and acceptance interval for
+        the capability's attribute and *variables*; a call with neither
+        (e.g. a ``put_can`` payload) fits any resource supporting it.
         """
         capability = resource.capability_for(call.method)
         attribute = capability.attribute
-        nominal = None
         try:
             nominal = evaluate_call_parameter(call, attribute, variables)
         except Exception:
@@ -228,16 +223,7 @@ class Allocator:
         except Exception:
             acceptance = None
         if nominal is None and acceptance is None:
-            return None
-        return (capability, nominal, acceptance)
-
-    def _capability_fits(
-        self, resource: Resource, call: MethodCall, variables: Mapping[str, float]
-    ) -> bool:
-        window = self.capability_window(resource, call, variables)
-        if window is None:
             return True
-        capability, nominal, acceptance = window
         return capability.can_serve(nominal, acceptance)
 
     def _order_candidates(
@@ -290,32 +276,6 @@ class Allocator:
             return route
         return None
 
-    def _register(
-        self,
-        signal_key: str,
-        resource_key: str,
-        routes: tuple[Route, ...],
-        persistent: bool,
-    ) -> None:
-        """Book the holds and statistics of one allocation, without a search.
-
-        Called for every allocation the search commits and, by the bytecode
-        VM (:mod:`repro.teststand.vm`), for every compiled allocation it
-        executes: the run prologue validated those up front, and booking
-        them here keeps the hold state in lock-step per instruction.
-        """
-        if persistent:
-            for route in routes:
-                self._held_terminals[(resource_key, route.terminal)] = signal_key
-                if isinstance(route.connector, MuxChannel):
-                    self._mux_selection[route.connector.mux] = (
-                        route.connector.label,
-                        signal_key,
-                    )
-        self._allocation_counts[resource_key] = (
-            self._allocation_counts.get(resource_key, 0) + 1
-        )
-
     def _commit(
         self,
         signal: Signal,
@@ -324,7 +284,18 @@ class Allocator:
         routes: tuple[Route, ...],
         persistent: bool,
     ) -> Allocation:
-        self._register(signal.key, resource.key, routes, persistent)
+        """Book the holds and the count of one allocation the search chose."""
+        if persistent:
+            for route in routes:
+                self._held_terminals[(resource.key, route.terminal)] = signal.key
+                if isinstance(route.connector, MuxChannel):
+                    self._mux_selection[route.connector.mux] = (
+                        route.connector.label,
+                        signal.key,
+                    )
+        self._allocation_counts[resource.key] = (
+            self._allocation_counts.get(resource.key, 0) + 1
+        )
         return Allocation(
             signal=signal.name,
             method=call.method,

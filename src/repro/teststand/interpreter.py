@@ -58,9 +58,9 @@ class TestStandInterpreter:
     fast path: every run looks the (script x stand-topology x policy x
     values of the variables the script reads) combination up in it,
     compiles its :class:`~repro.teststand.plan.ExecutionPlan` and VM
-    program on first use, binds the program to the stand, self-checks it
-    in a prologue and - if everything matches - executes the flat
-    instruction stream (see :mod:`repro.teststand.vm`).  Otherwise the run
+    program on first use, self-checks the program in a prologue and - if
+    everything matches - executes the flat instruction stream on this
+    stand's instruments (see :mod:`repro.teststand.vm`).  Otherwise the run
     takes the classic walk, a full allocator search per action, with
     byte-identical verdicts.  ``plan_cache=None`` selects the classic walk
     for every run.
@@ -160,15 +160,13 @@ class TestStandInterpreter:
             except Exception:
                 plan = None
             if plan is not None and plan.program is not None:
-                # Bind the program to this stand and run its prologue
-                # self-check.  Any mismatch - a window this stand cannot
-                # serve, other values of the variables compiled for, a
-                # live signal pinned differently than compiled - degrades
-                # this whole run to the classic walk before anything has
-                # executed.
+                # Run the program's prologue self-check.  Any mismatch -
+                # other values of the variables compiled for, a live
+                # signal pinned differently than compiled, a resource this
+                # stand lacks - degrades this whole run to the classic
+                # walk before anything has executed.
                 cursor = VmCursor(
-                    plan.program, self.stand,
-                    signals=self.signals, allocator=self.allocator,
+                    plan.program, self.stand, signals=self.signals,
                     harness=self.harness, stop_on_error=self.stop_on_error,
                 )
                 if not cursor.validate(variables):

@@ -411,7 +411,7 @@ def compile_plan(
     try:
         program = vm.compile_program(
             script, signals, stand,
-            policy=policy, registry=registry, variables=variables, key=key,
+            policy=policy, registry=registry, variables=variables,
         )
     except vm.VmCompileError as exc:
         return ExecutionPlan(key, vm_reason=f"{exc.op}: {exc.reason}")
@@ -428,7 +428,7 @@ class PlanCacheStats:
     ``plan_hits`` / ``plan_misses`` count run-level lookups (a miss
     compiles); ``vm_runs`` counts runs the bytecode VM executed end to
     end, ``vm_degraded`` runs whose program existed but failed the
-    bind/prologue self-check and degraded to the classic walk.
+    prologue self-check and degraded to the classic walk.
     """
 
     __slots__ = (

@@ -221,7 +221,7 @@ class _Pool(Record):
 #: The process backend's one pool per process, shared by every process
 #: batch and replaced when a worker dies, the worker count changes or the
 #: target registry changes.  Its workers outlive campaigns, so their plan
-#: caches, VM bindings and stand pools stay warm.  The owner pid keeps a
+#: caches and stand pools stay warm.  The owner pid keeps a
 #: forked child off the pool it inherited, whose manager thread lives in
 #: the parent only.  The standard library shuts the pool down at exit, and
 #: :func:`_drop_pool` frees it before the interpreter clears modules.
@@ -369,7 +369,7 @@ class ProcessExecutor(Executor):
 
     The pool belongs to the process, not to the batch: it is created by the
     first process batch and reused by every later one, so campaign after
-    campaign runs on workers whose plan caches, VM bindings and stand pools
+    campaign runs on workers whose plan caches and stand pools
     are already warm (stand factories compare by value, so a new campaign's
     factory finds the stand an earlier one pooled).  A batch whose worker
     died replaces the pool and redelivers its unfinished chunks; a batch

@@ -11,8 +11,8 @@ stream of instructions
 op                        meaning
 ========================  ====================================================
 ``SET``                   stimulus instrument calls with pre-resolved
-                          signal, routes, instrument and capability window
-                          (``put_*``)
+                          signal, allocation, resource and prepared
+                          operands (``put_*``)
 ``GET``                   measurement instrument calls, same operands
                           (``get_*``)
 ``WAIT``                  advance the harness clock by a step's settle dt,
@@ -34,19 +34,21 @@ differently from two, and fires ECU timers and CAN flushes at other
 instants than the classic walk does.
 
 A program keeps the variables it was compiled for: which resource the
-search picks for a relative limit such as ``(0.7*ubatt)`` depends on them.
-Execution is deliberately paranoid: a program **binds** to a concrete stand
-instance (resolving resource keys to live instruments, re-checking every
-capability window against *that* stand's capability rows and preparing
-every call's operands, all for the program's variables), and every run
-starts with a prologue that refuses other values of those variables and
-re-checks the live signal pinning.  Any mismatch at any of those points
-degrades **the whole run** to the classic interpreter before a single
-instruction has touched the harness - so verdict tables are byte-identical
-with the VM on or off.  Scripts the compiler cannot express (an allocation
-that fails at compile time, a ``wait`` duration that is not a number, an
-unknown signal) raise :class:`VmCompileError`; the plan then carries no
-program and every run of the combination takes the classic path, which the
+search picks for a relative limit such as ``(0.7*ubatt)`` depends on them,
+and the walk prepares every call's operands for them.  A program runs as
+compiled on every stand instance the plan cache hands it to: the plan key
+holds the stand's fingerprint, which covers every resource's capability
+rows in table order, so each capability window the walk's search accepted
+fits that stand too.  Execution is still deliberately paranoid: every run starts
+with a prologue that refuses other values of the program's variables,
+re-checks the live signal pinning and resolves the program's resource keys
+to the stand's live instruments.  Any mismatch degrades **the whole run**
+to the classic interpreter before a single instruction has touched the
+harness - so verdict tables are byte-identical with the VM on or off.
+Scripts the compiler cannot express (an allocation that fails at compile
+time, a ``wait`` duration that is not a number, an unknown signal) raise
+:class:`VmCompileError`; the plan then carries no program and every run of
+the combination takes the classic path, which the
 ``X-UNCOMPILABLE-SCRIPT`` lint rule surfaces pre-flight.  Composed sheets
 compile like any other: a composed run is its members' runs on one bus, and
 the composition harness routes every instrument call the VM makes.
@@ -64,7 +66,6 @@ per call.  Instruments must not mutate their ``variables`` argument - which
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator, Mapping
 
 from .. import chaos as _chaos
@@ -92,9 +93,6 @@ __all__ = [
 #: The instruction set, in documentation order.
 VM_OPS = ("SET", "GET", "WAIT", "OPEN_CIRCUIT", "END_STEP")
 
-#: How many (program x stand) bindings one stand instance memoises.
-_BINDING_CACHE_SIZE = 8
-
 
 class VmCompileError(Exception):
     """A (script x stand) combination the VM compiler cannot express.
@@ -115,23 +113,17 @@ class VmCompileError(Exception):
 class VmIoItem:
     """One pre-resolved instrument call inside a ``SET`` / ``GET`` op."""
 
-    __slots__ = ("action", "signal", "allocation", "window", "attribute")
+    __slots__ = ("action", "signal", "allocation", "prepared")
 
     def __init__(self, action: SignalAction, signal: Signal, allocation,
-                 attribute: str, window: tuple | None = None):
+                 prepared: tuple | None = None):
         self.action = action
         self.signal = signal
         self.allocation = allocation
-        #: Capability window (``(capability, nominal, acceptance)``) of the
-        #: allocated resource, evaluated for the program's variables and
-        #: checked when the program binds to a stand, or ``None`` when the
-        #: call carries nothing to range-check.
-        self.window = window
-        #: The principal attribute (``"u"``, ``"r"``, ...) of the serving
-        #: resource's capability for the method, the one its instrument
-        #: and the capability window read; the binding prepares the call's
-        #: nominal value and acceptance limits for it.
-        self.attribute = attribute
+        #: The call's ``(nominal, limits)`` pair for the program's
+        #: variables (see :func:`_prepare_operands`), handed to the
+        #: instrument's ``_perform``, or ``None`` when nothing evaluates.
+        self.prepared = prepared
 
     def __repr__(self) -> str:
         return f"VmIoItem({self.signal.key}:{self.action.method})"
@@ -167,6 +159,15 @@ class VmOp:
         return f"VmOp({self.code})"
 
 
+# Executable opcodes (tuple-based for dispatch speed in the run loop).
+# ``_X_STEPS`` marks where the setup segment ends and the steps begin.
+_X_IO = 0
+_X_WAIT = 1
+_X_OPEN = 2
+_X_END = 3
+_X_STEPS = 4
+
+
 class VmProgram:
     """The compiled instruction stream of one plan, shared across stands.
 
@@ -174,21 +175,72 @@ class VmProgram:
     belong to the script's setup segment, the rest are step segments each
     closed by an ``END_STEP``.  ``variables`` are the stand variables the
     program was compiled for, by lower-case name: its allocations and
-    windows hold for their values only, so it serves no run with other
-    values of them.  Programs hold only content-safe operands (signals,
-    calls, allocations, windows) - live instruments are resolved per stand
-    instance by the binding step.
+    prepared operands hold for their values only, so it serves no run with
+    other values of them.  Programs hold only content-safe operands
+    (signals, calls, allocations, prepared operands) and name resources by
+    key, so one program serves every stand instance its plan key fits.
+
+    ``stream`` is what the run loop executes: ``ops`` coded as plain
+    tuples whose first element is an ``_X_*`` opcode, with an ``_X_STEPS``
+    op between the setup segment and the steps.  An I/O op names its
+    resource by index into ``resource_keys``.  ``signal_shapes`` holds the
+    compiled pinning the run prologue re-checks against the live signal
+    set.
     """
 
-    __slots__ = ("ops", "setup_size", "variables", "key")
+    __slots__ = ("ops", "setup_size", "variables", "stream",
+                 "resource_keys", "signal_shapes", "signals_ok")
 
     def __init__(self, ops: tuple[VmOp, ...], setup_size: int,
-                 variables: Mapping[str, float], *, key: tuple = ()):
+                 variables: Mapping[str, float]):
         self.ops = tuple(ops)
         self.setup_size = int(setup_size)
         self.variables = {str(name).lower(): value
                           for name, value in variables.items()}
-        self.key = key
+        slots: dict[str, int] = {}
+        shapes: dict[str, tuple] = {}
+
+        def note_signal(signal: Signal) -> None:
+            shapes.setdefault(signal.key, (
+                tuple(p.lower() for p in signal.pins),
+                bool(signal.is_bus),
+                str(signal.message).lower() if signal.message else None,
+            ))
+
+        stream: list[tuple] = []
+        for index, op in enumerate(self.ops):
+            if index == self.setup_size:
+                stream.append((_X_STEPS,))
+            code = op.code
+            if code in ("SET", "GET"):
+                items = []
+                for item in op.items:
+                    note_signal(item.signal)
+                    items.append((item.action, item.action.call, item.signal,
+                                  item.allocation.pins, item.allocation,
+                                  item.prepared))
+                slot = slots.setdefault(op.resource_key, len(slots))
+                stream.append((_X_IO, slot, tuple(items)))
+            elif code == "WAIT":
+                stream.append((_X_WAIT, op.duration, op.action))
+            elif code == "OPEN_CIRCUIT":
+                note_signal(op.signal)
+                stream.append((_X_OPEN, op.action, op.signal.pins,
+                               op.outcome))
+            elif code == "END_STEP":
+                stream.append((_X_END, op.number, op.duration, op.remark))
+            else:  # pragma: no cover - unknown op means a compiler bug
+                raise ValueError(f"unknown VM op {code!r}")
+        self.stream = tuple(stream)
+        self.resource_keys = tuple(slots)
+        self.signal_shapes = shapes
+        #: Signal sets whose live pinning already matched ``signal_shapes``.
+        #: Sound as an identity memo: ``Signal`` is frozen and a
+        #: ``SignalSet`` only ever *gains* keys (duplicates raise), so a
+        #: set that matched once matches forever.  Strong references keep
+        #: ``is`` honest against id reuse.  A tuple, replaced and never
+        #: changed in place: runs in several threads share the program.
+        self.signals_ok: tuple = ()
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -225,6 +277,31 @@ def batch_io(ops: list[VmOp]) -> list[VmOp]:
 # Compiler: script x stand -> instruction stream, in one walk
 # ---------------------------------------------------------------------------
 
+def _prepare_operands(call: MethodCall, attribute: str,
+                      variables: Mapping[str, float]) -> tuple | None:
+    """Pre-evaluate one call's ``(nominal, limits)`` pair for *variables*.
+
+    *attribute* is the principal attribute of the serving resource's
+    capability for the method, the one its instrument reads (not the
+    registry's).  The pair is handed to ``Instrument._perform`` so
+    instruments skip re-evaluating the same parameter expressions on every
+    run; ``None`` when nothing evaluates.  A half whose evaluation fails
+    stays ``None``, so the instrument re-runs the evaluation itself and
+    raises exactly like the classic path.
+    """
+    try:
+        nominal = evaluate_call_parameter(call, attribute, variables)
+    except Exception:
+        nominal = None
+    try:
+        limits = limits_for_call(call, attribute, variables)
+    except Exception:
+        limits = None
+    if nominal is None and limits is None:
+        return None
+    return (nominal, limits)
+
+
 def walk_program(
     script: TestScript,
     signals: SignalSet,
@@ -241,7 +318,8 @@ def walk_program(
     stimuli, the settle, all expectations) against a scratch
     :class:`~repro.teststand.allocator.Allocator` with the runs' policy,
     registry and variables, so each ``SET`` / ``GET`` op carries the
-    allocation and capability window a run with those variables would see.
+    allocation a run with those variables would see, and its call's
+    operands prepared for them.
     Open circuits release as they do at run time.  ``step`` is ``None`` in
     the setup; ``action`` is ``None`` for a step's settle ``WAIT`` and its
     ``END_STEP``.
@@ -294,10 +372,10 @@ def walk_program(
             )
             error.__cause__ = exc
             return error
-        resource = stand.resources.get(allocation.resource)
-        window = allocator.capability_window(resource, action.call, variables)
-        attribute = resource.capability_for(action.method).attribute
-        item = VmIoItem(action, signal, allocation, attribute, window)
+        capability = stand.resources.get(allocation.resource) \
+            .capability_for(action.method)
+        item = VmIoItem(action, signal, allocation, _prepare_operands(
+            action.call, capability.attribute, variables))
         return VmOp(opname, resource_key=allocation.resource, items=(item,))
 
     for action in script.setup:
@@ -321,15 +399,14 @@ def compile_program(
     policy: str,
     registry: MethodRegistry,
     variables: Mapping[str, float],
-    key: tuple = (),
 ) -> VmProgram:
     """Compile *script* on *stand* into a :class:`VmProgram` in one walk.
 
     Reads :func:`walk_program` and raises its first
     :class:`VmCompileError`.  The program keeps *variables*: its
-    allocations and windows hold for them only, and its run prologue
-    refuses other values of them (the plan-cache key holds the values of
-    the variables the script reads, and compiles for those).
+    allocations and prepared operands hold for them only, and its run
+    prologue refuses other values of them (the plan-cache key holds the
+    values of the variables the script reads, and compiles for those).
 
     :func:`batch_io` runs per segment (setup and each step separately), so
     batches never cross a segment boundary.
@@ -353,185 +430,26 @@ def compile_program(
     ops = batch_io(setup)
     setup_size = len(ops)
     ops.extend(steps)
-    return VmProgram(tuple(ops), setup_size, variables, key=key)
+    return VmProgram(tuple(ops), setup_size, variables)
 
 
 # ---------------------------------------------------------------------------
-# Binding: program x stand instance -> executable stream
-# ---------------------------------------------------------------------------
-
-# Executable opcodes (tuple-based for dispatch speed in the run loop).
-# ``_X_STEPS`` marks where the setup segment ends and the steps begin.
-_X_IO = 0
-_X_WAIT = 1
-_X_OPEN = 2
-_X_END = 3
-_X_STEPS = 4
-
-
-class VmBinding:
-    """One program resolved against one concrete stand instance.
-
-    ``ops`` is the executable stream: plain tuples whose first element is
-    an ``_X_*`` opcode, with live instrument references, each I/O item's
-    prepared operands and pre-computed bookkeeping operands; an
-    ``_X_STEPS`` op separates the setup segment from the steps.
-    ``variables`` are the program's, the only ones a run of the binding
-    may have; ``signal_shapes`` holds the compiled pinning the run
-    prologue re-checks against the live signal set.
-    """
-
-    __slots__ = ("ops", "variables", "signal_shapes", "signals_ok")
-
-    def __init__(self, ops, variables, signal_shapes):
-        self.ops = ops
-        self.variables = variables
-        self.signal_shapes = signal_shapes
-        #: Signal sets whose live pinning already matched ``signal_shapes``.
-        #: Sound as an identity memo: ``Signal`` is frozen and a
-        #: ``SignalSet`` only ever *gains* keys (duplicates raise), so a
-        #: set that matched once matches forever.  Strong references keep
-        #: ``is`` honest against id reuse.
-        self.signals_ok: list = []
-
-
-def _prepare_operands(call: MethodCall, attribute: str,
-                      variables: Mapping[str, float]) -> tuple | None:
-    """Pre-evaluate one call's ``(nominal, limits)`` pair for *variables*.
-
-    Handed to ``Instrument._perform`` so instruments skip re-evaluating
-    the same parameter expressions on every run; ``None`` when nothing
-    evaluates.  A half whose evaluation fails stays ``None``, so the
-    instrument re-runs the evaluation itself and raises exactly like the
-    classic path.
-    """
-    try:
-        nominal = evaluate_call_parameter(call, attribute, variables)
-    except Exception:
-        nominal = None
-    try:
-        limits = limits_for_call(call, attribute, variables)
-    except Exception:
-        limits = None
-    if nominal is None and limits is None:
-        return None
-    return (nominal, limits)
-
-
-def _bind(program: VmProgram, stand: TestStand) -> VmBinding | None:
-    """Resolve *program* against *stand*, or ``None`` when it does not fit.
-
-    Re-checks, against this concrete stand instance, everything a run of
-    the program relies on: every resource key resolves, every instrument
-    still supports its method, and every capability window, evaluated for
-    the program's variables, still fits the instrument's capability row.
-    Each I/O item carries its operands, prepared for those variables.
-    """
-    variables = program.variables
-    bound: list[tuple] = []
-    signal_shapes: dict[str, tuple] = {}
-
-    def note_signal(signal: Signal) -> None:
-        signal_shapes.setdefault(signal.key, (
-            tuple(p.lower() for p in signal.pins),
-            bool(signal.is_bus),
-            str(signal.message).lower() if signal.message else None,
-        ))
-
-    def check_window(window, resource, method: str) -> bool:
-        if window is None:
-            return True
-        _, nominal, acceptance = window
-        try:
-            capability = resource.capability_for(method)
-        except Exception:
-            return False
-        return capability.can_serve(nominal, acceptance)
-
-    for index, op in enumerate(program.ops):
-        if index == program.setup_size:
-            bound.append((_X_STEPS,))
-        code = op.code
-        if code in ("SET", "GET"):
-            try:
-                resource = stand.resources.get(op.resource_key)
-            except AllocationError:
-                return None
-            instrument = resource.instrument
-            items = []
-            for item in op.items:
-                note_signal(item.signal)
-                if not check_window(item.window, resource,
-                                    item.action.method):
-                    return None
-                allocation = item.allocation
-                call = item.action.call
-                items.append((
-                    item.action,
-                    call,
-                    item.signal,
-                    allocation.pins,
-                    item.signal.key,
-                    allocation.routes,
-                    allocation.persistent,
-                    allocation,
-                    _prepare_operands(call, item.attribute, variables),
-                ))
-            bound.append((_X_IO, instrument, instrument._perform,
-                          resource.key, tuple(items)))
-        elif code == "WAIT":
-            bound.append((_X_WAIT, op.duration, op.action))
-        elif code == "OPEN_CIRCUIT":
-            note_signal(op.signal)
-            bound.append((_X_OPEN, op.action, op.signal.key,
-                          op.signal.pins, op.outcome))
-        elif code == "END_STEP":
-            bound.append((_X_END, op.number, op.duration, op.remark))
-        else:  # pragma: no cover - unknown op means a compiler bug
-            return None
-    return VmBinding(tuple(bound), variables, signal_shapes)
-
-
-def binding_for(program: VmProgram, stand: TestStand) -> VmBinding | None:
-    """The memoised binding of *program* on *stand* (``None`` = no fit).
-
-    Bindings are cached on the stand instance keyed by the program's plan
-    key with an identity re-check (plan keys are content fingerprints, but
-    a program evicted and recompiled must re-bind).  Failed binds are
-    memoised too - a stand that cannot carry the program today cannot
-    carry it on the next run either.
-    """
-    cache: OrderedDict | None = stand.__dict__.get("_vm_bindings")
-    if cache is None:
-        cache = stand.__dict__["_vm_bindings"] = OrderedDict()
-    cached = cache.get(program.key)
-    if cached is not None and cached[0] is program:
-        cache.move_to_end(program.key)
-        return cached[1]
-    binding = _bind(program, stand)
-    cache[program.key] = (program, binding)
-    while len(cache) > _BINDING_CACHE_SIZE:
-        cache.popitem(last=False)
-    return binding
-
-
-# ---------------------------------------------------------------------------
-# The cursor: one run of one bound program
+# The cursor: one run of one program on one stand
 # ---------------------------------------------------------------------------
 
 class VmCursor:
-    """Executes one bound program for one run, self-distrusting throughout.
+    """Executes one program for one run on one stand, self-distrusting.
 
     :meth:`validate` is the run prologue: it re-checks everything the
     compiled operands assume about *this* run (the program's variables,
-    the live signal pinning) and returns ``False`` - before any
-    instruction has executed - when the program cannot be trusted; the
-    interpreter then runs the classic walk and the verdicts stay
-    byte-identical.  :meth:`run` is the instruction loop as a generator
-    core, :meth:`execute` its blocking driver.
+    the live signal pinning, the stand's resources) and returns ``False``
+    - before any instruction has executed - when the program cannot be
+    trusted; the interpreter then runs the classic walk and the verdicts
+    stay byte-identical.  :meth:`run` is the instruction loop as a
+    generator core, :meth:`execute` its blocking driver.
     """
 
-    __slots__ = ("binding", "allocator", "harness", "signals",
+    __slots__ = ("program", "stand", "instruments", "harness", "signals",
                  "stop_on_error")
 
     def __init__(
@@ -540,13 +458,15 @@ class VmCursor:
         stand: TestStand,
         *,
         signals: SignalSet,
-        allocator: Allocator,
         harness,
         stop_on_error: bool = False,
     ):
-        self.binding = binding_for(program, stand)
+        self.program = program
+        self.stand = stand
+        #: The live instrument of each of the program's resource keys on
+        #: this stand, in ``resource_keys`` order; :meth:`validate` fills it.
+        self.instruments: tuple = ()
         self.signals = signals
-        self.allocator = allocator
         self.harness = harness
         self.stop_on_error = bool(stop_on_error)
 
@@ -556,28 +476,29 @@ class VmCursor:
         Refuses a run whose values of the program's variables differ from
         the program's (names match case-insensitively; the run may bring
         others): the search could pick other resources for them, and the
-        windows and prepared operands hold for the program's only.  (The
-        plan-cache key holds the values of the variables the script reads,
-        and the program keeps those, so a cached program never meets
-        others.)
+        prepared operands hold for the program's only.  (The plan-cache key
+        holds the values of the variables the script reads, and the program
+        keeps those, so a cached program never meets others.)
         Checks the live signal pinning against the compiled shapes (a
         re-pinned adapter must degrade); a :class:`SignalSet` *instance*
         that matched once is memoised by identity, which is sound because
-        signal sets are grow-only and signals immutable.
+        signal sets are grow-only and signals immutable.  Resolves the
+        program's resource keys on this stand and refuses a stand that
+        lacks one.  The capability windows need no re-check: the plan key
+        holds the stand's fingerprint, so the stand has the capability rows
+        the compile walk's search accepted them against.
         """
-        binding = self.binding
-        if binding is None:
-            return False
+        program = self.program
         lowered = {str(name).lower(): value for name, value in variables.items()}
-        for name, value in binding.variables.items():
+        for name, value in program.variables.items():
             if lowered.get(name) != value:
                 return False
         signals = self.signals
-        for seen in binding.signals_ok:
+        for seen in program.signals_ok:
             if seen is signals:
                 break
         else:
-            for key, shape in binding.signal_shapes.items():
+            for key, shape in program.signal_shapes.items():
                 try:
                     live = signals.get(key)
                 except Exception:
@@ -586,9 +507,13 @@ class VmCursor:
                         str(live.message).lower() if live.message else None
                         ) != shape:
                     return False
-            if len(binding.signals_ok) >= 4:
-                del binding.signals_ok[0]
-            binding.signals_ok.append(signals)
+            program.signals_ok = program.signals_ok[-3:] + (signals,)
+        resources = self.stand.resources
+        try:
+            self.instruments = tuple(resources.get(key).instrument
+                                     for key in program.resource_keys)
+        except AllocationError:
+            return False
         return True
 
     def execute(
@@ -610,11 +535,10 @@ class VmCursor:
         verdict is ERROR ends it at ``END_STEP``.
         """
         harness = self.harness
-        allocator = self.allocator
-        register = allocator._register
+        instruments = self.instruments
         stop = self.stop_on_error
         run_vars = dict(variables)
-        # The VM binds instrument._perform directly, bypassing
+        # The VM calls instrument._perform directly, bypassing
         # Instrument.round_trip - so the chaos hooks live here too.  One
         # check per run keeps the clean path at a single bool test.
         chaos_on = _chaos.ACTIVE is not None
@@ -627,16 +551,15 @@ class VmCursor:
         results = setup_results
         in_setup = True
         start_time = 0.0
-        for op in self.binding.ops:
+        for op in self.program.stream:
             code = op[0]
             if code == _X_IO:
-                _, instrument, perform, resource_key, items = op
+                instrument = instruments[op[1]]
                 delay = instrument.io_delay
                 if delay > 0.0:
                     yield delay
-                for (action, call, signal, pins, signal_key, routes,
-                     persistent, allocation, prepared) in items:
-                    register(signal_key, resource_key, routes, persistent)
+                perform = instrument._perform
+                for action, call, signal, pins, allocation, prepared in op[2]:
                     glitch = False
                     if chaos_on:
                         hang, glitch = _chaos.on_instrument_call()
@@ -676,8 +599,7 @@ class VmCursor:
                 results = []
                 start_time = harness.now
             elif code == _X_OPEN:
-                _, action, signal_key, pins, outcome = op
-                allocator.release(signal_key)
+                _, action, pins, outcome = op
                 for pin in pins:
                     harness.release_resistance(pin)
                 results.append(ActionResult(action, passed, outcome=outcome))

@@ -61,6 +61,7 @@ def _hand_built() -> list[Record]:
     from repro.chaos import ChaosPolicy
     from repro.core.values import Quantity
     from repro.dut.network import Network
+    from repro.instruments import Capability
     from repro.lint.engine import LintReport
     from repro.lint.findings import LintFinding
     from repro.paper import locking_suite, paper_suite
@@ -85,7 +86,7 @@ def _hand_built() -> list[Record]:
         trace_requirements(suite, RequirementCatalogue([requirement])),
         chaos, ResiliencePolicy(chaos=chaos, deadline=30.0),
         _Pool(os.getpid(), 1, 0, None),
-        Quantity(1.5, "V"),
+        Quantity(1.5, "V"), Capability("get_u", "u", -60.0, 60.0, "V"),
         *network._resistors, *network._sources,
         finding, LintReport((finding,), ("E-X",)),
         RunInfo(1, 0.5, "wiper_ecu", "big_rack", "serial", 1, 0.1, 36,

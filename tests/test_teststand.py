@@ -173,7 +173,6 @@ class TestAllocator:
         allocator.allocate(DS_FL, OPEN_CALL, {})
         with pytest.raises(AllocationError):
             allocator.allocate(DS_FL, MethodCall("put_i", {"i": "1"}), {})
-        assert allocator.attempts == 2 and allocator.failures == 1
         assert sum(allocator.allocation_counts.values()) == 1
 
     def test_release_all(self, paper_stand):
@@ -181,6 +180,7 @@ class TestAllocator:
         allocator.allocate(DS_FL, OPEN_CALL, {})
         allocator.release_all()
         assert not allocator.held_terminals
+        assert not allocator.allocation_counts
 
     def test_all_policies_resolve_paper_example(self, paper_stand):
         for policy in ALLOCATION_POLICIES:

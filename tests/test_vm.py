@@ -5,13 +5,19 @@ Covers the guarantees the VM fast path rests on:
 * property-style parity: every bundled DUT's full suite renders a
   byte-identical report with the VM on or off (wall time excluded), and
   campaign verdict tables agree on all four executor backends,
+* two runs on one interpreter give equal reports, on the VM and on the
+  classic walk (``least_used`` counts are per run),
 * I/O batching merges calls on one resource without any verdict drift,
-* the one compile pass: every I/O item carries its allocation and window,
-  its prepared operands read the serving capability's attribute, and each
-  uncompilable sheet raises :class:`VmCompileError` with the right cause,
-* self-distrust: a binding or prologue mismatch degrades the run to the
-  classic interpreter before anything executes, and a program serves only
-  the variables it was compiled for; each stand binds a program once,
+* the one compile pass: every I/O item carries its allocation and its
+  operands, prepared for the program's variables and read for the serving
+  capability's attribute, and each uncompilable sheet raises
+  :class:`VmCompileError` with the right cause,
+* a program runs as compiled: one cached program calls the instruments of
+  each stand instance it runs on, and a stand that differs in one
+  capability row compiles its own,
+* self-distrust: a prologue mismatch degrades the run to the classic
+  interpreter before anything executes, and a program serves only the
+  variables it was compiled for,
 * ``wait`` durations read like every other parameter on both walks, and
   one that is not a number fails its job on the first attempt,
 * either knob off (``use_plans`` or ``use_vm``) runs the classic walk,
@@ -37,7 +43,6 @@ from repro.paper import interior_harness, paper_signal_set, paper_suite
 from repro.targets import CampaignSpec, get_dut, iter_duts, run_campaign
 from repro.teststand import (
     GLOBAL_PLAN_CACHE,
-    Allocator,
     ConnectionMatrix,
     PlanCache,
     ResiliencePolicy,
@@ -56,6 +61,7 @@ from repro.teststand import (
     text_report,
 )
 from repro.teststand import vm
+from repro.teststand.plan import stand_fingerprint
 from repro.teststand.vm import (
     VmCompileError,
     VmIoItem,
@@ -111,6 +117,30 @@ class TestVmParity:
         # pass must have been served by the VM.
         assert cache_on.stats.snapshot()["vm_runs"] >= len(with_vm)
 
+    @pytest.mark.parametrize("on_vm", (True, False), ids=("vm", "classic"))
+    def test_two_runs_on_one_interpreter_agree(self, on_vm):
+        """``least_used`` reads the allocation counts, which are per run:
+        the second classic run of ``wash_cycle`` on ``big_rack`` picks the
+        decade the first one did, as every VM run does."""
+        from repro.targets import stand_factory_for
+
+        dut = get_dut("wiper_ecu")
+        (script,) = [script for script in
+                     Compiler().compile_suite(dut.suite_factory())
+                     if script.name == "wash_cycle"]
+        cache = PlanCache()
+        interpreter = TestStandInterpreter(
+            stand_factory_for("big_rack", dut)(), dut.build_harness(),
+            dut.signals_factory(), policy="least_used",
+            plan_cache=cache if on_vm else None,
+        )
+        documents = []
+        for _ in range(2):
+            interpreter.harness = dut.build_harness()
+            documents.append(result_document(interpreter.run(script)))
+        assert documents[0] == documents[1]
+        assert cache.stats.snapshot()["vm_runs"] == (2 if on_vm else 0)
+
     # VM-on/off byte-identity across all backends lives in
     # ``test_parity_matrix.py``.
 
@@ -123,14 +153,12 @@ def _io_op(code: str, resource: str, signal_name: str, method: str) -> VmOp:
     signal = Signal(signal_name, SignalDirection.INPUT, SignalKind.ANALOG,
                     pins=(signal_name,))
     action = SignalAction(signal_name, MethodCall(method, {"u": "1"}))
-    item = VmIoItem(action, signal, _StubAllocation(), "u")
+    item = VmIoItem(action, signal, _StubAllocation())
     return VmOp(code, resource_key=resource, items=(item,))
 
 
 class _StubAllocation:
     pins = ("a",)
-    routes = ()
-    persistent = False
     resource = "stub"
 
 
@@ -188,8 +216,6 @@ def _paper_plan():
 def _cursor(program, stand, signals) -> VmCursor:
     return VmCursor(
         program, stand, signals=signals,
-        allocator=Allocator(stand.resources, stand.connections,
-                            policy="first_fit", registry=stand.registry),
         harness=interior_harness(InteriorLightEcu()),
     )
 
@@ -199,12 +225,12 @@ def _one_step(action: SignalAction) -> TestScript:
                       [ScriptStep(0, 0.5, (action,))])
 
 
-def _compile_one_step(action: SignalAction, key: tuple = ()):
+def _compile_one_step(action: SignalAction):
     stand = build_paper_stand()
     return compile_program(
         _one_step(action), paper_signal_set(), stand,
         policy="first_fit", registry=stand.registry,
-        variables={"ubatt": stand.supply_voltage, "t": 0.0}, key=key,
+        variables={"ubatt": stand.supply_voltage, "t": 0.0},
     )
 
 
@@ -225,32 +251,35 @@ def _relative_reading_script() -> TestScript:
         "u": "(0.7*ubatt)", "u_min": "(0.6*ubatt)", "u_max": "(0.8*ubatt)"})))
 
 
-def _unbindable_program() -> vm.VmProgram:
-    item = _io_op("SET", "no_such_resource", "A", "put_u").items[0]
+def _one_put_program(resource_key: str) -> vm.VmProgram:
+    """One ``put_r`` on the paper's door contact, served by *resource_key*."""
+    action = SignalAction("DS_FL", MethodCall("put_r", {"r": "0.5"}))
+    item = VmIoItem(action, paper_signal_set().get("DS_FL"),
+                    _StubAllocation())
     return vm.VmProgram(
-        (VmOp("SET", resource_key="no_such_resource", items=(item,)),),
-        0, {"ubatt": 12.0, "t": 0.0}, key=("toy",),
+        (VmOp("SET", resource_key=resource_key, items=(item,)),),
+        0, {"ubatt": 12.0, "t": 0.0},
     )
 
 
-def _count_binds(monkeypatch) -> list:
-    """Record the program of every bind no stand's cache could answer."""
-    binds = []
-    bind = vm._bind
+class _CountingDvm(Dvm):
+    """A DVM that counts the calls made on this instance."""
 
-    def counting(program, stand):
-        binds.append(program)
-        return bind(program, stand)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
 
-    monkeypatch.setattr(vm, "_bind", counting)
-    return binds
+    def _perform(self, call, signal, pins, harness, variables, **options):
+        self.calls += 1
+        return super()._perform(call, signal, pins, harness, variables,
+                                **options)
 
 
 class TestOnePassCompiler:
-    def test_every_paper_get_item_carries_its_window(self):
-        """Windows live on the I/O items, evaluated for the variables the
-        program keeps: each DVM reading of the paper program is
-        range-checked when the program binds to a stand."""
+    def test_every_paper_get_item_carries_its_prepared_operands(self):
+        """The walk prepares each call's ``(nominal, limits)`` pair for the
+        variables the program keeps: each DVM reading of the paper program
+        carries its limits at 12 V and no nominal value."""
         plan = _paper_plan()
         assert plan.program is not None, plan.vm_reason
         assert plan.program.variables == {"ubatt": 12.0, "t": 0.0}
@@ -259,10 +288,9 @@ class TestOnePassCompiler:
         for op in gets:
             for item in op.items:
                 assert item.allocation.resource == op.resource_key
-                assert item.window is not None
-                assert item.window[0].method == "get_u"
+                assert item.prepared[0] is None
         # The paper's limits are relative to ``ubatt``, here 12 V.
-        assert {(item.window[2].low, item.window[2].high)
+        assert {(item.prepared[1].low, item.prepared[1].high)
                 for op in gets for item in op.items} == {
             (0.0, 0.3 * 12.0), (0.7 * 12.0, 1.1 * 12.0)}
 
@@ -341,6 +369,95 @@ class TestOnePassCompiler:
 
 
 # ---------------------------------------------------------------------------
+# A program runs as compiled, on the stand it is handed
+# ---------------------------------------------------------------------------
+
+class TestRunAsCompiled:
+    def test_one_cached_program_calls_each_stands_own_instruments(self):
+        """Two stand instances with one fingerprint share one program; each
+        run of it calls the DVM of the stand it runs on."""
+        dvms = (_CountingDvm("dvm1", u_min=-60.0, u_max=60.0),
+                _CountingDvm("dvm1", u_min=-60.0, u_max=60.0))
+        stands = tuple(_paper_stand_with_dvm(dvm) for dvm in dvms)
+        assert stand_fingerprint(stands[0]) == stand_fingerprint(stands[1])
+        cache = PlanCache()
+        calls = []
+        for stand in stands:
+            assert TestStandInterpreter(
+                stand, interior_harness(InteriorLightEcu()),
+                paper_signal_set(), plan_cache=cache,
+            ).run(_paper_script()).passed
+            calls.append((dvms[0].calls, dvms[1].calls))
+        (first, none), after = calls
+        assert first > 0 and none == 0
+        assert after == (first, first)
+        stats = cache.stats.snapshot()
+        assert (stats["plans_compiled"], stats["vm_runs"]) == (1, 2)
+
+    def test_one_capability_row_apart_compiles_its_own_program(self):
+        """A DVM that reads ±20 V instead of ±60 V changes one capability
+        row and nothing else, not even the resource and route counts: the
+        stand fingerprints apart, compiles its own program, and its VM run
+        reports what its classic walk reports at 12 V."""
+        paper = build_paper_stand()
+        narrow = _paper_stand_with_dvm(Dvm("dvm1", u_min=-20.0, u_max=20.0))
+        assert (len(narrow.resources), len(narrow.connections)) \
+            == (len(paper.resources), len(paper.connections))
+        assert stand_fingerprint(narrow) != stand_fingerprint(paper)
+        cache = PlanCache()
+        plans = [cache.plan_for(
+            _paper_script(), paper_signal_set(), stand, policy="first_fit",
+            registry=stand.registry, variables={"ubatt": 12.0, "t": 0.0})
+            for stand in (paper, narrow)]
+        assert plans[0].program is not plans[1].program
+        assert plans[1].program is not None, plans[1].vm_reason
+        documents = {}
+        for on_vm in (True, False):
+            result = TestStandInterpreter(
+                narrow, interior_harness(InteriorLightEcu()),
+                paper_signal_set(), plan_cache=cache if on_vm else None,
+            ).run(_paper_script())
+            assert result.passed
+            documents[on_vm] = result_document(result)
+        assert documents[True] == documents[False]
+        stats = cache.stats.snapshot()
+        assert (stats["plans_compiled"], stats["vm_runs"]) == (2, 1)
+
+    def test_one_program_validates_from_many_threads_at_once(self):
+        """Threads share a program's pinning memo, which is replaced whole
+        and never changed in place: eight threads, each with its own stand
+        and signal set, validate one program concurrently, every prologue
+        passes and the memo never holds more than four sets."""
+        import sys
+        import threading
+
+        program = _paper_plan().program
+        failures = []
+
+        def validate_often():
+            cursor = _cursor(program, build_paper_stand(), paper_signal_set())
+            for _ in range(200):
+                if not cursor.validate({"ubatt": 12.0, "t": 0.0}):
+                    failures.append(cursor)
+                if len(program.signals_ok) > 4:
+                    failures.append(program.signals_ok)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=validate_often)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+# ---------------------------------------------------------------------------
 # Self-distrust: degrade before executing anything
 # ---------------------------------------------------------------------------
 
@@ -385,10 +502,9 @@ class TestVmDegrade:
         )
         assert [op.resource_key for op in plan.program.ops
                 if op.code == "GET"] == ["WIDE"]
-        variables = {"ubatt": 12.0, "t": 0.0}
         cursor = _cursor(plan.program, stand, paper_signal_set())
-        assert cursor.binding is not None
-        assert not cursor.validate(variables)
+        assert cursor.validate({"ubatt": 40.0, "t": 0.0})
+        assert not cursor.validate({"ubatt": 12.0, "t": 0.0})
         classic = TestStandInterpreter(
             stand, interior_harness(InteriorLightEcu()), paper_signal_set(),
             plan_cache=None,
@@ -422,49 +538,18 @@ class TestVmDegrade:
         assert not cursor.validate({"ubatt": 12.5, "t": 7.5})
         assert not cursor.validate({"t": 7.5})
 
-    def test_unresolvable_resource_fails_binding(self):
-        program = _unbindable_program()
+    def test_a_resource_the_stand_lacks_fails_the_prologue(self):
+        """The prologue resolves the program's resource keys on the stand
+        it runs on, and refuses a stand that lacks one before any op
+        runs."""
         stand = build_paper_stand()
-        cursor = _cursor(program, stand, paper_signal_set())
-        assert cursor.binding is None
-        assert not cursor.validate({"ubatt": 12.0, "t": 0.0})
-
-    def test_a_program_binds_once_per_stand(self, monkeypatch):
-        binds = _count_binds(monkeypatch)
-        program = _paper_plan().program
-        stands = (build_paper_stand(), build_paper_stand())
-        for stand in stands + stands:
-            assert vm.binding_for(program, stand) is not None
-        assert binds == [program] * 2
-        for stand in stands:
-            assert vm.binding_for(program, stand) \
-                is stand.__dict__["_vm_bindings"][program.key][1]
-
-    def test_a_recompiled_program_takes_its_keys_slot(self, monkeypatch):
-        """A program compiled again under the same plan key (its plan was
-        evicted or the cache cleared) re-binds, and the stand keeps one
-        binding for that key."""
-        binds = _count_binds(monkeypatch)
-        stand = build_paper_stand()
-        first, second = (_compile_one_step(
-            SignalAction("DS_FL", MethodCall("put_r", {"r": "0.5"})),
-            key=("plan",)) for _ in range(2))
-        old = vm.binding_for(first, stand)
-        new = vm.binding_for(second, stand)
-        assert binds == [first, second]
-        assert new is not old
-        bindings = stand.__dict__["_vm_bindings"]
-        assert list(bindings) == [("plan",)]
-        assert bindings[("plan",)] == (second, new)
-
-    def test_a_failed_bind_is_memoised(self, monkeypatch):
-        binds = _count_binds(monkeypatch)
-        program = _unbindable_program()
-        stand = build_paper_stand()
-        assert vm.binding_for(program, stand) is None
-        assert vm.binding_for(program, stand) is None
-        assert binds == [program]
-        assert stand.__dict__["_vm_bindings"][program.key] == (program, None)
+        variables = {"ubatt": 12.0, "t": 0.0}
+        served = _cursor(_one_put_program("Ress2"), stand, paper_signal_set())
+        assert served.validate(variables)
+        assert served.instruments == (stand.resources.get("Ress2").instrument,)
+        lacking = _cursor(_one_put_program("no_such_resource"), stand,
+                          paper_signal_set())
+        assert not lacking.validate(variables)
 
     @pytest.mark.parametrize("knob", ("use_plans", "use_vm"))
     def test_either_knob_off_runs_classic(self, knob):
